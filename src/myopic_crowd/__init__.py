@@ -72,6 +72,7 @@ from .dynamics import (
     GLOBAL_RULES,
     LOG_FLOOR,
     BeliefState,
+    Hood,
     LogRatioDiagnostic,
     global_update_avg,
     global_update_max,
@@ -80,6 +81,8 @@ from .dynamics import (
     local_update,
     log_ratio_diagnostics,
     logsumexp,
+    neighborhood_csr,
+    pool,
     with_global,
 )
 from .network import (
@@ -107,6 +110,7 @@ from .sim import (
     estimate_rejection_rate,
     first_identification,
     run_experiment,
+    run_rules,
     summary,
     time_to_identification,
     write_outputs,

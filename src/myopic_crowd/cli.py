@@ -23,9 +23,11 @@ from .errors import InsufficientSamples, MyopicCrowdError
 from .network import is_connected
 from .scores import check_global_identifiability, score_report
 from .sim import (
+    build_sources,
     estimate_rejection_rate,
     first_identification,
     run_experiment,
+    run_rules,
     summary,
     time_to_identification,
     write_outputs,
@@ -306,31 +308,35 @@ def cmd_compare(args) -> int:
     config = _load(args)
     star = config.world.true_class
     label = config.world.classes.labels[star]
-    results: dict[str, dict] = {}
-    for rule in RULES:
-        per_agent_times: list[list] = [[] for _ in range(config.n_agents)]
-        finals: list[list] = [[] for _ in range(config.n_agents)]
-        identified_runs = 0
-        for offset in range(args.seeds):
-            cfg = config.derived(seed=config.seed + offset, rule=rule)
-            trajectory = run_experiment(cfg)
+    per_agent_times = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
+    finals = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
+    identified_runs = dict.fromkeys(RULES, 0)
+    for offset in range(args.seeds):
+        cfg = config.derived(seed=config.seed + offset)
+        for trajectory in run_rules(cfg, RULES):
+            rule = trajectory.config.rule
             run_ok = True
             for i in range(cfg.n_agents):
                 t_id = time_to_identification(trajectory, i)
-                per_agent_times[i].append(t_id)
-                finals[i].append(float(np.exp(trajectory.log_mu[-1, i, star])))
+                per_agent_times[rule][i].append(t_id)
+                finals[rule][i].append(float(np.exp(trajectory.log_mu[-1, i, star])))
                 if t_id is None:
                     run_ok = False
             if run_ok:
-                identified_runs += 1
-        results[rule] = {
+                identified_runs[rule] += 1
+            # Drop this rule's log before the next one is pooled.
+            del trajectory
+    results = {
+        rule: {
             "median_identification_time": [
-                _median_or_none(times) for times in per_agent_times
+                _median_or_none(times) for times in per_agent_times[rule]
             ],
-            "median_final_mu_true": [float(np.median(f)) for f in finals],
-            "runs_fully_identified": identified_runs,
+            "median_final_mu_true": [float(np.median(f)) for f in finals[rule]],
+            "runs_fully_identified": identified_runs[rule],
             "runs": args.seeds,
         }
+        for rule in RULES
+    }
 
     print(
         f"rule comparison on {args.seeds} seed(s), horizon {config.horizon}, "
@@ -386,9 +392,7 @@ def cmd_validate(args) -> int:
     )
     # Resolvability of replay streams is part of validity; semantic
     # run-blockers below are warnings only.
-    from .sim import _build_sources
-
-    sources = _build_sources(config)
+    sources = build_sources(config)
     for scope, spec, source in zip(config.scopes, config.sources, sources):
         if spec.kind == "replay" and source.length < config.horizon:
             print(

@@ -255,6 +255,21 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
     return graph
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     """Resolve a config document; keyword overrides replace document values."""
     if not isinstance(doc, dict):
@@ -308,9 +323,11 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     scopes = [scope for scope, _ in entries]
     sources = [source for _, source in entries]
 
+    seed = _integer("seed", setting("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    horizon = _integer("horizon", setting("horizon", 500))
     try:
-        seed = int(setting("seed", 0))
-        horizon = int(setting("horizon", 500))
         rate_window = float(setting("rate_window", 0.5))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad numeric setting: {e}") from None
@@ -327,8 +344,10 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         observation_mode=str(setting("observation_mode", "independent")),
         seed=seed,
         rate_window=rate_window,
-        local_only=bool(setting("local_only", False)),
-        enforce_identifiability=bool(setting("enforce_identifiability", True)),
+        local_only=_boolean("local_only", setting("local_only", False)),
+        enforce_identifiability=_boolean(
+            "enforce_identifiability", setting("enforce_identifiability", True)
+        ),
         out_dir=setting("out_dir", None),
         raw=doc,
         base_dir=base_dir,

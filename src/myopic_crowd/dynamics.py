@@ -6,6 +6,11 @@ unnormalized value, then normalize.  Global step: pool the inclusive
 neighborhood's previous global beliefs with the fresh local belief using an
 elementwise min (or the avg/max baselines) and normalize.
 
+Pooling is written once, in :func:`pool`, which reduces every agent's
+neighborhood at once from a CSR layout (:func:`neighborhood_csr`) in
+O((n + |E|) * m) work; the single-agent ``global_update_*`` functions are
+one-segment calls of it.
+
 All vectors are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
 rates around 1, so state never leaves log-domain; entries are clamped at
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,8 +140,79 @@ def with_global(state: BeliefState, log_mu: np.ndarray) -> BeliefState:
     return replace(state, log_mu=np.asarray(log_mu, dtype=float))
 
 
-def _pool_inputs(
-    own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
+class Hood(NamedTuple):
+    """Inclusive neighborhoods in CSR form, the layout :func:`pool` reads.
+
+    Rows index the stacked input ``[prev_mu; own_pi]``: segment i starts at
+    ``starts[i]`` in ``index`` and lists agent i's inclusive neighborhood
+    (rows of ``prev_mu``) followed by agent i's own local belief, row
+    ``i - n`` from the end of the stack for n segments.  ``owner`` maps each
+    entry of ``index`` to its segment and ``log_size`` is the (n, 1) log of
+    segment lengths.
+    """
+
+    index: np.ndarray
+    starts: np.ndarray
+    owner: np.ndarray
+    log_size: np.ndarray
+
+
+def neighborhood_csr(neighborhoods: Sequence[Sequence[int]]) -> Hood:
+    """CSR layout of a graph's inclusive neighborhoods; build once per graph."""
+    n = len(neighborhoods)
+    segments = [[*hood, i - n] for i, hood in enumerate(neighborhoods)]
+    sizes = np.array([len(seg) for seg in segments])
+    return Hood(
+        index=np.array([j for seg in segments for j in seg], dtype=np.intp),
+        starts=np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp),
+        owner=np.repeat(np.arange(n), sizes),
+        log_size=np.log(sizes)[:, None],
+    )
+
+
+def pool(
+    rule: str,
+    prev_mu: np.ndarray,
+    prev_flags: np.ndarray,
+    own_pi: np.ndarray,
+    own_flags: np.ndarray,
+    hood: Hood,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pool every segment of ``hood`` under ``rule``, before normalization.
+
+    ``prev_mu``/``prev_flags`` are the previous global log-beliefs and their
+    clamp flags, ``own_pi``/``own_flags`` the fresh local ones, each of
+    shape (rows, m).  Returns the unnormalized pooled log-beliefs and the
+    propagated clamp flags, one row per segment.
+    """
+    starts = hood.starts
+    vals = np.concatenate((prev_mu, own_pi)).take(hood.index, axis=0)
+    flags = np.concatenate((prev_flags, own_flags)).take(hood.index, axis=0)
+    # Clamp flags propagate: a pooled value is a floor artifact when the
+    # input that determined it was itself pinned at the floor, even though
+    # normalization can lift the output above LOG_FLOOR.
+    if rule == "min":
+        pooled = np.minimum.reduceat(vals, starts, axis=0)
+        flagged = np.minimum.reduceat(np.where(flags, vals, np.inf), starts, axis=0)
+        return pooled, flagged <= pooled
+    if rule == "max":
+        pooled = np.maximum.reduceat(vals, starts, axis=0)
+        flagged = np.maximum.reduceat(np.where(flags, vals, -np.inf), starts, axis=0)
+        return pooled, flagged >= pooled
+    if rule == "avg":
+        hi = np.maximum.reduceat(vals, starts, axis=0)
+        total = np.add.reduceat(
+            np.exp(vals - hi.take(hood.owner, axis=0)), starts, axis=0
+        )
+        pooled = hi + np.log(total) - hood.log_size
+        # A floored input is negligible inside a mean; the output is an
+        # artifact only when every input is floored.
+        return pooled, np.logical_and.reduceat(flags, starts, axis=0)
+    raise ValueError(f"unknown pooling rule {rule!r}")
+
+
+def _pool_one(
+    rule: str, own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
 ) -> np.ndarray:
     if len(neighbor_mus) == 0:
         raise EmptyNeighborhood(
@@ -147,7 +223,13 @@ def _pool_inputs(
         raise DimensionMismatch(
             f"neighbor beliefs must be vectors of size {own_pi.m}"
         )
-    return stack
+    k = stack.shape[0]
+    hood = neighborhood_csr([range(k)])
+    no_flags = np.zeros((k + 1, own_pi.m), dtype=bool)
+    pooled, _ = pool(
+        rule, stack, no_flags[:k], own_pi.log_pi[None, :], no_flags[k:], hood
+    )
+    return _normalize(pooled[0])
 
 
 def global_update_min(
@@ -155,9 +237,7 @@ def global_update_min(
 ) -> np.ndarray:
     """Elementwise min over neighborhood beliefs and the own local belief,
     then normalization.  A class survives only if nobody has rejected it."""
-    stack = _pool_inputs(own_pi, neighbor_mus)
-    pooled = np.minimum(stack.min(axis=0), own_pi.log_pi)
-    return _normalize(pooled)
+    return _pool_one("min", own_pi, neighbor_mus)
 
 
 def global_update_avg(
@@ -165,11 +245,7 @@ def global_update_avg(
 ) -> np.ndarray:
     """Arithmetic mean (in linear probabilities) over the same input set as
     the min rule; baseline aggregation for comparisons."""
-    stack = _pool_inputs(own_pi, neighbor_mus)
-    allv = np.vstack([stack, own_pi.log_pi])
-    hi = allv.max(axis=0)
-    pooled = hi + np.log(np.exp(allv - hi).sum(axis=0)) - math.log(allv.shape[0])
-    return _normalize(pooled)
+    return _pool_one("avg", own_pi, neighbor_mus)
 
 
 def global_update_max(
@@ -177,9 +253,7 @@ def global_update_max(
 ) -> np.ndarray:
     """Elementwise max over the same input set; baseline aggregation.  Never
     removes probability mass from a class any input still believes in."""
-    stack = _pool_inputs(own_pi, neighbor_mus)
-    pooled = np.maximum(stack.max(axis=0), own_pi.log_pi)
-    return _normalize(pooled)
+    return _pool_one("max", own_pi, neighbor_mus)
 
 
 GLOBAL_RULES = {

@@ -12,14 +12,23 @@ cumulative sum of per-round log posterior/prior ratios, normalized per
 round.  This is what makes multi-thousand-round sweeps cheap.  Values that
 reach the numerical floor are clamped there and flagged; rate estimation
 uses only unclamped samples.
+
+Pooling runs the CSR kernel :func:`~myopic_crowd.dynamics.pool` once per
+round over all agents, so a round costs O((n + |E|) * m).  Everything before
+the pooling loop (validation, connectivity and identifiability checks,
+sources, observation draws, posteriors, local trajectories) does not depend
+on the rule: :func:`run_rules` prepares it once and pools it under several
+rules, which is how ``compare`` evaluates min, avg and max on the same draws
+(common random numbers).  :func:`run_experiment` is the one-rule case.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -32,7 +41,7 @@ from .classifier import (
     write_replay_csv,
 )
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
-from .dynamics import LOG_FLOOR
+from .dynamics import LOG_FLOOR, neighborhood_csr, pool
 from .errors import (
     DisconnectedGraph,
     IdentifiabilityViolated,
@@ -59,7 +68,8 @@ class TrajectoryLog:
     the clamp masks mark entries pinned at the numerical floor.
     ``observations`` holds the drawn symbol index per (round 1..T, agent)
     and ``posteriors`` the emitted posterior per agent, both exactly as the
-    dynamics consumed them.
+    dynamics consumed them.  Logs yielded by one :func:`run_rules` call share
+    these rule-independent arrays and ``log_pi``/``clamped_pi``.
     """
 
     config: ExperimentConfig
@@ -104,7 +114,9 @@ def _norm_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(clamped, LOG_FLOOR, out), clamped
 
 
-def _build_sources(config: ExperimentConfig) -> list:
+def build_sources(config: ExperimentConfig) -> list:
+    """Each agent's posterior source, in agent order; replay streams are
+    read from their files here."""
     out = []
     for scope, spec in zip(config.scopes, config.sources):
         if spec.kind == "bayes":
@@ -176,9 +188,8 @@ def _local_trajectory(
     return _norm_rows(v)
 
 
-def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
-    """Execute T rounds of the configured experiment, deterministically."""
-    config.validate()
+def _prepare(config: ExperimentConfig):
+    """The rule-independent part of a run: checks, draws, local beliefs."""
     if not is_connected(config.graph):
         raise DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
@@ -192,7 +203,7 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
                 f"no agent separates class pairs {pairs}; add agents or "
                 "disable enforce_identifiability"
             )
-    sources = _build_sources(config)
+    sources = build_sources(config)
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
 
@@ -203,77 +214,67 @@ def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
         traj, clamp = _local_trajectory(config, scope, posts[i])
         log_pi[:, i, :] = traj
         clamped_pi[:, i, :] = clamp
+    return obs, posts, log_pi, clamped_pi
 
+
+def _pool_rounds(config: ExperimentConfig, log_pi, clamped_pi, hood):
+    """Global log-beliefs and clamp flags for rounds 0..T under config.rule."""
     if config.local_only:
-        log_mu = log_pi.copy()
-        clamped_mu = clamped_pi.copy()
-    else:
-        log_mu = np.empty_like(log_pi)
-        clamped_mu = np.zeros_like(clamped_pi)
-        log_mu[0] = -math.log(m)
-        mask = np.zeros((n, n), dtype=bool)
-        for i, hood in enumerate(config.graph.neighborhoods):
-            mask[i, list(hood)] = True
-        mask3 = mask[:, :, None]
-        counts = mask.sum(axis=1) + 1
-        rule = config.rule
-        for t in range(1, t_max + 1):
-            prev = log_mu[t - 1]
-            prev_flags = clamped_mu[t - 1]
-            own = log_pi[t]
-            own_flags = clamped_pi[t]
-            # Clamp flags propagate: a pooled value is a floor artifact when
-            # the input that determined it was itself pinned at the floor,
-            # even though normalization can lift the output above LOG_FLOOR.
-            if rule == "min":
-                pooled = np.where(mask3, prev[None, :, :], np.inf).min(axis=1)
-                pooled = np.minimum(pooled, own)
-                flagged_vals = np.where(
-                    mask3 & prev_flags[None, :, :], prev[None, :, :], np.inf
-                ).min(axis=1)
-                flagged_vals = np.where(
-                    own_flags, np.minimum(flagged_vals, own), flagged_vals
-                )
-                propagated = flagged_vals <= pooled
-            elif rule == "max":
-                pooled = np.where(mask3, prev[None, :, :], -np.inf).max(axis=1)
-                pooled = np.maximum(pooled, own)
-                flagged_vals = np.where(
-                    mask3 & prev_flags[None, :, :], prev[None, :, :], -np.inf
-                ).max(axis=1)
-                flagged_vals = np.where(
-                    own_flags, np.maximum(flagged_vals, own), flagged_vals
-                )
-                propagated = flagged_vals >= pooled
-            else:
-                stacked = np.concatenate(
-                    [np.where(mask3, prev[None, :, :], -np.inf), own[:, None, :]],
-                    axis=1,
-                )
-                hi = stacked.max(axis=1)
-                pooled = (
-                    hi
-                    + np.log(np.exp(stacked - hi[:, None, :]).sum(axis=1))
-                    - np.log(counts)[:, None]
-                )
-                # A floored input is negligible inside a mean; the output is
-                # an artifact only when every input is floored.
-                propagated = (
-                    np.where(mask3, prev_flags[None, :, :], True).all(axis=1)
-                    & own_flags
-                )
-            log_mu[t], floor_hits = _norm_rows(pooled)
-            clamped_mu[t] = floor_hits | propagated
+        return log_pi.copy(), clamped_pi.copy()
+    log_mu = np.empty_like(log_pi)
+    clamped_mu = np.zeros_like(clamped_pi)
+    log_mu[0] = -math.log(config.world.m)
+    for t in range(1, config.horizon + 1):
+        pooled, propagated = pool(
+            config.rule,
+            log_mu[t - 1],
+            clamped_mu[t - 1],
+            log_pi[t],
+            clamped_pi[t],
+            hood,
+        )
+        log_mu[t], floor_hits = _norm_rows(pooled)
+        clamped_mu[t] = floor_hits | propagated
+    return log_mu, clamped_mu
 
-    return TrajectoryLog(
-        config=config,
-        log_pi=log_pi,
-        log_mu=log_mu,
-        clamped_pi=clamped_pi,
-        clamped_mu=clamped_mu,
-        observations=obs,
-        posteriors=tuple(posts),
-    )
+
+def run_rules(
+    config: ExperimentConfig, rules: Iterable[str]
+) -> Iterator[TrajectoryLog]:
+    """Run the configured experiment once per rule, on shared draws.
+
+    Checks, observations, posteriors and local trajectories are computed
+    once; each rule only re-runs the pooling loop.  Logs are yielded one at
+    a time, so a caller that drops each log before asking for the next keeps
+    one global trajectory in memory.  Each log's config is ``config`` with
+    its rule replaced.
+    """
+    configs = [
+        replace(config, rule=rule, overrides={**config.overrides, "rule": rule})
+        for rule in rules
+    ]
+    for cfg in (config, *configs):
+        cfg.validate()
+    obs, posts, log_pi, clamped_pi = _prepare(config)
+    hood = neighborhood_csr(config.graph.neighborhoods)
+    for cfg in configs:
+        log_mu, clamped_mu = _pool_rounds(cfg, log_pi, clamped_pi, hood)
+        yield TrajectoryLog(
+            config=cfg,
+            log_pi=log_pi,
+            log_mu=log_mu,
+            clamped_pi=clamped_pi,
+            clamped_mu=clamped_mu,
+            observations=obs,
+            posteriors=tuple(posts),
+        )
+        # Hold no reference to this rule's arrays while the next is pooled.
+        del log_mu, clamped_mu
+
+
+def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
+    """Execute T rounds of the configured experiment, deterministically."""
+    return next(run_rules(config, [config.rule]))
 
 
 # -- metrics --------------------------------------------------------------

@@ -3,13 +3,16 @@
 Everything in this file is deliberately naive: plain-Python floats, explicit
 loops, linear-domain arithmetic, no shared code with the package beyond the
 probability-floor convention.  Slow and obvious beats fast and clever for an
-oracle.
+oracle.  The one numpy exception is ``dense_pool``, the O(n^2 m) masked
+pooling kept as the reference for the sparse pooling kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 EPS = 1e-12
 
@@ -186,6 +189,51 @@ def linear_run(
         pi_traj.append([list(a.pi) for a in agents])
         mu_traj.append([list(a.mu) for a in agents])
     return pi_traj, mu_traj
+
+
+def dense_pool(rule, prev, prev_flags, own, own_flags, neighborhoods):
+    """Unnormalized pooled log-beliefs and clamp flags for every agent.
+
+    The dense masked formulation the engine used before the CSR kernel: each
+    agent's inclusive neighborhood is selected from an (n, n, m) stack by a
+    boolean mask and reduced along the neighbor axis.  O(n^2 m) per call.
+    """
+    n = len(neighborhoods)
+    mask = np.zeros((n, n), dtype=bool)
+    for i, hood in enumerate(neighborhoods):
+        mask[i, list(hood)] = True
+    mask3 = mask[:, :, None]
+    if rule == "min":
+        pooled = np.where(mask3, prev[None, :, :], np.inf).min(axis=1)
+        pooled = np.minimum(pooled, own)
+        flagged = np.where(
+            mask3 & prev_flags[None, :, :], prev[None, :, :], np.inf
+        ).min(axis=1)
+        flagged = np.where(own_flags, np.minimum(flagged, own), flagged)
+        return pooled, flagged <= pooled
+    if rule == "max":
+        pooled = np.where(mask3, prev[None, :, :], -np.inf).max(axis=1)
+        pooled = np.maximum(pooled, own)
+        flagged = np.where(
+            mask3 & prev_flags[None, :, :], prev[None, :, :], -np.inf
+        ).max(axis=1)
+        flagged = np.where(own_flags, np.maximum(flagged, own), flagged)
+        return pooled, flagged >= pooled
+    if rule == "avg":
+        stacked = np.concatenate(
+            [np.where(mask3, prev[None, :, :], -np.inf), own[:, None, :]],
+            axis=1,
+        )
+        hi = stacked.max(axis=1)
+        counts = mask.sum(axis=1) + 1
+        pooled = (
+            hi
+            + np.log(np.exp(stacked - hi[:, None, :]).sum(axis=1))
+            - np.log(counts)[:, None]
+        )
+        flags = np.where(mask3, prev_flags[None, :, :], True).all(axis=1)
+        return pooled, flags & own_flags
+    raise ValueError(rule)
 
 
 # -- randomized problem instances -----------------------------------------

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from myopic_crowd.cli import main
+from myopic_crowd.config import RULES, load_config
+from myopic_crowd.sim import run_experiment, time_to_identification
 
 from conftest import W3_D_A, w3_doc
+
+W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
 
 
 @pytest.fixture
@@ -58,6 +64,16 @@ def test_malformed_config(tmp_path, capsys):
     rc = main(["scores", "--config", str(path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_seed_exits_one(config_path, tmp_path, command, capsys):
+    rc = main(
+        [command, "--config", str(config_path), "--seed", "-1",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_rejected(config_path):
@@ -266,3 +282,30 @@ def test_compare_rules(config_path, tmp_path, capsys):
     # The max rule cannot reject classes and so fails to identify.
     assert doc["max"]["runs_fully_identified"] == 0
     assert "[FAILS TO IDENTIFY" in out
+
+
+def test_compare_matches_per_rule_runs(tmp_path):
+    seeds = 5
+    rc = main(
+        ["compare", "--config", str(W3_JSON), "--seeds", str(seeds),
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "compare.json").read_text())
+    base = load_config(W3_JSON)
+    for rule in RULES:
+        times = [[] for _ in range(base.n_agents)]
+        fully_identified = 0
+        for offset in range(seeds):
+            log = run_experiment(base.derived(seed=base.seed + offset, rule=rule))
+            run_times = [
+                time_to_identification(log, i) for i in range(base.n_agents)
+            ]
+            for agent_times, t in zip(times, run_times):
+                agent_times.append(np.inf if t is None else t)
+            fully_identified += all(t is not None for t in run_times)
+        medians = [float(np.median(t)) for t in times]
+        expected = [None if np.isinf(m) else m for m in medians]
+        assert doc[rule]["median_identification_time"] == expected
+        assert doc[rule]["runs_fully_identified"] == fully_identified
+        assert doc[rule]["runs"] == seeds

@@ -62,6 +62,38 @@ def test_bad_horizon_rejected():
         config_from_dict(w3_doc(horizon=-1))
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"seed": -1},
+        {"seed": True},
+        {"seed": 1.5},
+        {"seed": "7"},
+        {"horizon": True},
+        {"horizon": 2.7},
+        {"horizon": "500"},
+        {"local_only": "false"},
+        {"local_only": 0},
+        {"enforce_identifiability": "false"},
+        {"enforce_identifiability": 1},
+    ],
+)
+def test_mistyped_settings_rejected(settings):
+    with pytest.raises(ConfigError):
+        config_from_dict(w3_doc(**settings))
+
+
+def test_negative_seed_override_rejected():
+    with pytest.raises(ConfigError):
+        config_from_dict(w3_doc(), seed=-1)
+
+
+def test_integral_float_settings_accepted():
+    config = config_from_dict(w3_doc(seed=3.0, horizon=40.0))
+    assert (config.seed, config.horizon) == (3, 40)
+    assert isinstance(config.horizon, int)
+
+
 def test_bad_rate_window_rejected():
     with pytest.raises(ConfigError):
         config_from_dict(w3_doc(rate_window=0.0))

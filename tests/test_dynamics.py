@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from myopic_crowd.classifier import BayesOracle, PosteriorVector, make_scope
 from myopic_crowd.dynamics import (
@@ -21,6 +22,8 @@ from myopic_crowd.dynamics import (
     local_update,
     log_ratio_diagnostics,
     logsumexp,
+    neighborhood_csr,
+    pool,
     with_global,
 )
 from myopic_crowd.errors import (
@@ -28,6 +31,12 @@ from myopic_crowd.errors import (
     EmptyNeighborhood,
     RowNotStochastic,
     ScopeMismatch,
+)
+from myopic_crowd.network import (
+    AgentGraph,
+    complete_graph,
+    erdos_renyi_connected,
+    path_graph,
 )
 from myopic_crowd.world import build_world
 
@@ -206,6 +215,47 @@ def test_rules_match_linear_oracle(vecs):
         # The oracle pools the same input set: neighbor beliefs plus own pi.
         expected = oracles._pool(rule, [list(v) for v in normed[1:]] + [normed[0], normed[0]])
         np.testing.assert_allclose(np.exp(out), expected, atol=1e-10)
+
+
+# -- pooling kernel against the dense reference ---------------------------
+
+@st.composite
+def _connected_graphs(draw):
+    kind = draw(st.sampled_from(["single", "path", "complete", "er"]))
+    if kind == "single":
+        return AgentGraph.from_edges(1, [])
+    n = draw(st.integers(2, 8))
+    if kind == "path":
+        return path_graph(n)
+    if kind == "complete":
+        return complete_graph(n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.floats(0.3, 1.0))
+    return erdos_renyi_connected(n, p, np.random.default_rng(seed))
+
+
+@given(data=st.data())
+def test_pool_kernel_matches_dense_reference(data):
+    graph = data.draw(_connected_graphs())
+    shape = (graph.n, data.draw(st.integers(2, 5)))
+    # Log-beliefs with entries pinned at the floor, so ties between flagged
+    # and unflagged inputs occur and exercise flag propagation.
+    entries = st.one_of(st.just(LOG_FLOOR), st.floats(LOG_FLOOR, 0.0))
+    beliefs = arrays(float, shape, elements=entries)
+    prev, own = data.draw(beliefs), data.draw(beliefs)
+    prev_flags = data.draw(arrays(bool, shape))
+    own_flags = data.draw(arrays(bool, shape))
+    hood = neighborhood_csr(graph.neighborhoods)
+    for rule in ("min", "avg", "max"):
+        got, got_flags = pool(rule, prev, prev_flags, own, own_flags, hood)
+        want, want_flags = oracles.dense_pool(
+            rule, prev, prev_flags, own, own_flags, graph.neighborhoods
+        )
+        np.testing.assert_array_equal(got_flags, want_flags)
+        if rule == "avg":
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got, want)
 
 
 # -- order preservation ---------------------------------------------------

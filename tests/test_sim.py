@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from myopic_crowd.classifier import write_replay_csv
-from myopic_crowd.config import config_from_dict
+from myopic_crowd.config import RULES, config_from_dict, load_config
 from myopic_crowd.errors import (
     DisconnectedGraph,
     IdentifiabilityViolated,
@@ -21,12 +22,15 @@ from myopic_crowd.sim import (
     estimate_rejection_rate,
     first_identification,
     run_experiment,
+    run_rules,
     summary,
     time_to_identification,
     write_outputs,
 )
 
 from conftest import w3_doc, make_w3_config
+
+W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
 
 
 def test_run_deterministic_bitwise():
@@ -35,6 +39,27 @@ def test_run_deterministic_bitwise():
     np.testing.assert_array_equal(log1.log_pi, log2.log_pi)
     np.testing.assert_array_equal(log1.log_mu, log2.log_mu)
     np.testing.assert_array_equal(log1.observations, log2.observations)
+
+
+def test_run_rules_matches_independent_runs():
+    # Long enough for min-rule beliefs to reach the floor, so the shared
+    # clamp flags are compared past it too.
+    config = load_config(W3_JSON, horizon=1500)
+    shared = list(run_rules(config, RULES))
+    assert [log.config.rule for log in shared] == list(RULES)
+    assert shared[0].clamped_mu.any()
+    for log in shared:
+        rule = log.config.rule
+        alone = run_experiment(config.derived(rule=rule))
+        for name in ("observations", "log_pi", "clamped_pi", "clamped_mu"):
+            np.testing.assert_array_equal(getattr(log, name), getattr(alone, name))
+        for got, want in zip(log.posteriors, alone.posteriors):
+            np.testing.assert_array_equal(got, want)
+        if rule == "avg":
+            np.testing.assert_allclose(log.log_mu, alone.log_mu, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(log.log_mu, alone.log_mu)
+        assert log.config.to_dict() == alone.config.to_dict()
 
 
 def test_seed_changes_observations():
