@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
-from .errors import InsufficientSamples, MyopicCrowdError
+from .errors import ConfigError, InsufficientSamples, MyopicCrowdError
 from .network import is_connected
 from .scores import check_global_identifiability, score_report
 from .sim import (
@@ -111,6 +111,11 @@ def _load(args):
     )
 
 
+def _check_seeds(args) -> None:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+
+
 def _fmt_time(t) -> str:
     return "-" if t is None else str(t)
 
@@ -163,15 +168,14 @@ def cmd_scores(args) -> int:
     config = _load(args)
     report = score_report(config.world, config.scopes)
     doc = report.to_dict()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    print(text)
     print()
     _print_score_table(doc)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "scores.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        (out / "scores.json").write_text(text + "\n")
     return 0 if report.identifiable else 2
 
 
@@ -202,6 +206,7 @@ def cmd_run(args) -> int:
 # -- rates ----------------------------------------------------------------
 
 def cmd_rates(args) -> int:
+    _check_seeds(args)
     config = _load(args)
     if any(s.kind == "replay" for s in config.sources):
         print(
@@ -305,6 +310,7 @@ def _median_or_none(values) -> float | None:
 
 
 def cmd_compare(args) -> int:
+    _check_seeds(args)
     config = _load(args)
     star = config.world.true_class
     label = config.world.classes.labels[star]

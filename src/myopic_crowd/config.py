@@ -174,6 +174,13 @@ _TOP_KEYS = {
 
 _AGENT_KEYS = {"id", "classes", "prior", "source", "likelihoods"}
 
+#: The keys each type of graph object accepts.
+_GRAPH_KEYS = {
+    "file": {"type", "path"},
+    "edges": {"type", "n", "edges"},
+    "erdos_renyi": {"type", "n", "p", "max_retries"},
+}
+
 _OVERRIDE_KEYS = {
     "seed",
     "horizon",
@@ -229,19 +236,29 @@ def _resolve_source(entry, agent_id: int, base_dir: Path) -> SourceSpec:
 def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
     if doc is None:
         raise ConfigError("config needs a 'graph' entry")
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    if isinstance(kind, str) and kind in _GRAPH_KEYS:
+        unknown = set(doc) - _GRAPH_KEYS[kind]
+        if unknown:
+            raise ConfigError(f"{kind} graph: unknown keys {sorted(unknown)}")
     if isinstance(doc, str):
         graph = load_graph(base_dir / doc)
-    elif isinstance(doc, dict) and doc.get("type") == "file":
+    elif kind == "file":
+        if not isinstance(doc.get("path"), str):
+            raise ConfigError("file graph needs a 'path' string")
         graph = load_graph(base_dir / doc["path"])
-    elif isinstance(doc, dict) and doc.get("type") == "edges":
-        graph = AgentGraph.from_edges(doc.get("n", n_agents), doc.get("edges", []))
-    elif isinstance(doc, dict) and doc.get("type") == "erdos_renyi":
+    elif kind == "edges":
+        n = _integer("graph n", doc.get("n", n_agents))
+        graph = AgentGraph.from_edges(n, doc.get("edges", []))
+    elif kind == "erdos_renyi":
+        if "p" not in doc:
+            raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
         graph_rng, _, _ = spawn_streams(seed, n_agents)
         graph = erdos_renyi_connected(
-            int(doc.get("n", n_agents)),
-            float(doc["p"]),
+            _integer("graph n", doc.get("n", n_agents)),
+            _number("graph p", doc["p"]),
             graph_rng,
-            int(doc.get("max_retries", 1000)),
+            _integer("graph max_retries", doc.get("max_retries", 1000)),
         )
     else:
         raise ConfigError(
@@ -262,6 +279,13 @@ def _integer(key: str, value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _number(key: str, value) -> float:
+    """A JSON number (integer or float); never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _boolean(key: str, value) -> bool:
@@ -302,7 +326,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
             raise ConfigError(
                 f"agent entry {position}: unknown keys {sorted(unknown)}"
             )
-        agent_id = int(entry.get("id", position))
+        agent_id = _integer(f"agent entry {position}: id", entry.get("id", position))
         if "classes" not in entry:
             raise ConfigError(f"agent {agent_id} needs a 'classes' list")
         source = _resolve_source(entry.get("source"), agent_id, base_dir)
@@ -327,10 +351,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     horizon = _integer("horizon", setting("horizon", 500))
-    try:
-        rate_window = float(setting("rate_window", 0.5))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad numeric setting: {e}") from None
+    rate_window = _number("rate_window", setting("rate_window", 0.5))
 
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
 

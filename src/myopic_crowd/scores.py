@@ -9,6 +9,16 @@ rejection rate per false class.
 Scores are in nats and are computed from the world's ground-truth likelihoods
 plus the agent's exact Bayes posterior — never from empirical sampling (see
 :func:`empirical_score` for the sampling estimator).
+
+Every score is a difference of two entries of one short vector.  With L_i
+agent i's (|X|, k_i) Bayes log-ratios ln p_i(θ|x) − ln p_i(θ) and data from
+class w, the *evidence vector* e_i = rows[w] · L_i gives D_i(θ_p, θ_q) =
+e_i[θ_p] − e_i[θ_q], exactly antisymmetric because IEEE subtraction is.  A
+report uses w = the true class for discriminative and confusion scores alike,
+and derives sets, identifiability and R(θ) from one (n, m) table of evidence
+vectors, NaN outside each scope.  R(θ) ties go to the lowest agent id: always
+for exact ties, such as identical scopes, while candidates equal only
+mathematically may differ in the last ulp and go to the larger float.
 """
 
 from __future__ import annotations
@@ -29,40 +39,40 @@ def _check_class(world: World, theta: int, name: str) -> int:
     return theta
 
 
-def _log_evidence_terms(
-    world: World, scope: AgentScope, theta_p: int, theta_q: int
-) -> np.ndarray:
-    """Per-symbol log evidence for θ_p over θ_q:
-    ln[(p_i(θ_p|x)/p_i(θ_p)) / (p_i(θ_q|x)/p_i(θ_q))] for each x."""
-    post = _bayes_per_symbol(world, scope)       # (|X|, k_i)
-    pp = scope.position(theta_p)
-    qq = scope.position(theta_q)
-    prior = scope.prior
-    return (np.log(post[:, pp]) - np.log(prior[pp])) - (
-        np.log(post[:, qq]) - np.log(prior[qq])
-    )
-
-
-def _expected_log_evidence(
-    world: World, scope: AgentScope, weight_class: int, theta_p: int, theta_q: int
-) -> float:
-    """Expectation of the per-sample log evidence for θ_p over θ_q when the
-    data is generated by ``weight_class``.
-
-    The expectation weights are the world's ground-truth likelihood row for
-    the generating class — the actual distribution of the observations — so
-    the score equals the mean drift of the belief log-ratio under those
-    observations.  Swapping θ_p and θ_q negates every term, so antisymmetry
-    holds exactly.
-    """
+def _check_pair(scope: AgentScope, theta_p: int, theta_q: int) -> None:
     if not scope.contains(theta_p) or not scope.contains(theta_q):
         raise ClassOutOfScope(
             f"classes ({theta_p}, {theta_q}) not both in agent "
             f"{scope.agent_id}'s scope {scope.theta_i}"
         )
+
+
+def _log_ratios(world: World, scope: AgentScope) -> np.ndarray:
+    """Bayes log-ratios ln p_i(θ|x) − ln p_i(θ), shape (|X|, k_i)."""
+    return np.log(_bayes_per_symbol(world, scope)) - np.log(scope.prior)
+
+
+def _evidence(world: World, scope: AgentScope, weight_class: int) -> np.ndarray:
+    """Evidence vector e_i under data from ``weight_class``, in scope order;
+    summed row by row, so identical log-ratio columns give equal entries."""
     weights = world.likelihoods.rows[weight_class]
-    terms = _log_evidence_terms(world, scope, theta_p, theta_q)
-    return float(np.dot(weights, terms))
+    return (weights[:, None] * _log_ratios(world, scope)).sum(axis=0)
+
+
+def _table(world: World, scopes: list[AgentScope], weight_class: int):
+    """Agent ids in ascending order and their (n, m) evidence table, with
+    NaN for classes outside each agent's scope."""
+    ordered = sorted(scopes, key=lambda s: s.agent_id)
+    table = np.full((len(ordered), world.m), np.nan)
+    for row, scope in zip(table, ordered):
+        row[list(scope.theta_i)] = _evidence(world, scope, weight_class)
+    return np.array([s.agent_id for s in ordered], dtype=int), table
+
+
+def _pair_score(world: World, scope: AgentScope, w: int, p: int, q: int) -> float:
+    _check_pair(scope, p, q)
+    e = _evidence(world, scope, w)
+    return float(e[scope.position(p)] - e[scope.position(q)])
 
 
 def discriminative_score(
@@ -73,7 +83,7 @@ def discriminative_score(
     direction of θ_p; antisymmetric in (θ_p, θ_q)."""
     theta_p = _check_class(world, theta_p, "theta_p")
     theta_q = _check_class(world, theta_q, "theta_q")
-    return _expected_log_evidence(world, scope, world.true_class, theta_p, theta_q)
+    return _pair_score(world, scope, world.true_class, theta_p, theta_q)
 
 
 def confusion_score(
@@ -92,7 +102,7 @@ def confusion_score(
             f"class {theta_star} is inside agent {scope.agent_id}'s scope; "
             "use discriminative_score"
         )
-    return _expected_log_evidence(world, scope, theta_star, theta_p, theta_q)
+    return _pair_score(world, scope, theta_star, theta_p, theta_q)
 
 
 def empirical_score(
@@ -113,18 +123,53 @@ def empirical_score(
     theta_q = _check_class(world, theta_q, "theta_q")
     if weight_class is None:
         weight_class = world.true_class
-    if not scope.contains(theta_p) or not scope.contains(theta_q):
-        raise ClassOutOfScope(
-            f"classes ({theta_p}, {theta_q}) not both in agent "
-            f"{scope.agent_id}'s scope {scope.theta_i}"
-        )
+    _check_pair(scope, theta_p, theta_q)
     row = world.likelihoods.rows[weight_class]
     draws = rng.choice(row.size, size=int(n_samples), p=row)
-    terms = _log_evidence_terms(world, scope, theta_p, theta_q)
+    ratios = _log_ratios(world, scope)
+    terms = ratios[:, scope.position(theta_p)] - ratios[:, scope.position(theta_q)]
     return float(terms[draws].mean())
 
 
 # -- sets and identifiability --------------------------------------------
+
+def _ids(ids: np.ndarray, mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(ids[mask].tolist())
+
+
+def _source_sets(ids: np.ndarray, table: np.ndarray) -> dict:
+    """Source set of every ordered class pair: agents with e[p] − e[q] > 0."""
+    m = table.shape[1]
+    pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
+    return {(p, q): _ids(ids, table[:, p] - table[:, q] > 0.0) for p, q in pairs}
+
+
+def _witness(sources: dict, m: int) -> list[tuple[int, int]]:
+    """Unordered pairs with an empty source set in both directions."""
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    return [(p, q) for p, q in pairs if not sources[(p, q)] and not sources[(q, p)]]
+
+
+def _support_margin(table: np.ndarray, theta_star: int, theta: int) -> np.ndarray:
+    """Best confusion score against θ, max over θ̂ of e[θ̂] − e[θ], for agents
+    without θ*; NaN for everyone else.  θ̂ = θ adds 0, which is never support
+    and never beats a positive score, so it need not be excluded."""
+    margin = np.fmax.reduce(table, axis=1) - table[:, theta]
+    return np.where(np.isnan(table[:, theta_star]), margin, np.nan)
+
+
+def _best_rate(ids, src, sup, theta_star: int, theta: int) -> tuple[float, int] | None:
+    """Largest positive candidate for R(θ), the lowest id on ties: D_i(θ*, θ)
+    from table ``src`` for agents holding θ*, else the support margin from
+    table ``sup``."""
+    d = src[:, theta_star] - src[:, theta]
+    value = np.where(np.isnan(d), _support_margin(sup, theta_star, theta), d)
+    ok = value > 0.0
+    if not ok.any():
+        return None
+    j = int(np.argmax(np.where(ok, value, -np.inf)))
+    return float(value[j]), int(ids[j])
+
 
 def source_set(
     world: World, scopes: list[AgentScope], theta_p: int, theta_q: int
@@ -132,12 +177,8 @@ def source_set(
     """Agents holding both classes with strictly positive score for the pair."""
     theta_p = _check_class(world, theta_p, "theta_p")
     theta_q = _check_class(world, theta_q, "theta_q")
-    out = []
-    for scope in sorted(scopes, key=lambda s: s.agent_id):
-        if scope.contains(theta_p) and scope.contains(theta_q):
-            if discriminative_score(world, scope, theta_p, theta_q) > 0.0:
-                out.append(scope.agent_id)
-    return tuple(out)
+    ids, table = _table(world, scopes, world.true_class)
+    return _ids(ids, table[:, theta_p] - table[:, theta_q] > 0.0)
 
 
 def support_set(
@@ -147,17 +188,8 @@ def support_set(
     their scope carries a strictly positive confusion score against θ."""
     theta_star = _check_class(world, theta_star, "theta_star")
     theta = _check_class(world, theta, "theta")
-    out = []
-    for scope in sorted(scopes, key=lambda s: s.agent_id):
-        if scope.contains(theta_star) or not scope.contains(theta):
-            continue
-        for theta_hat in scope.theta_i:
-            if theta_hat == theta:
-                continue
-            if confusion_score(world, scope, theta_star, theta_hat, theta) > 0.0:
-                out.append(scope.agent_id)
-                break
-    return tuple(out)
+    ids, table = _table(world, scopes, theta_star)
+    return _ids(ids, _support_margin(table, theta_star, theta) > 0.0)
 
 
 def check_global_identifiability(
@@ -168,13 +200,8 @@ def check_global_identifiability(
     A pair {θ_p, θ_q} is covered when some agent holds both classes and
     scores them apart in either direction.  Returns (ok, uncovered pairs).
     """
-    witness: list[tuple[int, int]] = []
-    for p in range(world.m):
-        for q in range(p + 1, world.m):
-            if not source_set(world, scopes, p, q) and not source_set(
-                world, scopes, q, p
-            ):
-                witness.append((p, q))
+    ids, table = _table(world, scopes, world.true_class)
+    witness = _witness(_source_sets(ids, table), world.m)
     return (len(witness) == 0, witness)
 
 
@@ -189,23 +216,11 @@ def best_rejection_rate(
     """
     theta_star = _check_class(world, theta_star, "theta_star")
     theta = _check_class(world, theta, "theta")
-    sources = set(source_set(world, scopes, theta_star, theta))
-    supports = set(support_set(world, scopes, theta_star, theta))
-    best: tuple[float, int] | None = None
-    for scope in sorted(scopes, key=lambda s: s.agent_id):
-        aid = scope.agent_id
-        if aid in sources:
-            value = discriminative_score(world, scope, theta_star, theta)
-        elif aid in supports:
-            value = max(
-                confusion_score(world, scope, theta_star, theta_hat, theta)
-                for theta_hat in scope.theta_i
-                if theta_hat != theta
-            )
-        else:
-            continue
-        if best is None or value > best[0]:
-            best = (value, aid)
+    ids, src = _table(world, scopes, world.true_class)
+    sup = src
+    if theta_star != world.true_class:
+        sup = _table(world, scopes, theta_star)[1]
+    best = _best_rate(ids, src, sup, theta_star, theta)
     if best is None:
         raise NoRejector(
             f"no source or support agent rejects class {theta} under "
@@ -232,6 +247,13 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
+
+        def score_rows(scores: dict) -> list[dict]:
+            return [
+                {"agent": a, "theta_p": labels[p], "theta_q": labels[q], "nats": v}
+                for (a, p, q), v in sorted(scores.items())
+            ]
+
         return {
             "classes": list(labels),
             "true_class": labels[self.world.true_class],
@@ -243,24 +265,8 @@ class ScoreReport:
                 }
                 for s in self.scopes
             ],
-            "discriminative": [
-                {
-                    "agent": a,
-                    "theta_p": labels[p],
-                    "theta_q": labels[q],
-                    "nats": v,
-                }
-                for (a, p, q), v in sorted(self.discriminative.items())
-            ],
-            "confusion": [
-                {
-                    "agent": a,
-                    "theta_p": labels[p],
-                    "theta_q": labels[q],
-                    "nats": v,
-                }
-                for (a, p, q), v in sorted(self.confusion.items())
-            ],
+            "discriminative": score_rows(self.discriminative),
+            "confusion": score_rows(self.confusion),
             "source_sets": [
                 {"theta_p": labels[p], "theta_q": labels[q], "agents": list(agents)}
                 for (p, q), agents in sorted(self.source_sets.items())
@@ -286,31 +292,22 @@ def score_report(world: World, scopes: list[AgentScope]) -> ScoreReport:
     """Compute the complete analytical report for a world and agent set."""
     report = ScoreReport(world=world, scopes=sorted(scopes, key=lambda s: s.agent_id))
     star = world.true_class
-    for scope in report.scopes:
-        aid = scope.agent_id
-        for p in scope.theta_i:
-            for q in scope.theta_i:
-                if p == q:
-                    continue
-                if scope.contains(star):
-                    report.discriminative[(aid, p, q)] = discriminative_score(
-                        world, scope, p, q
-                    )
-                else:
-                    report.confusion[(aid, p, q)] = confusion_score(
-                        world, scope, star, p, q
-                    )
-    for p in range(world.m):
-        for q in range(world.m):
-            if p != q:
-                report.source_sets[(p, q)] = source_set(world, scopes, p, q)
+    ids, table = _table(world, report.scopes, star)
+    for aid, row, scope in zip(ids.tolist(), table, report.scopes):
+        scores = report.discriminative if scope.contains(star) else report.confusion
+        e = row[list(scope.theta_i)]
+        diffs = (e[:, None] - e[None, :]).tolist()
+        for a, p in enumerate(scope.theta_i):
+            for b, q in enumerate(scope.theta_i):
+                if p != q:
+                    scores[(aid, p, q)] = diffs[a][b]
+    report.source_sets = _source_sets(ids, table)
     for theta in range(world.m):
         if theta == star:
             continue
-        report.support_sets[theta] = support_set(world, scopes, star, theta)
-        try:
-            report.best_rate[theta] = best_rejection_rate(world, scopes, star, theta)
-        except NoRejector:
-            report.best_rate[theta] = None
-    report.identifiable, report.witness = check_global_identifiability(world, scopes)
+        support = _support_margin(table, star, theta) > 0.0
+        report.support_sets[theta] = _ids(ids, support)
+        report.best_rate[theta] = _best_rate(ids, table, table, star, theta)
+    report.witness = _witness(report.source_sets, world.m)
+    report.identifiable = not report.witness
     return report

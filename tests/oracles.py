@@ -99,6 +99,46 @@ def oracle_rate_candidates(
     return out
 
 
+def oracle_source_set(
+    rows: list[list[float]],
+    true_class: int,
+    scopes: list[tuple[int, list[int], list[float]]],
+    theta_p: int,
+    theta_q: int,
+) -> tuple[int, ...]:
+    """Agents holding both classes whose score for theta_p over theta_q,
+    under data from the true class, is strictly positive."""
+    return tuple(
+        agent_id
+        for agent_id, classes, prior in sorted(scopes)
+        if theta_p in classes
+        and theta_q in classes
+        and oracle_pair_score(rows, true_class, classes, prior, theta_p, theta_q)
+        > 0.0
+    )
+
+
+def oracle_support_set(
+    rows: list[list[float]],
+    true_class: int,
+    scopes: list[tuple[int, list[int], list[float]]],
+    theta: int,
+) -> tuple[int, ...]:
+    """Agents without the true class that hold theta and score some other
+    scope class strictly above it."""
+    return tuple(
+        agent_id
+        for agent_id, classes, prior in sorted(scopes)
+        if true_class not in classes
+        and theta in classes
+        and any(
+            oracle_pair_score(rows, true_class, classes, prior, th, theta) > 0.0
+            for th in classes
+            if th != theta
+        )
+    )
+
+
 def oracle_best_rate(
     rows: list[list[float]],
     true_class: int,

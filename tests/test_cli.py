@@ -99,6 +99,8 @@ def test_scores_identifiable(config_path, tmp_path, capsys):
     assert by_theta["theta1"]["R"] == pytest.approx(W3_D_A, abs=1e-9)
     assert by_theta["theta1"]["agent"] == 0
     assert by_theta["theta2"]["agent"] == 2
+    # stdout opens with the same JSON document, byte for byte.
+    assert out.startswith((out_dir / "scores.json").read_text() + "\n")
 
 
 def test_scores_not_identifiable_exit_two(tmp_path, capsys):
@@ -210,6 +212,21 @@ def test_rates_pass(config_path, tmp_path, capsys):
     doc = json.loads((out_dir / "rates.json").read_text())
     assert doc["pass_fraction"] >= doc["threshold"]
     assert len(doc["rows"]) == 2 * 3 * 2  # seeds x agents x false classes
+
+
+@pytest.mark.parametrize("command", ["rates", "compare"])
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_nonpositive_seed_count_exits_one(
+    config_path, tmp_path, command, seeds, capsys
+):
+    out_dir = tmp_path / "out"
+    rc = main(
+        [command, "--config", str(config_path), "--seeds", seeds,
+         "--out", str(out_dir)]
+    )
+    assert rc == 1
+    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_rates_too_short_horizon(config_path, capsys):

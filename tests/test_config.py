@@ -101,6 +101,60 @@ def test_bad_rate_window_rejected():
         config_from_dict(w3_doc(rate_window=1.5))
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_rate_window_must_be_a_number(value):
+    with pytest.raises(ConfigError):
+        config_from_dict(w3_doc(rate_window=value))
+
+
+def test_rate_window_accepts_json_numbers():
+    assert config_from_dict(w3_doc(rate_window=1)).rate_window == 1.0
+    assert config_from_dict(w3_doc(rate_window=0.25)).rate_window == 0.25
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"type": "edges", "n": 3, "edges": [[0, 1], [1, 2]], "p": 0.5},
+        {"type": "edges", "n": 3, "edge": [[0, 1], [1, 2]]},
+        {"type": "erdos_renyi", "p": 0.5, "edges": [[0, 1]]},
+        {"type": "erdos_renyi", "p": 0.5, "seed": 3},
+        {"type": "file", "path": "net.txt", "n": 3},
+        {"type": "erdos_renyi"},
+        {"type": "erdos_renyi", "p": "0.5"},
+        {"type": "erdos_renyi", "p": 0.5, "n": True},
+        {"type": "erdos_renyi", "p": 0.5, "max_retries": 2.5},
+        {"type": "edges", "n": "3", "edges": [[0, 1], [1, 2]]},
+        {"type": "file"},
+        {"type": ["edges"]},
+        {"n": 3, "edges": [[0, 1], [1, 2]]},
+    ],
+)
+def test_bad_graph_object_rejected(tmp_path, graph):
+    (tmp_path / "net.txt").write_text("3\n0 1\n1 2\n")
+    with pytest.raises(ConfigError):
+        config_from_dict(w3_doc(graph=graph), base_dir=tmp_path)
+
+
+def test_graph_objects_of_each_type_accepted(tmp_path):
+    (tmp_path / "net.txt").write_text("3\n0 1\n1 2\n")
+    for graph in [
+        {"type": "file", "path": "net.txt"},
+        {"type": "edges", "n": 3, "edges": [[0, 1], [1, 2]]},
+        {"type": "erdos_renyi", "n": 3, "p": 0.9, "max_retries": 50},
+    ]:
+        config = config_from_dict(w3_doc(graph=graph), base_dir=tmp_path)
+        assert config.graph.n == 3
+
+
+@pytest.mark.parametrize("agent_id", ["x", "0", 0.5, True, None])
+def test_mistyped_agent_id_rejected(agent_id):
+    doc = w3_doc()
+    doc["agents"][0]["id"] = agent_id
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+
+
 def test_noncontiguous_agent_ids_rejected():
     doc = w3_doc()
     doc["agents"][2]["id"] = 7

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myopic_crowd import scores
 from myopic_crowd.classifier import make_scope
 from myopic_crowd.errors import ClassOutOfScope, NoRejector, TrueClassInScope
 from myopic_crowd.scores import (
@@ -278,3 +279,76 @@ def test_antisymmetry_property(seed):
                     fwd = confusion_score(world, scope, spec.true_class, p, q)
                     rev = confusion_score(world, scope, spec.true_class, q, p)
                 assert fwd == -rev
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_score_report_matches_public_functions_and_oracle(seed):
+    spec = oracles.random_problem(np.random.default_rng(seed), max_agents=6)
+    world, scopes = _spec_to_package(spec)
+    rows = [list(r) for r in spec.rows]
+    star = spec.true_class
+    oracle_scopes = [(i, list(c), list(p)) for i, c, p in spec.scopes]
+    report = score_report(world, scopes)
+
+    for scope in scopes:
+        held = scope.contains(star)
+        table = report.discriminative if held else report.confusion
+        for p in scope.theta_i:
+            for q in scope.theta_i:
+                if p == q:
+                    continue
+                got = table[(scope.agent_id, p, q)]
+                assert got == -table[(scope.agent_id, q, p)]
+                if held:
+                    assert got == discriminative_score(world, scope, p, q)
+                else:
+                    assert got == confusion_score(world, scope, star, p, q)
+
+    uncovered = []
+    for p in range(spec.m):
+        for q in range(spec.m):
+            if p == q:
+                continue
+            want = oracles.oracle_source_set(rows, star, oracle_scopes, p, q)
+            assert report.source_sets[(p, q)] == want
+            assert source_set(world, scopes, p, q) == want
+            if p < q and not want:
+                if not oracles.oracle_source_set(rows, star, oracle_scopes, q, p):
+                    uncovered.append((p, q))
+    assert report.witness == uncovered
+    assert check_global_identifiability(world, scopes) == (not uncovered, uncovered)
+    assert report.identifiable == (not uncovered)
+
+    for theta in range(spec.m):
+        if theta == star:
+            continue
+        want = oracles.oracle_support_set(rows, star, oracle_scopes, theta)
+        assert report.support_sets[theta] == want
+        assert support_set(world, scopes, star, theta) == want
+        candidates = oracles.oracle_rate_candidates(rows, star, oracle_scopes, theta)
+        entry = report.best_rate[theta]
+        if not candidates:
+            assert entry is None
+            continue
+        assert entry == best_rejection_rate(world, scopes, star, theta)
+        best = max(c for c, _ in candidates)
+        assert entry[0] == pytest.approx(best, abs=1e-12)
+        assert entry[1] in [aid for c, aid in candidates if abs(c - best) <= 1e-12]
+
+
+@pytest.mark.parametrize("build", [score_report, check_global_identifiability])
+def test_posterior_table_built_at_most_once_per_agent(build, monkeypatch):
+    # Guards against rebuilding each agent's Bayes table for every class pair.
+    spec = oracles.random_problem(np.random.default_rng(5), max_m=8, max_agents=12)
+    world, roster = _spec_to_package(spec)
+    calls = []
+    original = scores._bayes_per_symbol
+
+    def counting(world, scope):
+        calls.append(scope.agent_id)
+        return original(world, scope)
+
+    monkeypatch.setattr(scores, "_bayes_per_symbol", counting)
+    build(world, roster)
+    assert sorted(calls) == sorted(s.agent_id for s in roster)
