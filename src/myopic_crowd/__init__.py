@@ -109,8 +109,8 @@ from .sim import (
     TrajectoryLog,
     estimate_rejection_rate,
     first_identification,
+    run_batch,
     run_experiment,
-    run_rules,
     summary,
     time_to_identification,
     write_outputs,

@@ -26,8 +26,8 @@ from .sim import (
     build_sources,
     estimate_rejection_rate,
     first_identification,
+    run_batch,
     run_experiment,
-    run_rules,
     summary,
     time_to_identification,
     write_outputs,
@@ -114,6 +114,11 @@ def _load(args):
 def _check_seeds(args) -> None:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
+
+
+def _seed_configs(config, seeds: int):
+    """``config`` re-resolved for seeds seed, seed+1, ..., one at a time."""
+    return (config.derived(seed=config.seed + offset) for offset in range(seeds))
 
 
 def _fmt_time(t) -> str:
@@ -230,18 +235,18 @@ def cmd_rates(args) -> int:
     rate_of = {theta: entry[0] for theta, entry in report.best_rate.items()}
 
     rows = []
-    for offset in range(args.seeds):
-        cfg = config.reseeded(config.seed + offset)
-        trajectory = run_experiment(cfg)
-        for i in range(cfg.n_agents):
-            for theta in range(cfg.world.m):
+    for trajectory in run_batch(_seed_configs(config, args.seeds), [config.rule]):
+        for i in range(trajectory.n_agents):
+            for theta in range(trajectory.world.m):
                 if theta == star:
                     continue
                 try:
                     slope = estimate_rejection_rate(trajectory, i, theta)
                 except InsufficientSamples:
                     slope = None
-                rows.append((i, theta, cfg.seed, slope))
+                rows.append((i, theta, trajectory.config.seed, slope))
+        # Drop this seed's log before the next one is handed out.
+        del trajectory
 
     if all(slope is None for *_, slope in rows):
         print(
@@ -317,21 +322,19 @@ def cmd_compare(args) -> int:
     per_agent_times = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
     finals = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
     identified_runs = dict.fromkeys(RULES, 0)
-    for offset in range(args.seeds):
-        cfg = config.derived(seed=config.seed + offset)
-        for trajectory in run_rules(cfg, RULES):
-            rule = trajectory.config.rule
-            run_ok = True
-            for i in range(cfg.n_agents):
-                t_id = time_to_identification(trajectory, i)
-                per_agent_times[rule][i].append(t_id)
-                finals[rule][i].append(float(np.exp(trajectory.log_mu[-1, i, star])))
-                if t_id is None:
-                    run_ok = False
-            if run_ok:
-                identified_runs[rule] += 1
-            # Drop this rule's log before the next one is pooled.
-            del trajectory
+    for trajectory in run_batch(_seed_configs(config, args.seeds), RULES):
+        rule = trajectory.config.rule
+        run_ok = True
+        for i in range(trajectory.n_agents):
+            t_id = time_to_identification(trajectory, i)
+            per_agent_times[rule][i].append(t_id)
+            finals[rule][i].append(float(np.exp(trajectory.log_mu[-1, i, star])))
+            if t_id is None:
+                run_ok = False
+        if run_ok:
+            identified_runs[rule] += 1
+        # Drop this log before the next one is handed out.
+        del trajectory
     results = {
         rule: {
             "median_identification_time": [

@@ -122,9 +122,6 @@ class ExperimentConfig:
         merged = {**self.overrides, **changes}
         return config_from_dict(self.raw, base_dir=self.base_dir, **merged)
 
-    def reseeded(self, seed: int) -> "ExperimentConfig":
-        return self.derived(seed=seed)
-
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
         agents = []
@@ -249,7 +246,14 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         graph = load_graph(base_dir / doc["path"])
     elif kind == "edges":
         n = _integer("graph n", doc.get("n", n_agents))
-        graph = AgentGraph.from_edges(n, doc.get("edges", []))
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise ConfigError("edges graph: 'edges' must be a list of [u, v] pairs")
+        graph = AgentGraph.from_edges(
+            n, [[_integer("graph edge endpoint", v) for v in e] for e in edges]
+        )
     elif kind == "erdos_renyi":
         if "p" not in doc:
             raise ConfigError("erdos_renyi graph needs an edge probability 'p'")

@@ -16,9 +16,12 @@ class w, the *evidence vector* e_i = rows[w] · L_i gives D_i(θ_p, θ_q) =
 e_i[θ_p] − e_i[θ_q], exactly antisymmetric because IEEE subtraction is.  A
 report uses w = the true class for discriminative and confusion scores alike,
 and derives sets, identifiability and R(θ) from one (n, m) table of evidence
-vectors, NaN outside each scope.  R(θ) ties go to the lowest agent id: always
-for exact ties, such as identical scopes, while candidates equal only
-mathematically may differ in the last ulp and go to the larger float.
+vectors, NaN outside each scope.  R(θ) is the largest candidate, and the
+agent reported with it is the lowest id whose candidate lies within a
+relative :data:`TIE_RTOL` of it.  The tolerance matters: every source agent's
+D_i(θ*, θ) is the KL divergence of the two likelihood rows whatever else its
+scope holds, so candidates that are equal mathematically routinely differ in
+the last ulp.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ import numpy as np
 from .classifier import AgentScope, _bayes_per_symbol
 from .errors import ClassOutOfScope, NoRejector, TrueClassInScope, UnknownClass
 from .world import World
+
+#: Relative tolerance within which two R(θ) candidates count as tied.
+TIE_RTOL = 1e-12
 
 
 def _check_class(world: World, theta: int, name: str) -> int:
@@ -159,16 +165,17 @@ def _support_margin(table: np.ndarray, theta_star: int, theta: int) -> np.ndarra
 
 
 def _best_rate(ids, src, sup, theta_star: int, theta: int) -> tuple[float, int] | None:
-    """Largest positive candidate for R(θ), the lowest id on ties: D_i(θ*, θ)
-    from table ``src`` for agents holding θ*, else the support margin from
-    table ``sup``."""
+    """Largest positive candidate for R(θ) and the lowest id attaining it
+    within :data:`TIE_RTOL`: D_i(θ*, θ) from table ``src`` for agents
+    holding θ*, else the support margin from table ``sup``."""
     d = src[:, theta_star] - src[:, theta]
     value = np.where(np.isnan(d), _support_margin(sup, theta_star, theta), d)
     ok = value > 0.0
     if not ok.any():
         return None
-    j = int(np.argmax(np.where(ok, value, -np.inf)))
-    return float(value[j]), int(ids[j])
+    best = value[ok].max()
+    j = int(np.argmax(ok & (value >= best * (1.0 - TIE_RTOL))))
+    return float(best), int(ids[j])
 
 
 def source_set(

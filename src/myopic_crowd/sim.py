@@ -17,16 +17,27 @@ Pooling runs the CSR kernel :func:`~myopic_crowd.dynamics.pool` once per
 round over all agents, so a round costs O((n + |E|) * m).  Everything before
 the pooling loop (validation, connectivity and identifiability checks,
 sources, observation draws, posteriors, local trajectories) does not depend
-on the rule: :func:`run_rules` prepares it once and pools it under several
-rules, which is how ``compare`` evaluates min, avg and max on the same draws
-(common random numbers).  :func:`run_experiment` is the one-rule case.
+on the rule, so :func:`run_batch` prepares it once and pools it under
+several rules; that is how ``compare`` evaluates min, avg and max on the
+same draws (common random numbers).
+
+A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
+dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
+one network, the disjoint union of their graphs, in one loop over rounds.
+Each agent's pooled row reads only its own run's rows, so results are
+bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps a
+batch's belief arrays; a run larger than the cap pools alone.
+:func:`run_experiment` is the one-config, one-rule case.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -51,6 +62,8 @@ from .errors import (
 from .network import is_connected
 from .scores import check_global_identifiability, score_report
 
+logger = logging.getLogger(__name__)
+
 #: Minimum number of unclamped samples required to fit a rejection rate.
 MIN_RATE_SAMPLES = 10
 
@@ -58,6 +71,13 @@ MIN_RATE_SAMPLES = 10
 #: pinned belief within ~1e-16 of LOG_FLOOR, and such samples are still
 #: floor artifacts, not dynamics.
 CLAMP_TOL = 1e-9
+
+#: Cap on the bytes of one batch's belief arrays (``log_pi``, ``log_mu`` and
+#: their clamp flags, 18 bytes per round, agent and class).  A w3 run at
+#: T=3000 takes 0.49 MB, so four such seeds pool together; a run larger than
+#: the cap pools alone.  Raising it trades peak memory for fewer Python-level
+#: pooling loops.
+BATCH_BYTES = 2 * 2**20
 
 
 @dataclass(eq=False)
@@ -68,8 +88,9 @@ class TrajectoryLog:
     the clamp masks mark entries pinned at the numerical floor.
     ``observations`` holds the drawn symbol index per (round 1..T, agent)
     and ``posteriors`` the emitted posterior per agent, both exactly as the
-    dynamics consumed them.  Logs yielded by one :func:`run_rules` call share
-    these rule-independent arrays and ``log_pi``/``clamped_pi``.
+    dynamics consumed them.  The belief arrays may be views into a larger
+    batch (see :func:`run_batch`); logs of one run under several rules share
+    the rule-independent arrays and ``log_pi``/``clamped_pi``.
     """
 
     config: ExperimentConfig
@@ -189,7 +210,7 @@ def _local_trajectory(
 
 
 def _prepare(config: ExperimentConfig):
-    """The rule-independent part of a run: checks, draws, local beliefs."""
+    """Checks, observation draws and posteriors of one run."""
     if not is_connected(config.graph):
         raise DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
@@ -206,27 +227,19 @@ def _prepare(config: ExperimentConfig):
     sources = build_sources(config)
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
-
-    n, m, t_max = config.n_agents, config.world.m, config.horizon
-    log_pi = np.empty((t_max + 1, n, m))
-    clamped_pi = np.empty((t_max + 1, n, m), dtype=bool)
-    for i, scope in enumerate(config.scopes):
-        traj, clamp = _local_trajectory(config, scope, posts[i])
-        log_pi[:, i, :] = traj
-        clamped_pi[:, i, :] = clamp
-    return obs, posts, log_pi, clamped_pi
+    return obs, posts
 
 
-def _pool_rounds(config: ExperimentConfig, log_pi, clamped_pi, hood):
-    """Global log-beliefs and clamp flags for rounds 0..T under config.rule."""
-    if config.local_only:
+def _pool_rounds(rule: str, local_only: bool, log_pi, clamped_pi, hood):
+    """Global log-beliefs and clamp flags for rounds 0..T under ``rule``."""
+    if local_only:
         return log_pi.copy(), clamped_pi.copy()
     log_mu = np.empty_like(log_pi)
     clamped_mu = np.zeros_like(clamped_pi)
-    log_mu[0] = -math.log(config.world.m)
-    for t in range(1, config.horizon + 1):
+    log_mu[0] = -math.log(log_pi.shape[-1])
+    for t in range(1, log_pi.shape[0]):
         pooled, propagated = pool(
-            config.rule,
+            rule,
             log_mu[t - 1],
             clamped_mu[t - 1],
             log_pi[t],
@@ -238,43 +251,109 @@ def _pool_rounds(config: ExperimentConfig, log_pi, clamped_pi, hood):
     return log_mu, clamped_mu
 
 
-def run_rules(
-    config: ExperimentConfig, rules: Iterable[str]
-) -> Iterator[TrajectoryLog]:
-    """Run the configured experiment once per rule, on shared draws.
+def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
+    """Consecutive configs that can share one pooling loop.
 
-    Checks, observations, posteriors and local trajectories are computed
-    once; each rule only re-runs the pooling loop.  Logs are yielded one at
-    a time, so a caller that drops each log before asking for the next keeps
-    one global trajectory in memory.  Each log's config is ``config`` with
-    its rule replaced.
+    A batch holds runs of one shape (horizon, class count, ``local_only``)
+    whose belief arrays fit in :data:`BATCH_BYTES` together; a run larger
+    than the cap forms a batch of its own.
     """
-    configs = [
-        replace(config, rule=rule, overrides={**config.overrides, "rule": rule})
-        for rule in rules
-    ]
-    for cfg in (config, *configs):
-        cfg.validate()
-    obs, posts, log_pi, clamped_pi = _prepare(config)
-    hood = neighborhood_csr(config.graph.neighborhoods)
-    for cfg in configs:
-        log_mu, clamped_mu = _pool_rounds(cfg, log_pi, clamped_pi, hood)
-        yield TrajectoryLog(
-            config=cfg,
-            log_pi=log_pi,
-            log_mu=log_mu,
-            clamped_pi=clamped_pi,
-            clamped_mu=clamped_mu,
-            observations=obs,
-            posteriors=tuple(posts),
+
+    def shape(config):
+        return config.horizon, config.world.m, config.local_only
+
+    batch: list[ExperimentConfig] = []
+    size = 0
+    for config in configs:
+        cost = 18 * (config.horizon + 1) * config.n_agents * config.world.m
+        if batch and (shape(config) != shape(batch[0]) or size + cost > BATCH_BYTES):
+            yield batch
+            batch, size = [], 0
+        batch.append(config)
+        size += cost
+    if batch:
+        yield batch
+
+
+def _with_rule(config: ExperimentConfig, rule: str) -> ExperimentConfig:
+    return replace(config, rule=rule, overrides={**config.overrides, "rule": rule})
+
+
+def run_batch(
+    configs: Iterable[ExperimentConfig], rules: Iterable[str]
+) -> Iterator[TrajectoryLog]:
+    """Run every config once per rule, pooling a batch of runs at a time.
+
+    Consecutive configs are grouped into batches (:func:`_batches`).  Each
+    run of a batch is prepared once; the batch's graphs are then joined into
+    one disjoint union, agent indices offset by the agents before them, and
+    pooled once per rule over the stacked (T+1, sum n, m) arrays.  Pooling
+    is row-wise over each agent's own neighborhood, so every run's beliefs
+    are bit-identical to running it alone.
+
+    Logs are yielded batch by batch, rule by rule, then config by config.
+    Each log's arrays are views into its batch's arrays and its config is
+    the run's config with the rule replaced.  A caller that drops each log
+    before asking for the next keeps one batch's global trajectories in
+    memory.  One ``info`` line is logged per batch once its last log has
+    been consumed.
+    """
+    rules = tuple(rules)
+    for batch in _batches(configs):
+        started = time.perf_counter()
+        for config in batch:
+            config.validate()
+            for rule in rules:
+                _with_rule(config, rule).validate()
+        ends = list(accumulate(config.n_agents for config in batch))
+        spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
+        t_max, m = batch[0].horizon, batch[0].world.m
+        prepared = [_prepare(config) for config in batch]
+        # Allocated after the draws: allocating first measurably raised the
+        # peak RSS of repeated single runs (heap growth, not more live data).
+        log_pi = np.empty((t_max + 1, ends[-1], m))
+        clamped_pi = np.empty(log_pi.shape, dtype=bool)
+        for config, span, (_, posts) in zip(batch, spans, prepared):
+            for i, scope in enumerate(config.scopes):
+                log_pi[:, span.start + i], clamped_pi[:, span.start + i] = (
+                    _local_trajectory(config, scope, posts[i])
+                )
+        hood = neighborhood_csr(
+            [
+                [j + span.start for j in nbrs]
+                for config, span in zip(batch, spans)
+                for nbrs in config.graph.neighborhoods
+            ]
         )
-        # Hold no reference to this rule's arrays while the next is pooled.
-        del log_mu, clamped_mu
+        for rule in rules:
+            log_mu, clamped_mu = _pool_rounds(
+                rule, batch[0].local_only, log_pi, clamped_pi, hood
+            )
+            for config, span, (obs, posts) in zip(batch, spans, prepared):
+                yield TrajectoryLog(
+                    config=_with_rule(config, rule),
+                    log_pi=log_pi[:, span],
+                    log_mu=log_mu[:, span],
+                    clamped_pi=clamped_pi[:, span],
+                    clamped_mu=clamped_mu[:, span],
+                    observations=obs,
+                    posteriors=tuple(posts),
+                )
+            # Hold no reference to this rule's arrays while the next is pooled.
+            del log_mu, clamped_mu
+        logger.info(
+            "batch seeds=%d first_seed=%d rules=%s rounds=%d elapsed_s=%.3f",
+            len(batch),
+            batch[0].seed,
+            ",".join(rules),
+            t_max,
+            time.perf_counter() - started,
+        )
 
 
 def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
     """Execute T rounds of the configured experiment, deterministically."""
-    return next(run_rules(config, [config.rule]))
+    return next(run_batch([config], [config.rule]))
 
 
 # -- metrics --------------------------------------------------------------
@@ -409,6 +488,14 @@ def summary(log: TrajectoryLog) -> dict:
 
 # -- output files ---------------------------------------------------------
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted as ``csv.writer`` quotes a cell in
+    ``posteriors.csv``: only when it holds a comma, quote or line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_outputs(
     log: TrajectoryLog,
     out_dir,
@@ -428,11 +515,12 @@ def write_outputs(
     labels = config.world.classes.labels
 
     traj_path = out_dir / trajectories_name
+    label_cells = [_csv_cell(label) for label in labels]
     with open(traj_path, "w", newline="") as f:
         f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
         for t in range(log.horizon + 1):
             for i in range(config.n_agents):
-                for k, label in enumerate(labels):
+                for k, label in enumerate(label_cells):
                     lp = float(log.log_pi[t, i, k])
                     lm = float(log.log_mu[t, i, k])
                     f.write(

@@ -4,7 +4,10 @@ Everything in this file is deliberately naive: plain-Python floats, explicit
 loops, linear-domain arithmetic, no shared code with the package beyond the
 probability-floor convention.  Slow and obvious beats fast and clever for an
 oracle.  The one numpy exception is ``dense_pool``, the O(n^2 m) masked
-pooling kept as the reference for the sparse pooling kernel.
+pooling kept as the reference for the sparse pooling kernel.  The sweep
+references at the end (``rates_reference``, ``compare_reference``) are the
+other exception: they rebuild the ``rates`` and ``compare`` documents from a
+plain loop of one-seed package runs, the reference for batched seed sweeps.
 """
 
 from __future__ import annotations
@@ -374,3 +377,87 @@ def random_identifiable_problem(
         if rates and min(rates) >= min_rate:
             return spec
     raise RuntimeError("no identifiable instance found; loosen the generator")
+
+
+# -- seed sweeps ----------------------------------------------------------
+
+def _seed_runs(config, seeds: int, rule: str):
+    from myopic_crowd.sim import run_experiment
+
+    for offset in range(seeds):
+        yield run_experiment(config.derived(seed=config.seed + offset, rule=rule))
+
+
+def rates_reference(config, seeds: int) -> dict:
+    """The ``rates.json`` document, one ``run_experiment`` per seed."""
+    from myopic_crowd.cli import RATES_PASS_FRACTION
+    from myopic_crowd.config import RATE_SLACK
+    from myopic_crowd.errors import InsufficientSamples
+    from myopic_crowd.scores import score_report
+    from myopic_crowd.sim import estimate_rejection_rate
+
+    labels = config.world.classes.labels
+    star = config.world.true_class
+    best = score_report(config.world, config.scopes).best_rate
+    rows = []
+    for log in _seed_runs(config, seeds, config.rule):
+        for agent in range(config.n_agents):
+            for theta in range(config.world.m):
+                if theta == star:
+                    continue
+                try:
+                    slope = estimate_rejection_rate(log, agent, theta)
+                except InsufficientSamples:
+                    slope = None
+                rows.append(
+                    {
+                        "agent": agent,
+                        "theta": labels[theta],
+                        "seed": log.config.seed,
+                        "slope": slope,
+                        "R": best[theta][0],
+                    }
+                )
+    passed = sum(
+        1
+        for row in rows
+        if row["slope"] is not None and row["slope"] >= row["R"] * (1 - RATE_SLACK)
+    )
+    return {
+        "seeds": seeds,
+        "horizon": config.horizon,
+        "pass_fraction": passed / len(rows),
+        "threshold": RATES_PASS_FRACTION,
+        "rows": rows,
+    }
+
+
+def compare_reference(config, seeds: int) -> dict:
+    """The ``compare.json`` document, one ``run_experiment`` per seed and rule."""
+    from myopic_crowd.config import RULES
+    from myopic_crowd.sim import time_to_identification
+
+    star = config.world.true_class
+    doc = {}
+    for rule in RULES:
+        times = [[] for _ in range(config.n_agents)]
+        finals = [[] for _ in range(config.n_agents)]
+        fully_identified = 0
+        for log in _seed_runs(config, seeds, rule):
+            run_times = [
+                time_to_identification(log, i) for i in range(config.n_agents)
+            ]
+            for i, t in enumerate(run_times):
+                times[i].append(math.inf if t is None else t)
+                finals[i].append(float(np.exp(log.log_mu[-1, i, star])))
+            fully_identified += all(t is not None for t in run_times)
+        medians = [float(np.median(t)) for t in times]
+        doc[rule] = {
+            "median_identification_time": [
+                None if math.isinf(v) else v for v in medians
+            ],
+            "median_final_mu_true": [float(np.median(f)) for f in finals],
+            "runs_fully_identified": fully_identified,
+            "runs": seeds,
+        }
+    return doc

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import oracles
+from myopic_crowd import sim
 from myopic_crowd.cli import main
-from myopic_crowd.config import RULES, load_config
-from myopic_crowd.sim import run_experiment, time_to_identification
+from myopic_crowd.config import load_config
 
 from conftest import W3_D_A, w3_doc
 
@@ -301,28 +301,25 @@ def test_compare_rules(config_path, tmp_path, capsys):
     assert "[FAILS TO IDENTIFY" in out
 
 
-def test_compare_matches_per_rule_runs(tmp_path):
-    seeds = 5
+def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
+    # Batches of two seeds, so five seeds pool in three loops per rule.
+    base = load_config(W3_JSON)
+    seed_bytes = 18 * (base.horizon + 1) * base.n_agents * base.world.m
+    monkeypatch.setattr(sim, "BATCH_BYTES", 2 * seed_bytes)
     rc = main(
-        ["compare", "--config", str(W3_JSON), "--seeds", str(seeds),
-         "--out", str(tmp_path)]
+        ["compare", "--config", str(W3_JSON), "--seeds", "5", "--out", str(tmp_path)]
     )
     assert rc == 0
     doc = json.loads((tmp_path / "compare.json").read_text())
-    base = load_config(W3_JSON)
-    for rule in RULES:
-        times = [[] for _ in range(base.n_agents)]
-        fully_identified = 0
-        for offset in range(seeds):
-            log = run_experiment(base.derived(seed=base.seed + offset, rule=rule))
-            run_times = [
-                time_to_identification(log, i) for i in range(base.n_agents)
-            ]
-            for agent_times, t in zip(times, run_times):
-                agent_times.append(np.inf if t is None else t)
-            fully_identified += all(t is not None for t in run_times)
-        medians = [float(np.median(t)) for t in times]
-        expected = [None if np.isinf(m) else m for m in medians]
-        assert doc[rule]["median_identification_time"] == expected
-        assert doc[rule]["runs_fully_identified"] == fully_identified
-        assert doc[rule]["runs"] == seeds
+    assert doc == oracles.compare_reference(base, 5)
+
+
+def test_rates_matches_per_seed_runs(tmp_path):
+    # At T=3000 four w3 seeds fit under the batch cap: seven pool as 4 + 3.
+    rc = main(
+        ["rates", "--config", str(W3_JSON), "--seeds", "7", "--horizon", "3000",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "rates.json").read_text())
+    assert doc == oracles.rates_reference(load_config(W3_JSON, horizon=3000), 7)

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from myopic_crowd.cli import main
 from myopic_crowd.config import (
     config_from_dict,
     load_config,
@@ -147,6 +148,39 @@ def test_graph_objects_of_each_type_accepted(tmp_path):
         assert config.graph.n == 3
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[0.9, 1.2], [True, 2]],
+        [[0, 1], [1, True]],
+        [[0, 1], [1, 2.5]],
+        [["0", 1], [1, 2]],
+        [[0, 1], [1, None]],
+        [[0, 1, 2]],
+        [[0], [1, 2]],
+        [[0, 1], 2],
+        {"0": 1},
+        "0-1,1-2",
+    ],
+)
+def test_bad_edge_entries_rejected(edges):
+    with pytest.raises(ConfigError):
+        config_from_dict(w3_doc(graph={"type": "edges", "n": 3, "edges": edges}))
+
+
+def test_bad_edge_entries_exit_one(tmp_path, capsys):
+    path = tmp_path / "loose.json"
+    edges = [[0.9, 1.2], [True, 2]]
+    path.write_text(json.dumps(w3_doc(graph={"type": "edges", "n": 3, "edges": edges})))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "graph edge endpoint must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_edge_endpoints_accepted():
+    graph = {"type": "edges", "n": 3, "edges": [[0, 1.0], [1, 2]]}
+    assert config_from_dict(w3_doc(graph=graph)).graph.edges() == [(0, 1), (1, 2)]
+
+
 @pytest.mark.parametrize("agent_id", ["x", "0", 0.5, True, None])
 def test_mistyped_agent_id_rejected(agent_id):
     doc = w3_doc()
@@ -213,8 +247,8 @@ def test_derived_changes_only_requested_fields(w3_config):
     )
 
 
-def test_reseeded(w3_config):
-    clone = w3_config.reseeded(123)
+def test_derived_new_seed_keeps_other_fields(w3_config):
+    clone = w3_config.derived(seed=123)
     assert clone.seed == 123
     assert clone.rule == w3_config.rule
 
@@ -232,7 +266,7 @@ def test_er_graph_config_depends_on_seed():
     assert is_connected(c1.graph)
     assert c3.graph.n == 5
     # Re-deriving with a new seed regenerates the random graph.
-    r = c1.reseeded(2)
+    r = c1.derived(seed=2)
     np.testing.assert_array_equal(r.graph.adjacency, c3.graph.adjacency)
 
 

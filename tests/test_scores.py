@@ -152,6 +152,17 @@ def test_best_rate_tie_breaks_low_id(w3_world):
     assert v == 0
 
 
+def test_best_rate_ulp_tie_breaks_low_id(w3_world):
+    # Both agents hold (θ0, θ1), so both scores are KL(p(.|θ0) || p(.|θ1)),
+    # but the three-class posterior sums differently and lands an ulp lower.
+    wide = make_scope(w3_world, 0, ["theta0", "theta1", "theta2"])
+    pair = make_scope(w3_world, 1, ["theta0", "theta1"])
+    scores_ = [discriminative_score(w3_world, s, 0, 1) for s in (wide, pair)]
+    assert scores_[0] != scores_[1]
+    assert best_rejection_rate(w3_world, [wide, pair], 0, 1) == (max(scores_), 0)
+    assert score_report(w3_world, [wide, pair]).best_rate[1] == (max(scores_), 0)
+
+
 def test_best_rate_dominates_candidates(w3_world, w3_scopes):
     r1, _ = best_rejection_rate(w3_world, w3_scopes, 0, 1)
     assert r1 >= discriminative_score(w3_world, w3_scopes[0], 0, 1)

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import logging
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from myopic_crowd import sim
 
 from myopic_crowd.classifier import write_replay_csv
 from myopic_crowd.config import RULES, config_from_dict, load_config
@@ -21,14 +28,14 @@ from myopic_crowd.sim import (
     TrajectoryLog,
     estimate_rejection_rate,
     first_identification,
+    run_batch,
     run_experiment,
-    run_rules,
     summary,
     time_to_identification,
     write_outputs,
 )
 
-from conftest import w3_doc, make_w3_config
+from conftest import W3_CLASSES, W3_SCOPE_CLASSES, make_w3_config, w3_doc
 
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
 
@@ -41,11 +48,11 @@ def test_run_deterministic_bitwise():
     np.testing.assert_array_equal(log1.observations, log2.observations)
 
 
-def test_run_rules_matches_independent_runs():
+def test_run_batch_rules_match_independent_runs():
     # Long enough for min-rule beliefs to reach the floor, so the shared
     # clamp flags are compared past it too.
     config = load_config(W3_JSON, horizon=1500)
-    shared = list(run_rules(config, RULES))
+    shared = list(run_batch([config], RULES))
     assert [log.config.rule for log in shared] == list(RULES)
     assert shared[0].clamped_mu.any()
     for log in shared:
@@ -60,6 +67,93 @@ def test_run_rules_matches_independent_runs():
         else:
             np.testing.assert_array_equal(log.log_mu, alone.log_mu)
         assert log.config.to_dict() == alone.config.to_dict()
+
+
+# Sharp likelihoods: agent 0's local belief in theta1 reaches the floor
+# near round 260, so horizons from 280 on compare runs past it.
+SHARP_ROWS = [[0.95, 0.05], [0.05, 0.95], [0.5, 0.5]]
+
+
+@settings(max_examples=20)
+@given(
+    graph=st.sampled_from(["edges", "erdos_renyi"]),
+    n_agents=st.integers(3, 5),
+    local_only=st.booleans(),
+    horizon=st.one_of(st.integers(0, 3), st.integers(280, 340)),
+    base_seed=st.integers(0, 10_000),
+    n_seeds=st.integers(1, 4),
+    per_batch=st.integers(1, 4),
+)
+def test_run_batch_matches_per_seed_runs(
+    graph, n_agents, local_only, horizon, base_seed, n_seeds, per_batch
+):
+    doc = w3_doc(horizon=horizon, seed=base_seed, local_only=local_only)
+    doc["world"]["likelihoods"] = SHARP_ROWS
+    doc["agents"] = [
+        {"id": i, "classes": W3_SCOPE_CLASSES[i % 3]} for i in range(n_agents)
+    ]
+    if graph == "erdos_renyi":
+        doc["graph"] = {"type": "erdos_renyi", "p": 0.5}
+    else:
+        doc["graph"] = {
+            "type": "edges", "edges": [[i, i + 1] for i in range(n_agents - 1)]
+        }
+    base = config_from_dict(doc)
+    configs = [base.derived(seed=base_seed + k) for k in range(n_seeds)]
+    seed_bytes = 18 * (horizon + 1) * n_agents * 3
+    with mock.patch.object(sim, "BATCH_BYTES", per_batch * seed_bytes):
+        logs = list(run_batch(configs, RULES))
+
+    batches = -(-n_seeds // per_batch)
+    order = [
+        (b, rule, k)
+        for b in range(batches)
+        for rule in RULES
+        for k in range(b * per_batch, min((b + 1) * per_batch, n_seeds))
+    ]
+    assert [(log.config.rule, log.config.seed) for log in logs] == [
+        (rule, base_seed + k) for _, rule, k in order
+    ]
+    # Logs of one batch and rule are views into one array; batches are not.
+    for (b1, r1, _), log1 in zip(order, logs):
+        for (b2, r2, _), log2 in zip(order, logs):
+            same = log1.log_mu.base is log2.log_mu.base
+            assert same == (b1 == b2 and r1 == r2)
+    if horizon >= 280:
+        assert all(log.clamped_pi.any() for log in logs)
+    for log in logs:
+        alone = run_experiment(log.config.derived(rule=log.config.rule))
+        for name in (
+            "observations", "log_pi", "clamped_pi", "log_mu", "clamped_mu"
+        ):
+            np.testing.assert_array_equal(getattr(log, name), getattr(alone, name))
+        for got, want in zip(log.posteriors, alone.posteriors, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert log.config.to_dict() == alone.config.to_dict()
+
+
+def test_run_batch_default_cap_groups_w3_seeds():
+    # A w3 run at T=3000 holds 486 kB of beliefs: four fit in BATCH_BYTES.
+    base = load_config(W3_JSON, horizon=3000)
+    logs = list(run_batch([base.derived(seed=s) for s in range(6)], ["min"]))
+    bases = [log.log_mu.base for log in logs]
+    assert [b is bases[0] for b in bases] == [True] * 4 + [False] * 2
+    assert bases[4] is bases[5]
+    assert bases[0].nbytes == 4 * logs[0].log_mu.nbytes
+
+
+def test_run_batch_logs_one_line_per_batch(caplog):
+    base = load_config(W3_JSON, horizon=3000)
+    configs = [base.derived(seed=s) for s in range(10, 16)]
+    with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
+        for _ in run_batch(configs, RULES):
+            pass
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    rest = " rules=min,avg,max rounds=3000 elapsed_s="
+    assert lines[0].startswith("batch seeds=4 first_seed=10" + rest)
+    assert lines[1].startswith("batch seeds=2 first_seed=14" + rest)
+    assert all(float(line.rsplit("elapsed_s=", 1)[1]) >= 0 for line in lines)
 
 
 def test_seed_changes_observations():
@@ -357,6 +451,24 @@ def test_min_rule_identifies_no_later_than_avg_on_reference_run():
         t_avg = time_to_identification(log_avg, agent)
         assert t_min is not None and t_avg is not None
         assert t_min <= t_avg
+
+
+def test_trajectory_labels_with_commas_round_trip(tmp_path):
+    labels = ["theta0", "theta,1", 'say "two"']
+    rename = dict(zip(W3_CLASSES, labels))
+    doc = w3_doc(horizon=5)
+    doc["world"]["classes"] = labels
+    doc["world"]["true_class"] = rename[doc["world"]["true_class"]]
+    for agent in doc["agents"]:
+        agent["classes"] = [rename[c] for c in agent["classes"]]
+    log = run_experiment(config_from_dict(doc))
+    paths = write_outputs(log, tmp_path)
+    with open(paths["trajectories"], newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 1 + 6 * 3 * 3
+    assert all(len(row) == 7 for row in rows)
+    assert [row[2] for row in rows[1:4]] == labels
+    assert float(rows[-1][6]) == log.log_mu[-1, 2, 2]
 
 
 def test_trajectory_cells_are_plain_decimal_floats(tmp_path):
