@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DisconnectedGraph,
-    EmptyNeighborhood,
     IdentifiabilityViolated,
     InsufficientSamples,
     MyopicCrowdError,
@@ -27,7 +26,6 @@ from .errors import (
     RetriesExhausted,
     RowNotStochastic,
     ScopeMismatch,
-    SymbolUnknown,
     TrueClassInScope,
     UnknownClass,
 )
@@ -40,7 +38,6 @@ from .world import (
     World,
     build_world,
     load_world,
-    sample_observation,
     save_world,
     world_from_dict,
     world_to_dict,
@@ -49,11 +46,9 @@ from .classifier import (
     AgentScope,
     BayesOracle,
     NoisySource,
-    PosteriorVector,
     ReplaySource,
     load_replay_csv,
     make_scope,
-    posterior,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -69,21 +64,14 @@ from .scores import (
     support_set,
 )
 from .dynamics import (
-    GLOBAL_RULES,
+    CLAMP_TOL,
     LOG_FLOOR,
-    BeliefState,
     Hood,
-    LogRatioDiagnostic,
-    global_update_avg,
-    global_update_max,
-    global_update_min,
-    init_beliefs,
-    local_update,
-    log_ratio_diagnostics,
-    logsumexp,
+    global_trajectory,
+    local_trajectory,
     neighborhood_csr,
+    norm_rows,
     pool,
-    with_global,
 )
 from .network import (
     AgentGraph,

@@ -1,10 +1,12 @@
 """Posterior sources: per-agent classifiers over an identifiable subset of classes.
 
-Each agent owns a scope Θ_i ⊆ Θ plus a prior over it.  A source maps an input
-symbol (and round index) to a posterior vector over Θ_i.  Three kinds exist:
-an exact Bayes oracle driven by the likelihood table, a noisy variant that
-mixes the oracle with the uniform distribution, and a replay source that
-streams pre-recorded posterior vectors from a CSV file.
+Each agent owns a scope Θ_i ⊆ Θ plus a prior over it.  A source supplies the
+posterior vectors over Θ_i that the agent's local update consumes.  Three
+kinds exist: an exact Bayes oracle driven by the likelihood table and a
+noisy variant that mixes it with the uniform distribution, each holding one
+posterior row per input symbol (``per_symbol``), and a replay source that
+holds pre-recorded posterior vectors, one per round (``vectors``), read from
+a CSV file.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     ParseError,
-    ReplayExhausted,
     RowNotStochastic,
     ScopeMismatch,
     UnknownClass,
@@ -49,8 +50,8 @@ class AgentScope:
             raise DimensionMismatch(
                 f"prior has {prior.size} entries for {len(theta)} scope classes"
             )
-        if not np.all(np.isfinite(prior)) or np.any(prior < 0):
-            raise RowNotStochastic("prior entries must be finite and >= 0")
+        if not np.all((prior >= 0) & (prior <= 1)):
+            raise RowNotStochastic("prior entries must lie in [0, 1]")
         if abs(prior.sum() - 1.0) > ROW_TOL:
             raise RowNotStochastic(f"prior sums to {prior.sum()!r}, expected 1")
         object.__setattr__(self, "prior", _readonly(floor_probs(prior)))
@@ -96,6 +97,8 @@ def make_scope(
     for t in theta:
         if not 0 <= t < world.m:
             raise UnknownClass(f"class index {t} out of range for agent {agent_id}")
+    if not theta:
+        raise ScopeMismatch(f"agent {agent_id}'s scope must contain a class")
     if prior is None:
         prior = np.full(len(theta), 1.0 / len(theta))
     if likelihoods is not None and not isinstance(likelihoods, LikelihoodTable):
@@ -108,26 +111,6 @@ def make_scope(
             f"{world.m} x {world.inputs.size} table"
         )
     return AgentScope(int(agent_id), theta, np.asarray(prior, dtype=float), likelihoods)
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorVector:
-    """A posterior over one agent's scope; strictly positive and normalized."""
-
-    scope: AgentScope
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.scope.size,):
-            raise ScopeMismatch(
-                f"posterior has {probs.size} entries for scope of size {self.scope.size}"
-            )
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise RowNotStochastic("posterior entries must be finite and >= 0")
-        if abs(probs.sum() - 1.0) > ROW_TOL:
-            raise RowNotStochastic(f"posterior sums to {probs.sum()!r}, expected 1")
-        object.__setattr__(self, "probs", _readonly(floor_probs(probs)))
 
 
 def _bayes_per_symbol(world: World, scope: AgentScope) -> np.ndarray:
@@ -148,13 +131,8 @@ class BayesOracle:
     kind = "bayes"
 
     def __init__(self, world: World, scope: AgentScope):
-        self.world = world
         self.scope = scope
         self.per_symbol = _readonly(_bayes_per_symbol(world, scope))
-
-    def posterior(self, x: str, t: int = 0) -> PosteriorVector:
-        j = self.world.inputs.index(x)
-        return PosteriorVector(self.scope, self.per_symbol[j])
 
 
 class NoisySource:
@@ -166,7 +144,6 @@ class NoisySource:
         gamma = float(gamma)
         if not 0.0 <= gamma < 1.0:
             raise ConfigError(f"noise level gamma must be in [0, 1), got {gamma}")
-        self.world = world
         self.scope = scope
         self.gamma = gamma
         base = _bayes_per_symbol(world, scope)
@@ -174,13 +151,10 @@ class NoisySource:
         mixed = mixed / mixed.sum(axis=1, keepdims=True)
         self.per_symbol = _readonly(mixed)
 
-    def posterior(self, x: str, t: int = 0) -> PosteriorVector:
-        j = self.world.inputs.index(x)
-        return PosteriorVector(self.scope, self.per_symbol[j])
-
 
 class ReplaySource:
-    """Streams recorded posterior vectors, one per round, starting at round 1.
+    """Recorded posterior vectors, one per round: ``vectors[t - 1]`` feeds
+    round t.
 
     Unlike the oracle sources a replay source ignores the observed symbol: the
     vector for round t is whatever the recorded classifier emitted then.
@@ -194,8 +168,8 @@ class ReplaySource:
             raise DimensionMismatch(
                 f"replay vectors must be (rounds, {scope.size}), got {vectors.shape}"
             )
-        if not np.all(np.isfinite(vectors)) or np.any(vectors < 0):
-            raise RowNotStochastic("replay entries must be finite and >= 0")
+        if not np.all((vectors >= 0) & (vectors <= 1)):
+            raise RowNotStochastic("replay entries must lie in [0, 1]")
         sums = vectors.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_TOL)[0]
         if bad.size:
@@ -216,28 +190,6 @@ class ReplaySource:
     def length(self) -> int:
         return self.vectors.shape[0]
 
-    def posterior(self, x: str, t: int = 0) -> PosteriorVector:
-        if not 1 <= t <= self.length:
-            raise ReplayExhausted(
-                f"replay stream for agent {self.scope.agent_id} has "
-                f"{self.length} rounds, round {t} requested"
-            )
-        return PosteriorVector(self.scope, self.vectors[t - 1])
-
-
-PosteriorSource = BayesOracle | NoisySource | ReplaySource
-
-
-def posterior(source, scope: AgentScope, x: str, t: int = 0) -> PosteriorVector:
-    """Evaluate a source for one round, checking it belongs to the scope."""
-    own = source.scope
-    if own.agent_id != scope.agent_id or own.theta_i != scope.theta_i:
-        raise ScopeMismatch(
-            f"source belongs to agent {own.agent_id} with scope {own.theta_i}, "
-            f"not agent {scope.agent_id} with scope {scope.theta_i}"
-        )
-    return source.posterior(x, t)
-
 
 # -- replay CSV -----------------------------------------------------------
 #
@@ -256,11 +208,12 @@ def write_replay_csv(path, world: World, rows) -> None:
             writer.writerow([rnd, agent_id, *cells])
 
 
-def load_replay_csv(path, world: World) -> dict[int, "_LabeledMatrix"]:
-    """Parse a replay CSV into {agent_id: labeled (rounds × labels) matrix}.
+def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray]]:
+    """Parse a replay CSV into its header labels and {agent_id: matrix}.
 
-    Cells outside an agent's scope are NaN; use
-    :func:`replay_source_from_csv` to project onto a scope.
+    Each matrix is (rounds × labels) in header label order; cells outside an
+    agent's scope are NaN.  Use :func:`replay_source_from_csv` to project
+    onto a scope.
     """
     path = Path(path)
     per_agent: dict[int, dict[int, list[float]]] = {}
@@ -306,7 +259,7 @@ def load_replay_csv(path, world: World) -> dict[int, "_LabeledMatrix"]:
             if rnd in rounds:
                 raise ParseError(f"{path}:{lineno}: duplicate round {rnd}")
             rounds[rnd] = cells
-    out: dict[int, _LabeledMatrix] = {}
+    out: dict[int, np.ndarray] = {}
     for agent_id, rounds in per_agent.items():
         expected = set(range(1, len(rounds) + 1))
         if set(rounds) != expected:
@@ -314,32 +267,24 @@ def load_replay_csv(path, world: World) -> dict[int, "_LabeledMatrix"]:
                 f"replay file {path}: agent {agent_id} rounds are not "
                 f"contiguous from 1"
             )
-        mat = np.array([rounds[r] for r in range(1, len(rounds) + 1)], dtype=float)
-        out[agent_id] = _LabeledMatrix(labels, mat)
-    return out
-
-
-class _LabeledMatrix:
-    """A (rounds × labels) cell matrix with its header label order."""
-
-    def __init__(self, labels, values):
-        self.labels = list(labels)
-        self.values = values
+        out[agent_id] = np.array(
+            [rounds[r] for r in range(1, len(rounds) + 1)], dtype=float
+        )
+    return labels, out
 
 
 def replay_source_from_csv(path, world: World, scope: AgentScope) -> ReplaySource:
     """Build one agent's replay source from a recorded CSV stream."""
-    table = load_replay_csv(path, world)
+    labels, table = load_replay_csv(path, world)
     if scope.agent_id not in table:
         raise ParseError(f"replay file {path} has no rows for agent {scope.agent_id}")
-    mat = table[scope.agent_id]
     cols = []
     for t in scope.theta_i:
         lab = world.classes.labels[t]
-        if lab not in mat.labels:
+        if lab not in labels:
             raise ParseError(f"replay file {path} lacks a column for class {lab!r}")
-        cols.append(mat.labels.index(lab))
-    vectors = mat.values[:, cols]
+        cols.append(labels.index(lab))
+    vectors = table[scope.agent_id][:, cols]
     if np.any(np.isnan(vectors)):
         raise ParseError(
             f"replay file {path}: empty cells inside agent "

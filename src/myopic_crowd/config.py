@@ -18,7 +18,7 @@ import numpy as np
 from .classifier import AgentScope, make_scope
 from .errors import ConfigError
 from .network import AgentGraph, erdos_renyi_connected, load_graph
-from .world import World, load_world, world_from_dict, world_to_dict
+from .world import World, json_numbers, load_world, world_from_dict, world_to_dict
 
 RULES = ("min", "avg", "max")
 OBSERVATION_MODES = ("independent", "shared")
@@ -26,6 +26,10 @@ OBSERVATION_MODES = ("independent", "shared")
 #: Fraction by which an empirical slope may fall short of the theoretical
 #: rate and still count as meeting the bound.
 RATE_SLACK = 0.2
+
+#: Largest horizon a config may ask for: rounds 0..T must be indexable by a
+#: numpy array dimension.
+MAX_HORIZON = int(np.iinfo(np.intp).max) - 1
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ _OVERRIDE_KEYS = {
 
 def _resolve_world(doc, base_dir: Path) -> World:
     if isinstance(doc, str):
-        return load_world(base_dir / doc)
+        return load_world(_path("world", doc, base_dir))
     return world_from_dict(doc)
 
 
@@ -216,7 +220,7 @@ def _resolve_source(entry, agent_id: int, base_dir: Path) -> SourceSpec:
     if extra:
         raise ConfigError(f"agent {agent_id}: unknown source keys {sorted(extra)}")
     if kind == "noisy":
-        gamma = float(entry.get("gamma", 0.0))
+        gamma = _number(f"agent {agent_id}: gamma", entry.get("gamma", 0.0))
         if not 0.0 <= gamma < 1.0:
             raise ConfigError(
                 f"agent {agent_id}: noise level gamma must be in [0, 1), "
@@ -226,7 +230,8 @@ def _resolve_source(entry, agent_id: int, base_dir: Path) -> SourceSpec:
     if kind == "replay":
         if "path" not in entry:
             raise ConfigError(f"agent {agent_id}: replay source needs a 'path'")
-        return SourceSpec(kind="replay", replay_path=str(base_dir / entry["path"]))
+        path = _path(f"agent {agent_id}: replay path", entry["path"], base_dir)
+        return SourceSpec(kind="replay", replay_path=str(path))
     return SourceSpec()
 
 
@@ -238,14 +243,18 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         unknown = set(doc) - _GRAPH_KEYS[kind]
         if unknown:
             raise ConfigError(f"{kind} graph: unknown keys {sorted(unknown)}")
-    if isinstance(doc, str):
-        graph = load_graph(base_dir / doc)
-    elif kind == "file":
-        if not isinstance(doc.get("path"), str):
-            raise ConfigError("file graph needs a 'path' string")
-        graph = load_graph(base_dir / doc["path"])
-    elif kind == "edges":
+    if kind in ("edges", "erdos_renyi"):
+        # Checked before the graph is built, whose cost grows as n^2.
         n = _integer("graph n", doc.get("n", n_agents))
+        if n != n_agents:
+            raise ConfigError(
+                f"graph has {n} vertices but the config lists {n_agents} agents"
+            )
+    if isinstance(doc, str):
+        graph = load_graph(_path("graph", doc, base_dir))
+    elif kind == "file":
+        graph = load_graph(_path("file graph path", doc.get("path"), base_dir))
+    elif kind == "edges":
         edges = doc.get("edges", [])
         if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 for e in edges
@@ -259,7 +268,7 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
             raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
         graph_rng, _, _ = spawn_streams(seed, n_agents)
         graph = erdos_renyi_connected(
-            _integer("graph n", doc.get("n", n_agents)),
+            n,
             _number("graph p", doc["p"]),
             graph_rng,
             _integer("graph max_retries", doc.get("max_retries", 1000)),
@@ -274,6 +283,13 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
             f"graph has {graph.n} vertices but the config lists {n_agents} agents"
         )
     return graph
+
+
+def _path(key: str, value, base_dir: Path) -> Path:
+    """A file path string, relative to the config file's directory."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigError(f"{key} must be a file path string, got {value!r}")
+    return base_dir / value
 
 
 def _integer(key: str, value) -> int:
@@ -331,21 +347,25 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
                 f"agent entry {position}: unknown keys {sorted(unknown)}"
             )
         agent_id = _integer(f"agent entry {position}: id", entry.get("id", position))
-        if "classes" not in entry:
-            raise ConfigError(f"agent {agent_id} needs a 'classes' list")
+        classes = entry.get("classes")
+        if not isinstance(classes, list) or not all(
+            isinstance(c, (str, int)) and not isinstance(c, bool) for c in classes
+        ):
+            raise ConfigError(
+                f"agent {agent_id} needs a 'classes' list of labels or indices"
+            )
         source = _resolve_source(entry.get("source"), agent_id, base_dir)
         if source.kind == "replay" and "prior" not in entry:
             raise ConfigError(
                 f"agent {agent_id}: replay sources require an explicit 'prior' "
                 "(it cannot be inferred from a recorded stream)"
             )
-        scope = make_scope(
-            world,
-            agent_id,
-            entry["classes"],
-            prior=entry.get("prior"),
-            likelihoods=entry.get("likelihoods"),
-        )
+        numbers = {
+            key: json_numbers(f"agent {agent_id}: {key}", entry[key], ndim)
+            for key, ndim in (("prior", 1), ("likelihoods", 2))
+            if entry.get(key) is not None
+        }
+        scope = make_scope(world, agent_id, classes, **numbers)
         entries.append((scope, source))
     entries.sort(key=lambda pair: pair[0].agent_id)
     scopes = [scope for scope, _ in entries]
@@ -355,7 +375,13 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     horizon = _integer("horizon", setting("horizon", 500))
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
     rate_window = _number("rate_window", setting("rate_window", 0.5))
+
+    out_dir = setting("out_dir", None)
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a directory path string, got {out_dir!r}")
 
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
 
@@ -373,7 +399,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         enforce_identifiability=_boolean(
             "enforce_identifiability", setting("enforce_identifiability", True)
         ),
-        out_dir=setting("out_dir", None),
+        out_dir=out_dir,
         raw=doc,
         base_dir=base_dir,
         overrides=overrides,

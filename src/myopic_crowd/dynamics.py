@@ -1,143 +1,93 @@
-"""Belief update engine in log-domain.
+"""Belief engine: the paper's recursion, once, in log-domain.
 
-Local step: multiply the previous local belief by the posterior/prior ratio
-on in-scope classes, fill out-of-scope classes with the largest in-scope
-unnormalized value, then normalize.  Global step: pool the inclusive
-neighborhood's previous global beliefs with the fresh local belief using an
-elementwise min (or the avg/max baselines) and normalize.
+Local update: multiply the previous local belief by the posterior/prior
+ratio on in-scope classes, fill out-of-scope classes with the largest
+in-scope unnormalized value, then normalize.  Global update: pool the
+inclusive neighborhood's previous global beliefs with the fresh local belief
+using an elementwise min (or the avg/max baselines) and normalize.
 
-Pooling is written once, in :func:`pool`, which reduces every agent's
+:func:`local_trajectory` evaluates the local recursion for a whole posterior
+stream in closed form: the normalization constant cancels between rounds,
+so the unnormalized log-belief after t rounds is the uniform start plus the
+cumulative log posterior/prior ratio.  :func:`pool` reduces every agent's
 neighborhood at once from a CSR layout (:func:`neighborhood_csr`) in
-O((n + |E|) * m) work; the single-agent ``global_update_*`` functions are
-one-segment calls of it.
+O((n + |E|) * m) work, and :func:`global_trajectory` runs it round by round.
 
-All vectors are log-probabilities.  Beliefs on rejected classes decay
+All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
-rates around 1, so state never leaves log-domain; entries are clamped at
-LOG_FLOOR to stay finite, and downstream rate estimation drops clamped
-samples.
+rates around 1, so state never leaves log-domain.  The floor rule lives
+here, in :func:`norm_rows`: an output entry at or below
+``LOG_FLOOR + CLAMP_TOL`` is clamped to ``LOG_FLOOR`` and flagged.  A clamp
+is applied on output only and never fed back into the local recursion,
+whose closed form keeps every belief exact past the floor.  Pooling does
+read the clamped global beliefs of the previous round and propagates their
+flags; downstream rate estimation drops flagged samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .classifier import AgentScope, PosteriorVector
-from .errors import (
-    DimensionMismatch,
-    EmptyNeighborhood,
-    RowNotStochastic,
-    ScopeMismatch,
-)
+from .classifier import AgentScope
+from .errors import ScopeMismatch
 
 #: Lower clamp for log beliefs, ln(1e-300); keeps arithmetic finite.
 LOG_FLOOR = math.log(1e-300)
 
-#: Tolerance for the "logsumexp equals 0" normalization invariant.
-NORM_TOL = 1e-9
+#: Log-domain tolerance around the floor: normalization jitter can leave a
+#: pinned belief within ~1e-16 of LOG_FLOOR, and such samples are still
+#: floor artifacts, not dynamics.
+CLAMP_TOL = 1e-9
 
 
-def logsumexp(v: np.ndarray) -> float:
-    """log Σ exp(v) for a 1-d vector, stable against large magnitudes."""
-    v = np.asarray(v, dtype=float)
-    hi = v.max()
-    if not np.isfinite(hi):
-        return float(hi)
-    return float(hi + np.log(np.exp(v - hi).sum()))
+def norm_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each row in log-domain; clamp and flag floor hits.
 
-
-def _normalize(logv: np.ndarray) -> np.ndarray:
-    out = logv - logsumexp(logv)
-    return np.maximum(out, LOG_FLOOR)
-
-
-@dataclass(frozen=True, eq=False)
-class BeliefState:
-    """One agent's log-domain local (π) and global (μ) beliefs at a round."""
-
-    agent_id: int
-    log_pi: np.ndarray
-    log_mu: np.ndarray
-    round: int
-
-    def __post_init__(self) -> None:
-        for name in ("log_pi", "log_mu"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim != 1 or v.size < 2:
-                raise DimensionMismatch(f"{name} must be a vector over >= 2 classes")
-            if not np.all(np.isfinite(v)):
-                raise RowNotStochastic(f"{name} entries must be finite")
-            if abs(logsumexp(v)) > NORM_TOL:
-                raise RowNotStochastic(
-                    f"{name} is not normalized: logsumexp = {logsumexp(v)!r}"
-                )
-            v = v.copy()
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-        if self.log_pi.size != self.log_mu.size:
-            raise DimensionMismatch("log_pi and log_mu sizes differ")
-        if self.round < 0:
-            raise DimensionMismatch("round must be >= 0")
-
-    @property
-    def m(self) -> int:
-        return self.log_pi.size
-
-    def pi(self) -> np.ndarray:
-        return np.exp(self.log_pi)
-
-    def mu(self) -> np.ndarray:
-        return np.exp(self.log_mu)
-
-
-def init_beliefs(m: int, agent_id: int = 0) -> BeliefState:
-    """Round-0 state: both beliefs uniform over m classes."""
-    if m < 2:
-        raise DimensionMismatch(f"need at least 2 classes, got {m}")
-    v = np.full(m, -math.log(m))
-    return BeliefState(agent_id, v, v.copy(), 0)
-
-
-def local_update(
-    state: BeliefState, posterior: PosteriorVector, scope: AgentScope
-) -> BeliefState:
-    """One local step from a fresh posterior.
-
-    In-scope classes are reweighted by posterior/prior; out-of-scope classes
-    receive the largest in-scope value *before* normalization, so the agent
-    never argues against classes it cannot see.  The returned state carries
-    the previous global belief unchanged at round t+1.
+    Once a belief is pinned at the floor it keeps re-normalizing to within
+    rounding of the floor round after round; those samples carry no slope
+    information, so anything at or below LOG_FLOOR + CLAMP_TOL is snapped to
+    the floor and flagged.
     """
-    if posterior.scope is not scope and (
-        posterior.scope.agent_id != scope.agent_id
-        or posterior.scope.theta_i != scope.theta_i
-    ):
-        raise ScopeMismatch("posterior was produced for a different scope")
-    idx = np.fromiter(scope.theta_i, dtype=int)
-    if idx.max() >= state.m:
+    hi = x.max(axis=-1, keepdims=True)
+    lse = hi + np.log(np.exp(x - hi).sum(axis=-1, keepdims=True))
+    out = x - lse
+    clamped = out <= LOG_FLOOR + CLAMP_TOL
+    return np.where(clamped, LOG_FLOOR, out), clamped
+
+
+def local_trajectory(
+    scope: AgentScope, m: int, posts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local log-beliefs (T+1, m) over rounds 0..T and their clamp flags.
+
+    ``posts`` is the agent's (T, |Θ_i|) posterior stream, row t-1 feeding
+    round t.  Round 0 is uniform.  Per-round normalization constants cancel
+    in the recursion, so normalizing each round of the cumulative form
+    reproduces the step-by-step update without its rounding or any clamp.
+    """
+    if posts.ndim != 2 or posts.shape[1] != scope.size:
         raise ScopeMismatch(
-            f"scope classes {scope.theta_i} exceed belief dimension {state.m}"
+            f"posterior stream of shape {posts.shape} does not fit agent "
+            f"{scope.agent_id}'s scope of {scope.size} classes"
         )
-    ratio = np.log(posterior.probs) - np.log(scope.prior)
-    unnorm = np.array(state.log_pi)
-    unnorm[idx] += ratio
-    if idx.size < state.m:
-        fill = unnorm[idx].max()
-        mask = np.ones(state.m, dtype=bool)
+    t_max = posts.shape[0]
+    idx = np.fromiter(scope.theta_i, dtype=int)
+    start = -math.log(m)
+    v = np.empty((t_max + 1, m))
+    v[0] = start
+    cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
+    in_part = start + cum
+    v[1:, :] = -np.inf
+    v[1:, idx] = in_part
+    if idx.size < m:
+        fill = in_part.max(axis=1)
+        mask = np.ones(m, dtype=bool)
         mask[idx] = False
-        unnorm[mask] = fill
-    return BeliefState(
-        state.agent_id, _normalize(unnorm), state.log_mu, state.round + 1
-    )
-
-
-def with_global(state: BeliefState, log_mu: np.ndarray) -> BeliefState:
-    """Attach a freshly pooled global belief to a post-local-update state."""
-    return replace(state, log_mu=np.asarray(log_mu, dtype=float))
+        v[1:, mask] = fill[:, None]
+    return norm_rows(v)
 
 
 class Hood(NamedTuple):
@@ -183,7 +133,9 @@ def pool(
     ``prev_mu``/``prev_flags`` are the previous global log-beliefs and their
     clamp flags, ``own_pi``/``own_flags`` the fresh local ones, each of
     shape (rows, m).  Returns the unnormalized pooled log-beliefs and the
-    propagated clamp flags, one row per segment.
+    propagated clamp flags, one row per segment.  The min rule keeps a class
+    only as far as nobody has rejected it; avg (mean of linear
+    probabilities) and max are baselines.
     """
     starts = hood.starts
     vals = np.concatenate((prev_mu, own_pi)).take(hood.index, axis=0)
@@ -211,115 +163,27 @@ def pool(
     raise ValueError(f"unknown pooling rule {rule!r}")
 
 
-def _pool_one(
-    rule: str, own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
-) -> np.ndarray:
-    if len(neighbor_mus) == 0:
-        raise EmptyNeighborhood(
-            "global update needs the inclusive neighborhood's beliefs"
-        )
-    stack = np.asarray(list(neighbor_mus), dtype=float)
-    if stack.ndim != 2 or stack.shape[1] != own_pi.m:
-        raise DimensionMismatch(
-            f"neighbor beliefs must be vectors of size {own_pi.m}"
-        )
-    k = stack.shape[0]
-    hood = neighborhood_csr([range(k)])
-    no_flags = np.zeros((k + 1, own_pi.m), dtype=bool)
-    pooled, _ = pool(
-        rule, stack, no_flags[:k], own_pi.log_pi[None, :], no_flags[k:], hood
-    )
-    return _normalize(pooled[0])
+def global_trajectory(
+    rule: str, log_pi: np.ndarray, clamped_pi: np.ndarray, hood: Hood
+) -> tuple[np.ndarray, np.ndarray]:
+    """Global log-beliefs and clamp flags for rounds 0..T under ``rule``.
 
-
-def global_update_min(
-    own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Elementwise min over neighborhood beliefs and the own local belief,
-    then normalization.  A class survives only if nobody has rejected it."""
-    return _pool_one("min", own_pi, neighbor_mus)
-
-
-def global_update_avg(
-    own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Arithmetic mean (in linear probabilities) over the same input set as
-    the min rule; baseline aggregation for comparisons."""
-    return _pool_one("avg", own_pi, neighbor_mus)
-
-
-def global_update_max(
-    own_pi: BeliefState, neighbor_mus: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Elementwise max over the same input set; baseline aggregation.  Never
-    removes probability mass from a class any input still believes in."""
-    return _pool_one("max", own_pi, neighbor_mus)
-
-
-GLOBAL_RULES = {
-    "min": global_update_min,
-    "avg": global_update_avg,
-    "max": global_update_max,
-}
-
-
-@dataclass(frozen=True, eq=False)
-class LogRatioDiagnostic:
-    """Decomposition of the local belief log-ratio against the true class.
-
-    rho[t] = log π_t(θ) − log π_t(θ*).  lam[t−1] is the per-round increment
-    computed independently from the posterior stream; the local update makes
-    rho[t] = rho[0] + Σ_{k≤t} lam[k] exactly, and by the law of large numbers
-    the mean increment approaches minus the discriminative score for (θ*, θ).
+    ``log_pi``/``clamped_pi`` are the (T+1, n, m) local trajectories of the
+    agents ``hood`` was built for.  Round 0 is uniform; each later round
+    pools the previous round's global beliefs with the current local ones.
     """
-
-    theta: int
-    theta_star: int
-    rho: np.ndarray
-    lam: np.ndarray
-    lambda_sum: np.ndarray
-
-    @property
-    def lambda_mean(self) -> float:
-        return float(self.lam.mean()) if self.lam.size else 0.0
-
-
-def log_ratio_diagnostics(
-    states: Sequence[BeliefState],
-    posteriors: Sequence[PosteriorVector],
-    scope: AgentScope,
-    theta: int,
-    theta_star: int,
-) -> LogRatioDiagnostic:
-    """Build the ρ/λ diagnostic for one class pair inside the agent's scope.
-
-    ``states`` holds rounds 0..T and ``posteriors`` the observations that
-    produced rounds 1..T.
-    """
-    if not scope.contains(theta) or not scope.contains(theta_star):
-        raise ScopeMismatch(
-            f"classes ({theta}, {theta_star}) not both in agent "
-            f"{scope.agent_id}'s scope"
+    log_mu = np.empty_like(log_pi)
+    clamped_mu = np.zeros_like(clamped_pi)
+    log_mu[0] = -math.log(log_pi.shape[-1])
+    for t in range(1, log_pi.shape[0]):
+        pooled, propagated = pool(
+            rule,
+            log_mu[t - 1],
+            clamped_mu[t - 1],
+            log_pi[t],
+            clamped_pi[t],
+            hood,
         )
-    if len(states) != len(posteriors) + 1:
-        raise DimensionMismatch(
-            f"{len(states)} states require {len(states) - 1} posteriors, "
-            f"got {len(posteriors)}"
-        )
-    p = scope.position(theta)
-    s = scope.position(theta_star)
-    rho = np.array([st.log_pi[theta] - st.log_pi[theta_star] for st in states])
-    lam = np.array(
-        [
-            (math.log(pv.probs[p]) - math.log(scope.prior[p]))
-            - (math.log(pv.probs[s]) - math.log(scope.prior[s]))
-            for pv in posteriors
-        ]
-    )
-    return LogRatioDiagnostic(
-        theta=theta,
-        theta_star=theta_star,
-        rho=rho,
-        lam=lam,
-        lambda_sum=np.cumsum(lam) if lam.size else lam,
-    )
+        log_mu[t], floor_hits = norm_rows(pooled)
+        clamped_mu[t] = floor_hits | propagated
+    return log_mu, clamped_mu

@@ -19,10 +19,6 @@ class UnknownClass(MyopicCrowdError):
     """A class label or index is not part of the class set."""
 
 
-class SymbolUnknown(MyopicCrowdError):
-    """An input symbol is not part of the input space."""
-
-
 # -- classifier -----------------------------------------------------------
 
 class ReplayExhausted(MyopicCrowdError):
@@ -30,7 +26,7 @@ class ReplayExhausted(MyopicCrowdError):
 
 
 class ScopeMismatch(MyopicCrowdError):
-    """A posterior vector or belief state does not match the agent scope."""
+    """A posterior or posterior stream does not match the agent scope."""
 
 
 # -- scores ---------------------------------------------------------------
@@ -49,10 +45,6 @@ class NoRejector(MyopicCrowdError):
 
 
 # -- network --------------------------------------------------------------
-
-class EmptyNeighborhood(MyopicCrowdError):
-    """A global update was invoked with an empty neighbor belief list."""
-
 
 class RetriesExhausted(MyopicCrowdError):
     """Random graph generation failed to produce a connected graph."""

@@ -1,4 +1,4 @@
-"""Round-synchronous experiment engine.
+"""Round-synchronous experiment engine: orchestration around the belief engine.
 
 Each round r = 1..T: every agent observes a symbol, turns it into a
 posterior, folds it into its local belief, then pools its inclusive
@@ -6,20 +6,17 @@ neighborhood's previous-round global beliefs with that local belief under
 the configured rule.  Neighbors always see last round's beliefs (a one-round
 delay), so evaluation order within a round cannot matter.
 
-The local recursion is evaluated in closed form: the normalization constant
-cancels between rounds, so each agent's whole local log-trajectory is a
-cumulative sum of per-round log posterior/prior ratios, normalized per
-round.  This is what makes multi-thousand-round sweeps cheap.  Values that
-reach the numerical floor are clamped there and flagged; rate estimation
-uses only unclamped samples.
+The recursion itself, its floor rule and pooling live in
+:mod:`~myopic_crowd.dynamics`; this module checks a run, draws its
+observations, turns them into posteriors, batches runs, and computes
+metrics and output files.  Rate estimation uses only samples the engine did
+not flag as clamped at the floor.
 
-Pooling runs the CSR kernel :func:`~myopic_crowd.dynamics.pool` once per
-round over all agents, so a round costs O((n + |E|) * m).  Everything before
-the pooling loop (validation, connectivity and identifiability checks,
-sources, observation draws, posteriors, local trajectories) does not depend
-on the rule, so :func:`run_batch` prepares it once and pools it under
-several rules; that is how ``compare`` evaluates min, avg and max on the
-same draws (common random numbers).
+Everything before the pooling loop (validation, connectivity and
+identifiability checks, sources, observation draws, posteriors, local
+trajectories) does not depend on the rule, so :func:`run_batch` prepares it
+once and pools it under several rules; that is how ``compare`` evaluates
+min, avg and max on the same draws (common random numbers).
 
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
@@ -52,7 +49,7 @@ from .classifier import (
     write_replay_csv,
 )
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
-from .dynamics import LOG_FLOOR, neighborhood_csr, pool
+from .dynamics import global_trajectory, local_trajectory, neighborhood_csr
 from .errors import (
     DisconnectedGraph,
     IdentifiabilityViolated,
@@ -66,11 +63,6 @@ logger = logging.getLogger(__name__)
 
 #: Minimum number of unclamped samples required to fit a rejection rate.
 MIN_RATE_SAMPLES = 10
-
-#: Log-domain tolerance around the floor: normalization jitter can leave a
-#: pinned belief within ~1e-16 of LOG_FLOOR, and such samples are still
-#: floor artifacts, not dynamics.
-CLAMP_TOL = 1e-9
 
 #: Cap on the bytes of one batch's belief arrays (``log_pi``, ``log_mu`` and
 #: their clamp flags, 18 bytes per round, agent and class).  A w3 run at
@@ -120,21 +112,6 @@ class TrajectoryLog:
         return np.exp(self.log_mu)
 
 
-def _norm_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row in log-domain; clamp and flag floor hits.
-
-    Once a belief is pinned at the floor it keeps re-normalizing to within
-    rounding of the floor round after round; those samples carry no slope
-    information, so anything at or below LOG_FLOOR + CLAMP_TOL is snapped to
-    the floor and flagged.
-    """
-    hi = x.max(axis=-1, keepdims=True)
-    lse = hi + np.log(np.exp(x - hi).sum(axis=-1, keepdims=True))
-    out = x - lse
-    clamped = out <= LOG_FLOOR + CLAMP_TOL
-    return np.where(clamped, LOG_FLOOR, out), clamped
-
-
 def build_sources(config: ExperimentConfig) -> list:
     """Each agent's posterior source, in agent order; replay streams are
     read from their files here."""
@@ -163,8 +140,9 @@ def _draw_observations(config: ExperimentConfig) -> np.ndarray:
 
 
 def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
-    """Per-agent (T, |Θ_i|) posterior arrays, exactly as a round-by-round
-    evaluation of the sources would produce them."""
+    """Per-agent (T, |Θ_i|) posterior arrays: row t-1 is what the agent's
+    source emits in round t (its table row for the drawn symbol, or the
+    recorded vector)."""
     t_max = config.horizon
     series = []
     for i, (scope, source) in enumerate(zip(config.scopes, sources)):
@@ -178,35 +156,6 @@ def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
         else:
             series.append(source.per_symbol[obs[:, i]])
     return series
-
-
-def _local_trajectory(
-    config: ExperimentConfig, scope, posts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form local log-belief trajectory (T+1, m) plus clamp mask.
-
-    The unnormalized log-belief on in-scope classes after t rounds is the
-    uniform start plus the cumulative log posterior/prior ratio; out-of-scope
-    classes take the in-scope maximum.  Per-round normalization constants
-    cancel in the recursion, so normalizing each round of the cumulative form
-    reproduces the step-by-step update.
-    """
-    m = config.world.m
-    t_max = posts.shape[0]
-    idx = np.fromiter(scope.theta_i, dtype=int)
-    start = -math.log(m)
-    v = np.empty((t_max + 1, m))
-    v[0] = start
-    cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
-    in_part = start + cum
-    v[1:, :] = -np.inf
-    v[1:, idx] = in_part
-    if idx.size < m:
-        fill = in_part.max(axis=1)
-        mask = np.ones(m, dtype=bool)
-        mask[idx] = False
-        v[1:, mask] = fill[:, None]
-    return _norm_rows(v)
 
 
 def _prepare(config: ExperimentConfig):
@@ -228,27 +177,6 @@ def _prepare(config: ExperimentConfig):
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
     return obs, posts
-
-
-def _pool_rounds(rule: str, local_only: bool, log_pi, clamped_pi, hood):
-    """Global log-beliefs and clamp flags for rounds 0..T under ``rule``."""
-    if local_only:
-        return log_pi.copy(), clamped_pi.copy()
-    log_mu = np.empty_like(log_pi)
-    clamped_mu = np.zeros_like(clamped_pi)
-    log_mu[0] = -math.log(log_pi.shape[-1])
-    for t in range(1, log_pi.shape[0]):
-        pooled, propagated = pool(
-            rule,
-            log_mu[t - 1],
-            clamped_mu[t - 1],
-            log_pi[t],
-            clamped_pi[t],
-            hood,
-        )
-        log_mu[t], floor_hits = _norm_rows(pooled)
-        clamped_mu[t] = floor_hits | propagated
-    return log_mu, clamped_mu
 
 
 def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
@@ -316,7 +244,7 @@ def run_batch(
         for config, span, (_, posts) in zip(batch, spans, prepared):
             for i, scope in enumerate(config.scopes):
                 log_pi[:, span.start + i], clamped_pi[:, span.start + i] = (
-                    _local_trajectory(config, scope, posts[i])
+                    local_trajectory(scope, m, posts[i])
                 )
         hood = neighborhood_csr(
             [
@@ -326,9 +254,12 @@ def run_batch(
             ]
         )
         for rule in rules:
-            log_mu, clamped_mu = _pool_rounds(
-                rule, batch[0].local_only, log_pi, clamped_pi, hood
-            )
+            if batch[0].local_only:
+                log_mu, clamped_mu = log_pi.copy(), clamped_pi.copy()
+            else:
+                log_mu, clamped_mu = global_trajectory(
+                    rule, log_pi, clamped_pi, hood
+                )
             for config, span, (obs, posts) in zip(batch, spans, prepared):
                 yield TrajectoryLog(
                     config=_with_rule(config, rule),

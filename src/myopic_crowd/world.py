@@ -17,7 +17,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     RowNotStochastic,
-    SymbolUnknown,
     UnknownClass,
 )
 
@@ -91,12 +90,6 @@ class InputSpace:
     def size(self) -> int:
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise SymbolUnknown(f"unknown input symbol {symbol!r}") from None
-
 
 @dataclass(frozen=True, eq=False)
 class LikelihoodTable:
@@ -114,8 +107,8 @@ class LikelihoodTable:
             raise DimensionMismatch(
                 f"likelihood table must be 2-d and nonempty, got shape {rows.shape}"
             )
-        if not np.all(np.isfinite(rows)) or np.any(rows < 0):
-            raise RowNotStochastic("likelihood entries must be finite and >= 0")
+        if not np.all((rows >= 0) & (rows <= 1)):
+            raise RowNotStochastic("likelihood entries must lie in [0, 1]")
         sums = rows.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_TOL)[0]
         if bad.size:
@@ -190,13 +183,6 @@ def build_world(classes, inputs, likelihoods, true_class) -> World:
     return World(classes, inputs, likelihoods, true_class)
 
 
-def sample_observation(world: World, rng: np.random.Generator) -> str:
-    """Draw one symbol from p(x | θ*); consecutive calls are independent."""
-    row = world.true_row()
-    idx = int(rng.choice(row.size, p=row))
-    return world.inputs.symbols[idx]
-
-
 # -- serialization --------------------------------------------------------
 
 def world_to_dict(world: World) -> dict:
@@ -208,14 +194,40 @@ def world_to_dict(world: World) -> dict:
     }
 
 
+def json_numbers(key: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a float array: JSON lists nested ``ndim`` deep, of equal
+    lengths at each depth, holding numbers (never bools or strings)."""
+
+    def numeric(v, depth: int) -> bool:
+        if depth == 0:
+            return isinstance(v, (int, float)) and not isinstance(v, bool)
+        return isinstance(v, list) and all(numeric(x, depth - 1) for x in v)
+
+    if not numeric(value, ndim) or (ndim == 2 and len({len(r) for r in value}) > 1):
+        shape = "a list" if ndim == 1 else "a list of equal-length lists"
+        raise ConfigError(f"{key} must be {shape} of numbers")
+    return np.array(value, dtype=float)
+
+
 def world_from_dict(doc: dict) -> World:
     if not isinstance(doc, dict):
         raise ConfigError("world definition must be a JSON object")
     missing = {"classes", "inputs", "likelihoods", "true_class"} - set(doc)
     if missing:
         raise ConfigError(f"world definition missing keys: {sorted(missing)}")
+    for key in ("classes", "inputs"):
+        if not isinstance(doc[key], list) or not all(
+            isinstance(x, str) for x in doc[key]
+        ):
+            raise ConfigError(f"world {key} must be a list of strings")
+    true_class = doc["true_class"]
+    if not isinstance(true_class, (str, int)) or isinstance(true_class, bool):
+        raise ConfigError("world true_class must be a class label or index")
     return build_world(
-        doc["classes"], doc["inputs"], doc["likelihoods"], doc["true_class"]
+        doc["classes"],
+        doc["inputs"],
+        json_numbers("world likelihoods", doc["likelihoods"], 2),
+        true_class,
     )
 
 

@@ -3,8 +3,10 @@
 Everything in this file is deliberately naive: plain-Python floats, explicit
 loops, linear-domain arithmetic, no shared code with the package beyond the
 probability-floor convention.  Slow and obvious beats fast and clever for an
-oracle.  The one numpy exception is ``dense_pool``, the O(n^2 m) masked
-pooling kept as the reference for the sparse pooling kernel.  The sweep
+oracle.  ``log_step_trajectory`` works in log-domain only so that it can
+follow beliefs far below 1e-300.  The one numpy exception is
+``dense_pool``, the O(n^2 m) masked pooling kept as the reference for the
+sparse pooling kernel.  The sweep
 references at the end (``rates_reference``, ``compare_reference``) are the
 other exception: they rebuild the ``rates`` and ``compare`` documents from a
 plain loop of one-seed package runs, the reference for batched seed sweeps.
@@ -177,16 +179,45 @@ class LinearAgent:
         if not self.mu:
             self.mu = [1.0 / self.m] * self.m
 
-    def local_step(self, posterior: list[float]) -> None:
+    def local_step(self, post: list[float]) -> None:
         hat = list(self.pi)
         for j, k in enumerate(self.scope_classes):
-            hat[k] = (posterior[j] / self.prior[j]) * self.pi[k]
+            hat[k] = (post[j] / self.prior[j]) * self.pi[k]
         in_scope_max = max(hat[k] for k in self.scope_classes)
         for k in range(self.m):
             if k not in self.scope_classes:
                 hat[k] = in_scope_max
         z = sum(hat)
         self.pi = [v / z for v in hat]
+
+
+def log_step_trajectory(
+    scope_classes: list[int],
+    prior: list[float],
+    m: int,
+    posteriors: list[list[float]],
+) -> list[list[float]]:
+    """One agent's local log-beliefs for rounds 0..T, stepped one round at a
+    time in plain floats: reweight, fill, then log-sum-exp normalize.
+
+    Nothing is clamped, so beliefs keep falling past the package's floor;
+    the reference for the engine's clamp-on-output floor rule.
+    """
+    v = [-math.log(m)] * m
+    out = [list(v)]
+    for post in posteriors:
+        hat = list(v)
+        for j, k in enumerate(scope_classes):
+            hat[k] = v[k] + math.log(post[j]) - math.log(prior[j])
+        top = max(hat[k] for k in scope_classes)
+        for k in range(m):
+            if k not in scope_classes:
+                hat[k] = top
+        hi = max(hat)
+        lse = hi + math.log(sum(math.exp(h - hi) for h in hat))
+        v = [h - lse for h in hat]
+        out.append(list(v))
+    return out
 
 
 def _pool(rule: str, vectors: list[list[float]]) -> list[float]:

@@ -13,13 +13,8 @@ import time
 
 import numpy as np
 
-from myopic_crowd.classifier import BayesOracle, make_scope
+from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import config_from_dict
-from myopic_crowd.dynamics import (
-    init_beliefs,
-    local_update,
-    log_ratio_diagnostics,
-)
 from myopic_crowd.errors import InsufficientSamples
 from myopic_crowd.scores import (
     best_rejection_rate,
@@ -28,11 +23,12 @@ from myopic_crowd.scores import (
 )
 from myopic_crowd.sim import (
     estimate_rejection_rate,
+    run_batch,
     run_experiment,
     time_to_identification,
     write_outputs,
 )
-from myopic_crowd.world import build_world, sample_observation
+from myopic_crowd.world import build_world
 
 from conftest import make_w3_config, w3_doc
 from oracles import (
@@ -196,8 +192,8 @@ def test_criterion_4_decay_slopes_meet_rate_bound():
             k: best_rejection_rate(cfg.world, cfg.scopes, true_idx, k)[0]
             for k in false_classes
         }
-        for seed in range(20):
-            log = run_experiment(cfg.derived(seed=seed))
+        seeds = (cfg.derived(seed=seed) for seed in range(20))
+        for log in run_batch(seeds, [cfg.rule]):
             for agent in range(cfg.n_agents):
                 for k in false_classes:
                     total += 1
@@ -249,55 +245,63 @@ def test_criterion_5_local_only_limits():
     )
 
 
+def _local_run(world_doc: dict, scopes: list[list[str]], horizon: int, seed: int):
+    """A local-only run of independent agents, one per scope, on the path
+    graph; the engine's local trajectories and the posteriors it consumed."""
+    n = len(scopes)
+    doc = {
+        "world": world_doc,
+        "agents": [{"id": i, "classes": classes} for i, classes in enumerate(scopes)],
+        "graph": {"type": "edges", "n": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+        "horizon": horizon,
+        "seed": seed,
+        "local_only": True,
+        "enforce_identifiability": False,
+    }
+    config = config_from_dict(doc)
+    return config, run_experiment(config)
+
+
+def _rho_lambda(config, log, agent: int, theta: int, theta_star: int):
+    """ρ_t = log π_t(θ) − log π_t(θ*) for rounds 0..T from the engine's
+    trajectory, and the per-round increments λ from its posteriors."""
+    scope = config.scopes[agent]
+    ratios = np.log(log.posteriors[agent]) - np.log(scope.prior)
+    p, s = scope.position(theta), scope.position(theta_star)
+    rho = log.log_pi[:, agent, theta] - log.log_pi[:, agent, theta_star]
+    return rho, ratios[:, p] - ratios[:, s]
+
+
 def test_criterion_6_log_ratio_recursion_and_mean_increment():
     # Part 1: the telescoping identity, on likelihood rows gentle enough
     # that 1000 steps stay far away from the numerical floor.
-    gentle = build_world(
-        ["c0", "c1", "c2"],
-        ["x0", "x1"],
-        [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]],
-        "c0",
-    )
+    gentle = {
+        "classes": ["c0", "c1", "c2"],
+        "inputs": ["x0", "x1"],
+        "likelihoods": [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]],
+        "true_class": "c0",
+    }
+    config, log = _local_run(gentle, [["c0", "c1"], ["c0", "c1", "c2"]], 1000, 123)
     worst_residual = 0.0
-    for scope_classes in (["c0", "c1"], ["c0", "c1", "c2"]):
-        scope = make_scope(gentle, 0, scope_classes)
-        source = BayesOracle(world=gentle, scope=scope)
-        rng = np.random.default_rng(123)
-        states = [init_beliefs(gentle.m)]
-        posteriors = []
-        for t in range(1, 1001):
-            pv = source.posterior(sample_observation(gentle, rng), t)
-            posteriors.append(pv)
-            states.append(local_update(states[-1], pv, scope))
-        for p_label in scope_classes:
-            for q_label in scope_classes:
-                if p_label == q_label:
+    for agent, scope in enumerate(config.scopes):
+        for p in scope.theta_i:
+            for q in scope.theta_i:
+                if p == q:
                     continue
-                p = gentle.classes.index(p_label)
-                q = gentle.classes.index(q_label)
-                diag = log_ratio_diagnostics(states, posteriors, scope, p, q)
-                residual = np.abs(
-                    diag.rho[1:] - diag.rho[0] - diag.lambda_sum
-                ).max()
+                rho, lam = _rho_lambda(config, log, agent, p, q)
+                residual = np.abs(rho[1:] - rho[0] - np.cumsum(lam)).max()
                 worst_residual = max(worst_residual, residual)
 
     # Part 2: the mean per-round increment approaches minus the
     # discriminative score, on the reference fixture's source agent.
-    w3 = make_w3_config().world
-    scope_a = make_scope(w3, 0, ["theta0", "theta1"])
-    rate = discriminative_score(w3, scope_a, 0, 1)
-    source = BayesOracle(world=w3, scope=scope_a)
-    rng = np.random.default_rng(0)
-    states = [init_beliefs(w3.m)]
-    posteriors = []
-    for t in range(1, 10_001):
-        pv = source.posterior(sample_observation(w3, rng), t)
-        posteriors.append(pv)
-        states.append(local_update(states[-1], pv, scope_a))
-    lam_forward = log_ratio_diagnostics(states, posteriors, scope_a, 1, 0)
-    lam_reverse = log_ratio_diagnostics(states, posteriors, scope_a, 0, 1)
-    err_forward = abs(lam_forward.lambda_mean + rate)
-    err_reverse = abs(lam_reverse.lambda_mean - rate)
+    config, log = _local_run(
+        w3_doc()["world"], [["theta0", "theta1"]], 10_000, 0
+    )
+    rate = discriminative_score(config.world, config.scopes[0], 0, 1)
+    _, lam_forward = _rho_lambda(config, log, 0, 1, 0)
+    _, lam_reverse = _rho_lambda(config, log, 0, 0, 1)
+    err_forward = abs(lam_forward.mean() + rate)
+    err_reverse = abs(lam_reverse.mean() - rate)
     ok = worst_residual <= 1e-9 and err_forward <= 0.05 and err_reverse <= 0.05
     assert _verdict(
         6,

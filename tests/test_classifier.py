@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from myopic_crowd.classifier import (
     BayesOracle,
     NoisySource,
-    PosteriorVector,
     ReplaySource,
     load_replay_csv,
     make_scope,
-    posterior,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -22,7 +20,6 @@ from myopic_crowd.errors import (
     ConfigError,
     DimensionMismatch,
     ParseError,
-    ReplayExhausted,
     RowNotStochastic,
     ScopeMismatch,
     UnknownClass,
@@ -69,7 +66,7 @@ def test_likelihood_override_changes_posterior(w3_world):
     override = [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]
     scope = make_scope(w3_world, 0, ["theta0", "theta1"], likelihoods=override)
     oracle = BayesOracle(w3_world, scope)
-    np.testing.assert_allclose(oracle.posterior("a").probs, [0.6, 0.4], atol=1e-12)
+    np.testing.assert_allclose(oracle.per_symbol[0], [0.6, 0.4], atol=1e-12)
 
 
 # -- Bayes oracle ---------------------------------------------------------
@@ -77,9 +74,8 @@ def test_likelihood_override_changes_posterior(w3_world):
 def test_bayes_hand_example(w3_world):
     scope = make_scope(w3_world, 0, ["theta0", "theta1"])
     oracle = BayesOracle(w3_world, scope)
-    # 0.8*0.5 / (0.8*0.5 + 0.2*0.5) = 0.8
-    np.testing.assert_allclose(oracle.posterior("a").probs, [0.8, 0.2], atol=1e-12)
-    np.testing.assert_allclose(oracle.posterior("b").probs, [0.2, 0.8], atol=1e-12)
+    # 0.8*0.5 / (0.8*0.5 + 0.2*0.5) = 0.8; rows follow the input symbols.
+    np.testing.assert_allclose(oracle.per_symbol, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
 
 
 def test_bayes_uniform_rows_give_uniform_posterior():
@@ -87,45 +83,18 @@ def test_bayes_uniform_rows_give_uniform_posterior():
         ["t0", "t1"], ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], "t0"
     )
     oracle = BayesOracle(world, make_scope(world, 0, ["t0", "t1"]))
-    np.testing.assert_allclose(oracle.posterior("a").probs, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(oracle.per_symbol, 0.5, atol=1e-12)
 
 
 def test_bayes_ratio_consistency(w3_world):
-    # posterior(x)[θ] / prior[θ] proportional to p(x|θ) across the scope.
+    # per_symbol[x][θ] / prior[θ] proportional to p(x|θ) across the scope.
     scope = make_scope(w3_world, 1, ["theta1", "theta2"], prior=[0.3, 0.7])
     oracle = BayesOracle(w3_world, scope)
-    for x, col in (("a", 0), ("b", 1)):
-        probs = oracle.posterior(x).probs
+    for col, probs in enumerate(oracle.per_symbol):
         ratios = probs / scope.prior
         lik = np.array([w3_world.likelihoods.rows[k][col] for k in scope.theta_i])
         scaled = ratios / lik
         np.testing.assert_allclose(scaled, scaled[0], atol=1e-9)
-
-
-def test_bayes_unknown_symbol(w3_world):
-    oracle = BayesOracle(w3_world, make_scope(w3_world, 0, ["theta0", "theta1"]))
-    with pytest.raises(Exception):
-        oracle.posterior("z")
-
-
-def test_posterior_wrapper_checks_scope(w3_world):
-    scope_a = make_scope(w3_world, 0, ["theta0", "theta1"])
-    scope_b = make_scope(w3_world, 1, ["theta1", "theta2"])
-    oracle = BayesOracle(w3_world, scope_a)
-    assert posterior(oracle, scope_a, "a").probs[0] == pytest.approx(0.8)
-    with pytest.raises(ScopeMismatch):
-        posterior(oracle, scope_b, "a")
-
-
-def test_posterior_vector_validation(w3_world):
-    scope = make_scope(w3_world, 0, ["theta0", "theta1"])
-    with pytest.raises(RowNotStochastic):
-        PosteriorVector(scope, np.array([0.9, 0.3]))
-    with pytest.raises(ScopeMismatch):
-        PosteriorVector(scope, np.array([0.2, 0.3, 0.5]))
-    vec = PosteriorVector(scope, np.array([1.0, 0.0]))
-    assert vec.probs.min() >= EPS / 2
-    assert vec.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # -- noisy source ---------------------------------------------------------
@@ -179,12 +148,9 @@ def test_replay_rounds_are_one_based(w3_world):
     scope = make_scope(w3_world, 0, ["theta0", "theta1"])
     source = ReplaySource(scope, np.array([[0.7, 0.3], [0.4, 0.6]]))
     assert source.length == 2
-    np.testing.assert_allclose(source.posterior("a", 1).probs, [0.7, 0.3])
-    np.testing.assert_allclose(source.posterior("ignored", 2).probs, [0.4, 0.6])
-    with pytest.raises(ReplayExhausted):
-        source.posterior("a", 3)
-    with pytest.raises(ReplayExhausted):
-        source.posterior("a", 0)
+    # vectors[t - 1] feeds round t.
+    np.testing.assert_allclose(source.vectors[0], [0.7, 0.3])
+    np.testing.assert_allclose(source.vectors[1], [0.4, 0.6])
 
 
 def test_replay_validates_rows(w3_world):
@@ -224,10 +190,14 @@ def test_replay_csv_round_trip(w3_world, tmp_path):
     scope0 = make_scope(w3_world, 0, ["theta0", "theta1"])
     source = replay_source_from_csv(path, w3_world, scope0)
     assert source.length == 2
-    np.testing.assert_allclose(source.posterior("", 2).probs, [0.3, 0.7])
+    np.testing.assert_allclose(source.vectors, [[0.8, 0.2], [0.3, 0.7]])
 
-    parsed = load_replay_csv(path, w3_world)
+    labels, parsed = load_replay_csv(path, w3_world)
+    assert labels == ["theta0", "theta1", "theta2"]
     assert sorted(parsed) == [0, 1]
+    np.testing.assert_array_equal(
+        parsed[1], [[np.nan, 0.55, 0.45], [np.nan, 0.5, 0.5]]
+    )
 
 
 def test_replay_csv_rejects_gaps(w3_world, tmp_path):
@@ -272,7 +242,6 @@ def test_posterior_normalized_and_positive(prior0, row):
     )
     scope = make_scope(world, 0, ["t0", "t1"], prior=[prior0, 1 - prior0])
     oracle = BayesOracle(world, scope)
-    for sym in ("x0", "x1"):
-        probs = oracle.posterior(sym).probs
+    for probs in oracle.per_symbol:
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert probs.min() >= EPS

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from myopic_crowd import sim
@@ -323,3 +329,134 @@ def test_rates_matches_per_seed_runs(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "rates.json").read_text())
     assert doc == oracles.rates_reference(load_config(W3_JSON, horizon=3000), 7)
+
+
+# -- malformed input ------------------------------------------------------
+
+_DELETE = object()
+
+
+def _mutated(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the field at key path ``path`` set to
+    ``value``, or deleted when ``value`` is ``_DELETE``."""
+    doc = copy.deepcopy(doc)
+    *parents, leaf = path
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    if value is _DELETE:
+        del owner[leaf]
+    else:
+        owner[leaf] = value
+    return doc
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        return main(argv)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("world", "classes"), 5),
+        (("world", "inputs"), 3),
+        (("world", "likelihoods"), "x"),
+        (("world", "likelihoods"), [[0.8, 0.2], [0.2], [0.5, 0.5]]),
+        (("world", "likelihoods"), [[1e308, 1e308], [0.2, 0.8], [0.5, 0.5]]),
+        (("world", "true_class"), ["theta0"]),
+        (("agents", 0, "classes"), 5),
+        (("agents", 0, "classes"), []),
+        (("agents", 0, "classes"), [["theta0"], "theta1"]),
+        (("agents", 0, "prior"), "abc"),
+        (("agents", 0, "prior"), [1e308, 1e308]),
+        (("agents", 0, "likelihoods"), "x"),
+        (("agents", 0, "likelihoods"), [[0.8, 0.2], [0.2], [0.5, 0.5]]),
+        (("agents", 0, "source"), {"kind": "noisy", "gamma": "x"}),
+        (("agents", 0, "source"), {"kind": "noisy", "gamma": [1]}),
+        (("agents", 0, "source"), {"kind": "replay", "path": 5}),
+        (("world",), "no\0such.json"),
+        (("graph", "n"), 10**30),
+        (("horizon",), 10**30),
+        (("out_dir",), 5),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "scores", "run"])
+def test_malformed_field_exits_one(tmp_path, path, value, command, capsys):
+    doc = _mutated(json.loads(W3_JSON.read_text()), path, value)
+    argv = [command, "--config", str(_write(tmp_path, doc))]
+    if path != ("out_dir",):  # --out would override the field under test
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _field_paths(doc, prefix=()):
+    """Key paths of every field in a JSON document, nested ones included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+# w3.json plus the optional fields it leaves out, at valid values, so that
+# mutations reach every parser.
+_FUZZ_BASE = json.loads(W3_JSON.read_text())
+_FUZZ_BASE.update(
+    observation_mode="independent",
+    rate_window=0.5,
+    local_only=False,
+    enforce_identifiability=True,
+    out_dir="out",
+)
+_FUZZ_BASE["agents"][0].update(
+    prior=[0.5, 0.5],
+    likelihoods=_FUZZ_BASE["world"]["likelihoods"],
+    source={"kind": "noisy", "gamma": 0.0},
+)
+_FUZZ_BASE["agents"][1]["source"] = {"kind": "bayes"}
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=60)
+@given(
+    path=st.sampled_from(list(_field_paths(_FUZZ_BASE))),
+    value=st.just(_DELETE) | _JSON_VALUES,
+)
+def test_cli_survives_any_one_field_mutation(path, value):
+    doc = _mutated(_FUZZ_BASE, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "fuzz.json"
+        config.write_text(json.dumps(doc))
+        for command in ("validate", "scores"):
+            assert _run_quietly([command, "--config", str(config)]) in {0, 1, 2, 3}
+        # run allocates arrays in proportion to the horizon, so it runs at a
+        # fixed small one; the mutated horizon is parsed by the two above.
+        rc = _run_quietly(
+            ["run", "--config", str(config), "--horizon", "20", "--out", tmp]
+        )
+        assert rc in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("command", ["validate", "scores", "run"])
+def test_fuzz_base_is_valid(tmp_path, command):
+    config = str(_write(tmp_path, _FUZZ_BASE))
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
+    assert _run_quietly(argv) == 0

@@ -1,4 +1,4 @@
-"""Belief update engine: local recursion, pooling rules, log-ratio bookkeeping."""
+"""Belief engine: local recursion, pooling rules, log-ratio bookkeeping."""
 
 from __future__ import annotations
 
@@ -6,32 +6,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd.classifier import BayesOracle, PosteriorVector, make_scope
+from myopic_crowd.classifier import BayesOracle, make_scope
+from myopic_crowd.config import RULES
 from myopic_crowd.dynamics import (
-    BeliefState,
-    GLOBAL_RULES,
+    CLAMP_TOL,
     LOG_FLOOR,
-    global_update_avg,
-    global_update_max,
-    global_update_min,
-    init_beliefs,
-    local_update,
-    log_ratio_diagnostics,
-    logsumexp,
+    global_trajectory,
+    local_trajectory,
     neighborhood_csr,
+    norm_rows,
     pool,
-    with_global,
 )
-from myopic_crowd.errors import (
-    DimensionMismatch,
-    EmptyNeighborhood,
-    RowNotStochastic,
-    ScopeMismatch,
-)
+from myopic_crowd.errors import ScopeMismatch
 from myopic_crowd.network import (
     AgentGraph,
     complete_graph,
@@ -48,139 +38,159 @@ _SCOPE_A = make_scope(_WORLD, 0, ["theta0", "theta1"])
 _SCOPE_FULL = make_scope(_WORLD, 0, ["theta0", "theta1", "theta2"])
 
 
-def _state(pi, mu=None, agent_id=0, round_=0):
-    pi = np.log(np.asarray(pi, dtype=float))
-    mu = pi.copy() if mu is None else np.log(np.asarray(mu, dtype=float))
-    return BeliefState(agent_id, pi, mu, round_)
+def _local(scope, posts, m=3):
+    """Local beliefs (linear probabilities) for rounds 0..T of a stream."""
+    log_pi, _ = local_trajectory(scope, m, np.asarray(posts, dtype=float))
+    return np.exp(log_pi)
+
+
+def _rho(scope, posts, theta, theta_star):
+    """ρ_t = log π_t(θ) − log π_t(θ*) over rounds 0..T, and the per-round
+    increments λ computed independently from the posterior stream."""
+    posts = np.asarray(posts, dtype=float)
+    log_pi, _ = local_trajectory(scope, 3, posts)
+    p, s = scope.position(theta), scope.position(theta_star)
+    ratios = np.log(posts) - np.log(scope.prior)
+    return log_pi[:, theta] - log_pi[:, theta_star], ratios[:, p] - ratios[:, s]
 
 
 def test_init_beliefs_uniform():
-    s10 = init_beliefs(10)
-    np.testing.assert_allclose(s10.pi(), np.full(10, 0.1), atol=1e-15)
-    s3 = init_beliefs(3)
-    np.testing.assert_allclose(s3.mu(), np.full(3, 1 / 3), atol=1e-15)
-    assert logsumexp(init_beliefs(2).log_pi) == pytest.approx(0.0, abs=1e-12)
-    assert s3.round == 0
-
-
-def test_init_beliefs_rejects_degenerate():
-    with pytest.raises(DimensionMismatch):
-        init_beliefs(1)
+    for m in (2, 3, 10):
+        scope = make_scope(
+            build_world(
+                [f"c{k}" for k in range(m)], ["x"], [[1.0]] * m, "c0"
+            ),
+            0,
+            [0, 1],
+        )
+        log_pi, flags = local_trajectory(scope, m, np.empty((0, 2)))
+        assert log_pi.shape == (1, m)
+        np.testing.assert_allclose(np.exp(log_pi[0]), np.full(m, 1 / m), atol=1e-15)
+        assert not flags.any()
+    log_mu, _ = global_trajectory(
+        "min", np.full((1, 2, 3), -math.log(3)), np.zeros((1, 2, 3), bool),
+        neighborhood_csr([[0, 1], [0, 1]]),
+    )
+    np.testing.assert_allclose(np.exp(log_mu[0]), 1 / 3, atol=1e-15)
 
 
 def test_belief_state_requires_normalization():
-    with pytest.raises(RowNotStochastic):
-        BeliefState(0, np.log([0.5, 0.4]), np.log([0.5, 0.5]), 0)
-    with pytest.raises(RowNotStochastic):
-        BeliefState(0, np.log([0.5, 0.5]), np.array([0.0, -np.inf]), 0)
+    # Every round of both trajectories is a distribution: log-sum-exp 0.
+    # Draws from theta0's row carry theta1 past the floor.
+    rng = np.random.default_rng(5)
+    symbols = (rng.random(1500) >= 0.8).astype(int)
+    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
+    log_pi, clamped_pi = local_trajectory(_SCOPE_A, 3, posts)
+    assert clamped_pi.any()
+    pis = np.stack([log_pi, log_pi], axis=1)
+    flags = np.stack([clamped_pi, clamped_pi], axis=1)
+    for rule in RULES:
+        log_mu, _ = global_trajectory(
+            rule, pis, flags, neighborhood_csr([[0, 1], [0, 1]])
+        )
+        for beliefs in (log_pi, log_mu):
+            lse = np.logaddexp.reduce(beliefs, axis=-1)
+            np.testing.assert_allclose(lse, 0.0, atol=1e-9)
 
 
 def test_local_update_hand_example():
-    state = init_beliefs(3)
-    post = PosteriorVector(_SCOPE_A, np.array([0.8, 0.2]))
-    out = local_update(state, post, _SCOPE_A)
-    np.testing.assert_allclose(out.pi(), [4 / 9, 1 / 9, 4 / 9], atol=1e-12)
-    assert out.round == 1
-    # The global belief rides along unchanged until the pooling step.
-    np.testing.assert_allclose(out.mu(), state.mu(), atol=1e-15)
+    pi = _local(_SCOPE_A, [[0.8, 0.2]])
+    np.testing.assert_allclose(pi[1], [4 / 9, 1 / 9, 4 / 9], atol=1e-12)
 
 
 def test_local_update_no_information():
-    state = init_beliefs(3)
-    post = PosteriorVector(_SCOPE_A, np.array([0.5, 0.5]))
-    out = local_update(state, post, _SCOPE_A)
-    np.testing.assert_allclose(out.pi(), state.pi(), atol=1e-12)
+    pi = _local(_SCOPE_A, [[0.5, 0.5]])
+    np.testing.assert_allclose(pi[1], pi[0], atol=1e-12)
 
 
 def test_local_update_full_scope_is_bayes_reweighting():
-    state = _state([0.2, 0.3, 0.5])
-    post = PosteriorVector(_SCOPE_FULL, np.array([0.5, 0.25, 0.25]))
-    out = local_update(state, post, _SCOPE_FULL)
-    prior = _SCOPE_FULL.prior
-    expected = state.pi() * (post.probs / prior)
+    # Round 1 moves the uniform start to [0.2, 0.3, 0.5] (uniform prior);
+    # round 2 must reweight that belief by posterior / prior.
+    post = np.array([0.5, 0.25, 0.25])
+    pi = _local(_SCOPE_FULL, [[0.2, 0.3, 0.5], post])
+    np.testing.assert_allclose(pi[1], [0.2, 0.3, 0.5], atol=1e-12)
+    expected = pi[1] * (post / _SCOPE_FULL.prior)
     expected /= expected.sum()
-    np.testing.assert_allclose(out.pi(), expected, atol=1e-12)
+    np.testing.assert_allclose(pi[2], expected, atol=1e-12)
 
 
 def test_local_update_scope_mismatch():
-    state = init_beliefs(3)
-    post = PosteriorVector(_SCOPE_A, np.array([0.8, 0.2]))
-    other = make_scope(_WORLD, 1, ["theta1", "theta2"])
     with pytest.raises(ScopeMismatch):
-        local_update(state, post, other)
+        local_trajectory(_SCOPE_A, 3, np.full((4, 3), 1 / 3))
 
 
 def test_local_update_matches_linear_oracle_stepwise():
     agent = oracles.LinearAgent([0, 1], [0.5, 0.5], 3)
-    state = init_beliefs(3)
     rng = np.random.default_rng(17)
-    oracle = BayesOracle(_WORLD, _SCOPE_A)
-    for _ in range(50):
-        sym = "a" if rng.random() < 0.8 else "b"
-        pv = oracle.posterior(sym)
-        state = local_update(state, pv, _SCOPE_A)
-        agent.local_step(list(pv.probs))
-        np.testing.assert_allclose(state.pi(), agent.pi, atol=1e-9)
+    symbols = (rng.random(50) >= 0.8).astype(int)
+    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
+    pi = _local(_SCOPE_A, posts)
+    for t, post in enumerate(posts, start=1):
+        agent.local_step(list(post))
+        np.testing.assert_allclose(pi[t], agent.pi, atol=1e-9)
 
 
 # -- pooling rules --------------------------------------------------------
 
+def _pooled(rule, own_pi, neighbor_mus):
+    """One agent pooling its neighborhood's beliefs with its own local
+    belief under ``rule``, normalized, as linear probabilities."""
+    prev = np.log(np.asarray(neighbor_mus, dtype=float))
+    own = np.log(np.asarray([own_pi], dtype=float))
+    k, m = prev.shape
+    pooled, _ = pool(
+        rule,
+        prev,
+        np.zeros((k, m), dtype=bool),
+        own,
+        np.zeros((1, m), dtype=bool),
+        neighborhood_csr([range(k)]),
+    )
+    out, _ = norm_rows(pooled)
+    return np.exp(out[0])
+
+
+_OWN_PI = [0.4, 0.4, 0.2]
+_OWN_MU = [0.5, 0.3, 0.2]
+_NEIGHBOR = [0.2, 0.5, 0.3]
+
+
 def test_min_rule_hand_example():
-    own = _state([0.4, 0.4, 0.2], mu=[0.5, 0.3, 0.2])
-    neighbor = np.log([0.2, 0.5, 0.3])
-    out = global_update_min(own, [own.log_mu, neighbor])
-    np.testing.assert_allclose(np.exp(out), [2 / 7, 3 / 7, 2 / 7], atol=1e-12)
+    out = _pooled("min", _OWN_PI, [_OWN_MU, _NEIGHBOR])
+    np.testing.assert_allclose(out, [2 / 7, 3 / 7, 2 / 7], atol=1e-12)
 
 
 def test_avg_rule_hand_example():
-    own = _state([0.4, 0.4, 0.2], mu=[0.5, 0.3, 0.2])
-    neighbor = np.log([0.2, 0.5, 0.3])
-    out = global_update_avg(own, [own.log_mu, neighbor])
-    np.testing.assert_allclose(
-        np.exp(out), [1.1 / 3, 1.2 / 3, 0.7 / 3], atol=1e-12
-    )
+    out = _pooled("avg", _OWN_PI, [_OWN_MU, _NEIGHBOR])
+    np.testing.assert_allclose(out, [1.1 / 3, 1.2 / 3, 0.7 / 3], atol=1e-12)
 
 
 def test_max_rule_hand_example():
-    own = _state([0.4, 0.4, 0.2], mu=[0.5, 0.3, 0.2])
-    neighbor = np.log([0.2, 0.5, 0.3])
-    out = global_update_max(own, [own.log_mu, neighbor])
-    np.testing.assert_allclose(np.exp(out), [5 / 13, 5 / 13, 3 / 13], atol=1e-12)
+    out = _pooled("max", _OWN_PI, [_OWN_MU, _NEIGHBOR])
+    np.testing.assert_allclose(out, [5 / 13, 5 / 13, 3 / 13], atol=1e-12)
 
 
 def test_isolated_agent_min():
-    own = _state([0.4, 0.4, 0.2], mu=[0.5, 0.3, 0.2])
-    out = global_update_min(own, [own.log_mu])
-    expected = np.minimum([0.5, 0.3, 0.2], [0.4, 0.4, 0.2])
-    np.testing.assert_allclose(np.exp(out), expected / expected.sum(), atol=1e-12)
-
-
-def test_empty_neighborhood_rejected():
-    own = _state([0.4, 0.4, 0.2])
-    with pytest.raises(EmptyNeighborhood):
-        global_update_min(own, [])
-
-
-def test_dimension_mismatch_rejected():
-    own = _state([0.4, 0.4, 0.2])
-    with pytest.raises(DimensionMismatch):
-        global_update_min(own, [np.log([0.5, 0.5])])
+    out = _pooled("min", _OWN_PI, [_OWN_MU])
+    expected = np.minimum(_OWN_MU, _OWN_PI)
+    np.testing.assert_allclose(out, expected / expected.sum(), atol=1e-12)
 
 
 def test_rules_registry_complete():
-    assert set(GLOBAL_RULES) == {"min", "avg", "max"}
-    assert GLOBAL_RULES["min"] is global_update_min
+    for rule in RULES:
+        _pooled(rule, _OWN_PI, [_OWN_MU])
+    with pytest.raises(ValueError):
+        _pooled("median", _OWN_PI, [_OWN_MU])
 
 
 @given(
     v=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
-    rule=st.sampled_from(["min", "avg", "max"]),
+    rule=st.sampled_from(RULES),
 )
 def test_all_equal_inputs_identity(v, rule):
     probs = np.asarray(v) / np.sum(v)
-    own = _state(probs, mu=probs)
-    out = GLOBAL_RULES[rule](own, [own.log_mu, own.log_mu.copy()])
-    np.testing.assert_allclose(np.exp(out), probs, atol=1e-12)
+    out = _pooled(rule, probs, [probs, probs.copy()])
+    np.testing.assert_allclose(out, probs, atol=1e-12)
 
 
 @given(
@@ -189,13 +199,12 @@ def test_all_equal_inputs_identity(v, rule):
         min_size=2,
         max_size=4,
     ),
-    rule=st.sampled_from(["min", "avg", "max"]),
+    rule=st.sampled_from(RULES),
 )
 def test_pooled_output_normalized(vecs, rule):
     normed = [np.asarray(v) / np.sum(v) for v in vecs]
-    own = _state(normed[0])
-    out = GLOBAL_RULES[rule](own, [np.log(v) for v in normed])
-    assert logsumexp(out) == pytest.approx(0.0, abs=1e-9)
+    out = np.log(_pooled(rule, normed[0], normed))
+    assert np.logaddexp.reduce(out) == pytest.approx(0.0, abs=1e-9)
     assert np.all(out >= LOG_FLOOR)
 
 
@@ -208,13 +217,11 @@ def test_pooled_output_normalized(vecs, rule):
 )
 def test_rules_match_linear_oracle(vecs):
     normed = [list(np.asarray(v) / np.sum(v)) for v in vecs]
-    own = _state(normed[0])
-    inputs = normed[1:] + [normed[0]]
-    for rule in ("min", "avg", "max"):
-        out = GLOBAL_RULES[rule](own, [np.log(v) for v in normed[1:]] + [own.log_mu])
+    for rule in RULES:
+        out = _pooled(rule, normed[0], normed[1:] + [normed[0]])
         # The oracle pools the same input set: neighbor beliefs plus own pi.
-        expected = oracles._pool(rule, [list(v) for v in normed[1:]] + [normed[0], normed[0]])
-        np.testing.assert_allclose(np.exp(out), expected, atol=1e-10)
+        expected = oracles._pool(rule, normed[1:] + [normed[0], normed[0]])
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
 # -- pooling kernel against the dense reference ---------------------------
@@ -258,7 +265,63 @@ def test_pool_kernel_matches_dense_reference(data):
             np.testing.assert_array_equal(got, want)
 
 
+# -- the floor rule -------------------------------------------------------
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_local_trajectory_matches_unclamped_steps_past_the_floor(data):
+    m = data.draw(st.integers(2, 5))
+    k = data.draw(st.integers(2, m))
+    classes = sorted(data.draw(st.permutations(range(m)))[:k])
+    raw_prior = np.array(
+        data.draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k))
+    )
+    world = build_world([f"c{j}" for j in range(m)], ["x"], [[1.0]] * m, "c0")
+    scope = make_scope(world, 0, classes, prior=raw_prior / raw_prior.sum())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def phase(lead: int, rounds: int) -> np.ndarray:
+        # Every round the lead class gains at least ln 1.5 on each other
+        # in-scope class, while the others' mutual order wanders.
+        ratios = rng.uniform(0.1, 1.0, size=(rounds, k))
+        ratios[:, lead] = ratios.max(axis=1) * rng.uniform(1.5, 4.0, size=rounds)
+        return ratios
+
+    # The first phase carries every other in-scope class past the floor; in
+    # the second a class from below the floor may take the lead and climb.
+    leads = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2))
+    ratios = np.concatenate(
+        (
+            phase(leads[0], data.draw(st.integers(1800, 2500))),
+            phase(leads[1], data.draw(st.integers(0, 2500))),
+        )
+    )
+    posts = ratios * scope.prior
+    posts /= posts.sum(axis=1, keepdims=True)
+
+    got, flags = local_trajectory(scope, m, posts)
+    ref = np.array(
+        oracles.log_step_trajectory(
+            list(scope.theta_i), list(scope.prior), m, posts.tolist()
+        )
+    )
+    threshold = LOG_FLOOR + CLAMP_TOL
+    assert (ref <= threshold).any(), "the horizon must reach the floor"
+    np.testing.assert_allclose(got[~flags], ref[~flags], rtol=0, atol=1e-9)
+    # Entries within rounding of the threshold may fall either way.
+    clear = np.abs(ref - threshold) > 1e-9
+    np.testing.assert_array_equal(flags[clear], (ref <= threshold)[clear])
+    assert np.all(got[flags] == LOG_FLOOR)
+
+
 # -- order preservation ---------------------------------------------------
+
+def _two_rounds(prev, post):
+    """Scope A's stream whose round 1 leaves in-scope beliefs in the ratio
+    of ``prev``, followed by ``post`` in round 2."""
+    first = np.asarray(prev[:2], dtype=float)
+    return [first / first.sum(), post]
+
 
 @given(
     p_a=st.floats(0.05, 0.95),
@@ -272,13 +335,10 @@ def test_order_preservation_in_scope(p_a, prev):
     if abs(post[0] - post[1]) < 1e-6:
         return
     hi, lo = (0, 1) if post[0] > post[1] else (1, 0)
-    prev = np.asarray(prev, dtype=float)
     if prev[hi] < prev[lo]:
         prev[hi], prev[lo] = prev[lo], prev[hi]
-    prev = prev / prev.sum()
-    state = _state(prev)
-    out = local_update(state, PosteriorVector(_SCOPE_A, post), _SCOPE_A)
-    assert out.log_pi[hi] > out.log_pi[lo]
+    log_pi, _ = local_trajectory(_SCOPE_A, 3, np.array(_two_rounds(prev, post)))
+    assert log_pi[2, hi] > log_pi[2, lo]
 
 
 # -- fill rule ------------------------------------------------------------
@@ -288,70 +348,29 @@ def test_order_preservation_in_scope(p_a, prev):
     prev=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
 )
 def test_out_of_scope_fill_tracks_in_scope_max(p_a, prev):
-    prev = np.asarray(prev, dtype=float)
-    prev /= prev.sum()
-    state = _state(prev)
-    post = PosteriorVector(_SCOPE_A, np.array([p_a, 1.0 - p_a]))
-    out = local_update(state, post, _SCOPE_A)
-    in_scope_max = max(out.pi()[0], out.pi()[1])
-    assert out.pi()[2] == pytest.approx(in_scope_max, rel=1e-12)
+    pi = _local(_SCOPE_A, _two_rounds(prev, [p_a, 1.0 - p_a]))
+    for t in (1, 2):
+        assert pi[t, 2] == pytest.approx(max(pi[t, 0], pi[t, 1]), rel=1e-12)
 
 
-# -- log-ratio diagnostics ------------------------------------------------
+# -- log-ratio bookkeeping ------------------------------------------------
 
 def test_lambda_first_step():
-    state0 = init_beliefs(3)
-    post = PosteriorVector(_SCOPE_A, np.array([0.8, 0.2]))
-    state1 = local_update(state0, post, _SCOPE_A)
-    diag = log_ratio_diagnostics([state0, state1], [post], _SCOPE_A, 1, 0)
-    assert diag.lam[0] == pytest.approx(math.log(0.2 / 0.8), abs=1e-12)
-    assert diag.rho[1] - diag.rho[0] == pytest.approx(diag.lam[0], abs=1e-12)
+    rho, lam = _rho(_SCOPE_A, [[0.8, 0.2]], 1, 0)
+    assert lam[0] == pytest.approx(math.log(0.2 / 0.8), abs=1e-12)
+    assert rho[1] - rho[0] == pytest.approx(lam[0], abs=1e-12)
 
 
 def test_lambda_zero_when_posterior_equals_prior():
-    states = [init_beliefs(3)]
-    posts = []
-    for _ in range(20):
-        pv = PosteriorVector(_SCOPE_A, np.array([0.5, 0.5]))
-        posts.append(pv)
-        states.append(local_update(states[-1], pv, _SCOPE_A))
-    diag = log_ratio_diagnostics(states, posts, _SCOPE_A, 1, 0)
-    np.testing.assert_allclose(diag.lam, 0.0, atol=1e-12)
-    np.testing.assert_allclose(diag.rho, diag.rho[0], atol=1e-9)
+    rho, lam = _rho(_SCOPE_A, [[0.5, 0.5]] * 20, 1, 0)
+    np.testing.assert_allclose(lam, 0.0, atol=1e-12)
+    np.testing.assert_allclose(rho, rho[0], atol=1e-9)
 
 
 def test_rho_recursion_identity_short():
     rng = np.random.default_rng(23)
-    oracle = BayesOracle(_WORLD, _SCOPE_A)
-    states = [init_beliefs(3)]
-    posts = []
-    for _ in range(300):
-        sym = "a" if rng.random() < 0.8 else "b"
-        pv = oracle.posterior(sym)
-        posts.append(pv)
-        states.append(local_update(states[-1], pv, _SCOPE_A))
+    symbols = (rng.random(300) >= 0.8).astype(int)
+    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
     for theta, star in ((1, 0), (0, 1)):
-        diag = log_ratio_diagnostics(states, posts, _SCOPE_A, theta, star)
-        drift = diag.rho - diag.rho[0]
-        accumulated = np.concatenate([[0.0], diag.lambda_sum])
-        np.testing.assert_allclose(drift, accumulated, atol=1e-9)
-
-
-def test_diagnostics_scope_check():
-    states = [init_beliefs(3)]
-    with pytest.raises(ScopeMismatch):
-        log_ratio_diagnostics(states, [], _SCOPE_A, 2, 0)
-
-
-def test_diagnostics_length_check():
-    states = [init_beliefs(3), init_beliefs(3)]
-    with pytest.raises(DimensionMismatch):
-        log_ratio_diagnostics(states, [], _SCOPE_A, 1, 0)
-
-
-def test_with_global_replaces_mu():
-    state = init_beliefs(3)
-    new_mu = np.log([0.6, 0.2, 0.2])
-    out = with_global(state, new_mu)
-    np.testing.assert_array_equal(out.log_mu, new_mu)
-    np.testing.assert_array_equal(out.log_pi, state.log_pi)
+        rho, lam = _rho(_SCOPE_A, posts, theta, star)
+        np.testing.assert_allclose(rho[1:] - rho[0], np.cumsum(lam), atol=1e-9)

@@ -14,7 +14,6 @@ from myopic_crowd.errors import (
     ConfigError,
     DimensionMismatch,
     RowNotStochastic,
-    SymbolUnknown,
     UnknownClass,
 )
 from myopic_crowd.world import (
@@ -22,13 +21,15 @@ from myopic_crowd.world import (
     build_world,
     floor_probs,
     load_world,
-    sample_observation,
     save_world,
     world_from_dict,
     world_to_dict,
 )
 
-from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE
+from myopic_crowd.config import config_from_dict
+from myopic_crowd.sim import run_experiment
+
+from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE, make_w3_config
 
 
 def test_w3_fixture_builds(w3_world):
@@ -75,11 +76,8 @@ def test_mismatched_table_shape_rejected():
 
 def test_index_lookups(w3_world):
     assert w3_world.classes.index("theta2") == 2
-    assert w3_world.inputs.index("b") == 1
     with pytest.raises(UnknownClass):
         w3_world.classes.index("nope")
-    with pytest.raises(SymbolUnknown):
-        w3_world.inputs.index("z")
 
 
 def test_row_within_tolerance_renormalized():
@@ -110,38 +108,48 @@ def test_likelihoods_are_readonly(w3_world):
 
 # -- observation sampling -------------------------------------------------
 
-def test_sampling_deterministic(w3_world):
-    # A fresh generator with the same seed replays the identical stream.
-    rng1 = np.random.default_rng(5)
-    rng2 = np.random.default_rng(5)
-    draws1 = [sample_observation(w3_world, rng1) for _ in range(50)]
-    draws2 = [sample_observation(w3_world, rng2) for _ in range(50)]
-    assert draws1 == draws2
-    assert set(draws1) <= {"a", "b"}
+def _draws(horizon: int, seed: int = 7) -> np.ndarray:
+    """Symbol indices a local-only w3 run draws, (rounds, agents)."""
+    config = make_w3_config(horizon=horizon, seed=seed, local_only=True)
+    return run_experiment(config).observations
 
 
-def test_empirical_frequency_matches_true_row(w3_world):
-    rng = np.random.default_rng(11)
-    n = 100_000
-    draws = [sample_observation(w3_world, rng) for _ in range(n)]
-    freq_a = draws.count("a") / n
-    assert abs(freq_a - 0.8) < 0.01
+def test_sampling_deterministic():
+    # The same seed replays the identical streams; another seed does not.
+    draws = _draws(50, seed=5)
+    np.testing.assert_array_equal(draws, _draws(50, seed=5))
+    assert not np.array_equal(draws, _draws(50, seed=6))
+    assert set(np.unique(draws)) <= {0, 1}
 
 
-def test_sampling_chi_square(w3_world):
-    rng = np.random.default_rng(13)
-    n = 100_000
-    draws = [sample_observation(w3_world, rng) for _ in range(n)]
-    observed = [draws.count("a"), draws.count("b")]
-    expected = [0.8 * n, 0.2 * n]
-    result = stats.chisquare(observed, expected)
+def test_empirical_frequency_matches_true_row():
+    draws = _draws(40_000)
+    # Each agent's stream, and all of them together, follow the true row.
+    assert np.all(np.abs((draws == 0).mean(axis=0) - 0.8) < 0.01)
+    assert abs((draws == 0).mean() - 0.8) < 0.01
+
+
+def test_sampling_chi_square():
+    draws = _draws(40_000).ravel()
+    n = draws.size
+    observed = [np.count_nonzero(draws == 0), np.count_nonzero(draws == 1)]
+    result = stats.chisquare(observed, [0.8 * n, 0.2 * n])
     assert result.pvalue >= 0.01
 
 
 def test_degenerate_row_always_same_symbol():
-    world = build_world(["t0", "t1"], ["a", "b"], [[1.0, 0.0], [0.5, 0.5]], "t0")
-    rng = np.random.default_rng(3)
-    assert all(sample_observation(world, rng) == "a" for _ in range(1000))
+    doc = {
+        "world": {
+            "classes": ["t0", "t1"],
+            "inputs": ["a", "b"],
+            "likelihoods": [[1.0, 0.0], [0.5, 0.5]],
+            "true_class": "t0",
+        },
+        "agents": [{"id": 0, "classes": ["t0", "t1"]}],
+        "graph": {"type": "edges", "n": 1, "edges": []},
+        "horizon": 1000,
+    }
+    assert np.all(run_experiment(config_from_dict(doc)).observations == 0)
 
 
 # -- serialization --------------------------------------------------------
