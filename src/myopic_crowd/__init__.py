@@ -104,4 +104,91 @@ from .sim import (
     write_outputs,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The documented public surface; submodules stay reachable as
+# ``myopic_crowd.<module>`` but are not re-exported.
+__all__ = [
+    # errors
+    "AsymmetricInput",
+    "ClassOutOfScope",
+    "ConfigError",
+    "DimensionMismatch",
+    "DisconnectedGraph",
+    "IdentifiabilityViolated",
+    "InsufficientSamples",
+    "MyopicCrowdError",
+    "NoRejector",
+    "ParseError",
+    "ReplayExhausted",
+    "RetriesExhausted",
+    "RowNotStochastic",
+    "ScopeMismatch",
+    "TrueClassInScope",
+    "UnknownClass",
+    # world
+    "EPS",
+    "ROW_TOL",
+    "ClassSet",
+    "InputSpace",
+    "LikelihoodTable",
+    "World",
+    "build_world",
+    "load_world",
+    "save_world",
+    "world_from_dict",
+    "world_to_dict",
+    # classifier
+    "AgentScope",
+    "BayesOracle",
+    "NoisySource",
+    "ReplaySource",
+    "load_replay_csv",
+    "make_scope",
+    "replay_source_from_csv",
+    "write_replay_csv",
+    # scores
+    "ScoreReport",
+    "best_rejection_rate",
+    "check_global_identifiability",
+    "confusion_score",
+    "discriminative_score",
+    "empirical_score",
+    "score_report",
+    "source_set",
+    "support_set",
+    # dynamics
+    "CLAMP_TOL",
+    "LOG_FLOOR",
+    "Hood",
+    "global_trajectory",
+    "local_trajectory",
+    "neighborhood_csr",
+    "norm_rows",
+    "pool",
+    # network
+    "AgentGraph",
+    "complete_graph",
+    "diameter",
+    "erdos_renyi_connected",
+    "is_connected",
+    "load_graph",
+    "path_graph",
+    "save_graph",
+    # config
+    "RATE_SLACK",
+    "RULES",
+    "ExperimentConfig",
+    "SourceSpec",
+    "config_from_dict",
+    "load_config",
+    "spawn_streams",
+    # sim
+    "MIN_RATE_SAMPLES",
+    "TrajectoryLog",
+    "estimate_rejection_rate",
+    "first_identification",
+    "run_batch",
+    "run_experiment",
+    "summary",
+    "time_to_identification",
+    "write_outputs",
+]

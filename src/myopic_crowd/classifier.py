@@ -25,6 +25,7 @@ from .errors import (
     ScopeMismatch,
     UnknownClass,
 )
+from .formats import csv_cell
 from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly, floor_probs
 
 
@@ -197,15 +198,38 @@ class ReplaySource:
 # label used by any agent; each data row fills only the labels in that
 # agent's scope and leaves other cells empty.
 
-def write_replay_csv(path, world: World, rows) -> None:
-    """Write replay rows: an iterable of (round, agent_id, {label: prob})."""
-    labels = list(world.classes.labels)
+def write_replay_csv(path, world: World, scopes, series) -> None:
+    """Write each agent's recorded posteriors as a replay stream.
+
+    ``series[i]`` is agent ``scopes[i]``'s (T, |Θ_i|) posterior array, row
+    t-1 emitted in round t; rows go round by round, agent by agent.  Every
+    probability is written as its ``repr``; lines end in CRLF and labels are
+    quoted, as ``csv.writer`` writes them.
+    """
+    labels = world.classes.labels
+    row_formats = []
+    for scope in scopes:
+        # Field 0 is the round, field j+1 the scope's j-th class.
+        cells = [""] * len(labels)
+        for j, theta in enumerate(scope.theta_i):
+            cells[theta] = f"{{{j + 1}}}"
+        row = "{0}," + f"{scope.agent_id}," + ",".join(cells) + "\r\n"
+        row_formats.append(row.format)
+    arrays = [np.asarray(s, dtype=float) for s in series]
+    if len(arrays) != len(scopes) or any(
+        a.ndim != 2 or a.shape != (arrays[0].shape[0], scope.size)
+        for a, scope in zip(arrays, scopes)
+    ):
+        raise DimensionMismatch(
+            "replay series must be one (rounds, scope size) array per scope, "
+            "all with the same number of rounds"
+        )
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["round", "agent_id", *labels])
-        for rnd, agent_id, probs in rows:
-            cells = [repr(float(probs[lab])) if lab in probs else "" for lab in labels]
-            writer.writerow([rnd, agent_id, *cells])
+        f.write(",".join(["round", "agent_id", *map(csv_cell, labels)]) + "\r\n")
+        for t, rows in enumerate(zip(*arrays), start=1):
+            f.write(
+                "".join([fmt(t, *row.tolist()) for fmt, row in zip(row_formats, rows)])
+            )
 
 
 def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray]]:

@@ -10,7 +10,6 @@ Subcommands: ``scores`` (analytical report), ``run`` (one experiment),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,13 +19,16 @@ import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
 from .errors import ConfigError, InsufficientSamples, MyopicCrowdError
+from .formats import json_text
 from .network import is_connected
 from .scores import check_global_identifiability, score_report
 from .sim import (
+    MAX_RUN_BYTES,
     build_sources,
     estimate_rejection_rate,
     first_identification,
     run_batch,
+    run_bytes,
     run_experiment,
     summary,
     time_to_identification,
@@ -127,56 +129,53 @@ def _fmt_time(t) -> str:
 
 # -- scores ---------------------------------------------------------------
 
-def _print_score_table(doc: dict) -> None:
-    print(f"true class: {doc['true_class']}")
-    print("agents:")
+def _score_table(doc: dict) -> str:
+    """The human-readable score report printed after the JSON document."""
+    lines = [f"true class: {doc['true_class']}", "agents:"]
     for entry in doc["agents"]:
         scope = ", ".join(entry["scope"])
         prior = ", ".join(f"{p:.4g}" for p in entry["prior"])
-        print(f"  {entry['id']}: scope [{scope}]  prior [{prior}]")
-    if doc["discriminative"]:
-        print("discriminative scores (nats):")
-        for row in doc["discriminative"]:
-            print(
+        lines.append(f"  {entry['id']}: scope [{scope}]  prior [{prior}]")
+    for kind in ("discriminative", "confusion"):
+        if doc[kind]:
+            lines.append(f"{kind} scores (nats):")
+            lines.extend(
                 f"  agent {row['agent']}: D({row['theta_p']}, {row['theta_q']}) "
                 f"= {row['nats']:+.6f}"
+                for row in doc[kind]
             )
-    if doc["confusion"]:
-        print("confusion scores (nats):")
-        for row in doc["confusion"]:
-            print(
-                f"  agent {row['agent']}: D({row['theta_p']}, {row['theta_q']}) "
-                f"= {row['nats']:+.6f}"
-            )
-    print("source sets:")
+    lines.append("source sets:")
     for row in doc["source_sets"]:
         agents = ", ".join(str(a) for a in row["agents"]) or "none"
-        print(f"  ({row['theta_p']} over {row['theta_q']}): {agents}")
-    print("support sets:")
+        lines.append(f"  ({row['theta_p']} over {row['theta_q']}): {agents}")
+    lines.append("support sets:")
     for row in doc["support_sets"]:
         agents = ", ".join(str(a) for a in row["agents"]) or "none"
-        print(f"  {row['theta']}: {agents}")
-    print("best rejection rates:")
+        lines.append(f"  {row['theta']}: {agents}")
+    lines.append("best rejection rates:")
     for row in doc["best_rate"]:
         if row["R"] is None:
-            print(f"  {row['theta']}: no rejector")
+            lines.append(f"  {row['theta']}: no rejector")
         else:
-            print(f"  {row['theta']}: R = {row['R']:.6f} via agent {row['agent']}")
+            lines.append(
+                f"  {row['theta']}: R = {row['R']:.6f} via agent {row['agent']}"
+            )
     if doc["identifiable"]:
-        print("global identifiability: yes")
+        lines.append("global identifiability: yes")
     else:
         pairs = ", ".join(f"({p}, {q})" for p, q in doc["witness"])
-        print(f"global identifiability: NO — uncovered pairs: {pairs}")
+        lines.append(f"global identifiability: NO — uncovered pairs: {pairs}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_scores(args) -> int:
     config = _load(args)
     report = score_report(config.world, config.scopes)
     doc = report.to_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json_text(doc)
     print(text)
     print()
-    _print_score_table(doc)
+    sys.stdout.write(_score_table(doc))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -298,9 +297,7 @@ def cmd_rates(args) -> int:
                 for i, theta, seed, slope in rows
             ],
         }
-        (out / "rates.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        (out / "rates.json").write_text(json_text(doc) + "\n")
     return 0 if fraction >= RATES_PASS_FRACTION else 2
 
 
@@ -371,9 +368,7 @@ def cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "compare.json").write_text(
-            json.dumps(results, indent=2, sort_keys=True) + "\n"
-        )
+        (out / "compare.json").write_text(json_text(results) + "\n")
     return 0
 
 
@@ -411,6 +406,13 @@ def cmd_validate(args) -> int:
             )
     if not is_connected(config.graph):
         print("warning: graph is disconnected; run/rates/compare will refuse it")
+    needed = run_bytes(config)
+    print(f"memory: about {needed / 1e6:.4g} MB per run")
+    if needed > MAX_RUN_BYTES:
+        print(
+            f"warning: above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB per run; "
+            "run/rates/compare will refuse it"
+        )
     if all(s.kind != "replay" for s in config.sources):
         ok, witness = check_global_identifiability(world, config.scopes)
         if ok:

@@ -29,7 +29,6 @@ batch's belief arrays; a run larger than the cap pools alone.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -51,11 +50,13 @@ from .classifier import (
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
 from .dynamics import global_trajectory, local_trajectory, neighborhood_csr
 from .errors import (
+    ConfigError,
     DisconnectedGraph,
     IdentifiabilityViolated,
     InsufficientSamples,
     ReplayExhausted,
 )
+from .formats import csv_cell, json_text
 from .network import is_connected
 from .scores import check_global_identifiability, score_report
 
@@ -70,6 +71,10 @@ MIN_RATE_SAMPLES = 10
 #: the cap pools alone.  Raising it trades peak memory for fewer Python-level
 #: pooling loops.
 BATCH_BYTES = 2 * 2**20
+
+#: Cap on the estimated bytes of one run (:func:`run_bytes`); a larger run
+#: is refused with a ``ConfigError`` before anything is drawn.
+MAX_RUN_BYTES = 2**30
 
 
 @dataclass(eq=False)
@@ -158,8 +163,28 @@ def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
     return series
 
 
+def _belief_bytes(config: ExperimentConfig) -> int:
+    """Bytes of a run's ``log_pi``, ``log_mu`` and clamp flags: 18 per
+    round, agent and class."""
+    return 18 * (config.horizon + 1) * config.n_agents * config.world.m
+
+
+def run_bytes(config: ExperimentConfig) -> int:
+    """Estimated bytes one run allocates: its observations, its posteriors
+    (8 per round and scope class) and its belief arrays."""
+    scope_classes = sum(scope.size for scope in config.scopes)
+    draws_and_posteriors = 8 * config.horizon * (config.n_agents + scope_classes)
+    return draws_and_posteriors + _belief_bytes(config)
+
+
 def _prepare(config: ExperimentConfig):
     """Checks, observation draws and posteriors of one run."""
+    needed = run_bytes(config)
+    if needed > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"a run of {config.horizon} rounds needs about {needed / 1e6:.4g} MB, "
+            f"above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB; lower the horizon"
+        )
     if not is_connected(config.graph):
         raise DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
@@ -193,7 +218,7 @@ def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
     batch: list[ExperimentConfig] = []
     size = 0
     for config in configs:
-        cost = 18 * (config.horizon + 1) * config.n_agents * config.world.m
+        cost = _belief_bytes(config)
         if batch and (shape(config) != shape(batch[0]) or size + cost > BATCH_BYTES):
             yield batch
             batch, size = [], 0
@@ -419,12 +444,46 @@ def summary(log: TrajectoryLog) -> dict:
 
 # -- output files ---------------------------------------------------------
 
-def _csv_cell(text: str) -> str:
-    """``text`` as one CSV cell, quoted as ``csv.writer`` quotes a cell in
-    ``posteriors.csv``: only when it holds a comma, quote or line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _negative_zero(a: np.ndarray) -> bool:
+    return bool(np.signbit(a[a == 0]).any())
+
+
+def write_trajectories_csv(
+    path, labels, log_pi: np.ndarray, log_mu: np.ndarray
+) -> None:
+    """Write one row per (round, agent, class): the local and global beliefs,
+    ``math.exp`` of the logs, and the logs, every float as its ``repr``.
+
+    Rows go out round by round.  Within a round each distinct log value is
+    formatted once; a round holding a negative zero is formatted value by
+    value, because ``-0.0`` and ``0.0`` are one key of a dict.
+    """
+    label_cells = [csv_cell(label) for label in labels]
+    heads = [f",{i},{cell}" for i in range(log_pi.shape[1]) for cell in label_cells]
+    with open(path, "w", newline="") as f:
+        f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
+        for t, (lp_t, lm_t) in enumerate(zip(log_pi, log_mu)):
+            lp, lm = lp_t.ravel().tolist(), lm_t.ravel().tolist()
+            values = set(lp)
+            values.update(lm)
+            if 0.0 in values and (_negative_zero(lp_t) or _negative_zero(lm_t)):
+                cells = (
+                    map(float.__repr__, map(math.exp, lp)),
+                    map(float.__repr__, map(math.exp, lm)),
+                    map(float.__repr__, lp),
+                    map(float.__repr__, lm),
+                )
+            else:
+                exps = dict(zip(values, map(float.__repr__, map(math.exp, values))))
+                logs = dict(zip(values, map(float.__repr__, values)))
+                cells = (
+                    map(exps.__getitem__, lp),
+                    map(exps.__getitem__, lm),
+                    map(logs.__getitem__, lp),
+                    map(logs.__getitem__, lm),
+                )
+            row = (str(t) + "{},{},{},{},{}\n").format
+            f.write("".join(map(row, heads, *cells)))
 
 
 def write_outputs(
@@ -443,43 +502,21 @@ def write_outputs(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = log.config
-    labels = config.world.classes.labels
 
     traj_path = out_dir / trajectories_name
-    label_cells = [_csv_cell(label) for label in labels]
-    with open(traj_path, "w", newline="") as f:
-        f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
-        for t in range(log.horizon + 1):
-            for i in range(config.n_agents):
-                for k, label in enumerate(label_cells):
-                    lp = float(log.log_pi[t, i, k])
-                    lm = float(log.log_mu[t, i, k])
-                    f.write(
-                        f"{t},{i},{label},{math.exp(lp)!r},{math.exp(lm)!r},"
-                        f"{lp!r},{lm!r}\n"
-                    )
-
-    summary_path = out_dir / summary_name
-    summary_path.write_text(
-        json.dumps(summary(log), indent=2, sort_keys=True) + "\n"
+    write_trajectories_csv(
+        traj_path, config.world.classes.labels, log.log_pi, log.log_mu
     )
 
+    summary_path = out_dir / summary_name
+    summary_path.write_text(json_text(summary(log)) + "\n")
+
     posteriors_path = out_dir / posteriors_name
-
-    def replay_rows():
-        for t in range(1, log.horizon + 1):
-            for i, scope in enumerate(config.scopes):
-                probs = {
-                    labels[theta]: log.posteriors[i][t - 1, j]
-                    for j, theta in enumerate(scope.theta_i)
-                }
-                yield t, scope.agent_id, probs
-
-    write_replay_csv(posteriors_path, config.world, replay_rows())
+    write_replay_csv(posteriors_path, config.world, config.scopes, log.posteriors)
 
     manifest_path = out_dir / manifest_name
     manifest = {"package_version": __version__, "config": config.to_dict()}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(json_text(manifest) + "\n")
 
     return {
         "trajectories": traj_path,

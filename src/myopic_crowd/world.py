@@ -19,6 +19,7 @@ from .errors import (
     RowNotStochastic,
     UnknownClass,
 )
+from .formats import json_text
 
 #: Probability floor: entries below this are raised to it and the vector
 #: renormalized, so log-domain arithmetic stays total.
@@ -241,4 +242,4 @@ def load_world(path) -> World:
 
 
 def save_world(world: World, path) -> None:
-    Path(path).write_text(json.dumps(world_to_dict(world), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(world_to_dict(world)) + "\n")

@@ -10,10 +10,15 @@ sparse pooling kernel.  The sweep
 references at the end (``rates_reference``, ``compare_reference``) are the
 other exception: they rebuild the ``rates`` and ``compare`` documents from a
 plain loop of one-seed package runs, the reference for batched seed sweeps.
+The artifact writers at the very end are the package's former writers
+(``json.dumps`` with ``indent``, a per-row ``trajectories.csv`` loop and a
+``csv.writer`` replay writer), the references for its serialisation.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -492,3 +497,58 @@ def compare_reference(config, seeds: int) -> dict:
             "runs": seeds,
         }
     return doc
+
+
+# -- artifact writers -----------------------------------------------------
+#
+# The writers the package used before its serialisation fast paths, kept as
+# byte-for-byte references for ``formats.json_text``,
+# ``sim.write_trajectories_csv`` and ``classifier.write_replay_csv``.
+
+def json_reference(doc) -> str:
+    """Every JSON artifact's text: the standard library's indented encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def trajectories_csv_reference(path, labels, log_pi, log_mu) -> None:
+    """``trajectories.csv``, one formatted row at a time."""
+
+    def cell(text):
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    label_cells = [cell(label) for label in labels]
+    with open(path, "w", newline="") as f:
+        f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
+        for t in range(log_pi.shape[0]):
+            for i in range(log_pi.shape[1]):
+                for k, label in enumerate(label_cells):
+                    lp = float(log_pi[t, i, k])
+                    lm = float(log_mu[t, i, k])
+                    f.write(
+                        f"{t},{i},{label},{math.exp(lp)!r},{math.exp(lm)!r},"
+                        f"{lp!r},{lm!r}\n"
+                    )
+
+
+def replay_csv_reference(path, labels, rows) -> None:
+    """A replay stream through ``csv.writer``: ``rows`` are
+    (round, agent_id, {label: prob})."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["round", "agent_id", *labels])
+        for rnd, agent_id, probs in rows:
+            cells = [repr(float(probs[lab])) if lab in probs else "" for lab in labels]
+            writer.writerow([rnd, agent_id, *cells])
+
+
+def replay_rows(labels, scopes, series):
+    """(round, agent_id, {label: prob}) rows of per-agent posterior arrays,
+    round by round."""
+    for t in range(1, len(series[0]) + 1):
+        for scope, posts in zip(scopes, series):
+            probs = {
+                labels[theta]: posts[t - 1, j] for j, theta in enumerate(scope.theta_i)
+            }
+            yield t, scope.agent_id, probs

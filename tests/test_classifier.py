@@ -177,17 +177,22 @@ def test_replay_floors_zero_entries(w3_world):
 
 def test_replay_csv_round_trip(w3_world, tmp_path):
     path = tmp_path / "stream.csv"
-    rows = [
-        (1, 0, {"theta0": 0.8, "theta1": 0.2}),
-        (1, 1, {"theta1": 0.55, "theta2": 0.45}),
-        (2, 0, {"theta0": 0.3, "theta1": 0.7}),
-        (2, 1, {"theta1": 0.5, "theta2": 0.5}),
-    ]
-    write_replay_csv(path, w3_world, rows)
-    header = path.read_text().splitlines()[0]
-    assert header == "round,agent_id,theta0,theta1,theta2"
-
     scope0 = make_scope(w3_world, 0, ["theta0", "theta1"])
+    scope1 = make_scope(w3_world, 1, ["theta1", "theta2"])
+    series = [
+        np.array([[0.8, 0.2], [0.3, 0.7]]),
+        np.array([[0.55, 0.45], [0.5, 0.5]]),
+    ]
+    write_replay_csv(path, w3_world, [scope0, scope1], series)
+    lines = path.read_text().splitlines()
+    assert lines == [
+        "round,agent_id,theta0,theta1,theta2",
+        "1,0,0.8,0.2,",
+        "1,1,,0.55,0.45",
+        "2,0,0.3,0.7,",
+        "2,1,,0.5,0.5",
+    ]
+
     source = replay_source_from_csv(path, w3_world, scope0)
     assert source.length == 2
     np.testing.assert_allclose(source.vectors, [[0.8, 0.2], [0.3, 0.7]])
@@ -202,11 +207,9 @@ def test_replay_csv_round_trip(w3_world, tmp_path):
 
 def test_replay_csv_rejects_gaps(w3_world, tmp_path):
     path = tmp_path / "gap.csv"
-    rows = [
-        (1, 0, {"theta0": 0.8, "theta1": 0.2}),
-        (3, 0, {"theta0": 0.3, "theta1": 0.7}),
-    ]
-    write_replay_csv(path, w3_world, rows)
+    path.write_text(
+        "round,agent_id,theta0,theta1,theta2\n1,0,0.8,0.2,\n3,0,0.3,0.7,\n"
+    )
     with pytest.raises(ParseError):
         load_replay_csv(path, w3_world)
 
@@ -220,7 +223,8 @@ def test_replay_csv_rejects_bad_header(w3_world, tmp_path):
 
 def test_replay_csv_missing_scope_column(w3_world, tmp_path):
     path = tmp_path / "partial.csv"
-    write_replay_csv(path, w3_world, [(1, 0, {"theta0": 0.8, "theta1": 0.2})])
+    scope = make_scope(w3_world, 0, ["theta0", "theta1"])
+    write_replay_csv(path, w3_world, [scope], [np.array([[0.8, 0.2]])])
     scope_c = make_scope(w3_world, 0, ["theta0", "theta2"])
     with pytest.raises(ParseError):
         replay_source_from_csv(path, w3_world, scope_c)

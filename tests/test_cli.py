@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,38 @@ def test_validate_ok(config_path, capsys):
     assert "config is valid" in out
     assert "global identifiability: yes" in out
     assert "3 classes" in out
+
+
+def test_validate_prints_the_memory_estimate(capsys):
+    assert main(["validate", "--config", str(W3_JSON)]) == 0
+    out = capsys.readouterr().out
+    assert "memory: about 0.1172 MB per run" in out
+    assert "above the cap" not in out
+
+    assert main(["validate", "--config", str(W3_JSON), "--horizon", str(10**15)]) == 0
+    out = capsys.readouterr().out
+    assert "warning: above the cap" in out
+    assert "config is valid" in out
+
+
+@pytest.mark.parametrize("command", ["run", "rates", "compare"])
+def test_run_above_the_memory_cap_exits_one_before_drawing(
+    command, tmp_path, monkeypatch, capsys
+):
+    def no_draws(config):
+        raise AssertionError("observations drawn for a run above the cap")
+
+    monkeypatch.setattr(sim, "_draw_observations", no_draws)
+    argv = [command, "--config", str(W3_JSON), "--horizon", str(10**15)]
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "above the cap" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_validate_warns_on_identifiability_gap(tmp_path, capsys):

@@ -1,0 +1,240 @@
+"""Artifact serialisation: the JSON emitter and the CSV writers against the
+former writers in ``oracles``, byte for byte."""
+
+from __future__ import annotations
+
+import ast
+import math
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from myopic_crowd.classifier import AgentScope, write_replay_csv
+from myopic_crowd.dynamics import LOG_FLOOR
+from myopic_crowd.errors import DimensionMismatch
+from myopic_crowd.formats import json_text
+from myopic_crowd.sim import write_trajectories_csv
+from myopic_crowd.world import build_world
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "myopic_crowd"
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, LOG_FLOOR, 5e-324]
+
+# Non-ASCII, control characters, quotes, backslashes and format braces.
+texts = st.text() | st.sampled_from(["", "é", "\x00\x1f", '"\\', "{0}", "a,b", " "])
+floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | floats
+    | floats.map(np.float64)
+    | texts
+)
+
+
+@st.composite
+def uniform_rows(draw, values):
+    """A list of dicts over one key set, each column drawn from ``values``."""
+    keys = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 6))
+    return [{k: draw(values) for k in keys} for _ in range(n)]
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(texts, children, max_size=5)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(floats, children, max_size=3)
+        | st.lists(
+            st.dictionaries(st.sampled_from("abc"), children, max_size=3), max_size=4
+        )
+        | uniform_rows(children)
+    )
+
+
+# Rows over overlapping key sets: some share the first row's keys, some not.
+unequal_rows = st.lists(
+    st.dictionaries(st.sampled_from("abc"), scalars, min_size=1, max_size=3),
+    min_size=2,
+    max_size=4,
+)
+documents = st.recursive(
+    scalars | uniform_rows(scalars) | unequal_rows | st.lists(floats) | st.lists(texts),
+    containers,
+    max_leaves=30,
+)
+
+
+@given(documents)
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == oracles.json_reference(doc)
+
+
+def _outcome(encode, doc):
+    try:
+        return encode(doc), None
+    except Exception as e:  # the exception type is the result compared
+        return None, type(e)
+
+
+unencodable = st.sampled_from(
+    [np.int64(3), np.float32(1.5), np.bool_(True), {1, 2}, b"x", object(), 1j]
+)
+mixed_keys = st.dictionaries(
+    st.none() | st.booleans() | st.integers() | texts, scalars, max_size=4
+)
+
+
+@given(
+    st.recursive(
+        scalars | unencodable,
+        lambda children: containers(children)
+        | st.dictionaries(st.tuples(st.integers()), children, min_size=1, max_size=2)
+        | mixed_keys,
+        max_leaves=20,
+    )
+)
+def test_json_text_raises_what_json_dumps_raises(doc):
+    ours, ours_error = _outcome(json_text, doc)
+    reference, reference_error = _outcome(oracles.json_reference, doc)
+    assert ours_error is reference_error
+    assert ours == reference
+
+
+@pytest.mark.parametrize(
+    "wrap", [lambda c: [c], lambda c: {"k": c}, lambda c: [{"a": c}, {"a": 1}]]
+)
+def test_json_text_rejects_circular_references(wrap):
+    loop: list = []
+    loop.append(wrap(loop))
+    with pytest.raises(ValueError, match="Circular"):
+        oracles.json_reference(loop)
+    with pytest.raises(ValueError, match="Circular"):
+        json_text(loop)
+
+
+# -- CSV writers ----------------------------------------------------------
+
+labels_st = st.lists(
+    st.sampled_from(["a", "b,c", 'say "x"', "line\nbreak", "cr\r", "é", "{0}", ""])
+    | st.text(),
+    min_size=2,
+    max_size=4,
+    unique=True,
+)
+log_values = st.sampled_from([-0.0, 0.0, LOG_FLOOR, math.nan, -math.inf]) | st.floats(
+    min_value=-800.0, max_value=0.0
+)
+
+
+@st.composite
+def belief_logs(draw):
+    labels = draw(labels_st)
+    rounds, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shape = (rounds, n, len(labels))
+    size = int(np.prod(shape))
+    arrays = [
+        np.array(draw(st.lists(log_values, min_size=size, max_size=size)))
+        for _ in range(2)
+    ]
+    return labels, arrays[0].reshape(shape), arrays[1].reshape(shape)
+
+
+@given(belief_logs())
+def test_trajectories_csv_matches_per_row_writer(tmp_path_factory, case):
+    labels, log_pi, log_mu = case
+    out = tmp_path_factory.mktemp("traj")
+    write_trajectories_csv(out / "fast.csv", labels, log_pi, log_mu)
+    oracles.trajectories_csv_reference(out / "ref.csv", labels, log_pi, log_mu)
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_trajectories_csv_keeps_both_zeros_in_one_round(tmp_path):
+    log_pi = np.array([[[0.0, -0.0], [-0.0, 0.0]]])
+    write_trajectories_csv(tmp_path / "t.csv", ["a", "b"], log_pi, log_pi[:, ::-1])
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5:] for row in rows] == [
+        ["0.0", "-0.0"], ["-0.0", "0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]
+    ]
+
+
+@st.composite
+def replay_streams(draw):
+    labels = draw(labels_st)
+    m = len(labels)
+    world = build_world(labels, ["x"], [[1.0]] * m, 0)
+    rounds = draw(st.integers(0, 4))
+    scopes, series = [], []
+    for agent_id in range(draw(st.integers(1, 3))):
+        theta = draw(st.permutations(range(m)))[: draw(st.integers(1, m))]
+        prior = np.full(len(theta), 1 / len(theta))
+        scopes.append(AgentScope(agent_id, tuple(theta), prior))
+        size = rounds * len(theta)
+        values = draw(
+            st.lists(log_values | st.floats(0.0, 1.0), min_size=size, max_size=size)
+        )
+        series.append(np.array(values, dtype=float).reshape(rounds, len(theta)))
+    return world, scopes, series
+
+
+@given(replay_streams())
+def test_replay_csv_matches_csv_writer(tmp_path_factory, case):
+    world, scopes, series = case
+    out = tmp_path_factory.mktemp("replay")
+    write_replay_csv(out / "fast.csv", world, scopes, series)
+    labels = world.classes.labels
+    oracles.replay_csv_reference(
+        out / "ref.csv", labels, oracles.replay_rows(labels, scopes, series)
+    )
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+def test_replay_csv_rejects_series_that_do_not_fit_the_scopes(
+    w3_world, w3_scopes, tmp_path
+):
+    fits = [np.full((2, s.size), 1 / s.size) for s in w3_scopes]
+    too_few = fits[:2]
+    short_agent = [fits[0], fits[1][:1], fits[2]]
+    narrow_agent = [fits[0][:, :1], *fits[1:]]
+    for series in (too_few, short_agent, narrow_agent):
+        with pytest.raises(DimensionMismatch):
+            write_replay_csv(tmp_path / "bad.csv", w3_world, w3_scopes, series)
+
+
+# -- one serialisation path -----------------------------------------------
+
+def test_artifacts_have_one_writer_per_format():
+    """Only ``formats`` may produce indented JSON, and nothing in the package
+    uses ``csv.writer``: a second writer beside the fast one would drift."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "writer":
+                if isinstance(node.value, ast.Name) and node.value.id == "csv":
+                    offenders.append(f"{path.name}:{node.lineno}: csv.writer")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dumps"
+                and any(k.arg == "indent" for k in node.keywords)
+                and path.name != "formats.py"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: dumps(indent=...)")
+    assert offenders == []
+
+
+def test_public_surface_is_explicit():
+    import myopic_crowd
+
+    exported = {name: getattr(myopic_crowd, name) for name in myopic_crowd.__all__}
+    modules = [name for name, v in exported.items() if isinstance(v, types.ModuleType)]
+    assert modules == []
+    assert "json_text" not in exported

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from myopic_crowd import sim
 
-from myopic_crowd.classifier import write_replay_csv
+from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.config import RULES, config_from_dict, load_config
 from myopic_crowd.errors import (
     DisconnectedGraph,
@@ -169,6 +169,21 @@ def test_horizon_zero_is_init_only():
     np.testing.assert_allclose(log.mu(), 1 / 3, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["independent", "shared"])
+def test_run_bytes_counts_what_a_run_holds(mode):
+    config = config_from_dict(w3_doc(horizon=50, observation_mode=mode))
+    log = run_experiment(config)
+    arrays = [
+        log.observations,
+        *log.posteriors,
+        log.log_pi,
+        log.log_mu,
+        log.clamped_pi,
+        log.clamped_mu,
+    ]
+    assert sim.run_bytes(config) == sum(a.nbytes for a in arrays)
+
+
 def test_beliefs_stay_normalized():
     log = run_experiment(make_w3_config(horizon=200))
     for arr in (log.pi(), log.mu()):
@@ -225,14 +240,8 @@ def test_replay_run_reproduces_recorded_run(tmp_path):
 def test_replay_shorter_than_horizon_raises(tmp_path):
     stream = tmp_path / "short.csv"
     world = config_from_dict(w3_doc()).world
-    write_replay_csv(
-        stream,
-        world,
-        [
-            (t, 0, {"theta0": 0.8, "theta1": 0.2})
-            for t in range(1, 6)
-        ],
-    )
+    scope = make_scope(world, 0, ["theta0", "theta1"])
+    write_replay_csv(stream, world, [scope], [np.tile([0.8, 0.2], (5, 1))])
     doc = w3_doc(horizon=10)
     doc["agents"][0]["prior"] = [0.5, 0.5]
     doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
