@@ -38,7 +38,6 @@ from .world import (
     World,
     build_world,
     load_world,
-    save_world,
     world_from_dict,
     world_to_dict,
 )
@@ -49,6 +48,7 @@ from .classifier import (
     ReplaySource,
     load_replay_csv,
     make_scope,
+    posterior_table,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -58,7 +58,6 @@ from .scores import (
     check_global_identifiability,
     confusion_score,
     discriminative_score,
-    empirical_score,
     score_report,
     source_set,
     support_set,
@@ -75,13 +74,9 @@ from .dynamics import (
 )
 from .network import (
     AgentGraph,
-    complete_graph,
-    diameter,
     erdos_renyi_connected,
     is_connected,
     load_graph,
-    path_graph,
-    save_graph,
 )
 from .config import (
     RATE_SLACK,
@@ -133,7 +128,6 @@ __all__ = [
     "World",
     "build_world",
     "load_world",
-    "save_world",
     "world_from_dict",
     "world_to_dict",
     # classifier
@@ -143,6 +137,7 @@ __all__ = [
     "ReplaySource",
     "load_replay_csv",
     "make_scope",
+    "posterior_table",
     "replay_source_from_csv",
     "write_replay_csv",
     # scores
@@ -151,7 +146,6 @@ __all__ = [
     "check_global_identifiability",
     "confusion_score",
     "discriminative_score",
-    "empirical_score",
     "score_report",
     "source_set",
     "support_set",
@@ -166,13 +160,9 @@ __all__ = [
     "pool",
     # network
     "AgentGraph",
-    "complete_graph",
-    "diameter",
     "erdos_renyi_connected",
     "is_connected",
     "load_graph",
-    "path_graph",
-    "save_graph",
     # config
     "RATE_SLACK",
     "RULES",

@@ -1,12 +1,13 @@
-"""Posterior sources: per-agent classifiers over an identifiable subset of classes.
+"""Agent classifiers and the posterior sources built from them.
 
-Each agent owns a scope Θ_i ⊆ Θ plus a prior over it.  A source supplies the
-posterior vectors over Θ_i that the agent's local update consumes.  Three
-kinds exist: an exact Bayes oracle driven by the likelihood table and a
-noisy variant that mixes it with the uniform distribution, each holding one
-posterior row per input symbol (``per_symbol``), and a replay source that
-holds pre-recorded posterior vectors, one per round (``vectors``), read from
-a CSV file.
+An agent's classifier (:class:`AgentScope`) is its scope Θ_i ⊆ Θ, a prior
+over it, an optional private likelihood table and a noise level γ.
+:func:`posterior_table` turns a classifier into the one posterior table the
+agent uses, one row per input symbol: the Bayes posterior, mixed with the
+uniform distribution when γ > 0.  The dynamics read that table through a
+table source (``per_symbol``) and the score engine reads it for its
+log-ratios.  A replay source instead holds pre-recorded posterior vectors,
+one per round (``vectors``), read from a CSV file.
 """
 
 from __future__ import annotations
@@ -26,18 +27,20 @@ from .errors import (
     UnknownClass,
 )
 from .formats import csv_cell
-from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly, floor_probs
+from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly
 
 
 @dataclass(frozen=True, eq=False)
 class AgentScope:
-    """An agent's identifiable class subset Θ_i, its prior, and an optional
-    private likelihood table overriding the shared world's."""
+    """An agent's classifier: its identifiable class subset Θ_i, its prior
+    (every entry at least :data:`EPS`), an optional private likelihood table
+    overriding the shared world's, and its noise level γ ∈ [0, 1)."""
 
     agent_id: int
     theta_i: tuple[int, ...]
     prior: np.ndarray
     likelihoods: LikelihoodTable | None = None
+    gamma: float = 0.0
 
     def __post_init__(self) -> None:
         theta = tuple(int(t) for t in self.theta_i)
@@ -51,11 +54,21 @@ class AgentScope:
             raise DimensionMismatch(
                 f"prior has {prior.size} entries for {len(theta)} scope classes"
             )
-        if not np.all((prior >= 0) & (prior <= 1)):
-            raise RowNotStochastic("prior entries must lie in [0, 1]")
+        if not np.all((prior >= EPS) & (prior <= 1)):
+            raise ConfigError(
+                f"agent {self.agent_id}: prior entries must lie in [{EPS}, 1], "
+                f"got {prior.tolist()}"
+            )
         if abs(prior.sum() - 1.0) > ROW_TOL:
             raise RowNotStochastic(f"prior sums to {prior.sum()!r}, expected 1")
-        object.__setattr__(self, "prior", _readonly(floor_probs(prior)))
+        gamma = float(self.gamma)
+        if not 0.0 <= gamma < 1.0:
+            raise ConfigError(
+                f"agent {self.agent_id}: noise level gamma must be in [0, 1), "
+                f"got {gamma}"
+            )
+        object.__setattr__(self, "prior", _readonly(prior))
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "_pos", {t: j for j, t in enumerate(theta)})
 
     @property
@@ -74,10 +87,6 @@ class AgentScope:
                 f"class {theta} not in agent {self.agent_id}'s scope"
             ) from None
 
-    def effective_likelihoods(self, world: World) -> LikelihoodTable:
-        """This agent's likelihood table: its override, else the world's."""
-        return self.likelihoods if self.likelihoods is not None else world.likelihoods
-
 
 def make_scope(
     world: World,
@@ -85,12 +94,13 @@ def make_scope(
     classes,
     prior=None,
     likelihoods=None,
+    gamma=0.0,
 ) -> AgentScope:
     """Build a validated scope against a world.
 
     ``classes`` may contain labels or indices; ``prior`` defaults to uniform
     over the scope; ``likelihoods`` optionally overrides the world table and
-    must have the world's full dimensions.
+    must have the world's full dimensions; ``gamma`` is the noise level.
     """
     theta = tuple(
         world.classes.index(c) if isinstance(c, str) else int(c) for c in classes
@@ -111,46 +121,45 @@ def make_scope(
             f"agent {agent_id} likelihood override must match the world's "
             f"{world.m} x {world.inputs.size} table"
         )
-    return AgentScope(int(agent_id), theta, np.asarray(prior, dtype=float), likelihoods)
+    return AgentScope(
+        int(agent_id), theta, np.asarray(prior, dtype=float), likelihoods, gamma
+    )
 
 
-def _bayes_per_symbol(world: World, scope: AgentScope) -> np.ndarray:
-    """Posterior table of shape (|X|, |Θ_i|): row x is the Bayes posterior
-    p_i(θ|x) ∝ p_i(x|θ)·p_i(θ), floored and normalized."""
-    table = scope.effective_likelihoods(world).rows
-    lik = table[list(scope.theta_i), :]          # (k_i, |X|)
+def posterior_table(world: World, scope: AgentScope) -> np.ndarray:
+    """The agent's posterior table, read-only, of shape (|X|, |Θ_i|).
+
+    Row x is the Bayes posterior p_i(θ|x) ∝ p_i(x|θ)·p_i(θ), floored at
+    :data:`EPS` and normalized; when γ > 0 it is then mixed with uniform,
+    (1−γ)·p + γ/|Θ_i|, and normalized again.  Likelihoods are the agent's
+    override, else the world's.
+    """
+    table = world.likelihoods if scope.likelihoods is None else scope.likelihoods
+    lik = table.rows[list(scope.theta_i), :]
     unnorm = lik * scope.prior[:, None]
     post = (unnorm / unnorm.sum(axis=0, keepdims=True)).T
     post = np.maximum(post, EPS)
     post = post / post.sum(axis=1, keepdims=True)
+    if scope.gamma > 0.0:
+        post = (1.0 - scope.gamma) * post + scope.gamma / scope.size
+        post = post / post.sum(axis=1, keepdims=True)
+    post.flags.writeable = False
     return post
 
 
 class BayesOracle:
-    """Exact Bayes posterior source: p_i(θ|x) ∝ p_i(x|θ)·p_i(θ) over Θ_i."""
-
-    kind = "bayes"
+    """Table source: ``per_symbol[x]`` is the posterior the agent emits on
+    symbol x, one row of its :func:`posterior_table`."""
 
     def __init__(self, world: World, scope: AgentScope):
-        self.scope = scope
-        self.per_symbol = _readonly(_bayes_per_symbol(world, scope))
+        self.per_symbol = posterior_table(world, scope)
 
 
-class NoisySource:
-    """Bayes oracle mixed with uniform: (1−γ)·p + γ·uniform, γ ∈ [0, 1)."""
+class NoisySource(BayesOracle):
+    """Table source of an agent with γ > 0; it holds the same table."""
 
-    kind = "noisy"
-
-    def __init__(self, world: World, scope: AgentScope, gamma: float):
-        gamma = float(gamma)
-        if not 0.0 <= gamma < 1.0:
-            raise ConfigError(f"noise level gamma must be in [0, 1), got {gamma}")
-        self.scope = scope
-        self.gamma = gamma
-        base = _bayes_per_symbol(world, scope)
-        mixed = (1.0 - gamma) * base + gamma / scope.size
-        mixed = mixed / mixed.sum(axis=1, keepdims=True)
-        self.per_symbol = _readonly(mixed)
+    def __init__(self, world: World, scope: AgentScope):
+        self.per_symbol = posterior_table(world, scope)
 
 
 class ReplaySource:
@@ -160,8 +169,6 @@ class ReplaySource:
     Unlike the oracle sources a replay source ignores the observed symbol: the
     vector for round t is whatever the recorded classifier emitted then.
     """
-
-    kind = "replay"
 
     def __init__(self, scope: AgentScope, vectors: np.ndarray):
         vectors = np.asarray(vectors, dtype=float)
@@ -184,7 +191,6 @@ class ReplaySource:
             vectors = vectors.copy()
             patched = np.maximum(vectors[low], EPS)
             vectors[low] = patched / patched.sum(axis=1, keepdims=True)
-        self.scope = scope
         self.vectors = _readonly(vectors)
 
     @property

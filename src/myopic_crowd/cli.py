@@ -10,6 +10,7 @@ Subcommands: ``scores`` (analytical report), ``run`` (one experiment),
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -56,7 +57,9 @@ def _setup_logging() -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: each build leaves cyclic garbage behind."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to the JSON config")
     common.add_argument("--seed", type=int, default=None, help="override the seed")

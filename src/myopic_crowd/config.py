@@ -34,16 +34,16 @@ MAX_HORIZON = int(np.iinfo(np.intp).max) - 1
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Which posterior source an agent uses."""
+    """Which posterior source an agent uses: its posterior table (``bayes``,
+    or ``noisy`` with the scope's γ) or a recorded stream (``replay``)."""
 
     kind: str = "bayes"
-    gamma: float = 0.0
     replay_path: str | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, scope: AgentScope) -> dict:
         out: dict = {"kind": self.kind}
         if self.kind == "noisy":
-            out["gamma"] = self.gamma
+            out["gamma"] = scope.gamma
         if self.kind == "replay":
             out["path"] = self.replay_path
         return out
@@ -134,7 +134,7 @@ class ExperimentConfig:
                 "id": scope.agent_id,
                 "classes": [labels[t] for t in scope.theta_i],
                 "prior": [float(p) for p in scope.prior],
-                "source": source.to_dict(),
+                "source": source.to_dict(scope),
             }
             if scope.likelihoods is not None:
                 entry["likelihoods"] = [
@@ -198,9 +198,10 @@ def _resolve_world(doc, base_dir: Path) -> World:
     return world_from_dict(doc)
 
 
-def _resolve_source(entry, agent_id: int, base_dir: Path) -> SourceSpec:
+def _resolve_source(entry, agent_id: int, base_dir: Path):
+    """The agent's source spec and its noise level γ (0 unless noisy)."""
     if entry is None:
-        return SourceSpec()
+        return SourceSpec(), 0.0
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(
             f"agent {agent_id}: source must be an object with a 'kind'"
@@ -221,18 +222,13 @@ def _resolve_source(entry, agent_id: int, base_dir: Path) -> SourceSpec:
         raise ConfigError(f"agent {agent_id}: unknown source keys {sorted(extra)}")
     if kind == "noisy":
         gamma = _number(f"agent {agent_id}: gamma", entry.get("gamma", 0.0))
-        if not 0.0 <= gamma < 1.0:
-            raise ConfigError(
-                f"agent {agent_id}: noise level gamma must be in [0, 1), "
-                f"got {gamma}"
-            )
-        return SourceSpec(kind="noisy", gamma=gamma)
+        return SourceSpec(kind="noisy"), gamma
     if kind == "replay":
         if "path" not in entry:
             raise ConfigError(f"agent {agent_id}: replay source needs a 'path'")
         path = _path(f"agent {agent_id}: replay path", entry["path"], base_dir)
-        return SourceSpec(kind="replay", replay_path=str(path))
-    return SourceSpec()
+        return SourceSpec(kind="replay", replay_path=str(path)), 0.0
+    return SourceSpec(), 0.0
 
 
 def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
@@ -354,7 +350,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
             raise ConfigError(
                 f"agent {agent_id} needs a 'classes' list of labels or indices"
             )
-        source = _resolve_source(entry.get("source"), agent_id, base_dir)
+        source, gamma = _resolve_source(entry.get("source"), agent_id, base_dir)
         if source.kind == "replay" and "prior" not in entry:
             raise ConfigError(
                 f"agent {agent_id}: replay sources require an explicit 'prior' "
@@ -365,7 +361,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
             for key, ndim in (("prior", 1), ("likelihoods", 2))
             if entry.get(key) is not None
         }
-        scope = make_scope(world, agent_id, classes, **numbers)
+        scope = make_scope(world, agent_id, classes, gamma=gamma, **numbers)
         entries.append((scope, source))
     entries.sort(key=lambda pair: pair[0].agent_id)
     scopes = [scope for scope, _ in entries]

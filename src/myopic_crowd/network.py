@@ -1,4 +1,5 @@
-"""Agent communication graph: generation, connectivity, diameter, file I/O.
+"""Agent communication graph: construction, connectivity, random generation,
+loading from an edge-list file.
 
 Graphs are undirected with no stored self-loops; every agent's neighborhood
 is inclusive (contains the agent itself), which is what the global belief
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import (
     AsymmetricInput,
     DimensionMismatch,
-    DisconnectedGraph,
     ParseError,
     RetriesExhausted,
 )
@@ -76,19 +76,6 @@ class AgentGraph:
             if keep
         ]
 
-    def neighbors_inclusive(self, i: int) -> tuple[int, ...]:
-        return self.neighborhoods[i]
-
-
-def path_graph(n: int) -> AgentGraph:
-    return AgentGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> AgentGraph:
-    return AgentGraph.from_edges(
-        n, [(i, j) for i in range(n) for j in range(i + 1, n)]
-    )
-
 
 def _bfs_dists(g: AgentGraph, start: int) -> np.ndarray:
     dist = np.full(g.n, -1, dtype=int)
@@ -105,17 +92,6 @@ def _bfs_dists(g: AgentGraph, start: int) -> np.ndarray:
 
 def is_connected(g: AgentGraph) -> bool:
     return bool(np.all(_bfs_dists(g, 0) >= 0))
-
-
-def diameter(g: AgentGraph) -> int:
-    """Longest shortest-path length over all vertex pairs."""
-    best = 0
-    for s in range(g.n):
-        dist = _bfs_dists(g, s)
-        if np.any(dist < 0):
-            raise DisconnectedGraph("diameter is undefined on a disconnected graph")
-        best = max(best, int(dist.max()))
-    return best
 
 
 def erdos_renyi_connected(
@@ -174,8 +150,3 @@ def load_graph(path) -> AgentGraph:
             raise ParseError(f"{path}:{lineno}: edge ({u}, {v}) out of range")
         edges.append((u, v))
     return AgentGraph.from_edges(n, edges)
-
-
-def save_graph(g: AgentGraph, path) -> None:
-    lines = [str(g.n)] + [f"{u} {v}" for u, v in g.edges()]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,27 +1,28 @@
 """Analytical score engine.
 
 Everything here is an expectation over one observation drawn from a fixed
-data-generating class: the per-sample log evidence an agent's Bayes posterior
+data-generating class: the per-sample log evidence an agent's posterior
 accumulates for one class over another.  From those scores come source and
 support sets, the global-identifiability check, and the network's best
 rejection rate per false class.
 
-Scores are in nats and are computed from the world's ground-truth likelihoods
-plus the agent's exact Bayes posterior — never from empirical sampling (see
-:func:`empirical_score` for the sampling estimator).
+Scores are in nats and are computed exactly, never by sampling, from the
+world's ground-truth likelihoods and the agent's posterior table
+(:func:`~myopic_crowd.classifier.posterior_table`), the same table its source
+feeds the dynamics, so a noisy agent is scored on its noisy table.
 
 Every score is a difference of two entries of one short vector.  With L_i
-agent i's (|X|, k_i) Bayes log-ratios ln p_i(θ|x) − ln p_i(θ) and data from
-class w, the *evidence vector* e_i = rows[w] · L_i gives D_i(θ_p, θ_q) =
-e_i[θ_p] − e_i[θ_q], exactly antisymmetric because IEEE subtraction is.  A
-report uses w = the true class for discriminative and confusion scores alike,
-and derives sets, identifiability and R(θ) from one (n, m) table of evidence
-vectors, NaN outside each scope.  R(θ) is the largest candidate, and the
-agent reported with it is the lowest id whose candidate lies within a
-relative :data:`TIE_RTOL` of it.  The tolerance matters: every source agent's
-D_i(θ*, θ) is the KL divergence of the two likelihood rows whatever else its
-scope holds, so candidates that are equal mathematically routinely differ in
-the last ulp.
+the (|X|, k_i) log-ratios ln p_i(θ|x) − ln p_i(θ) of agent i's posterior
+table and data from class w, the *evidence vector* e_i = rows[w] · L_i gives
+D_i(θ_p, θ_q) = e_i[θ_p] − e_i[θ_q], exactly antisymmetric because IEEE
+subtraction is.  A report uses w = the true class for discriminative and
+confusion scores alike, and derives sets, identifiability and R(θ) from one
+(n, m) table of evidence vectors, NaN outside each scope.  R(θ) is the
+largest candidate, and the agent reported with it is the lowest id whose
+candidate lies within a relative :data:`TIE_RTOL` of it.  The tolerance
+matters: every source agent's D_i(θ*, θ) is the KL divergence of the two
+likelihood rows whatever else its scope holds, so candidates that are equal
+mathematically routinely differ in the last ulp.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import AgentScope, _bayes_per_symbol
+from .classifier import AgentScope, posterior_table
 from .errors import ClassOutOfScope, NoRejector, TrueClassInScope, UnknownClass
 from .world import World
 
@@ -54,8 +55,9 @@ def _check_pair(scope: AgentScope, theta_p: int, theta_q: int) -> None:
 
 
 def _log_ratios(world: World, scope: AgentScope) -> np.ndarray:
-    """Bayes log-ratios ln p_i(θ|x) − ln p_i(θ), shape (|X|, k_i)."""
-    return np.log(_bayes_per_symbol(world, scope)) - np.log(scope.prior)
+    """Log-ratios ln p_i(θ|x) − ln p_i(θ) of the agent's posterior table,
+    shape (|X|, k_i)."""
+    return np.log(posterior_table(world, scope)) - np.log(scope.prior)
 
 
 def _evidence(world: World, scope: AgentScope, weight_class: int) -> np.ndarray:
@@ -109,32 +111,6 @@ def confusion_score(
             "use discriminative_score"
         )
     return _pair_score(world, scope, theta_star, theta_p, theta_q)
-
-
-def empirical_score(
-    world: World,
-    scope: AgentScope,
-    theta_p: int,
-    theta_q: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    weight_class: int | None = None,
-) -> float:
-    """Monte Carlo estimate of the expected log evidence (approximate).
-
-    Draws ``n_samples`` observations from the generating class (default: the
-    world's true class) and averages the per-sample log evidence terms.
-    """
-    theta_p = _check_class(world, theta_p, "theta_p")
-    theta_q = _check_class(world, theta_q, "theta_q")
-    if weight_class is None:
-        weight_class = world.true_class
-    _check_pair(scope, theta_p, theta_q)
-    row = world.likelihoods.rows[weight_class]
-    draws = rng.choice(row.size, size=int(n_samples), p=row)
-    ratios = _log_ratios(world, scope)
-    terms = ratios[:, scope.position(theta_p)] - ratios[:, scope.position(theta_q)]
-    return float(terms[draws].mean())
 
 
 # -- sets and identifiability --------------------------------------------

@@ -42,7 +42,6 @@ import numpy as np
 from . import __version__
 from .classifier import (
     BayesOracle,
-    NoisySource,
     ReplaySource,
     replay_source_from_csv,
     write_replay_csv,
@@ -118,17 +117,14 @@ class TrajectoryLog:
 
 
 def build_sources(config: ExperimentConfig) -> list:
-    """Each agent's posterior source, in agent order; replay streams are
-    read from their files here."""
-    out = []
-    for scope, spec in zip(config.scopes, config.sources):
-        if spec.kind == "bayes":
-            out.append(BayesOracle(config.world, scope))
-        elif spec.kind == "noisy":
-            out.append(NoisySource(config.world, scope, spec.gamma))
-        else:
-            out.append(replay_source_from_csv(spec.replay_path, config.world, scope))
-    return out
+    """Each agent's posterior source, in agent order: its posterior table,
+    or its replay stream, read from its file here."""
+    return [
+        replay_source_from_csv(spec.replay_path, config.world, scope)
+        if spec.kind == "replay"
+        else BayesOracle(config.world, scope)
+        for scope, spec in zip(config.scopes, config.sources)
+    ]
 
 
 def _draw_observations(config: ExperimentConfig) -> np.ndarray:

@@ -19,10 +19,10 @@ from .errors import (
     RowNotStochastic,
     UnknownClass,
 )
-from .formats import json_text
 
-#: Probability floor: entries below this are raised to it and the vector
-#: renormalized, so log-domain arithmetic stays total.
+#: Probability floor: likelihood and posterior entries below this are raised
+#: to it and the vector renormalized, so log-domain arithmetic stays total; a
+#: prior entry below it is a configuration error.
 EPS = 1e-12
 
 #: Tolerance for "sums to 1" checks on probability vectors.
@@ -33,19 +33,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def floor_probs(v: np.ndarray) -> np.ndarray:
-    """Raise entries below EPS to EPS and renormalize.
-
-    Vectors already above the floor are returned bit-unchanged, which keeps
-    recorded streams replayable exactly.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v < EPS):
-        v = np.maximum(v, EPS)
-        v = v / v.sum()
-    return v
 
 
 @dataclass(frozen=True)
@@ -127,9 +114,6 @@ class LikelihoodTable:
     @property
     def n_symbols(self) -> int:
         return self.rows.shape[1]
-
-    def row(self, k: int) -> np.ndarray:
-        return self.rows[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +223,3 @@ def load_world(path) -> World:
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed world file {path}: {e}") from None
     return world_from_dict(doc)
-
-
-def save_world(world: World, path) -> None:
-    Path(path).write_text(json_text(world_to_dict(world)) + "\n")

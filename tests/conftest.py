@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, settings
 
 from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import config_from_dict
-from myopic_crowd.network import path_graph
 from myopic_crowd.world import build_world
+from oracles import path_graph
 
 settings.register_profile(
     "suite",

@@ -10,9 +10,12 @@ sparse pooling kernel.  The sweep
 references at the end (``rates_reference``, ``compare_reference``) are the
 other exception: they rebuild the ``rates`` and ``compare`` documents from a
 plain loop of one-seed package runs, the reference for batched seed sweeps.
-The artifact writers at the very end are the package's former writers
-(``json.dumps`` with ``indent``, a per-row ``trajectories.csv`` loop and a
-``csv.writer`` replay writer), the references for its serialisation.
+The artifact writers are the package's former writers (``json.dumps``
+with ``indent``, a per-row ``trajectories.csv`` loop and a ``csv.writer``
+replay writer), the references for its serialisation.  The posterior-table
+builders after them are the package's former numpy builders, the references
+for ``posterior_table``.  The helpers at the very end (``empirical_score``,
+small graph builders, ``diameter`` and file writers) serve the tests only.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -552,3 +556,91 @@ def replay_rows(labels, scopes, series):
                 labels[theta]: posts[t - 1, j] for j, theta in enumerate(scope.theta_i)
             }
             yield t, scope.agent_id, probs
+
+
+# -- posterior tables -----------------------------------------------------
+#
+# The package's former table builders, kept as bit-for-bit references for
+# ``classifier.posterior_table``: the Bayes table the score engine and the
+# Bayes source built, and the uniform mixture the noisy source built on it.
+
+def bayes_table_reference(world, scope) -> np.ndarray:
+    """(|X|, k_i) Bayes posteriors, floored and normalized; ignores γ."""
+    table = world.likelihoods if scope.likelihoods is None else scope.likelihoods
+    lik = table.rows[list(scope.theta_i), :]
+    unnorm = lik * scope.prior[:, None]
+    post = (unnorm / unnorm.sum(axis=0, keepdims=True)).T
+    post = np.maximum(post, EPS)
+    return post / post.sum(axis=1, keepdims=True)
+
+
+def noisy_table_reference(world, scope, gamma: float) -> np.ndarray:
+    """The Bayes table mixed with uniform, (1−γ)·p + γ/k_i, renormalized."""
+    mixed = (1.0 - gamma) * bayes_table_reference(world, scope) + gamma / scope.size
+    return mixed / mixed.sum(axis=1, keepdims=True)
+
+
+def empirical_score(world, scope, theta_p, theta_q, n_samples, rng, weight_class=None):
+    """Monte Carlo estimate of agent ``scope``'s expected log evidence for
+    θ_p over θ_q: the mean log-ratio difference of its posterior table over
+    ``n_samples`` draws from ``weight_class`` (default: the true class)."""
+    from myopic_crowd.classifier import posterior_table
+
+    if weight_class is None:
+        weight_class = world.true_class
+    row = world.likelihoods.rows[weight_class]
+    draws = rng.choice(row.size, size=int(n_samples), p=row)
+    ratios = np.log(posterior_table(world, scope)) - np.log(scope.prior)
+    terms = ratios[:, scope.position(theta_p)] - ratios[:, scope.position(theta_q)]
+    return float(terms[draws].mean())
+
+
+# -- graphs and files -----------------------------------------------------
+
+def path_graph(n: int):
+    from myopic_crowd.network import AgentGraph
+
+    return AgentGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int):
+    from myopic_crowd.network import AgentGraph
+
+    return AgentGraph.from_edges(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+    )
+
+
+def diameter(g) -> int:
+    """Longest shortest-path length over all vertex pairs, by breadth-first
+    search from every vertex; ``DisconnectedGraph`` on a disconnected graph."""
+    from myopic_crowd.errors import DisconnectedGraph
+
+    best = 0
+    for start in range(g.n):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.neighborhoods[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if len(dist) < g.n:
+            raise DisconnectedGraph("diameter is undefined on a disconnected graph")
+        best = max(best, max(dist.values()))
+    return best
+
+
+def save_graph(g, path) -> None:
+    """An edge-list file: the vertex count, then one ``u v`` line per edge."""
+    lines = [str(g.n)] + [f"{u} {v}" for u, v in g.edges()]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_world(world, path) -> None:
+    from myopic_crowd.world import world_to_dict
+
+    Path(path).write_text(json_reference(world_to_dict(world)) + "\n")

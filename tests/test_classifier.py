@@ -1,4 +1,4 @@
-"""Posterior sources: Bayes oracle, noisy mixtures, and replay streams."""
+"""Agent classifiers, their posterior tables, and replay streams."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from myopic_crowd.classifier import (
     ReplaySource,
     load_replay_csv,
     make_scope,
+    posterior_table,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -25,6 +26,8 @@ from myopic_crowd.errors import (
     UnknownClass,
 )
 from myopic_crowd.world import EPS, build_world
+
+import oracles
 
 
 def test_scope_defaults_uniform_prior(w3_world):
@@ -65,53 +68,51 @@ def test_likelihood_override_must_match_world(w3_world):
 def test_likelihood_override_changes_posterior(w3_world):
     override = [[0.6, 0.4], [0.4, 0.6], [0.5, 0.5]]
     scope = make_scope(w3_world, 0, ["theta0", "theta1"], likelihoods=override)
-    oracle = BayesOracle(w3_world, scope)
-    np.testing.assert_allclose(oracle.per_symbol[0], [0.6, 0.4], atol=1e-12)
+    table = posterior_table(w3_world, scope)
+    np.testing.assert_allclose(table[0], [0.6, 0.4], atol=1e-12)
 
 
-# -- Bayes oracle ---------------------------------------------------------
+# -- Bayes posterior table ------------------------------------------------
 
 def test_bayes_hand_example(w3_world):
     scope = make_scope(w3_world, 0, ["theta0", "theta1"])
-    oracle = BayesOracle(w3_world, scope)
+    table = posterior_table(w3_world, scope)
     # 0.8*0.5 / (0.8*0.5 + 0.2*0.5) = 0.8; rows follow the input symbols.
-    np.testing.assert_allclose(oracle.per_symbol, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
+    np.testing.assert_allclose(table, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
 
 
 def test_bayes_uniform_rows_give_uniform_posterior():
     world = build_world(
         ["t0", "t1"], ["a", "b"], [[0.5, 0.5], [0.5, 0.5]], "t0"
     )
-    oracle = BayesOracle(world, make_scope(world, 0, ["t0", "t1"]))
-    np.testing.assert_allclose(oracle.per_symbol, 0.5, atol=1e-12)
+    table = posterior_table(world, make_scope(world, 0, ["t0", "t1"]))
+    np.testing.assert_allclose(table, 0.5, atol=1e-12)
 
 
 def test_bayes_ratio_consistency(w3_world):
-    # per_symbol[x][θ] / prior[θ] proportional to p(x|θ) across the scope.
+    # table[x][θ] / prior[θ] proportional to p(x|θ) across the scope.
     scope = make_scope(w3_world, 1, ["theta1", "theta2"], prior=[0.3, 0.7])
-    oracle = BayesOracle(w3_world, scope)
-    for col, probs in enumerate(oracle.per_symbol):
+    for col, probs in enumerate(posterior_table(w3_world, scope)):
         ratios = probs / scope.prior
         lik = np.array([w3_world.likelihoods.rows[k][col] for k in scope.theta_i])
         scaled = ratios / lik
         np.testing.assert_allclose(scaled, scaled[0], atol=1e-9)
 
 
-# -- noisy source ---------------------------------------------------------
+# -- noisy tables ---------------------------------------------------------
 
 def test_noisy_gamma_zero_equals_oracle(w3_world):
-    scope = make_scope(w3_world, 0, ["theta0", "theta1"])
-    oracle = BayesOracle(w3_world, scope)
-    noisy = NoisySource(w3_world, scope, 0.0)
-    np.testing.assert_array_equal(noisy.per_symbol, oracle.per_symbol)
+    bayes = make_scope(w3_world, 0, ["theta0", "theta1"])
+    noisy = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.0)
+    np.testing.assert_array_equal(
+        posterior_table(w3_world, noisy), posterior_table(w3_world, bayes)
+    )
 
 
 def test_noisy_gamma_one_rejected(w3_world):
-    scope = make_scope(w3_world, 0, ["theta0", "theta1"])
-    with pytest.raises(ConfigError):
-        NoisySource(w3_world, scope, 1.0)
-    with pytest.raises(ConfigError):
-        NoisySource(w3_world, scope, -0.1)
+    for gamma in (1.0, -0.1, float("nan")):
+        with pytest.raises(ConfigError):
+            make_scope(w3_world, 0, ["theta0", "theta1"], gamma=gamma)
 
 
 @given(gamma=st.floats(0.0, 0.99))
@@ -122,11 +123,9 @@ def test_noisy_within_gamma_of_oracle(gamma):
         [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]],
         "t0",
     )
-    scope = make_scope(world, 0, ["t0", "t1"])
-    oracle = BayesOracle(world, scope)
-    noisy = NoisySource(world, scope, gamma)
-    gap = np.abs(noisy.per_symbol - oracle.per_symbol).max()
-    assert gap <= gamma + 1e-12
+    bayes = posterior_table(world, make_scope(world, 0, ["t0", "t1"]))
+    noisy = posterior_table(world, make_scope(world, 0, ["t0", "t1"], gamma=gamma))
+    assert np.abs(noisy - bayes).max() <= gamma + 1e-12
 
 
 @given(gamma=st.floats(0.0, 0.99), col=st.integers(0, 1))
@@ -137,9 +136,70 @@ def test_noisy_rows_normalized(gamma, col):
         [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]],
         "t0",
     )
-    noisy = NoisySource(world, make_scope(world, 0, ["t0", "t1"]), gamma)
-    assert noisy.per_symbol[col].sum() == pytest.approx(1.0, abs=1e-9)
-    assert noisy.per_symbol.min() >= EPS
+    table = posterior_table(world, make_scope(world, 0, ["t0", "t1"], gamma=gamma))
+    assert table[col].sum() == pytest.approx(1.0, abs=1e-9)
+    assert table.min() >= EPS
+
+
+def test_table_sources_hold_the_posterior_table(w3_world):
+    scope = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.3)
+    table = posterior_table(w3_world, scope)
+    for source in (BayesOracle(w3_world, scope), NoisySource(w3_world, scope)):
+        np.testing.assert_array_equal(source.per_symbol, table)
+    assert not table.flags.writeable
+
+
+def test_prior_below_floor_rejected(w3_world):
+    with pytest.raises(ConfigError, match=r"must lie in \[1e-12, 1\]"):
+        make_scope(w3_world, 0, ["theta0", "theta1"], prior=[1 - 1e-13, 1e-13])
+    with pytest.raises(ConfigError):
+        make_scope(w3_world, 0, ["theta0", "theta1"], prior=[1.0, 0.0])
+    scope = make_scope(w3_world, 0, ["theta0", "theta1"], prior=[1 - EPS, EPS])
+    np.testing.assert_array_equal(scope.prior, [1 - EPS, EPS])
+
+
+_PROBS = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _classifiers(draw):
+    """A random world and one agent's classifier over it: scope, prior,
+    optional likelihood override and noise level."""
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, 4))
+
+    def table(rows):
+        raw = np.array(draw(st.lists(
+            st.lists(_PROBS, min_size=k, max_size=k), min_size=rows, max_size=rows
+        ))) + draw(st.sampled_from([0.0, 1e-3]))
+        raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    world = build_world(
+        [f"c{i}" for i in range(m)], [f"x{i}" for i in range(k)], table(m), 0
+    )
+    theta = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    prior = np.array(draw(st.lists(
+        st.floats(1e-3, 1.0), min_size=len(theta), max_size=len(theta)
+    )))
+    override = draw(st.none() | st.just(m).map(table))
+    gamma = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True))
+    scope = make_scope(
+        world, 0, theta, prior=prior / prior.sum(), likelihoods=override, gamma=gamma
+    )
+    return world, scope
+
+
+@given(_classifiers())
+def test_posterior_table_bit_identical_to_former_sources(classifier):
+    world, scope = classifier
+    table = posterior_table(world, scope)
+    if scope.gamma == 0.0:
+        want = oracles.bayes_table_reference(world, scope)
+    else:
+        want = oracles.noisy_table_reference(world, scope, scope.gamma)
+    assert table.shape == (world.inputs.size, scope.size)
+    assert table.tobytes() == want.tobytes()
 
 
 # -- replay source --------------------------------------------------------
@@ -245,7 +305,6 @@ def test_posterior_normalized_and_positive(prior0, row):
         "t0",
     )
     scope = make_scope(world, 0, ["t0", "t1"], prior=[prior0, 1 - prior0])
-    oracle = BayesOracle(world, scope)
-    for probs in oracle.per_symbol:
+    for probs in posterior_table(world, scope):
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert probs.min() >= EPS

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import tempfile
@@ -251,6 +252,53 @@ def test_rates_pass(config_path, tmp_path, capsys):
     doc = json.loads((out_dir / "rates.json").read_text())
     assert doc["pass_fraction"] >= doc["threshold"]
     assert len(doc["rows"]) == 2 * 3 * 2  # seeds x agents x false classes
+
+
+def _w3_with_agent0(**fields) -> dict:
+    doc = json.loads(W3_JSON.read_text())
+    doc["agents"][0].update(fields)
+    return doc
+
+
+def test_rates_pass_with_a_noisy_agent(tmp_path, capsys):
+    # Agent 0's noisy table separates theta1 from theta0 by less than
+    # agent 1's support margin, so agent 1 sets R(theta1); scoring agent 0
+    # on its Bayes table instead overstated R(theta1) and failed the sweep.
+    doc = _w3_with_agent0(source={"kind": "noisy", "gamma": 0.6})
+    argv = ["rates", "--config", str(_write(tmp_path, doc)), "--horizon", "3000"]
+    rc = main([*argv, "--seeds", "20", "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    rates = json.loads((tmp_path / "out" / "rates.json").read_text())
+    assert rates["pass_fraction"] >= 0.95
+    assert "theta1: R = 0.639032" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "scores", "run"])
+def test_prior_below_floor_exits_one(tmp_path, command, capsys):
+    # Flooring this prior at 1e-12 would turn agent 0's evidence for theta0
+    # over theta1 negative while every check still called the roster fine.
+    doc = _w3_with_agent0(prior=[1 - 1e-13, 1e-13])
+    argv = [command, "--config", str(_write(tmp_path, doc))]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: agent 0: prior entries must lie in [1e-12, 1]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_main_leaves_no_parser_garbage(capsys):
+    argv = ["validate", "--config", str(W3_JSON)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 @pytest.mark.parametrize("command", ["rates", "compare"])

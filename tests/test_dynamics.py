@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd.classifier import BayesOracle, make_scope
+from myopic_crowd.classifier import make_scope, posterior_table
 from myopic_crowd.config import RULES
 from myopic_crowd.dynamics import (
     CLAMP_TOL,
@@ -22,15 +22,11 @@ from myopic_crowd.dynamics import (
     pool,
 )
 from myopic_crowd.errors import ScopeMismatch
-from myopic_crowd.network import (
-    AgentGraph,
-    complete_graph,
-    erdos_renyi_connected,
-    path_graph,
-)
+from myopic_crowd.network import AgentGraph, erdos_renyi_connected
 from myopic_crowd.world import build_world
 
 import oracles
+from oracles import complete_graph, path_graph
 from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE
 
 _WORLD = build_world(W3_CLASSES, W3_SYMBOLS, W3_ROWS, W3_TRUE)
@@ -79,7 +75,7 @@ def test_belief_state_requires_normalization():
     # Draws from theta0's row carry theta1 past the floor.
     rng = np.random.default_rng(5)
     symbols = (rng.random(1500) >= 0.8).astype(int)
-    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
+    posts = posterior_table(_WORLD, _SCOPE_A)[symbols]
     log_pi, clamped_pi = local_trajectory(_SCOPE_A, 3, posts)
     assert clamped_pi.any()
     pis = np.stack([log_pi, log_pi], axis=1)
@@ -123,7 +119,7 @@ def test_local_update_matches_linear_oracle_stepwise():
     agent = oracles.LinearAgent([0, 1], [0.5, 0.5], 3)
     rng = np.random.default_rng(17)
     symbols = (rng.random(50) >= 0.8).astype(int)
-    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
+    posts = posterior_table(_WORLD, _SCOPE_A)[symbols]
     pi = _local(_SCOPE_A, posts)
     for t, post in enumerate(posts, start=1):
         agent.local_step(list(post))
@@ -370,7 +366,7 @@ def test_lambda_zero_when_posterior_equals_prior():
 def test_rho_recursion_identity_short():
     rng = np.random.default_rng(23)
     symbols = (rng.random(300) >= 0.8).astype(int)
-    posts = BayesOracle(_WORLD, _SCOPE_A).per_symbol[symbols]
+    posts = posterior_table(_WORLD, _SCOPE_A)[symbols]
     for theta, star in ((1, 0), (0, 1)):
         rho, lam = _rho(_SCOPE_A, posts, theta, star)
         np.testing.assert_allclose(rho[1:] - rho[0], np.cumsum(lam), atol=1e-9)

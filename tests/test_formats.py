@@ -231,6 +231,34 @@ def test_artifacts_have_one_writer_per_format():
     assert offenders == []
 
 
+def test_posterior_tables_have_one_builder():
+    """``classifier.posterior_table`` is the one builder of posterior tables:
+    no module reaches into ``classifier``'s private names, and neither the
+    score engine nor the run engine handles the noise level γ itself."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith(
+                "classifier"
+            ):
+                offenders += [
+                    f"{path.name}:{node.lineno}: imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "classifier"
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: reads {node.attr}")
+        if path.name in ("scores.py", "sim.py") and "gamma" in text:
+            offenders.append(f"{path.name}: mentions gamma")
+    assert offenders == []
+
+
 def test_public_surface_is_explicit():
     import myopic_crowd
 

