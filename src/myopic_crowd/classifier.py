@@ -242,8 +242,8 @@ def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray
     """Parse a replay CSV into its header labels and {agent_id: matrix}.
 
     Each matrix is (rounds × labels) in header label order; cells outside an
-    agent's scope are NaN.  Use :func:`replay_source_from_csv` to project
-    onto a scope.
+    agent's scope are NaN.  Use :func:`replay_source` to project onto a
+    scope.
     """
     path = Path(path)
     per_agent: dict[int, dict[int, list[float]]] = {}
@@ -305,7 +305,12 @@ def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray
 
 def replay_source_from_csv(path, world: World, scope: AgentScope) -> ReplaySource:
     """Build one agent's replay source from a recorded CSV stream."""
-    labels, table = load_replay_csv(path, world)
+    return replay_source(path, *load_replay_csv(path, world), world, scope)
+
+
+def replay_source(path, labels, table, world: World, scope: AgentScope) -> ReplaySource:
+    """One agent's replay source, projected from a parsed replay file
+    (:func:`load_replay_csv`); ``path`` names the file in errors."""
     if scope.agent_id not in table:
         raise ParseError(f"replay file {path} has no rows for agent {scope.agent_id}")
     cols = []

@@ -19,19 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
-from .errors import ConfigError, InsufficientSamples, MyopicCrowdError
+from .errors import ConfigError, MyopicCrowdError
 from .formats import json_text
 from .network import is_connected
-from .scores import check_global_identifiability, score_report
+from .scores import score_report
 from .sim import (
-    MAX_RUN_BYTES,
     build_sources,
-    estimate_rejection_rate,
     first_identification,
+    rate_checks,
     run_batch,
     run_bytes,
     run_experiment,
-    summary,
+    run_problems,
+    theory,
     time_to_identification,
     write_outputs,
 )
@@ -215,42 +215,27 @@ def cmd_run(args) -> int:
 def cmd_rates(args) -> int:
     _check_seeds(args)
     config = _load(args)
-    if any(s.kind == "replay" for s in config.sources):
-        print(
-            "error: theory unavailable — replay sources have no analytical "
-            "scores",
-            file=sys.stderr,
-        )
-        return 1
-    report = score_report(config.world, config.scopes)
-    if not report.identifiable:
-        labels = config.world.classes.labels
-        pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in report.witness)
-        print(
-            f"error: theory unavailable — not globally identifiable; "
-            f"uncovered pairs: {pairs}",
-            file=sys.stderr,
-        )
-        return 1
     labels = config.world.classes.labels
-    star = config.world.true_class
-    rate_of = {theta: entry[0] for theta, entry in report.best_rate.items()}
+    report = theory(config)
+    if report is None:
+        raise ConfigError(
+            "theory unavailable — replay sources have no analytical scores"
+        )
+    if not report.identifiable:
+        pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in report.witness)
+        raise ConfigError(
+            "theory unavailable — not globally identifiable; "
+            f"uncovered pairs: {pairs}"
+        )
 
-    rows = []
+    rows = []  # (seed, agent, false class, slope, R, pass)
     for trajectory in run_batch(_seed_configs(config, args.seeds), [config.rule]):
-        for i in range(trajectory.n_agents):
-            for theta in range(trajectory.world.m):
-                if theta == star:
-                    continue
-                try:
-                    slope = estimate_rejection_rate(trajectory, i, theta)
-                except InsufficientSamples:
-                    slope = None
-                rows.append((i, theta, trajectory.config.seed, slope))
+        seed = trajectory.config.seed
+        rows += [(seed, *row) for row in rate_checks(trajectory, report.best_rate)]
         # Drop this seed's log before the next one is handed out.
         del trajectory
 
-    if all(slope is None for *_, slope in rows):
+    if all(slope is None for _, _, _, slope, _, _ in rows):
         print(
             "error: every (agent, class, seed) triple had too few usable "
             "samples; increase --horizon",
@@ -263,20 +248,19 @@ def cmd_rates(args) -> int:
         f"{args.seeds} seeds, horizon {config.horizon}"
     )
     n_pass = 0
-    by_pair: dict[tuple[int, int], list] = {}
-    for i, theta, _, slope in rows:
-        by_pair.setdefault((i, theta), []).append(slope)
-    for (i, theta), slopes in sorted(by_pair.items()):
-        r_theta = rate_of[theta]
-        good = [s for s in slopes if s is not None and s >= r_theta * (1 - RATE_SLACK)]
-        n_pass += len(good)
-        fitted = [s for s in slopes if s is not None]
+    by_pair: dict[tuple, list] = {}  # (agent, false class, R) -> checks
+    for _, i, theta, slope, r_theta, passed in rows:
+        by_pair.setdefault((i, theta, r_theta), []).append((slope, passed))
+    for (i, theta, r_theta), checks in sorted(by_pair.items()):
+        good = sum(passed is True for _, passed in checks)
+        n_pass += good
+        fitted = [slope for slope, _ in checks if slope is not None]
         mean_slope = float(np.mean(fitted)) if fitted else float("nan")
-        missing = len(slopes) - len(fitted)
+        missing = len(checks) - len(fitted)
         note = f" ({missing} insufficient)" if missing else ""
         print(
             f"  agent {i}, {labels[theta]}: R = {r_theta:.6f}, "
-            f"mean slope = {mean_slope:.6f}, pass {len(good)}/{len(slopes)}{note}"
+            f"mean slope = {mean_slope:.6f}, pass {good}/{len(checks)}{note}"
         )
     fraction = n_pass / len(rows)
     print(f"overall: {n_pass}/{len(rows)} triples pass ({fraction:.1%})")
@@ -295,9 +279,9 @@ def cmd_rates(args) -> int:
                     "theta": labels[theta],
                     "seed": seed,
                     "slope": slope,
-                    "R": rate_of[theta],
+                    "R": r_theta,
                 }
-                for i, theta, seed, slope in rows
+                for seed, i, theta, slope, r_theta, _ in rows
             ],
         }
         (out / "rates.json").write_text(json_text(doc) + "\n")
@@ -397,31 +381,18 @@ def cmd_validate(args) -> int:
         f"rule={config.rule} horizon={config.horizon} seed={config.seed} "
         f"observation_mode={config.observation_mode} local_only={config.local_only}"
     )
-    # Resolvability of replay streams is part of validity; semantic
-    # run-blockers below are warnings only.
+    # Resolvability of replay streams is part of validity; what would stop
+    # run/rates/compare is a warning only, worded as they word the error.
     sources = build_sources(config)
-    for scope, spec, source in zip(config.scopes, config.sources, sources):
-        if spec.kind == "replay" and source.length < config.horizon:
-            print(
-                f"warning: agent {scope.agent_id} replay stream has "
-                f"{source.length} rounds for horizon {config.horizon}; "
-                "run will fail"
-            )
-    if not is_connected(config.graph):
-        print("warning: graph is disconnected; run/rates/compare will refuse it")
-    needed = run_bytes(config)
-    print(f"memory: about {needed / 1e6:.4g} MB per run")
-    if needed > MAX_RUN_BYTES:
-        print(
-            f"warning: above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB per run; "
-            "run/rates/compare will refuse it"
-        )
-    if all(s.kind != "replay" for s in config.sources):
-        ok, witness = check_global_identifiability(world, config.scopes)
-        if ok:
+    print(f"memory: about {run_bytes(config) / 1e6:.4g} MB per run")
+    for problem in run_problems(config, sources):
+        print(f"warning: {problem}")
+    report = theory(config)
+    if report is not None:
+        if report.identifiable:
             print("global identifiability: yes")
         else:
-            pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in witness)
+            pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in report.witness)
             print(f"warning: not globally identifiable; uncovered pairs: {pairs}")
     print("config is valid")
     return 0

@@ -67,9 +67,9 @@ def spawn_streams(seed: int, n_agents: int):
     return graph_rng, shared_rng, agent_rngs
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Fully resolved experiment setup."""
+    """Fully resolved experiment setup, checked once whenever one is made."""
 
     world: World
     scopes: list[AgentScope]
@@ -86,6 +86,9 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
     overrides: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def n_agents(self) -> int:
@@ -381,7 +384,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
 
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
 
-    config = ExperimentConfig(
+    return ExperimentConfig(
         world=world,
         scopes=scopes,
         sources=sources,
@@ -400,8 +403,6 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         base_dir=base_dir,
         overrides=overrides,
     )
-    config.validate()
-    return config
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

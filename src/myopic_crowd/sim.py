@@ -10,13 +10,15 @@ The recursion itself, its floor rule and pooling live in
 :mod:`~myopic_crowd.dynamics`; this module checks a run, draws its
 observations, turns them into posteriors, batches runs, and computes
 metrics and output files.  Rate estimation uses only samples the engine did
-not flag as clamped at the floor.
+not flag as clamped at the floor.  What stops a run (:func:`run_problems`),
+whether a roster has theory (:func:`theory`) and whether a fitted slope
+meets its rate (:func:`rate_checks`) are decided here, and only here.
 
-Everything before the pooling loop (validation, connectivity and
-identifiability checks, sources, observation draws, posteriors, local
-trajectories) does not depend on the rule, so :func:`run_batch` prepares it
-once and pools it under several rules; that is how ``compare`` evaluates
-min, avg and max on the same draws (common random numbers).
+Everything before the pooling loop (sources, checks, observation draws,
+posteriors, local trajectories) does not depend on the rule, so
+:func:`run_batch` prepares it once and pools it under several rules; that
+is how ``compare`` evaluates min, avg and max on the same draws (common
+random numbers).
 
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
@@ -43,7 +45,8 @@ from . import __version__
 from .classifier import (
     BayesOracle,
     ReplaySource,
-    replay_source_from_csv,
+    load_replay_csv,
+    replay_source,
     write_replay_csv,
 )
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
@@ -53,11 +56,12 @@ from .errors import (
     DisconnectedGraph,
     IdentifiabilityViolated,
     InsufficientSamples,
+    MyopicCrowdError,
     ReplayExhausted,
 )
 from .formats import csv_cell, json_text
 from .network import is_connected
-from .scores import check_global_identifiability, score_report
+from .scores import ScoreReport, check_global_identifiability, score_report
 
 logger = logging.getLogger(__name__)
 
@@ -72,7 +76,7 @@ MIN_RATE_SAMPLES = 10
 BATCH_BYTES = 2 * 2**20
 
 #: Cap on the estimated bytes of one run (:func:`run_bytes`); a larger run
-#: is refused with a ``ConfigError`` before anything is drawn.
+#: is refused (:func:`run_problems`) before anything is drawn.
 MAX_RUN_BYTES = 2**30
 
 
@@ -118,13 +122,19 @@ class TrajectoryLog:
 
 def build_sources(config: ExperimentConfig) -> list:
     """Each agent's posterior source, in agent order: its posterior table,
-    or its replay stream, read from its file here."""
-    return [
-        replay_source_from_csv(spec.replay_path, config.world, scope)
-        if spec.kind == "replay"
-        else BayesOracle(config.world, scope)
-        for scope, spec in zip(config.scopes, config.sources)
-    ]
+    or its replay stream.  Each replay file is read once per call; agents
+    that share a file take their rows from that one parse."""
+    parsed: dict[str, tuple] = {}
+    sources = []
+    for scope, spec in zip(config.scopes, config.sources):
+        if spec.kind != "replay":
+            sources.append(BayesOracle(config.world, scope))
+            continue
+        path = spec.replay_path
+        if path not in parsed:
+            parsed[path] = load_replay_csv(path, config.world)
+        sources.append(replay_source(path, *parsed[path], config.world, scope))
+    return sources
 
 
 def _draw_observations(config: ExperimentConfig) -> np.ndarray:
@@ -146,13 +156,8 @@ def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
     recorded vector)."""
     t_max = config.horizon
     series = []
-    for i, (scope, source) in enumerate(zip(config.scopes, sources)):
+    for i, source in enumerate(sources):
         if isinstance(source, ReplaySource):
-            if source.length < t_max:
-                raise ReplayExhausted(
-                    f"agent {scope.agent_id}: replay stream has "
-                    f"{source.length} rounds, horizon is {t_max}"
-                )
             series.append(np.array(source.vectors[:t_max]))
         else:
             series.append(source.per_symbol[obs[:, i]])
@@ -173,16 +178,23 @@ def run_bytes(config: ExperimentConfig) -> int:
     return draws_and_posteriors + _belief_bytes(config)
 
 
-def _prepare(config: ExperimentConfig):
-    """Checks, observation draws and posteriors of one run."""
+def run_problems(config: ExperimentConfig, sources) -> list[MyopicCrowdError]:
+    """Every reason a run of ``config`` with these sources is refused, in
+    check order: the memory cap, a disconnected graph, an identifiability
+    gap (when enforced), replay streams shorter than the horizon."""
+    return list(_problems(config, sources))
+
+
+def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
     needed = run_bytes(config)
     if needed > MAX_RUN_BYTES:
-        raise ConfigError(
-            f"a run of {config.horizon} rounds needs about {needed / 1e6:.4g} MB, "
-            f"above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB; lower the horizon"
+        yield ConfigError(
+            f"above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB: a run of "
+            f"{config.horizon} rounds needs about {needed / 1e6:.4g} MB; "
+            "lower the horizon"
         )
     if not is_connected(config.graph):
-        raise DisconnectedGraph(
+        yield DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
         )
     if config.enforce_identifiability:
@@ -190,11 +202,24 @@ def _prepare(config: ExperimentConfig):
         if not ok:
             labels = config.world.classes.labels
             pairs = [(labels[p], labels[q]) for p, q in witness]
-            raise IdentifiabilityViolated(
+            yield IdentifiabilityViolated(
                 f"no agent separates class pairs {pairs}; add agents or "
                 "disable enforce_identifiability"
             )
+    for scope, source in zip(config.scopes, sources):
+        if isinstance(source, ReplaySource) and source.length < config.horizon:
+            yield ReplayExhausted(
+                f"agent {scope.agent_id}: replay stream has "
+                f"{source.length} rounds, horizon is {config.horizon}"
+            )
+
+
+def _prepare(config: ExperimentConfig):
+    """Sources, checks, observation draws and posteriors of one run; raises
+    the first of its :func:`run_problems` without making the later checks."""
     sources = build_sources(config)
+    for problem in _problems(config, sources):
+        raise problem
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
     return obs, posts
@@ -224,10 +249,6 @@ def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
         yield batch
 
 
-def _with_rule(config: ExperimentConfig, rule: str) -> ExperimentConfig:
-    return replace(config, rule=rule, overrides={**config.overrides, "rule": rule})
-
-
 def run_batch(
     configs: Iterable[ExperimentConfig], rules: Iterable[str]
 ) -> Iterator[TrajectoryLog]:
@@ -250,10 +271,11 @@ def run_batch(
     rules = tuple(rules)
     for batch in _batches(configs):
         started = time.perf_counter()
-        for config in batch:
-            config.validate()
-            for rule in rules:
-                _with_rule(config, rule).validate()
+        # Each run's config under each rule, checked before any draw.
+        variants = [
+            [replace(c, rule=r, overrides={**c.overrides, "rule": r}) for c in batch]
+            for r in rules
+        ]
         ends = list(accumulate(config.n_agents for config in batch))
         spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
         t_max, m = batch[0].horizon, batch[0].world.m
@@ -274,16 +296,16 @@ def run_batch(
                 for nbrs in config.graph.neighborhoods
             ]
         )
-        for rule in rules:
+        for rule, rule_configs in zip(rules, variants):
             if batch[0].local_only:
                 log_mu, clamped_mu = log_pi.copy(), clamped_pi.copy()
             else:
                 log_mu, clamped_mu = global_trajectory(
                     rule, log_pi, clamped_pi, hood
                 )
-            for config, span, (obs, posts) in zip(batch, spans, prepared):
+            for config, span, (obs, posts) in zip(rule_configs, spans, prepared):
                 yield TrajectoryLog(
-                    config=_with_rule(config, rule),
+                    config=config,
                     log_pi=log_pi[:, span],
                     log_mu=log_mu[:, span],
                     clamped_pi=clamped_pi[:, span],
@@ -364,55 +386,53 @@ def first_identification(log: TrajectoryLog, agent: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def theory(config: ExperimentConfig) -> ScoreReport | None:
+    """The roster's score report, or None when any agent replays a recorded
+    stream: a replayed classifier has no posterior table to score."""
+    if any(spec.kind == "replay" for spec in config.sources):
+        return None
+    return score_report(config.world, config.scopes)
+
+
+def rate_checks(log: TrajectoryLog, best_rate: dict) -> list[tuple]:
+    """(agent, false class, slope, R, pass) rows: the fitted slope (None if
+    too few samples are usable), R(θ) from ``best_rate`` (a score report's;
+    empty without theory), and slope >= (1 − RATE_SLACK)·R (None if either
+    is missing)."""
+    star = log.world.true_class
+    rows = []
+    for i in range(log.n_agents):
+        for theta in range(log.world.m):
+            if theta == star:
+                continue
+            try:
+                slope = estimate_rejection_rate(log, i, theta)
+            except InsufficientSamples:
+                slope = None
+            entry = best_rate.get(theta)
+            r_theta = None if entry is None else entry[0]
+            known = slope is not None and r_theta is not None
+            passed = bool(slope >= r_theta * (1.0 - RATE_SLACK)) if known else None
+            rows.append((i, theta, slope, r_theta, passed))
+    return rows
+
+
 def summary(log: TrajectoryLog) -> dict:
     """JSON-ready digest: identification times, fitted slopes, theory bounds."""
     config = log.config
     labels = config.world.classes.labels
     star = config.world.true_class
-    theory_available = all(s.kind != "replay" for s in config.sources)
+    report = theory(config)
 
-    theory = None
-    if theory_available:
-        report = score_report(config.world, config.scopes)
-        theory = {
-            "identifiable": report.identifiable,
-            "witness": [[labels[p], labels[q]] for p, q in report.witness],
-            "best_rate": {
-                labels[t]: (
-                    None
-                    if entry is None
-                    else {"R": entry[0], "agent": entry[1]}
-                )
-                for t, entry in sorted(report.best_rate.items())
-            },
+    rates: dict[str, dict] = {str(i): {} for i in range(config.n_agents)}
+    best_rate = {} if report is None else report.best_rate
+    for i, theta, slope, r_theta, passed in rate_checks(log, best_rate):
+        rates[str(i)][labels[theta]] = {
+            "slope": slope,
+            "insufficient": slope is None,
+            "R": r_theta,
+            "pass": passed,
         }
-
-    rates: dict[str, dict] = {}
-    for i in range(config.n_agents):
-        per_agent: dict[str, dict] = {}
-        for theta in range(config.world.m):
-            if theta == star:
-                continue
-            try:
-                slope = estimate_rejection_rate(log, i, theta)
-                insufficient = False
-            except InsufficientSamples:
-                slope = None
-                insufficient = True
-            r_theta = None
-            if theory is not None:
-                entry = theory["best_rate"][labels[theta]]
-                r_theta = None if entry is None else entry["R"]
-            passed = None
-            if slope is not None and r_theta is not None:
-                passed = bool(slope >= r_theta * (1.0 - RATE_SLACK))
-            per_agent[labels[theta]] = {
-                "slope": slope,
-                "insufficient": insufficient,
-                "R": r_theta,
-                "pass": passed,
-            }
-        rates[str(i)] = per_agent
 
     return {
         "rule": config.rule,
@@ -433,7 +453,14 @@ def summary(log: TrajectoryLog) -> dict:
             str(i): float(np.exp(log.log_mu[-1, i, star]))
             for i in range(config.n_agents)
         },
-        "theory": theory,
+        "theory": None if report is None else {
+            "identifiable": report.identifiable,
+            "witness": [[labels[p], labels[q]] for p, q in report.witness],
+            "best_rate": {
+                labels[t]: None if entry is None else {"R": entry[0], "agent": entry[1]}
+                for t, entry in sorted(report.best_rate.items())
+            },
+        },
         "rates": rates,
     }
 
@@ -482,16 +509,9 @@ def write_trajectories_csv(
             f.write("".join(map(row, heads, *cells)))
 
 
-def write_outputs(
-    log: TrajectoryLog,
-    out_dir,
-    *,
-    trajectories_name: str = "trajectories.csv",
-    summary_name: str = "summary.json",
-    posteriors_name: str = "posteriors.csv",
-    manifest_name: str = "manifest.json",
-) -> dict[str, Path]:
-    """Write the four artifacts of a run; returns their paths.
+def write_outputs(log: TrajectoryLog, out_dir) -> dict[str, Path]:
+    """Write a run's ``trajectories.csv``, ``summary.json``,
+    ``posteriors.csv`` and ``manifest.json``; returns their paths.
 
     Rewriting the same log always produces byte-identical files.
     """
@@ -499,18 +519,18 @@ def write_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     config = log.config
 
-    traj_path = out_dir / trajectories_name
+    traj_path = out_dir / "trajectories.csv"
     write_trajectories_csv(
         traj_path, config.world.classes.labels, log.log_pi, log.log_mu
     )
 
-    summary_path = out_dir / summary_name
+    summary_path = out_dir / "summary.json"
     summary_path.write_text(json_text(summary(log)) + "\n")
 
-    posteriors_path = out_dir / posteriors_name
+    posteriors_path = out_dir / "posteriors.csv"
     write_replay_csv(posteriors_path, config.world, config.scopes, log.posteriors)
 
-    manifest_path = out_dir / manifest_name
+    manifest_path = out_dir / "manifest.json"
     manifest = {"package_version": __version__, "config": config.to_dict()}
     manifest_path.write_text(json_text(manifest) + "\n")
 

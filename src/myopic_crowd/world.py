@@ -179,16 +179,17 @@ def world_to_dict(world: World) -> dict:
     }
 
 
+def _numeric(v, depth: int) -> bool:
+    """``v`` is a number, or JSON lists nested ``depth`` deep of numbers."""
+    if depth == 0:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, list) and all(_numeric(x, depth - 1) for x in v)
+
+
 def json_numbers(key: str, value, ndim: int) -> np.ndarray:
     """``value`` as a float array: JSON lists nested ``ndim`` deep, of equal
     lengths at each depth, holding numbers (never bools or strings)."""
-
-    def numeric(v, depth: int) -> bool:
-        if depth == 0:
-            return isinstance(v, (int, float)) and not isinstance(v, bool)
-        return isinstance(v, list) and all(numeric(x, depth - 1) for x in v)
-
-    if not numeric(value, ndim) or (ndim == 2 and len({len(r) for r in value}) > 1):
+    if not _numeric(value, ndim) or (ndim == 2 and len({len(r) for r in value}) > 1):
         shape = "a list" if ndim == 1 else "a list of equal-length lists"
         raise ConfigError(f"{key} must be {shape} of numbers")
     return np.array(value, dtype=float)

@@ -11,12 +11,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from myopic_crowd import sim
+from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import load_config
 
@@ -90,6 +92,102 @@ def test_validate_warns_on_identifiability_gap(tmp_path, capsys):
     assert rc == 0
     assert "not globally identifiable" in out
     assert "(theta0, theta2)" in out
+
+
+def _short_replay(tmp_path, doc):
+    """``doc`` with agent 0 replaying a 5-round stream."""
+    stream = tmp_path / "short.csv"
+    world = load_config(W3_JSON).world
+    scope = make_scope(world, 0, ["theta0", "theta1"])
+    write_replay_csv(stream, world, [scope], [np.tile([0.8, 0.2], (5, 1))])
+    doc["agents"][0]["prior"] = [0.5, 0.5]
+    doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
+    return doc
+
+
+def _cap(tmp_path, doc):
+    doc["horizon"] = 10**15
+    return doc
+
+
+def _disconnected(tmp_path, doc):
+    doc["graph"] = {"type": "edges", "n": 3, "edges": [[0, 1]]}
+    return doc
+
+
+def _gap(tmp_path, doc):
+    doc["agents"] = doc["agents"][:2]
+    doc["graph"] = {"type": "edges", "n": 2, "edges": [[0, 1]]}
+    return doc
+
+
+def _validate_and_run(tmp_path, capsys, path):
+    """validate's stdout lines, and run's exit code and stderr lines."""
+    assert main(["validate", "--config", str(path)]) == 0
+    warnings = capsys.readouterr().out.splitlines()
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    return warnings, rc, capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    ("problem", "first_words"),
+    [
+        (_cap, "above the cap of 1074 MB: a run of 1000000000000000 rounds"),
+        (_disconnected, "the experiment graph must be connected"),
+        (_gap, "no agent separates class pairs [('theta0', 'theta2')]"),
+        (_short_replay, "agent 0: replay stream has 5 rounds, horizon is 10"),
+    ],
+)
+def test_validate_warns_with_the_error_run_prints(
+    problem, first_words, tmp_path, capsys
+):
+    doc = problem(tmp_path, w3_doc(horizon=10))
+    out, rc, err = _validate_and_run(tmp_path, capsys, _write(tmp_path, doc))
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {first_words}")
+    assert "warning: " + err[0].removeprefix("error: ") in out
+    assert out[-1] == "config is valid"
+
+
+def test_validate_warns_on_a_replay_roster_run_refuses(tmp_path, capsys):
+    # Recorded without enforcement from a roster that leaves (theta0,
+    # theta2) uncovered, then replayed under it: run refuses the roster
+    # and validate must say so, although a replay roster has no theory.
+    doc = w3_doc(horizon=50, enforce_identifiability=False)
+    doc["agents"][2]["classes"] = list(doc["agents"][1]["classes"])
+    rec = tmp_path / "rec"
+    assert main(
+        ["run", "--config", str(_write(tmp_path, doc)), "--out", str(rec)]
+    ) == 0
+    capsys.readouterr()
+    del doc["enforce_identifiability"]
+    for agent in doc["agents"]:
+        agent["prior"] = [0.5, 0.5]
+        agent["source"] = {"kind": "replay", "path": str(rec / "posteriors.csv")}
+    out, rc, err = _validate_and_run(tmp_path, capsys, _write(tmp_path, doc))
+    assert rc == 1
+    assert err == [
+        "error: no agent separates class pairs [('theta0', 'theta2')]; add "
+        "agents or disable enforce_identifiability"
+    ]
+    assert "warning: " + err[0].removeprefix("error: ") in out
+    assert "global identifiability: yes" not in out
+
+
+def test_validate_and_scores_leave_no_cyclic_garbage(capsys):
+    for command in ("validate", "scores"):
+        argv = [command, "--config", str(W3_JSON)]
+        main(argv)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            main(argv)
+            gc.collect()
+            leaked = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == [], command
 
 
 def test_missing_config_file(tmp_path, capsys):
