@@ -65,12 +65,7 @@ from .scores import (
 from .dynamics import (
     CLAMP_TOL,
     LOG_FLOOR,
-    Hood,
-    global_trajectory,
     local_trajectory,
-    neighborhood_csr,
-    norm_rows,
-    pool,
 )
 from .network import (
     AgentGraph,
@@ -152,12 +147,7 @@ __all__ = [
     # dynamics
     "CLAMP_TOL",
     "LOG_FLOOR",
-    "Hood",
-    "global_trajectory",
     "local_trajectory",
-    "neighborhood_csr",
-    "norm_rows",
-    "pool",
     # network
     "AgentGraph",
     "erdos_renyi_connected",

@@ -26,6 +26,7 @@ from .scores import score_report
 from .sim import (
     build_sources,
     first_identification,
+    gap_text,
     rate_checks,
     run_batch,
     run_bytes,
@@ -222,10 +223,8 @@ def cmd_rates(args) -> int:
             "theory unavailable — replay sources have no analytical scores"
         )
     if not report.identifiable:
-        pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in report.witness)
         raise ConfigError(
-            "theory unavailable — not globally identifiable; "
-            f"uncovered pairs: {pairs}"
+            f"theory unavailable — {gap_text(config, report.witness)}"
         )
 
     rows = []  # (seed, agent, false class, slope, R, pass)
@@ -388,12 +387,11 @@ def cmd_validate(args) -> int:
     for problem in run_problems(config, sources):
         print(f"warning: {problem}")
     report = theory(config)
-    if report is not None:
-        if report.identifiable:
-            print("global identifiability: yes")
-        else:
-            pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in report.witness)
-            print(f"warning: not globally identifiable; uncovered pairs: {pairs}")
+    if report is not None and report.identifiable:
+        print("global identifiability: yes")
+    elif report is not None and not config.enforce_identifiability:
+        # Enforced, the gap is among the problems; else rates lacks theory.
+        print(f"warning: {gap_text(config, report.witness)}")
     print("config is valid")
     return 0
 

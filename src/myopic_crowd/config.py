@@ -277,10 +277,6 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
             "graph must be a file path or an object of type "
             "'file', 'edges', or 'erdos_renyi'"
         )
-    if graph.n != n_agents:
-        raise ConfigError(
-            f"graph has {graph.n} vertices but the config lists {n_agents} agents"
-        )
     return graph
 
 

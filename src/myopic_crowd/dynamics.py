@@ -9,9 +9,9 @@ using an elementwise min (or the avg/max baselines) and normalize.
 :func:`local_trajectory` evaluates the local recursion for a whole posterior
 stream in closed form: the normalization constant cancels between rounds,
 so the unnormalized log-belief after t rounds is the uniform start plus the
-cumulative log posterior/prior ratio.  :func:`pool` reduces every agent's
-neighborhood at once from a CSR layout (:func:`neighborhood_csr`) in
-O((n + |E|) * m) work, and :func:`global_trajectory` runs it round by round.
+cumulative log posterior/prior ratio.  The global recursion reads the
+previous round, so :func:`global_trajectory` loops over rounds, pooling
+every agent at once from the layouts of :func:`neighborhood_csr`.
 
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
@@ -43,19 +43,22 @@ LOG_FLOOR = math.log(1e-300)
 CLAMP_TOL = 1e-9
 
 
-def norm_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row in log-domain; clamp and flag floor hits.
 
     Once a belief is pinned at the floor it keeps re-normalizing to within
     rounding of the floor round after round; those samples carry no slope
     information, so anything at or below LOG_FLOOR + CLAMP_TOL is snapped to
-    the floor and flagged.
+    the floor and flagged.  The result goes to ``out`` and ``clamped``
+    (float and bool arrays of x's shape, neither of them ``x``) when given.
     """
     hi = x.max(axis=-1, keepdims=True)
-    lse = hi + np.log(np.exp(x - hi).sum(axis=-1, keepdims=True))
-    out = x - lse
-    clamped = out <= LOG_FLOOR + CLAMP_TOL
-    return np.where(clamped, LOG_FLOOR, out), clamped
+    out = np.exp(np.subtract(x, hi, out=out), out=out)
+    lse = np.log(out.sum(axis=-1, keepdims=True)) + hi
+    np.subtract(x, lse, out=out)
+    clamped = np.less_equal(out, LOG_FLOOR + CLAMP_TOL, out=clamped)
+    np.copyto(out, LOG_FLOOR, where=clamped)
+    return out, clamped
 
 
 def local_trajectory(
@@ -80,7 +83,6 @@ def local_trajectory(
     v[0] = start
     cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
     in_part = start + cum
-    v[1:, :] = -np.inf
     v[1:, idx] = in_part
     if idx.size < m:
         fill = in_part.max(axis=1)
@@ -91,76 +93,54 @@ def local_trajectory(
 
 
 class Hood(NamedTuple):
-    """Inclusive neighborhoods in CSR form, the layout :func:`pool` reads.
+    """Inclusive neighborhoods of n agents, laid out for a pooling round.
 
-    Rows index the stacked input ``[prev_mu; own_pi]``: segment i starts at
-    ``starts[i]`` in ``index`` and lists agent i's inclusive neighborhood
-    (rows of ``prev_mu``) followed by agent i's own local belief, row
-    ``i - n`` from the end of the stack for n segments.  ``owner`` maps each
-    entry of ``index`` to its segment and ``log_size`` is the (n, 1) log of
-    segment lengths.
+    Entries are rows of the stacked input ``[prev_mu; own_pi; identity]``:
+    row j < n is agent j's previous global belief, row n + i agent i's local
+    belief, row 2n the identity of min or max.  Segment i, agent i's
+    inclusive neighborhood then row n + i, starts at ``starts[i]`` in the
+    CSR ``index``; ``owner`` maps entries to segments, ``log_size`` is the
+    (n, 1) log of segment lengths.  ``padded`` is the degree-major (D, n)
+    form, segment i down column i over row 2n, so one reduction over axis 0
+    pools every agent; it is None past twice the CSR entries (a hub).
     """
 
     index: np.ndarray
     starts: np.ndarray
     owner: np.ndarray
     log_size: np.ndarray
+    padded: np.ndarray | None
 
 
 def neighborhood_csr(neighborhoods: Sequence[Sequence[int]]) -> Hood:
-    """CSR layout of a graph's inclusive neighborhoods; build once per graph."""
+    """Both layouts of a graph's inclusive neighborhoods; build once per graph."""
     n = len(neighborhoods)
-    segments = [[*hood, i - n] for i, hood in enumerate(neighborhoods)]
-    sizes = np.array([len(seg) for seg in segments])
+    segments = [[*hood, n + i] for i, hood in enumerate(neighborhoods)]
+    sizes = [len(seg) for seg in segments]
+    index = np.array([j for seg in segments for j in seg], dtype=np.intp)
+    padded = None
+    if max(sizes, default=0) * n <= 2 * index.size:
+        padded = np.full((max(sizes, default=0), n), 2 * n, dtype=np.intp)
+        for i, seg in enumerate(segments):
+            padded[: len(seg), i] = seg
     return Hood(
-        index=np.array([j for seg in segments for j in seg], dtype=np.intp),
+        index=index,
         starts=np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp),
         owner=np.repeat(np.arange(n), sizes),
         log_size=np.log(sizes)[:, None],
+        padded=padded,
     )
 
 
-def pool(
-    rule: str,
-    prev_mu: np.ndarray,
-    prev_flags: np.ndarray,
-    own_pi: np.ndarray,
-    own_flags: np.ndarray,
-    hood: Hood,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pool every segment of ``hood`` under ``rule``, before normalization.
-
-    ``prev_mu``/``prev_flags`` are the previous global log-beliefs and their
-    clamp flags, ``own_pi``/``own_flags`` the fresh local ones, each of
-    shape (rows, m).  Returns the unnormalized pooled log-beliefs and the
-    propagated clamp flags, one row per segment.  The min rule keeps a class
-    only as far as nobody has rejected it; avg (mean of linear
-    probabilities) and max are baselines.
-    """
-    starts = hood.starts
-    vals = np.concatenate((prev_mu, own_pi)).take(hood.index, axis=0)
-    flags = np.concatenate((prev_flags, own_flags)).take(hood.index, axis=0)
-    # Clamp flags propagate: a pooled value is a floor artifact when the
-    # input that determined it was itself pinned at the floor, even though
-    # normalization can lift the output above LOG_FLOOR.
-    if rule == "min":
-        pooled = np.minimum.reduceat(vals, starts, axis=0)
-        flagged = np.minimum.reduceat(np.where(flags, vals, np.inf), starts, axis=0)
-        return pooled, flagged <= pooled
-    if rule == "max":
-        pooled = np.maximum.reduceat(vals, starts, axis=0)
-        flagged = np.maximum.reduceat(np.where(flags, vals, -np.inf), starts, axis=0)
-        return pooled, flagged >= pooled
-    if rule == "avg":
-        hi = np.maximum.reduceat(vals, starts, axis=0)
-        total = np.add.reduceat(
-            np.exp(vals - hi.take(hood.owner, axis=0)), starts, axis=0
-        )
-        pooled = hi + np.log(total) - hood.log_size
-        # A floored input is negligible inside a mean; the output is an
-        # artifact only when every input is floored.
-        return pooled, np.logical_and.reduceat(flags, starts, axis=0)
-    raise ValueError(f"unknown pooling rule {rule!r}")
+def _extremes(ufunc, rows: np.ndarray, hood: Hood, entries, out) -> None:
+    """``ufunc`` (minimum or maximum) of ``rows`` over each segment, gathered
+    into ``entries``; mode "clip" (every index is valid) skips a copy."""
+    if hood.padded is None:
+        rows.take(hood.index, 0, entries, "clip")
+        ufunc.reduceat(entries, hood.starts, axis=0, out=out)
+    else:
+        rows.take(hood.padded, 0, entries, "clip")
+        ufunc.reduce(entries, axis=0, out=out)
 
 
 def global_trajectory(
@@ -170,20 +150,64 @@ def global_trajectory(
 
     ``log_pi``/``clamped_pi`` are the (T+1, n, m) local trajectories of the
     agents ``hood`` was built for.  Round 0 is uniform; each later round
-    pools the previous round's global beliefs with the current local ones.
+    pools every agent's inclusive neighborhood of previous global beliefs
+    with its current local belief, then normalizes.  The min rule keeps a
+    class only as far as nobody has rejected it; avg (mean of linear
+    probabilities) and max are baselines.  At a few agents per run a round
+    costs numpy call overhead, so rounds write into buffers made once.
     """
+    if rule not in ("min", "avg", "max"):
+        raise ValueError(f"unknown pooling rule {rule!r}")
+    rounds, n, m = log_pi.shape
     log_mu = np.empty_like(log_pi)
     clamped_mu = np.zeros_like(clamped_pi)
-    log_mu[0] = -math.log(log_pi.shape[-1])
-    for t in range(1, log_pi.shape[0]):
-        pooled, propagated = pool(
-            rule,
-            log_mu[t - 1],
-            clamped_mu[t - 1],
-            log_pi[t],
-            clamped_pi[t],
-            hood,
-        )
-        log_mu[t], floor_hits = norm_rows(pooled)
-        clamped_mu[t] = floor_hits | propagated
+    log_mu[0] = -math.log(m)
+    stack = np.empty((2 * n + 1, m))
+    no_flags = np.zeros((1, m), dtype=bool)  # the identity row's
+    pooled = np.empty((n, m))
+    propagated = np.empty((n, m), dtype=bool)
+    if rule == "avg":
+        entries = np.empty((hood.index.size, m))
+        spread = np.empty_like(entries)
+        hi = np.empty((n, m))
+    else:
+        ufunc = np.minimum if rule == "min" else np.maximum
+        identity = stack[-1] = np.inf if rule == "min" else -np.inf
+        layout = hood.index if hood.padded is None else hood.padded
+        entries = np.empty((*layout.shape, m))
+        flagged = np.empty((n, m))
+    # Flag work is skipped while no input is flagged, as it would flag
+    # nothing; after the first global flag it runs every round.
+    pi_flagged = clamped_pi.any(axis=(1, 2)).tolist()
+    mu_flagged = False
+    for t in range(1, rounds):
+        stack[:n] = log_mu[t - 1]
+        stack[n:-1] = log_pi[t]
+        any_flag = mu_flagged or pi_flagged[t]
+        if any_flag:
+            flags = np.concatenate((clamped_mu[t - 1], clamped_pi[t], no_flags))
+        if rule == "avg":
+            stack.take(hood.index, 0, entries, "clip")
+            np.maximum.reduceat(entries, hood.starts, axis=0, out=hi)
+            hi.take(hood.owner, 0, spread, "clip")
+            np.exp(np.subtract(entries, spread, out=spread), out=spread)
+            np.add.reduceat(spread, hood.starts, axis=0, out=pooled)
+            np.add(hi, np.log(pooled, out=pooled), out=pooled)
+            np.subtract(pooled, hood.log_size, out=pooled)
+            if any_flag:
+                # A floored input is negligible inside a mean; the output
+                # is an artifact only when every input is floored.
+                np.logical_and.reduceat(flags[hood.index], hood.starts, out=propagated)
+        else:
+            _extremes(ufunc, stack, hood, entries, pooled)
+            if any_flag:
+                # A pooled value a flagged input attains is a floor artifact,
+                # even where normalization lifts it above LOG_FLOOR.
+                masked = np.where(flags, stack, identity)
+                _extremes(ufunc, masked, hood, entries, flagged)
+                np.equal(flagged, pooled, out=propagated)
+        norm_rows(pooled, log_mu[t], clamped_mu[t])
+        if any_flag:
+            clamped_mu[t] |= propagated
+        mu_flagged = mu_flagged or clamped_mu[t].any()
     return log_mu, clamped_mu

@@ -22,11 +22,10 @@ random numbers).
 
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
-one network, the disjoint union of their graphs, in one loop over rounds.
-Each agent's pooled row reads only its own run's rows, so results are
-bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps a
-batch's belief arrays; a run larger than the cap pools alone.
-:func:`run_experiment` is the one-config, one-rule case.
+one network, the disjoint union of their graphs, in one loop over rounds,
+bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps the sum
+of a batch's :func:`run_bytes`, everything the batch holds: ten 3-agent,
+3-class runs at T = 3000.  :func:`run_experiment` is the one-run case.
 """
 
 from __future__ import annotations
@@ -68,12 +67,13 @@ logger = logging.getLogger(__name__)
 #: Minimum number of unclamped samples required to fit a rejection rate.
 MIN_RATE_SAMPLES = 10
 
-#: Cap on the bytes of one batch's belief arrays (``log_pi``, ``log_mu`` and
-#: their clamp flags, 18 bytes per round, agent and class).  A w3 run at
-#: T=3000 takes 0.49 MB, so four such seeds pool together; a run larger than
-#: the cap pools alone.  Raising it trades peak memory for fewer Python-level
-#: pooling loops.
-BATCH_BYTES = 2 * 2**20
+#: Cap on the summed :func:`run_bytes` of one batch: its draws, posteriors
+#: and belief arrays, all held until the batch's last log is consumed.  A w3
+#: run at T=3000 takes 0.70 MB, so ten such seeds pool together; a run
+#: larger than the cap pools alone.  On the ``sweep-w3`` bench, ten-seed
+#: batches raised peak RSS by 3.5 MB (+7%, 47.6 to 51.2 MB) over the former
+#: four-seed ones.
+BATCH_BYTES = 7 * 2**20
 
 #: Cap on the estimated bytes of one run (:func:`run_bytes`); a larger run
 #: is refused (:func:`run_problems`) before anything is drawn.
@@ -112,12 +112,6 @@ class TrajectoryLog:
     @property
     def n_agents(self) -> int:
         return self.config.n_agents
-
-    def pi(self) -> np.ndarray:
-        return np.exp(self.log_pi)
-
-    def mu(self) -> np.ndarray:
-        return np.exp(self.log_mu)
 
 
 def build_sources(config: ExperimentConfig) -> list:
@@ -164,18 +158,14 @@ def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
     return series
 
 
-def _belief_bytes(config: ExperimentConfig) -> int:
-    """Bytes of a run's ``log_pi``, ``log_mu`` and clamp flags: 18 per
-    round, agent and class."""
-    return 18 * (config.horizon + 1) * config.n_agents * config.world.m
-
-
 def run_bytes(config: ExperimentConfig) -> int:
     """Estimated bytes one run allocates: its observations, its posteriors
-    (8 per round and scope class) and its belief arrays."""
+    (8 per round and scope class) and its belief arrays (``log_pi``,
+    ``log_mu`` and their clamp flags, 18 per round, agent and class)."""
     scope_classes = sum(scope.size for scope in config.scopes)
     draws_and_posteriors = 8 * config.horizon * (config.n_agents + scope_classes)
-    return draws_and_posteriors + _belief_bytes(config)
+    beliefs = 18 * (config.horizon + 1) * config.n_agents * config.world.m
+    return draws_and_posteriors + beliefs
 
 
 def run_problems(config: ExperimentConfig, sources) -> list[MyopicCrowdError]:
@@ -200,11 +190,9 @@ def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
     if config.enforce_identifiability:
         ok, witness = check_global_identifiability(config.world, config.scopes)
         if not ok:
-            labels = config.world.classes.labels
-            pairs = [(labels[p], labels[q]) for p, q in witness]
             yield IdentifiabilityViolated(
-                f"no agent separates class pairs {pairs}; add agents or "
-                "disable enforce_identifiability"
+                f"{gap_text(config, witness)}; add agents or disable "
+                "enforce_identifiability"
             )
     for scope, source in zip(config.scopes, sources):
         if isinstance(source, ReplaySource) and source.length < config.horizon:
@@ -212,6 +200,14 @@ def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
                 f"agent {scope.agent_id}: replay stream has "
                 f"{source.length} rounds, horizon is {config.horizon}"
             )
+
+
+def gap_text(config: ExperimentConfig, witness) -> str:
+    """The one wording of an identifiability gap, given the class pairs
+    (``witness``) that no agent separates."""
+    labels = config.world.classes.labels
+    pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in witness)
+    return f"not globally identifiable; uncovered pairs: {pairs}"
 
 
 def _prepare(config: ExperimentConfig):
@@ -229,8 +225,8 @@ def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
     """Consecutive configs that can share one pooling loop.
 
     A batch holds runs of one shape (horizon, class count, ``local_only``)
-    whose belief arrays fit in :data:`BATCH_BYTES` together; a run larger
-    than the cap forms a batch of its own.
+    whose :func:`run_bytes` fit in :data:`BATCH_BYTES` together; a run
+    larger than the cap forms a batch of its own.
     """
 
     def shape(config):
@@ -239,7 +235,7 @@ def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
     batch: list[ExperimentConfig] = []
     size = 0
     for config in configs:
-        cost = _belief_bytes(config)
+        cost = run_bytes(config)
         if batch and (shape(config) != shape(batch[0]) or size + cost > BATCH_BYTES):
             yield batch
             batch, size = [], 0
@@ -264,9 +260,8 @@ def run_batch(
     Logs are yielded batch by batch, rule by rule, then config by config.
     Each log's arrays are views into its batch's arrays and its config is
     the run's config with the rule replaced.  A caller that drops each log
-    before asking for the next keeps one batch's global trajectories in
-    memory.  One ``info`` line is logged per batch once its last log has
-    been consumed.
+    before asking for the next holds one batch at a time.  One ``info`` line
+    is logged per batch once its last log has been consumed.
     """
     rules = tuple(rules)
     for batch in _batches(configs):

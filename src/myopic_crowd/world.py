@@ -161,11 +161,8 @@ def build_world(classes, inputs, likelihoods, true_class) -> World:
         likelihoods = LikelihoodTable(np.asarray(likelihoods, dtype=float))
     if isinstance(true_class, str):
         true_class = classes.index(true_class)
-    else:
-        true_class = int(true_class)
-        if not 0 <= true_class < classes.m:
-            raise UnknownClass(f"true_class index {true_class} out of range")
-    return World(classes, inputs, likelihoods, true_class)
+    # An index out of range is refused by World itself.
+    return World(classes, inputs, likelihoods, int(true_class))
 
 
 # -- serialization --------------------------------------------------------

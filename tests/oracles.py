@@ -6,7 +6,9 @@ probability-floor convention.  Slow and obvious beats fast and clever for an
 oracle.  ``log_step_trajectory`` works in log-domain only so that it can
 follow beliefs far below 1e-300.  The one numpy exception is
 ``dense_pool``, the O(n^2 m) masked pooling kept as the reference for the
-sparse pooling kernel.  The sweep
+sparse pooling kernel ``pool``; ``pool``, ``norm_rows`` and
+``global_trajectory`` are the engine's former per-round loop, the reference
+for its buffered one.  The sweep
 references at the end (``rates_reference``, ``compare_reference``) are the
 other exception: they rebuild the ``rates`` and ``compare`` documents from a
 plain loop of one-seed package runs, the reference for batched seed sweeps.
@@ -317,6 +319,64 @@ def dense_pool(rule, prev, prev_flags, own, own_flags, neighborhoods):
         flags = np.where(mask3, prev_flags[None, :, :], True).all(axis=1)
         return pooled, flags & own_flags
     raise ValueError(rule)
+
+
+def pool(rule, prev_mu, prev_flags, own_pi, own_flags, hood):
+    """Pool every segment of ``hood`` under ``rule``, before normalization.
+
+    The engine's former per-round kernel, kept as the reference for
+    ``dynamics.global_trajectory``: a CSR ``reduceat`` over the stacked
+    input ``[prev_mu; own_pi]`` (``hood`` indexes row n + i for agent i's
+    own belief), with fresh arrays every call.  Returns the unnormalized
+    pooled log-beliefs and the propagated clamp flags, one row per segment.
+    """
+    starts = hood.starts
+    vals = np.concatenate((prev_mu, own_pi)).take(hood.index, axis=0)
+    flags = np.concatenate((prev_flags, own_flags)).take(hood.index, axis=0)
+    if rule == "min":
+        pooled = np.minimum.reduceat(vals, starts, axis=0)
+        flagged = np.minimum.reduceat(np.where(flags, vals, np.inf), starts, axis=0)
+        return pooled, flagged <= pooled
+    if rule == "max":
+        pooled = np.maximum.reduceat(vals, starts, axis=0)
+        flagged = np.maximum.reduceat(np.where(flags, vals, -np.inf), starts, axis=0)
+        return pooled, flagged >= pooled
+    if rule == "avg":
+        hi = np.maximum.reduceat(vals, starts, axis=0)
+        total = np.add.reduceat(
+            np.exp(vals - hi.take(hood.owner, axis=0)), starts, axis=0
+        )
+        pooled = hi + np.log(total) - hood.log_size
+        return pooled, np.logical_and.reduceat(flags, starts, axis=0)
+    raise ValueError(f"unknown pooling rule {rule!r}")
+
+
+def norm_rows(x):
+    """The engine's former floor rule, fresh arrays every call: normalize
+    each row in log-domain, clamp entries at or below the floor plus its
+    tolerance, and flag them."""
+    from myopic_crowd.dynamics import CLAMP_TOL, LOG_FLOOR
+
+    hi = x.max(axis=-1, keepdims=True)
+    lse = hi + np.log(np.exp(x - hi).sum(axis=-1, keepdims=True))
+    out = x - lse
+    clamped = out <= LOG_FLOOR + CLAMP_TOL
+    return np.where(clamped, LOG_FLOOR, out), clamped
+
+
+def global_trajectory(rule, log_pi, clamped_pi, hood):
+    """Global log-beliefs and flags for rounds 0..T: :func:`pool` and
+    :func:`norm_rows` round by round, the engine's former loop."""
+    log_mu = np.empty_like(log_pi)
+    clamped_mu = np.zeros_like(clamped_pi)
+    log_mu[0] = -math.log(log_pi.shape[-1])
+    for t in range(1, log_pi.shape[0]):
+        pooled, propagated = pool(
+            rule, log_mu[t - 1], clamped_mu[t - 1], log_pi[t], clamped_pi[t], hood
+        )
+        log_mu[t], floor_hits = norm_rows(pooled)
+        clamped_mu[t] = floor_hits | propagated
+    return log_mu, clamped_mu
 
 
 # -- randomized problem instances -----------------------------------------

@@ -84,14 +84,19 @@ def test_run_above_the_memory_cap_exits_one_before_drawing(
 
 
 def test_validate_warns_on_identifiability_gap(tmp_path, capsys):
-    doc = w3_doc()
-    doc["agents"] = doc["agents"][:2]
-    doc["graph"] = {"type": "edges", "n": 2, "edges": [[0, 1]]}
-    rc = main(["validate", "--config", str(_write(tmp_path, doc))])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "not globally identifiable" in out
-    assert "(theta0, theta2)" in out
+    # The gap is one warning, worded alike whether or not it is enforced.
+    gap = "warning: not globally identifiable; uncovered pairs: (theta0, theta2)"
+    for enforce, advice in ((True, "; add agents or disable enforce_identifiability"),
+                            (False, "")):
+        doc = w3_doc(enforce_identifiability=enforce)
+        doc["agents"] = doc["agents"][:2]
+        doc["graph"] = {"type": "edges", "n": 2, "edges": [[0, 1]]}
+        rc = main(["validate", "--config", str(_write(tmp_path, doc))])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert [line for line in out if line.startswith("warning: ")] == [
+            gap + advice
+        ]
 
 
 def _short_replay(tmp_path, doc):
@@ -134,7 +139,7 @@ def _validate_and_run(tmp_path, capsys, path):
     [
         (_cap, "above the cap of 1074 MB: a run of 1000000000000000 rounds"),
         (_disconnected, "the experiment graph must be connected"),
-        (_gap, "no agent separates class pairs [('theta0', 'theta2')]"),
+        (_gap, "not globally identifiable; uncovered pairs: (theta0, theta2); add"),
         (_short_replay, "agent 0: replay stream has 5 rounds, horizon is 10"),
     ],
 )
@@ -167,8 +172,8 @@ def test_validate_warns_on_a_replay_roster_run_refuses(tmp_path, capsys):
     out, rc, err = _validate_and_run(tmp_path, capsys, _write(tmp_path, doc))
     assert rc == 1
     assert err == [
-        "error: no agent separates class pairs [('theta0', 'theta2')]; add "
-        "agents or disable enforce_identifiability"
+        "error: not globally identifiable; uncovered pairs: (theta0, theta2); "
+        "add agents or disable enforce_identifiability"
     ]
     assert "warning: " + err[0].removeprefix("error: ") in out
     assert "global identifiability: yes" not in out
@@ -489,8 +494,7 @@ def test_compare_rules(config_path, tmp_path, capsys):
 def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
     # Batches of two seeds, so five seeds pool in three loops per rule.
     base = load_config(W3_JSON)
-    seed_bytes = 18 * (base.horizon + 1) * base.n_agents * base.world.m
-    monkeypatch.setattr(sim, "BATCH_BYTES", 2 * seed_bytes)
+    monkeypatch.setattr(sim, "BATCH_BYTES", 2 * sim.run_bytes(base))
     rc = main(
         ["compare", "--config", str(W3_JSON), "--seeds", "5", "--out", str(tmp_path)]
     )
@@ -500,14 +504,14 @@ def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
 
 
 def test_rates_matches_per_seed_runs(tmp_path):
-    # At T=3000 four w3 seeds fit under the batch cap: seven pool as 4 + 3.
+    # At T=3000 ten w3 seeds fit under the batch cap: twelve pool as 10 + 2.
     rc = main(
-        ["rates", "--config", str(W3_JSON), "--seeds", "7", "--horizon", "3000",
+        ["rates", "--config", str(W3_JSON), "--seeds", "12", "--horizon", "3000",
          "--out", str(tmp_path)]
     )
     assert rc == 0
     doc = json.loads((tmp_path / "rates.json").read_text())
-    assert doc == oracles.rates_reference(load_config(W3_JSON, horizon=3000), 7)
+    assert doc == oracles.rates_reference(load_config(W3_JSON, horizon=3000), 12)
 
 
 # -- malformed input ------------------------------------------------------

@@ -18,8 +18,6 @@ from myopic_crowd.dynamics import (
     global_trajectory,
     local_trajectory,
     neighborhood_csr,
-    norm_rows,
-    pool,
 )
 from myopic_crowd.errors import ScopeMismatch
 from myopic_crowd.network import AgentGraph, erdos_renyi_connected
@@ -130,19 +128,19 @@ def test_local_update_matches_linear_oracle_stepwise():
 
 def _pooled(rule, own_pi, neighbor_mus):
     """One agent pooling its neighborhood's beliefs with its own local
-    belief under ``rule``, normalized, as linear probabilities."""
+    belief under ``rule``, normalized, as linear probabilities.
+
+    Runs the reference kernel, which ``global_trajectory`` matches bit for
+    bit (``test_global_trajectory_matches_reference_loop``): agent 0 pools
+    agents 0..k-1, every other agent only itself.
+    """
     prev = np.log(np.asarray(neighbor_mus, dtype=float))
-    own = np.log(np.asarray([own_pi], dtype=float))
     k, m = prev.shape
-    pooled, _ = pool(
-        rule,
-        prev,
-        np.zeros((k, m), dtype=bool),
-        own,
-        np.zeros((1, m), dtype=bool),
-        neighborhood_csr([range(k)]),
-    )
-    out, _ = norm_rows(pooled)
+    own = np.repeat(np.log(np.asarray([own_pi], dtype=float)), k, axis=0)
+    no_flags = np.zeros((k, m), dtype=bool)
+    hood = neighborhood_csr([range(k), *([j] for j in range(1, k))])
+    pooled, _ = oracles.pool(rule, prev, no_flags, own, no_flags, hood)
+    out, _ = oracles.norm_rows(pooled)
     return np.exp(out[0])
 
 
@@ -173,10 +171,16 @@ def test_isolated_agent_min():
 
 
 def test_rules_registry_complete():
+    log_pi = np.full((2, 1, 3), -math.log(3))
+    flags = np.zeros(log_pi.shape, dtype=bool)
+    hood = neighborhood_csr([[0]])
     for rule in RULES:
-        _pooled(rule, _OWN_PI, [_OWN_MU])
+        global_trajectory(rule, log_pi, flags, hood)
+    with pytest.raises(ValueError, match="unknown pooling rule 'median'"):
+        global_trajectory("median", log_pi, flags, hood)
+    # The rule is checked before any round is pooled.
     with pytest.raises(ValueError):
-        _pooled("median", _OWN_PI, [_OWN_MU])
+        global_trajectory("median", log_pi[:1], flags[:1], hood)
 
 
 @given(
@@ -220,11 +224,14 @@ def test_rules_match_linear_oracle(vecs):
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
 
-# -- pooling kernel against the dense reference ---------------------------
+# -- pooling kernels against their references -----------------------------
 
 @st.composite
 def _connected_graphs(draw):
-    kind = draw(st.sampled_from(["single", "path", "complete", "er"]))
+    # Complete graphs and stars reach segments of 9 or more entries, where
+    # reduceat sums pairwise; a star's hub also makes the padded layout too
+    # wide, so min and max pool from CSR.
+    kind = draw(st.sampled_from(["single", "path", "complete", "star", "er"]))
     if kind == "single":
         return AgentGraph.from_edges(1, [])
     n = draw(st.integers(2, 8))
@@ -232,6 +239,9 @@ def _connected_graphs(draw):
         return path_graph(n)
     if kind == "complete":
         return complete_graph(n)
+    if kind == "star":
+        n = draw(st.integers(2, 12))
+        return AgentGraph.from_edges(n, [[0, j] for j in range(1, n)])
     seed = draw(st.integers(0, 2**32 - 1))
     p = draw(st.floats(0.3, 1.0))
     return erdos_renyi_connected(n, p, np.random.default_rng(seed))
@@ -250,7 +260,7 @@ def test_pool_kernel_matches_dense_reference(data):
     own_flags = data.draw(arrays(bool, shape))
     hood = neighborhood_csr(graph.neighborhoods)
     for rule in ("min", "avg", "max"):
-        got, got_flags = pool(rule, prev, prev_flags, own, own_flags, hood)
+        got, got_flags = oracles.pool(rule, prev, prev_flags, own, own_flags, hood)
         want, want_flags = oracles.dense_pool(
             rule, prev, prev_flags, own, own_flags, graph.neighborhoods
         )
@@ -259,6 +269,72 @@ def test_pool_kernel_matches_dense_reference(data):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_global_trajectory_matches_reference_loop(data):
+    # Values and flags equal bit for bit a round-by-round loop of the
+    # former kernel and floor rule, under every rule, with unequal
+    # neighborhoods, before and after the floor.
+    graph = data.draw(_connected_graphs())
+    m = data.draw(st.integers(2, 4))
+    world = build_world([f"c{j}" for j in range(m)], ["x"], [[1.0]] * m, "c0")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rounds = [data.draw(st.integers(240, 320)), data.draw(st.integers(0, 60))]
+    log_pi = np.empty((sum(rounds) + 1, graph.n, m))
+    clamped_pi = np.empty(log_pi.shape, dtype=bool)
+    for i in range(graph.n):
+        # Agent 0 tells classes apart; the others may hold a single class.
+        k = data.draw(st.integers(2 if i == 0 else 1, m))
+        scope = make_scope(world, i, sorted(rng.permutation(m)[:k]))
+        phases = []
+        for length in rounds:
+            # The lead class gains 3 to 8 nats a round on every other
+            # in-scope class: the first phase carries them past the floor,
+            # and in the second another class may climb back above it.
+            ratios = rng.uniform(0.1, 1.0, size=(length, k))
+            lead = rng.integers(k)
+            ratios[:, lead] = ratios.max(axis=1) * np.exp(rng.uniform(3, 8, length))
+            phases.append(ratios * scope.prior)
+        posts = np.concatenate(phases)
+        posts /= posts.sum(axis=1, keepdims=True)
+        log_pi[:, i], clamped_pi[:, i] = local_trajectory(scope, m, posts)
+    flagged_rounds = np.nonzero(clamped_pi.any(axis=(1, 2)))[0]
+    assert flagged_rounds.size and flagged_rounds[0] > 1
+    hood = neighborhood_csr(graph.neighborhoods)
+    for rule in RULES:
+        got_mu, got_flags = global_trajectory(rule, log_pi, clamped_pi, hood)
+        want_mu, want_flags = oracles.global_trajectory(
+            rule, log_pi, clamped_pi, hood
+        )
+        np.testing.assert_array_equal(got_mu, want_mu)
+        np.testing.assert_array_equal(got_flags, want_flags)
+        if rule == "min":
+            assert got_flags.any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_global_trajectory_matches_reference_loop_on_arbitrary_inputs(data):
+    # Entries pinned at the floor tie with free ones, and local flags start
+    # after round 1 and then come and go: a round may carry only global
+    # flags, which normalization can lift above the floor.
+    graph = data.draw(_connected_graphs())
+    m = data.draw(st.integers(2, 4))
+    rounds = data.draw(st.integers(2, 8))
+    shape = (rounds + 1, graph.n, m)
+    entries = st.one_of(st.just(LOG_FLOOR), st.floats(LOG_FLOOR, 0.0))
+    log_pi = data.draw(arrays(float, shape, elements=entries))
+    clamped_pi = data.draw(arrays(bool, shape))
+    clamped_pi[: data.draw(st.integers(2, rounds))] = False
+    clamped_pi[data.draw(st.lists(st.integers(0, rounds)))] = False
+    hood = neighborhood_csr(graph.neighborhoods)
+    for rule in RULES:
+        got = global_trajectory(rule, log_pi, clamped_pi, hood)
+        want = oracles.global_trajectory(rule, log_pi, clamped_pi, hood)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 # -- the floor rule -------------------------------------------------------

@@ -108,7 +108,7 @@ def test_run_batch_matches_per_seed_runs(
         }
     base = config_from_dict(doc)
     configs = [base.derived(seed=base_seed + k) for k in range(n_seeds)]
-    seed_bytes = 18 * (horizon + 1) * n_agents * 3
+    seed_bytes = sim.run_bytes(base)
     with mock.patch.object(sim, "BATCH_BYTES", per_batch * seed_bytes):
         logs = list(run_batch(configs, RULES))
 
@@ -141,26 +141,27 @@ def test_run_batch_matches_per_seed_runs(
 
 
 def test_run_batch_default_cap_groups_w3_seeds():
-    # A w3 run at T=3000 holds 486 kB of beliefs: four fit in BATCH_BYTES.
+    # A w3 run at T=3000 holds 702 kB of draws, posteriors and beliefs
+    # (sim.run_bytes): ten fit in BATCH_BYTES.
     base = load_config(W3_JSON, horizon=3000)
-    logs = list(run_batch([base.derived(seed=s) for s in range(6)], ["min"]))
+    logs = list(run_batch([base.derived(seed=s) for s in range(12)], ["min"]))
     bases = [log.log_mu.base for log in logs]
-    assert [b is bases[0] for b in bases] == [True] * 4 + [False] * 2
-    assert bases[4] is bases[5]
-    assert bases[0].nbytes == 4 * logs[0].log_mu.nbytes
+    assert [b is bases[0] for b in bases] == [True] * 10 + [False] * 2
+    assert bases[10] is bases[11]
+    assert bases[0].nbytes == 10 * logs[0].log_mu.nbytes
 
 
 def test_run_batch_logs_one_line_per_batch(caplog):
     base = load_config(W3_JSON, horizon=3000)
-    configs = [base.derived(seed=s) for s in range(10, 16)]
+    configs = [base.derived(seed=s) for s in range(10, 22)]
     with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
         for _ in run_batch(configs, RULES):
             pass
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 2
     rest = " rules=min,avg,max rounds=3000 elapsed_s="
-    assert lines[0].startswith("batch seeds=4 first_seed=10" + rest)
-    assert lines[1].startswith("batch seeds=2 first_seed=14" + rest)
+    assert lines[0].startswith("batch seeds=10 first_seed=10" + rest)
+    assert lines[1].startswith("batch seeds=2 first_seed=20" + rest)
     assert all(float(line.rsplit("elapsed_s=", 1)[1]) >= 0 for line in lines)
 
 
@@ -173,8 +174,8 @@ def test_seed_changes_observations():
 def test_horizon_zero_is_init_only():
     log = run_experiment(make_w3_config(horizon=0))
     assert log.log_pi.shape == (1, 3, 3)
-    np.testing.assert_allclose(log.pi(), 1 / 3, atol=1e-12)
-    np.testing.assert_allclose(log.mu(), 1 / 3, atol=1e-12)
+    np.testing.assert_allclose(np.exp(log.log_pi), 1 / 3, atol=1e-12)
+    np.testing.assert_allclose(np.exp(log.log_mu), 1 / 3, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["independent", "shared"])
@@ -194,7 +195,7 @@ def test_run_bytes_counts_what_a_run_holds(mode):
 
 def test_beliefs_stay_normalized():
     log = run_experiment(make_w3_config(horizon=200))
-    for arr in (log.pi(), log.mu()):
+    for arr in (np.exp(log.log_pi), np.exp(log.log_mu)):
         np.testing.assert_allclose(arr.sum(axis=2), 1.0, atol=1e-9)
 
 
