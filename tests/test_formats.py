@@ -5,16 +5,20 @@ from __future__ import annotations
 
 import ast
 import math
+import os
+import threading
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from myopic_crowd import sim
 from myopic_crowd.classifier import AgentScope, write_replay_csv
+from myopic_crowd.cli import main
 from myopic_crowd.dynamics import LOG_FLOOR
 from myopic_crowd.errors import DimensionMismatch
 from myopic_crowd.formats import json_text
@@ -22,6 +26,8 @@ from myopic_crowd.sim import write_trajectories_csv
 from myopic_crowd.world import build_world
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "myopic_crowd"
+W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
+ARTIFACTS = ["manifest.json", "posteriors.csv", "summary.json", "trajectories.csv"]
 
 SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, LOG_FLOOR, 5e-324]
 
@@ -136,9 +142,9 @@ log_values = st.sampled_from([-0.0, 0.0, LOG_FLOOR, math.nan, -math.inf]) | st.f
 
 
 @st.composite
-def belief_logs(draw):
+def belief_logs(draw, max_rounds=4):
     labels = draw(labels_st)
-    rounds, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rounds, n = draw(st.integers(1, max_rounds)), draw(st.integers(1, 3))
     shape = (rounds, n, len(labels))
     size = int(np.prod(shape))
     arrays = [
@@ -164,6 +170,124 @@ def test_trajectories_csv_keeps_both_zeros_in_one_round(tmp_path):
     assert [row.split(",")[5:] for row in rows] == [
         ["0.0", "-0.0"], ["-0.0", "0.0"], ["-0.0", "0.0"], ["0.0", "-0.0"]
     ]
+
+
+# Six rounds, one agent: chunks start at round 3 for two processes, at 2
+# and 4 for three and at 1 to 4 for five.  Rounds 2, 3 and 4 hold a
+# negative zero, the first two beside a positive one.
+_ZEROS_ON_BOUNDARIES = np.array(
+    [[[-1.5, 0.0]], [[-2.5, 0.0]], [[-0.0, 0.0]], [[0.0, -0.0]], [[-0.0, -3.0]]]
+    + [[[0.0, -1.5]]]
+)
+
+
+@given(belief_logs(max_rounds=7))
+@example((["a", "b"], _ZEROS_ON_BOUNDARIES, _ZEROS_ON_BOUNDARIES[:, :, ::-1]))
+def test_trajectories_csv_bytes_do_not_depend_on_the_process_count(
+    tmp_path_factory, case
+):
+    labels, log_pi, log_mu = case
+    out = tmp_path_factory.mktemp("traj")
+    oracles.trajectories_csv_reference(out / "ref.csv", labels, log_pi, log_mu)
+    real_fork = os.fork
+    for count in (1, 2, 3, 5):
+        forks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_process_count", lambda rows: count)
+            mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            write_trajectories_csv(out / "t.csv", labels, log_pi, log_mu)
+        assert len(forks) == min(count, len(log_pi)) - 1
+        assert (out / "t.csv").read_bytes() == (out / "ref.csv").read_bytes(), count
+    assert sorted(p.name for p in out.iterdir()) == ["ref.csv", "t.csv"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_run_reaps_its_formatting_workers_when_one_side_fails(
+    side, tmp_path, monkeypatch, capsys
+):
+    # w3 has 501 rounds: with two processes the worker formats 250 onwards.
+    monkeypatch.setattr(sim, "_process_count", lambda rows: 2)
+    if side == "worker":
+        format_round = sim._format_round
+
+        def failing(t, *args):
+            if t == 400:
+                raise ValueError("cannot format round 400")
+            return format_round(t, *args)
+
+        monkeypatch.setattr(sim, "_format_round", failing)
+    else:
+
+        def failing(log):
+            raise OSError("cannot write summary.json")
+
+        monkeypatch.setattr(sim, "summary", failing)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(W3_JSON), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in out.iterdir()) == (
+        ARTIFACTS if side == "worker" else ["trajectories.csv"]
+    )
+    _assert_no_child_left()
+
+
+def test_trajectories_csv_reaps_its_workers_when_the_parent_raises(
+    tmp_path, monkeypatch
+):
+    format_round = sim._format_round
+    parent = os.getpid()
+
+    def failing(t, *args):
+        if os.getpid() == parent:
+            raise ValueError("cannot format in the parent")
+        return format_round(t, *args)
+
+    monkeypatch.setattr(sim, "_process_count", lambda rows: 3)
+    monkeypatch.setattr(sim, "_format_round", failing)
+    log_pi = np.zeros((6, 2, 2))
+    with pytest.raises(ValueError, match="in the parent"):
+        write_trajectories_csv(tmp_path / "t.csv", ["a", "b"], log_pi, log_pi)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("why", ["no os.fork", "another thread"])
+def test_trajectories_csv_does_not_fork_without_fork_or_beside_a_thread(
+    why, tmp_path, monkeypatch
+):
+    log_pi = np.linspace(-30.0, 0.0, 6 * 2 * 3).reshape(6, 2, 3)
+    log_mu = np.minimum(log_pi, log_pi[:, ::-1])
+    labels = ["a", "b", "c"]
+    monkeypatch.setattr(sim, "ROWS_PER_PROCESS", 1)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False
+    )
+    assert sim._process_count(log_pi.size) == 4
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+
+        def refuse():
+            raise AssertionError("forked beside another thread")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        thread.start()
+    try:
+        write_trajectories_csv(tmp_path / "t.csv", labels, log_pi, log_mu)
+    finally:
+        stop.set()
+        if thread.ident is not None:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    oracles.trajectories_csv_reference(tmp_path / "ref.csv", labels, log_pi, log_mu)
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @st.composite
