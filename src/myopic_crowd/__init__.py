@@ -44,10 +44,12 @@ from .world import (
 from .classifier import (
     AgentScope,
     BayesOracle,
+    NoisySource,
     ReplaySource,
     load_replay_csv,
     make_scope,
     posterior_table,
+    replay_source_from_csv,
     write_replay_csv,
 )
 from .scores import (
@@ -126,10 +128,12 @@ __all__ = [
     # classifier
     "AgentScope",
     "BayesOracle",
+    "NoisySource",
     "ReplaySource",
     "load_replay_csv",
     "make_scope",
     "posterior_table",
+    "replay_source_from_csv",
     "write_replay_csv",
     # scores
     "ScoreReport",

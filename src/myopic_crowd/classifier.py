@@ -155,6 +155,13 @@ class BayesOracle:
         self.per_symbol = posterior_table(world, scope)
 
 
+class NoisySource(BayesOracle):
+    """Table source of an agent with γ > 0; it holds the same table."""
+
+    def __init__(self, world: World, scope: AgentScope):
+        self.per_symbol = posterior_table(world, scope)
+
+
 class ReplaySource:
     """Recorded posterior vectors, one per round: ``vectors[t - 1]`` feeds
     round t.
@@ -294,6 +301,11 @@ def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray
             [rounds[r] for r in range(1, len(rounds) + 1)], dtype=float
         )
     return labels, out
+
+
+def replay_source_from_csv(path, world: World, scope: AgentScope) -> ReplaySource:
+    """Build one agent's replay source from a recorded CSV stream."""
+    return replay_source(path, *load_replay_csv(path, world), world, scope)
 
 
 def replay_source(path, labels, table, world: World, scope: AgentScope) -> ReplaySource:

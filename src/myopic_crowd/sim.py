@@ -474,23 +474,20 @@ def summary(log: TrajectoryLog) -> dict:
 #: times its cost, and one that finds no idle CPU loses a few percent.
 ROWS_PER_PROCESS = 10_000
 
-#: Most processes that format one ``trajectories.csv``, the parent included.
-MAX_PROCESSES = 8
-
 
 def _process_count(rows: int) -> int:
     """How many processes format ``rows`` trajectory rows: one per usable
-    CPU, at most one per :data:`ROWS_PER_PROCESS` rows and at most
-    :data:`MAX_PROCESSES`; one (no fork) without ``os.fork`` or while
-    another thread is alive, since a forked child holds only the forking
-    thread and whatever locks the others held."""
+    CPU, at most one per :data:`ROWS_PER_PROCESS` rows; one (no fork)
+    without ``os.fork`` or while another thread is alive, since a forked
+    child holds only the forking thread and whatever locks the others
+    held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, rows // ROWS_PER_PROCESS, MAX_PROCESSES))
+    return max(1, min(cpus, rows // ROWS_PER_PROCESS))
 
 
 def _negative_zero(a: np.ndarray) -> bool:
@@ -541,9 +538,7 @@ def _format_part_and_exit(part, rounds: range, fmt) -> None:
         os._exit(status)
 
 
-def write_trajectories_csv(
-    path, labels, log_pi: np.ndarray, log_mu: np.ndarray, meanwhile=None
-) -> None:
+def write_trajectories_csv(path, labels, log_pi: np.ndarray, log_mu: np.ndarray) -> None:
     """Write one row per (round, agent, class): the local and global beliefs,
     ``math.exp`` of the logs, and the logs, every float as its ``repr``.
 
@@ -551,10 +546,10 @@ def write_trajectories_csv(
     chunks, one per process (:func:`_process_count`: one per usable CPU
     above :data:`ROWS_PER_PROCESS` rows each).  Forked workers format every
     chunk but the first into unnamed temporary files beside ``path`` while
-    this process formats the first and then calls ``meanwhile`` (if given);
-    it then reaps the workers in order and appends their parts.  The bytes
-    do not depend on the number of processes.  A worker that fails raises
-    :class:`OSError`; no worker outlives the call, whatever it raises.
+    this process formats the first; it then reaps the workers in order and
+    appends their parts.  The bytes do not depend on the number of
+    processes.  A worker that fails raises :class:`OSError`.  Whatever is
+    raised, no worker outlives the call and ``path`` is removed.
     """
     label_cells = [csv_cell(label) for label in labels]
     heads = [f",{i},{cell}" for i in range(log_pi.shape[1]) for cell in label_cells]
@@ -568,38 +563,40 @@ def write_trajectories_csv(
         range(n_rounds * k // count, n_rounds * (k + 1) // count)
         for k in range(count)
     ]
-    with open(path, "w", newline="") as f, ExitStack() as parts_open:
-        f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
-        parts = [
-            parts_open.enter_context(
-                tempfile.TemporaryFile("w+", dir=Path(path).parent, newline="")
-            )
-            for _ in chunks[1:]
-        ]
-        pids: list[int] = []
-        try:
-            for part, rounds in zip(parts, chunks[1:]):
-                pid = os.fork()
-                if pid == 0:
-                    _format_part_and_exit(part, rounds, fmt)
-                pids.append(pid)
-            for t in chunks[0]:
-                f.write(fmt(t))
-            if meanwhile is not None:
-                meanwhile()
-            f.flush()
-            for part in parts:
-                status = os.waitpid(pids.pop(0), 0)[1]
-                if status:
-                    raise OSError(
-                        f"{path}: a formatting worker exited with status "
-                        f"{os.waitstatus_to_exitcode(status)}"
-                    )
-                part.seek(0)
-                shutil.copyfileobj(part.buffer, f.buffer)
-        finally:
-            for pid in pids:
-                os.waitpid(pid, 0)
+    try:
+        with open(path, "w", newline="") as f, ExitStack() as parts_open:
+            f.write("round,agent,class,pi,mu,log_pi,log_mu\n")
+            parts = [
+                parts_open.enter_context(
+                    tempfile.TemporaryFile("w+", dir=Path(path).parent, newline="")
+                )
+                for _ in chunks[1:]
+            ]
+            pids: list[int] = []
+            try:
+                for part, rounds in zip(parts, chunks[1:]):
+                    pid = os.fork()
+                    if pid == 0:
+                        _format_part_and_exit(part, rounds, fmt)
+                    pids.append(pid)
+                for t in chunks[0]:
+                    f.write(fmt(t))
+                f.flush()
+                for part in parts:
+                    status = os.waitpid(pids.pop(0), 0)[1]
+                    if status:
+                        raise OSError(
+                            f"{path}: a formatting worker exited with status "
+                            f"{os.waitstatus_to_exitcode(status)}"
+                        )
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, f.buffer)
+            finally:
+                for pid in pids:
+                    os.waitpid(pid, 0)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def write_outputs(log: TrajectoryLog, out_dir) -> dict[str, Path]:
@@ -607,34 +604,33 @@ def write_outputs(log: TrajectoryLog, out_dir) -> dict[str, Path]:
     ``posteriors.csv`` and ``manifest.json``; returns their paths.
 
     ``trajectories.csv`` may be formatted by forked workers, one per usable
-    CPU above :data:`ROWS_PER_PROCESS` rows each, while this process writes
-    the other three files (:func:`write_trajectories_csv`); its bytes are
-    the same whatever the number of workers.  Rewriting the same log always
-    produces byte-identical files.
+    CPU above :data:`ROWS_PER_PROCESS` rows each
+    (:func:`write_trajectories_csv`); its bytes are the same whatever the
+    number of workers, and a failed write leaves no ``trajectories.csv``.
+    Rewriting the same log always produces byte-identical files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = log.config
-    paths = {
-        "trajectories": out_dir / "trajectories.csv",
-        "summary": out_dir / "summary.json",
-        "posteriors": out_dir / "posteriors.csv",
-        "manifest": out_dir / "manifest.json",
-    }
 
-    def write_the_rest() -> None:
-        paths["summary"].write_text(json_text(summary(log)) + "\n")
-        write_replay_csv(
-            paths["posteriors"], config.world, config.scopes, log.posteriors
-        )
-        manifest = {"package_version": __version__, "config": config.to_dict()}
-        paths["manifest"].write_text(json_text(manifest) + "\n")
-
+    traj_path = out_dir / "trajectories.csv"
     write_trajectories_csv(
-        paths["trajectories"],
-        config.world.classes.labels,
-        log.log_pi,
-        log.log_mu,
-        meanwhile=write_the_rest,
+        traj_path, config.world.classes.labels, log.log_pi, log.log_mu
     )
-    return paths
+
+    summary_path = out_dir / "summary.json"
+    summary_path.write_text(json_text(summary(log)) + "\n")
+
+    posteriors_path = out_dir / "posteriors.csv"
+    write_replay_csv(posteriors_path, config.world, config.scopes, log.posteriors)
+
+    manifest_path = out_dir / "manifest.json"
+    manifest = {"package_version": __version__, "config": config.to_dict()}
+    manifest_path.write_text(json_text(manifest) + "\n")
+
+    return {
+        "trajectories": traj_path,
+        "summary": summary_path,
+        "posteriors": posteriors_path,
+        "manifest": manifest_path,
+    }

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from myopic_crowd.classifier import (
     BayesOracle,
+    NoisySource,
     ReplaySource,
     load_replay_csv,
     make_scope,
     posterior_table,
-    replay_source,
+    replay_source_from_csv,
     write_replay_csv,
 )
 from myopic_crowd.errors import (
@@ -143,7 +144,8 @@ def test_noisy_rows_normalized(gamma, col):
 def test_table_sources_hold_the_posterior_table(w3_world):
     scope = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.3)
     table = posterior_table(w3_world, scope)
-    np.testing.assert_array_equal(BayesOracle(w3_world, scope).per_symbol, table)
+    for source in (BayesOracle(w3_world, scope), NoisySource(w3_world, scope)):
+        np.testing.assert_array_equal(source.per_symbol, table)
     assert not table.flags.writeable
 
 
@@ -251,7 +253,7 @@ def test_replay_csv_round_trip(w3_world, tmp_path):
         "2,1,,0.5,0.5",
     ]
 
-    source = replay_source(path, *load_replay_csv(path, w3_world), w3_world, scope0)
+    source = replay_source_from_csv(path, w3_world, scope0)
     assert source.length == 2
     np.testing.assert_allclose(source.vectors, [[0.8, 0.2], [0.3, 0.7]])
 
@@ -285,7 +287,7 @@ def test_replay_csv_missing_scope_column(w3_world, tmp_path):
     write_replay_csv(path, w3_world, [scope], [np.array([[0.8, 0.2]])])
     scope_c = make_scope(w3_world, 0, ["theta0", "theta2"])
     with pytest.raises(ParseError):
-        replay_source(path, *load_replay_csv(path, w3_world), w3_world, scope_c)
+        replay_source_from_csv(path, w3_world, scope_c)
 
 
 # -- properties -----------------------------------------------------------

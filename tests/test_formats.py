@@ -27,7 +27,6 @@ from myopic_crowd.world import build_world
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "myopic_crowd"
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
-ARTIFACTS = ["manifest.json", "posteriors.csv", "summary.json", "trajectories.csv"]
 
 SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, LOG_FLOOR, 5e-324]
 
@@ -211,48 +210,22 @@ def test_run_reaps_its_formatting_workers_when_one_side_fails(
     side, tmp_path, monkeypatch, capsys
 ):
     # w3 has 501 rounds: with two processes the worker formats 250 onwards.
-    monkeypatch.setattr(sim, "_process_count", lambda rows: 2)
-    if side == "worker":
-        format_round = sim._format_round
-
-        def failing(t, *args):
-            if t == 400:
-                raise ValueError("cannot format round 400")
-            return format_round(t, *args)
-
-        monkeypatch.setattr(sim, "_format_round", failing)
-    else:
-
-        def failing(log):
-            raise OSError("cannot write summary.json")
-
-        monkeypatch.setattr(sim, "summary", failing)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(W3_JSON), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert sorted(p.name for p in out.iterdir()) == (
-        ARTIFACTS if side == "worker" else ["trajectories.csv"]
-    )
-    _assert_no_child_left()
-
-
-def test_trajectories_csv_reaps_its_workers_when_the_parent_raises(
-    tmp_path, monkeypatch
-):
     format_round = sim._format_round
     parent = os.getpid()
 
     def failing(t, *args):
-        if os.getpid() == parent:
-            raise ValueError("cannot format in the parent")
+        if side == "worker" and t == 400:
+            raise ValueError("cannot format round 400")
+        if side == "parent" and os.getpid() == parent:
+            raise OSError("cannot format in the run process")
         return format_round(t, *args)
 
-    monkeypatch.setattr(sim, "_process_count", lambda rows: 3)
+    monkeypatch.setattr(sim, "_process_count", lambda rows: 2)
     monkeypatch.setattr(sim, "_format_round", failing)
-    log_pi = np.zeros((6, 2, 2))
-    with pytest.raises(ValueError, match="in the parent"):
-        write_trajectories_csv(tmp_path / "t.csv", ["a", "b"], log_pi, log_pi)
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(W3_JSON), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(out.iterdir()) == []
     _assert_no_child_left()
 
 

@@ -19,7 +19,7 @@ from myopic_crowd import classifier, sim
 from myopic_crowd.classifier import (
     load_replay_csv,
     make_scope,
-    replay_source,
+    replay_source_from_csv,
     write_replay_csv,
 )
 from myopic_crowd.config import RATE_SLACK, RULES, config_from_dict, load_config
@@ -306,10 +306,7 @@ def test_build_sources_reads_a_shared_replay_file_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert sim.theory(config) is None
     for source, scope, posts in zip(sources, config.scopes, recorded.posteriors):
-        path = out["posteriors"]
-        want = replay_source(
-            path, *load_replay_csv(path, config.world), config.world, scope
-        )
+        want = replay_source_from_csv(out["posteriors"], config.world, scope)
         np.testing.assert_array_equal(source.vectors, want.vectors)
         np.testing.assert_array_equal(source.vectors, posts)
 
