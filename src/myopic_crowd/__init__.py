@@ -20,7 +20,6 @@ from .errors import (
     IdentifiabilityViolated,
     InsufficientSamples,
     MyopicCrowdError,
-    NoRejector,
     ParseError,
     ReplayExhausted,
     RetriesExhausted,
@@ -54,7 +53,6 @@ from .classifier import (
 )
 from .scores import (
     ScoreReport,
-    best_rejection_rate,
     check_global_identifiability,
     confusion_score,
     discriminative_score,
@@ -106,7 +104,6 @@ __all__ = [
     "IdentifiabilityViolated",
     "InsufficientSamples",
     "MyopicCrowdError",
-    "NoRejector",
     "ParseError",
     "ReplayExhausted",
     "RetriesExhausted",
@@ -137,7 +134,6 @@ __all__ = [
     "write_replay_csv",
     # scores
     "ScoreReport",
-    "best_rejection_rate",
     "check_global_identifiability",
     "confusion_score",
     "discriminative_score",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classifier import AgentScope, make_scope
 from .errors import ConfigError
-from .network import AgentGraph, erdos_renyi_connected, load_graph
+from .network import AgentGraph, erdos_renyi_connected, read_edge_list
 from .world import World, json_numbers, load_world, world_from_dict, world_to_dict
 
 RULES = ("min", "avg", "max")
@@ -242,42 +242,41 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         unknown = set(doc) - _GRAPH_KEYS[kind]
         if unknown:
             raise ConfigError(f"{kind} graph: unknown keys {sorted(unknown)}")
-    if kind in ("edges", "erdos_renyi"):
-        # Checked before the graph is built, whose cost grows as n^2.
-        n = _integer("graph n", doc.get("n", n_agents))
-        if n != n_agents:
-            raise ConfigError(
-                f"graph has {n} vertices but the config lists {n_agents} agents"
-            )
+    # The vertex count is checked against the roster before anything is
+    # built; only the ER draw is quadratic in n.
     if isinstance(doc, str):
-        graph = load_graph(_path("graph", doc, base_dir))
+        n, edges = read_edge_list(_path("graph", doc, base_dir))
     elif kind == "file":
-        graph = load_graph(_path("file graph path", doc.get("path"), base_dir))
-    elif kind == "edges":
-        edges = doc.get("edges", [])
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges
-        ):
-            raise ConfigError("edges graph: 'edges' must be a list of [u, v] pairs")
-        graph = AgentGraph.from_edges(
-            n, [[_integer("graph edge endpoint", v) for v in e] for e in edges]
-        )
-    elif kind == "erdos_renyi":
-        if "p" not in doc:
-            raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
-        graph_rng, _, _ = spawn_streams(seed, n_agents)
-        graph = erdos_renyi_connected(
-            n,
-            _number("graph p", doc["p"]),
-            graph_rng,
-            _integer("graph max_retries", doc.get("max_retries", 1000)),
-        )
+        n, edges = read_edge_list(_path("file graph path", doc.get("path"), base_dir))
+    elif kind in ("edges", "erdos_renyi"):
+        n = _integer("graph n", doc.get("n", n_agents))
     else:
         raise ConfigError(
             "graph must be a file path or an object of type "
             "'file', 'edges', or 'erdos_renyi'"
         )
-    return graph
+    if n != n_agents:
+        raise ConfigError(
+            f"graph has {n} vertices but the config lists {n_agents} agents"
+        )
+    if kind == "erdos_renyi":
+        if "p" not in doc:
+            raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
+        graph_rng, _, _ = spawn_streams(seed, n_agents)
+        return erdos_renyi_connected(
+            n,
+            _number("graph p", doc["p"]),
+            graph_rng,
+            _integer("graph max_retries", doc.get("max_retries", 1000)),
+        )
+    if kind == "edges":
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        ):
+            raise ConfigError("edges graph: 'edges' must be a list of [u, v] pairs")
+        edges = [[_integer("graph edge endpoint", v) for v in e] for e in edges]
+    return AgentGraph.from_edges(n, edges)
 
 
 def _path(key: str, value, base_dir: Path) -> Path:

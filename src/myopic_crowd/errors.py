@@ -40,10 +40,6 @@ class TrueClassInScope(MyopicCrowdError):
     the caller wanted the discriminative score."""
 
 
-class NoRejector(MyopicCrowdError):
-    """No source or support agent can reject the given false class."""
-
-
 # -- network --------------------------------------------------------------
 
 class RetriesExhausted(MyopicCrowdError):

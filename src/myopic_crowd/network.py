@@ -1,14 +1,14 @@
 """Agent communication graph: construction, connectivity, random generation,
 loading from an edge-list file.
 
-Graphs are undirected with no stored self-loops; every agent's neighborhood
-is inclusive (contains the agent itself), which is what the global belief
-update pools over.
+A graph is stored only as its inclusive neighborhoods, each agent's sorted
+tuple of itself and its neighbors, which is what the global belief update
+pools over.  Graphs are undirected and have no self-loops, so a graph over
+n agents and |E| edges holds O(n + |E|) integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,14 +24,15 @@ from .errors import (
 
 @dataclass(frozen=True, eq=False)
 class AgentGraph:
-    """Undirected graph over n agents with precomputed inclusive neighborhoods."""
+    """Undirected graph over n agents; ``neighborhoods[i]`` is the sorted
+    tuple of agent i and its neighbors."""
 
     n: int
-    adjacency: np.ndarray
     neighborhoods: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_adjacency(cls, adjacency) -> "AgentGraph":
+        """The graph of a square, symmetric matrix; the diagonal is ignored."""
         adj = np.asarray(adjacency)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1] or adj.shape[0] < 1:
             raise DimensionMismatch(
@@ -40,21 +41,16 @@ class AgentGraph:
         adj = adj.astype(bool)
         if not np.array_equal(adj, adj.T):
             raise AsymmetricInput("adjacency matrix must be symmetric")
-        adj = adj.copy()
-        np.fill_diagonal(adj, False)
-        n = adj.shape[0]
-        hoods = tuple(
-            tuple(sorted({i, *np.nonzero(adj[i])[0].tolist()})) for i in range(n)
-        )
-        adj.flags.writeable = False
-        return cls(n=n, adjacency=adj, neighborhoods=hoods)
+        return cls.from_edges(adj.shape[0], np.argwhere(np.triu(adj, 1)).tolist())
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AgentGraph":
+        """The graph on n vertices with the given (u, v) pairs; duplicates
+        and both orientations of an edge count once, self-loops are dropped."""
         n = int(n)
         if n < 1:
             raise ParseError(f"graph must have at least 1 vertex, got {n}")
-        adj = np.zeros((n, n), dtype=bool)
+        hoods = [{i} for i in range(n)]
         for e in edges:
             try:
                 u, v = (int(e[0]), int(e[1]))
@@ -62,36 +58,27 @@ class AgentGraph:
                 raise ParseError(f"bad edge {e!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            adj[u, v] = adj[v, u] = True
-        return cls.from_adjacency(adj)
+            hoods[u].add(v)
+            hoods[v].add(u)
+        return cls(n=n, neighborhoods=tuple(tuple(sorted(h)) for h in hoods))
 
     def edges(self) -> list[tuple[int, int]]:
-        iu = np.triu_indices(self.n, 1)
-        present = self.adjacency[iu]
+        """Each edge once as (i, j) with i < j, in row-major order."""
         return [
-            (int(u), int(v))
-            for u, v, keep in zip(iu[0], iu[1], present)
-            if keep
+            (i, j) for i, hood in enumerate(self.neighborhoods) for j in hood if j > i
         ]
 
 
-def _bfs_dists(g: AgentGraph, start: int) -> np.ndarray:
-    dist = np.full(g.n, -1, dtype=int)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(g.adjacency[u])[0]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
-
-
 def is_connected(g: AgentGraph) -> bool:
-    return bool(np.all(_bfs_dists(g, 0) >= 0))
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for v in g.neighborhoods[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return all(seen)
 
 
 def erdos_renyi_connected(
@@ -111,10 +98,9 @@ def erdos_renyi_connected(
     iu = np.triu_indices(n, 1)
     for _ in range(int(max_retries)):
         draws = rng.random(iu[0].size) < p
-        adj = np.zeros((n, n), dtype=bool)
-        adj[iu] = draws
-        adj |= adj.T
-        g = AgentGraph.from_adjacency(adj)
+        g = AgentGraph.from_edges(
+            n, zip(iu[0][draws].tolist(), iu[1][draws].tolist())
+        )
         if is_connected(g):
             return g
     raise RetriesExhausted(
@@ -122,12 +108,9 @@ def erdos_renyi_connected(
     )
 
 
-def load_graph(path) -> AgentGraph:
-    """Read an edge-list file: first line n, then one `u v` pair per line.
-
-    Duplicate edges are deduplicated and self-loops dropped.  The result may
-    be disconnected; the experiment pipeline rejects disconnected graphs.
-    """
+def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and edges of an edge-list file: first line n, then
+    one `u v` pair per line, `#` comments and blank lines allowed."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -149,4 +132,13 @@ def load_graph(path) -> AgentGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"{path}:{lineno}: edge ({u}, {v}) out of range")
         edges.append((u, v))
-    return AgentGraph.from_edges(n, edges)
+    return n, edges
+
+
+def load_graph(path) -> AgentGraph:
+    """The graph of an edge-list file (see :func:`read_edge_list`).
+
+    Duplicate edges are deduplicated and self-loops dropped.  The result may
+    be disconnected; the experiment pipeline rejects disconnected graphs.
+    """
+    return AgentGraph.from_edges(*read_edge_list(path))

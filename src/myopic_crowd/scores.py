@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import AgentScope, posterior_table
-from .errors import ClassOutOfScope, NoRejector, TrueClassInScope, UnknownClass
+from .errors import ClassOutOfScope, TrueClassInScope, UnknownClass
 from .world import World
 
 #: Relative tolerance within which two R(θ) candidates count as tied.
@@ -140,12 +140,12 @@ def _support_margin(table: np.ndarray, theta_star: int, theta: int) -> np.ndarra
     return np.where(np.isnan(table[:, theta_star]), margin, np.nan)
 
 
-def _best_rate(ids, src, sup, theta_star: int, theta: int) -> tuple[float, int] | None:
+def _best_rate(ids, table, theta_star: int, theta: int) -> tuple[float, int] | None:
     """Largest positive candidate for R(θ) and the lowest id attaining it
-    within :data:`TIE_RTOL`: D_i(θ*, θ) from table ``src`` for agents
-    holding θ*, else the support margin from table ``sup``."""
-    d = src[:, theta_star] - src[:, theta]
-    value = np.where(np.isnan(d), _support_margin(sup, theta_star, theta), d)
+    within :data:`TIE_RTOL`: D_i(θ*, θ) for agents holding θ*, else the
+    support margin; None when no agent rejects θ."""
+    d = table[:, theta_star] - table[:, theta]
+    value = np.where(np.isnan(d), _support_margin(table, theta_star, theta), d)
     ok = value > 0.0
     if not ok.any():
         return None
@@ -186,30 +186,6 @@ def check_global_identifiability(
     ids, table = _table(world, scopes, world.true_class)
     witness = _witness(_source_sets(ids, table), world.m)
     return (len(witness) == 0, witness)
-
-
-def best_rejection_rate(
-    world: World, scopes: list[AgentScope], theta_star: int, theta: int
-) -> tuple[float, int]:
-    """Best asymptotic rejection rate for false class θ under data from θ*.
-
-    The maximum, over source agents for (θ*, θ) and support agents for θ, of
-    the agent's relevant score: its discriminative score D_i(θ*, θ) or its
-    best confusion score against θ.  Ties go to the lowest agent id.
-    """
-    theta_star = _check_class(world, theta_star, "theta_star")
-    theta = _check_class(world, theta, "theta")
-    ids, src = _table(world, scopes, world.true_class)
-    sup = src
-    if theta_star != world.true_class:
-        sup = _table(world, scopes, theta_star)[1]
-    best = _best_rate(ids, src, sup, theta_star, theta)
-    if best is None:
-        raise NoRejector(
-            f"no source or support agent rejects class {theta} under "
-            f"generating class {theta_star}"
-        )
-    return best
 
 
 # -- full report ----------------------------------------------------------
@@ -290,7 +266,7 @@ def score_report(world: World, scopes: list[AgentScope]) -> ScoreReport:
             continue
         support = _support_margin(table, star, theta) > 0.0
         report.support_sets[theta] = _ids(ids, support)
-        report.best_rate[theta] = _best_rate(ids, table, table, star, theta)
+        report.best_rate[theta] = _best_rate(ids, table, star, theta)
     report.witness = _witness(report.source_sets, world.m)
     report.identifiable = not report.witness
     return report

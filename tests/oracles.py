@@ -16,8 +16,10 @@ The artifact writers are the package's former writers (``json.dumps``
 with ``indent``, a per-row ``trajectories.csv`` loop and a ``csv.writer``
 replay writer), the references for its serialisation.  The posterior-table
 builders after them are the package's former numpy builders, the references
-for ``posterior_table``.  The helpers at the very end (``empirical_score``,
-small graph builders, ``diameter`` and file writers) serve the tests only.
+for ``posterior_table``.  ``dense_erdos_renyi`` is the package's former
+n×n random-graph builder, the reference for its edge-list one.  The other
+helpers at the end (``empirical_score``, small graph builders, ``diameter``
+and file writers) serve the tests only.
 """
 
 from __future__ import annotations
@@ -669,6 +671,28 @@ def complete_graph(n: int):
     return AgentGraph.from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n)]
     )
+
+
+def dense_erdos_renyi(n: int, p: float, rng, max_retries: int = 1000):
+    """Erdős–Rényi G(n, p) conditioned on connectivity, built the dense way:
+    one ``rng.random`` over the upper-triangle pairs per draw, filled into an
+    n×n matrix and handed to ``AgentGraph.from_adjacency``, with connectivity
+    read off the matrix.  ``RetriesExhausted`` when no draw connects."""
+    from myopic_crowd.errors import RetriesExhausted
+    from myopic_crowd.network import AgentGraph
+
+    iu = np.triu_indices(n, 1)
+    for _ in range(max_retries):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[iu] = rng.random(iu[0].size) < p
+        adj |= adj.T
+        reach = np.arange(n) == 0
+        grown = reach | adj[reach].any(axis=0)
+        while (grown != reach).any():
+            reach, grown = grown, grown | adj[grown].any(axis=0)
+        if reach.all():
+            return AgentGraph.from_adjacency(adj)
+    raise RetriesExhausted(f"no connected graph after {max_retries} draws")
 
 
 def diameter(g) -> int:

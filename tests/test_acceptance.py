@@ -17,9 +17,9 @@ from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import config_from_dict
 from myopic_crowd.errors import InsufficientSamples
 from myopic_crowd.scores import (
-    best_rejection_rate,
     confusion_score,
     discriminative_score,
+    score_report,
 )
 from myopic_crowd.sim import (
     estimate_rejection_rate,
@@ -137,8 +137,9 @@ def test_criterion_2_reference_fixture_ground_truth():
     d_a = discriminative_score(world, scopes[0], 0, 1)
     d_b = confusion_score(world, scopes[1], 0, 2, 1)
     d_c = discriminative_score(world, scopes[2], 0, 2)
-    r1, via1 = best_rejection_rate(world, scopes, 0, 1)
-    r2, via2 = best_rejection_rate(world, scopes, 0, 2)
+    best = score_report(world, scopes).best_rate
+    r1, via1 = best[1]
+    r2, via2 = best[2]
     errs = [
         abs(d_a - d_a_expected),
         abs(d_b - d_b_expected),
@@ -188,10 +189,8 @@ def test_criterion_4_decay_slopes_meet_rate_bound():
         cfg = config_from_dict(doc)
         true_idx = cfg.world.true_class
         false_classes = [k for k in range(cfg.world.m) if k != true_idx]
-        rates = {
-            k: best_rejection_rate(cfg.world, cfg.scopes, true_idx, k)[0]
-            for k in false_classes
-        }
+        best = score_report(cfg.world, cfg.scopes).best_rate
+        rates = {k: best[k][0] for k in false_classes}
         seeds = (cfg.derived(seed=seed) for seed in range(20))
         for log in run_batch(seeds, [cfg.rule]):
             for agent in range(cfg.n_agents):

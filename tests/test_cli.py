@@ -7,6 +7,9 @@ import copy
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -16,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import myopic_crowd
 import oracles
 from myopic_crowd import sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import load_config
 
-from conftest import W3_D_A, w3_doc
+from conftest import W3_D_A, W3_SCOPE_CLASSES, w3_doc
 
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
 
@@ -81,6 +85,51 @@ def test_run_above_the_memory_cap_exits_one_before_drawing(
     assert rc == 1
     assert "above the cap" in capsys.readouterr().err
     assert peak < 2**20
+
+
+def test_graph_file_vertex_count_is_checked_before_building(tmp_path, capsys):
+    (tmp_path / "net.txt").write_text("1000000\n0 1\n1 2\n")
+    rc = main(["validate", "--config", str(_write(tmp_path, w3_doc(graph="net.txt")))])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: graph has 1000000 vertices but the config lists 3 agents"
+    )
+
+
+def test_validate_a_ring_of_10_000_agents_in_little_memory(tmp_path):
+    n = 10_000
+    doc = w3_doc()
+    doc["agents"] = [
+        {"id": i, "classes": W3_SCOPE_CLASSES[i % 3]} for i in range(n)
+    ]
+    doc["graph"] = {
+        "type": "edges", "n": n, "edges": [[i, (i + 1) % n] for i in range(n)]
+    }
+    # A small wrapper runs the command and reports its children's peak RSS.
+    # The command's own peak would count the memory of whatever process
+    # forked it, here the whole test session.
+    script = (
+        "import resource, subprocess, sys\n"
+        "cli = [sys.executable, '-m', 'myopic_crowd.cli']\n"
+        "rc = subprocess.call(cli + sys.argv[1:])\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(peak, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    src = str(Path(myopic_crowd.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", script, "validate", "--config", str(_write(tmp_path, doc))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"graph: {n} vertices, {n} edges, connected" in done.stdout
+    peak_kib = int(done.stderr.split()[-1])
+    if sys.platform == "darwin":  # ru_maxrss is in bytes there, KiB on Linux
+        peak_kib //= 1024
+    assert peak_kib < 100 * 1024
 
 
 def test_validate_warns_on_identifiability_gap(tmp_path, capsys):

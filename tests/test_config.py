@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from myopic_crowd.cli import main
@@ -14,7 +13,7 @@ from myopic_crowd.config import (
     spawn_streams,
 )
 from myopic_crowd.errors import ConfigError
-from myopic_crowd.network import is_connected
+from myopic_crowd.network import AgentGraph, is_connected
 
 from conftest import w3_doc
 
@@ -242,9 +241,8 @@ def test_derived_changes_only_requested_fields(w3_config):
     assert changed.rule == "max"
     assert changed.seed == w3_config.seed
     assert changed.horizon == w3_config.horizon
-    np.testing.assert_array_equal(
-        changed.graph.adjacency, w3_config.graph.adjacency
-    )
+    assert changed.graph.edges() == w3_config.graph.edges()
+    assert changed.graph.neighborhoods == w3_config.graph.neighborhoods
 
 
 def test_derived_new_seed_keeps_other_fields(w3_config):
@@ -262,12 +260,14 @@ def test_er_graph_config_depends_on_seed():
     c1 = config_from_dict(doc, seed=1)
     c2 = config_from_dict(doc, seed=1)
     c3 = config_from_dict(doc, seed=2)
-    np.testing.assert_array_equal(c1.graph.adjacency, c2.graph.adjacency)
+    assert c1.graph.edges() == c2.graph.edges()
+    assert c1.graph.neighborhoods == c2.graph.neighborhoods
     assert is_connected(c1.graph)
     assert c3.graph.n == 5
     # Re-deriving with a new seed regenerates the random graph.
     r = c1.derived(seed=2)
-    np.testing.assert_array_equal(r.graph.adjacency, c3.graph.adjacency)
+    assert r.graph.edges() == c3.graph.edges()
+    assert r.graph.neighborhoods == c3.graph.neighborhoods
 
 
 def test_graph_file_reference(tmp_path):
@@ -276,6 +276,22 @@ def test_graph_file_reference(tmp_path):
     doc = w3_doc(graph=str(gfile.name))
     config = config_from_dict(doc, base_dir=tmp_path)
     assert config.graph.edges() == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("as_object", [False, True])
+def test_graph_file_size_checked_before_the_graph_is_built(
+    tmp_path, monkeypatch, as_object
+):
+    gfile = tmp_path / "net.txt"
+    gfile.write_text("4\n0 1\n1 2\n2 3\n")
+    graph = {"type": "file", "path": gfile.name} if as_object else gfile.name
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph built before its size was checked")
+
+    monkeypatch.setattr(AgentGraph, "from_edges", refuse)
+    with pytest.raises(ConfigError, match="graph has 4 vertices but the config"):
+        config_from_dict(w3_doc(graph=graph), base_dir=tmp_path)
 
 
 def test_world_file_reference(tmp_path):

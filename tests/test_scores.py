@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from myopic_crowd import scores
 from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import config_from_dict
-from myopic_crowd.errors import ClassOutOfScope, NoRejector, TrueClassInScope
+from myopic_crowd.errors import ClassOutOfScope, TrueClassInScope
 from myopic_crowd.scores import (
-    best_rejection_rate,
     check_global_identifiability,
     confusion_score,
     discriminative_score,
@@ -124,33 +123,33 @@ def test_fully_informed_single_agent_identifiable(w3_world):
 
 
 def test_w3_best_rates(w3_world, w3_scopes):
-    r1, v1 = best_rejection_rate(w3_world, w3_scopes, 0, 1)
+    best = score_report(w3_world, w3_scopes).best_rate
+    r1, v1 = best[1]
     assert r1 == pytest.approx(W3_D_A, abs=1e-9)
     assert v1 == 0
-    r2, v2 = best_rejection_rate(w3_world, w3_scopes, 0, 2)
+    r2, v2 = best[2]
     assert r2 == pytest.approx(W3_D_C, abs=1e-9)
     assert v2 == 2
 
 
 def test_best_rate_single_source(w3_world, w3_scopes):
     # Without agents B and C nobody else covers (θ0, θ1).
-    r, v = best_rejection_rate(w3_world, [w3_scopes[0]], 0, 1)
+    r, v = score_report(w3_world, [w3_scopes[0]]).best_rate[1]
     assert r == pytest.approx(W3_D_A, abs=1e-12)
     assert v == 0
 
 
 def test_no_rejector(w3_world, w3_scopes):
-    with pytest.raises(NoRejector):
-        best_rejection_rate(w3_world, [w3_scopes[0]], 0, 2)
+    assert score_report(w3_world, [w3_scopes[0]]).best_rate[2] is None
 
 
 def test_best_rate_tie_breaks_low_id(w3_world):
     twin0 = make_scope(w3_world, 0, ["theta0", "theta1"])
     twin1 = make_scope(w3_world, 1, ["theta0", "theta1"])
-    _, v = best_rejection_rate(w3_world, [twin0, twin1], 0, 1)
+    _, v = score_report(w3_world, [twin0, twin1]).best_rate[1]
     assert v == 0
     # Listing order must not matter.
-    _, v = best_rejection_rate(w3_world, [twin1, twin0], 0, 1)
+    _, v = score_report(w3_world, [twin1, twin0]).best_rate[1]
     assert v == 0
 
 
@@ -161,12 +160,11 @@ def test_best_rate_ulp_tie_breaks_low_id(w3_world):
     pair = make_scope(w3_world, 1, ["theta0", "theta1"])
     scores_ = [discriminative_score(w3_world, s, 0, 1) for s in (wide, pair)]
     assert scores_[0] != scores_[1]
-    assert best_rejection_rate(w3_world, [wide, pair], 0, 1) == (max(scores_), 0)
     assert score_report(w3_world, [wide, pair]).best_rate[1] == (max(scores_), 0)
 
 
 def test_best_rate_dominates_candidates(w3_world, w3_scopes):
-    r1, _ = best_rejection_rate(w3_world, w3_scopes, 0, 1)
+    r1, _ = score_report(w3_world, w3_scopes).best_rate[1]
     assert r1 >= discriminative_score(w3_world, w3_scopes[0], 0, 1)
     assert r1 >= confusion_score(w3_world, w3_scopes[1], 0, 2, 1)
 
@@ -329,6 +327,7 @@ def test_best_rate_matches_oracle(seed):
     world, scopes = _spec_to_package(spec)
     rows = [list(r) for r in spec.rows]
     oracle_scopes = [(i, list(c), list(p)) for i, c, p in spec.scopes]
+    best_rate = score_report(world, scopes).best_rate
     for theta in range(spec.m):
         if theta == spec.true_class:
             continue
@@ -336,10 +335,9 @@ def test_best_rate_matches_oracle(seed):
             rows, spec.true_class, oracle_scopes, theta
         )
         if not candidates:
-            with pytest.raises(NoRejector):
-                best_rejection_rate(world, scopes, spec.true_class, theta)
+            assert best_rate[theta] is None
         else:
-            r, v = best_rejection_rate(world, scopes, spec.true_class, theta)
+            r, v = best_rate[theta]
             best = max(c for c, _ in candidates)
             assert r == pytest.approx(best, abs=1e-12)
             # Mathematically tied candidates (identical scopes with different
@@ -419,7 +417,6 @@ def test_score_report_matches_public_functions_and_oracle(seed):
         if not candidates:
             assert entry is None
             continue
-        assert entry == best_rejection_rate(world, scopes, star, theta)
         best = max(c for c, _ in candidates)
         assert entry[0] == pytest.approx(best, abs=1e-12)
         assert entry[1] in [aid for c, aid in candidates if abs(c - best) <= 1e-12]
