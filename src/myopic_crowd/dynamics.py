@@ -11,7 +11,8 @@ stream in closed form: the normalization constant cancels between rounds,
 so the unnormalized log-belief after t rounds is the uniform start plus the
 cumulative log posterior/prior ratio.  The global recursion reads the
 previous round, so :func:`global_trajectory` loops over rounds, pooling
-every agent at once from the layouts of :func:`neighborhood_csr`.
+every agent under every rule at once from the layouts of
+:func:`neighborhood_csr`.
 
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
@@ -132,21 +133,21 @@ def neighborhood_csr(neighborhoods: Sequence[Sequence[int]]) -> Hood:
     )
 
 
-def _extremes(ufunc, rows: np.ndarray, hood: Hood, entries, out) -> None:
-    """``ufunc`` (minimum or maximum) of ``rows`` over each segment, gathered
-    into ``entries``; mode "clip" (every index is valid) skips a copy."""
-    if hood.padded is None:
-        rows.take(hood.index, 0, entries, "clip")
-        ufunc.reduceat(entries, hood.starts, axis=0, out=out)
+def _extremes(ufunc, rows: np.ndarray, layout, starts, entries, out) -> None:
+    """``ufunc`` (minimum or maximum) of ``rows`` over each segment of a CSR
+    or padded ``layout``, gathered into ``entries``; mode "clip" (every
+    index is valid) skips a copy."""
+    rows.take(layout, 0, entries, "clip")
+    if layout.ndim == 1:
+        ufunc.reduceat(entries, starts, axis=0, out=out)
     else:
-        rows.take(hood.padded, 0, entries, "clip")
         ufunc.reduce(entries, axis=0, out=out)
 
 
 def global_trajectory(
-    rule: str, log_pi: np.ndarray, clamped_pi: np.ndarray, hood: Hood
-) -> tuple[np.ndarray, np.ndarray]:
-    """Global log-beliefs and clamp flags for rounds 0..T under ``rule``.
+    rules: Sequence[str], log_pi: np.ndarray, clamped_pi: np.ndarray, hood: Hood
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Global log-beliefs and clamp flags for rounds 0..T, one pair per rule.
 
     ``log_pi``/``clamped_pi`` are the (T+1, n, m) local trajectories of the
     agents ``hood`` was built for.  Round 0 is uniform; each later round
@@ -154,60 +155,78 @@ def global_trajectory(
     with its current local belief, then normalizes.  The min rule keeps a
     class only as far as nobody has rejected it; avg (mean of linear
     probabilities) and max are baselines.  At a few agents per run a round
-    costs numpy call overhead, so rounds write into buffers made once.
+    costs numpy call overhead, so rounds write into buffers made once, and
+    the R ``rules`` share one loop: each pools its own block of n rows, and
+    all R·n rows are normalized together into one (T+1, R·n, m) array.
+    Rule r's pair is a view of the r-th block.
     """
-    if rule not in ("min", "avg", "max"):
-        raise ValueError(f"unknown pooling rule {rule!r}")
     rounds, n, m = log_pi.shape
-    log_mu = np.empty_like(log_pi)
-    clamped_mu = np.zeros_like(clamped_pi)
+    r_n = len(rules) * n
+    spans = [slice(r * n, r * n + n) for r in range(len(rules))]
+    log_mu = np.empty((rounds, r_n, m))
+    clamped_mu = np.zeros(log_mu.shape, dtype=bool)
     log_mu[0] = -math.log(m)
-    stack = np.empty((2 * n + 1, m))
-    no_flags = np.zeros((1, m), dtype=bool)  # the identity row's
-    pooled = np.empty((n, m))
-    propagated = np.empty((n, m), dtype=bool)
-    if rule == "avg":
-        entries = np.empty((hood.index.size, m))
-        spread = np.empty_like(entries)
-        hi = np.empty((n, m))
-    else:
-        ufunc = np.minimum if rule == "min" else np.maximum
-        identity = stack[-1] = np.inf if rule == "min" else -np.inf
-        layout = hood.index if hood.padded is None else hood.padded
-        entries = np.empty((*layout.shape, m))
-        flagged = np.empty((n, m))
+    # Rows: each rule's previous global beliefs, the local beliefs, then the
+    # identities of min and max.
+    stack = np.empty((r_n + n + 2, m))
+    stack[-2:] = [[np.inf], [-np.inf]]
+    no_flags = np.zeros((2, m), dtype=bool)  # the identity rows'
+    pooled = np.empty((r_n, m))
+    propagated = np.empty((r_n, m), dtype=bool)
+    flagged = np.empty((n, m))
+    blocks = []
+    for rule, span in zip(rules, spans):
+        if rule not in ("min", "avg", "max"):
+            raise ValueError(f"unknown pooling rule {rule!r}")
+        # Maps the rows ``hood`` indexes (previous global beliefs, local
+        # beliefs, identity) to this rule's rows of the stack.
+        rows = np.r_[span.start : span.stop, r_n : r_n + n + 1]
+        rows[-1] += rule == "max"
+        index = rows[hood.index]
+        if rule == "avg":
+            entries = np.empty((index.size, m))
+            buffers = (entries, np.empty_like(entries), np.empty((n, m)))
+        else:
+            layout = index if hood.padded is None else rows[hood.padded]
+            extreme = (np.minimum, np.inf) if rule == "min" else (np.maximum, -np.inf)
+            buffers = (layout, *extreme, np.empty((*layout.shape, m)))
+        blocks.append((rule, index, pooled[span], propagated[span], buffers))
     # Flag work is skipped while no input is flagged, as it would flag
     # nothing; after the first global flag it runs every round.
     pi_flagged = clamped_pi.any(axis=(1, 2)).tolist()
     mu_flagged = False
     for t in range(1, rounds):
-        stack[:n] = log_mu[t - 1]
-        stack[n:-1] = log_pi[t]
+        stack[:r_n] = log_mu[t - 1]
+        stack[r_n:-2] = log_pi[t]
         any_flag = mu_flagged or pi_flagged[t]
         if any_flag:
             flags = np.concatenate((clamped_mu[t - 1], clamped_pi[t], no_flags))
-        if rule == "avg":
-            stack.take(hood.index, 0, entries, "clip")
-            np.maximum.reduceat(entries, hood.starts, axis=0, out=hi)
-            hi.take(hood.owner, 0, spread, "clip")
-            np.exp(np.subtract(entries, spread, out=spread), out=spread)
-            np.add.reduceat(spread, hood.starts, axis=0, out=pooled)
-            np.add(hi, np.log(pooled, out=pooled), out=pooled)
-            np.subtract(pooled, hood.log_size, out=pooled)
-            if any_flag:
-                # A floored input is negligible inside a mean; the output
-                # is an artifact only when every input is floored.
-                np.logical_and.reduceat(flags[hood.index], hood.starts, out=propagated)
-        else:
-            _extremes(ufunc, stack, hood, entries, pooled)
-            if any_flag:
-                # A pooled value a flagged input attains is a floor artifact,
-                # even where normalization lifts it above LOG_FLOOR.
-                masked = np.where(flags, stack, identity)
-                _extremes(ufunc, masked, hood, entries, flagged)
-                np.equal(flagged, pooled, out=propagated)
+        for rule, index, out, prop, buffers in blocks:
+            if rule == "avg":
+                entries, spread, hi = buffers
+                stack.take(index, 0, entries, "clip")
+                np.maximum.reduceat(entries, hood.starts, axis=0, out=hi)
+                hi.take(hood.owner, 0, spread, "clip")
+                np.exp(np.subtract(entries, spread, out=spread), out=spread)
+                np.add.reduceat(spread, hood.starts, axis=0, out=out)
+                np.add(hi, np.log(out, out=out), out=out)
+                np.subtract(out, hood.log_size, out=out)
+                if any_flag:
+                    # A floored input is negligible inside a mean; the output
+                    # is an artifact only when every input is floored.
+                    np.logical_and.reduceat(flags[index], hood.starts, out=prop)
+            else:
+                layout, ufunc, identity, entries = buffers
+                _extremes(ufunc, stack, layout, hood.starts, entries, out)
+                if any_flag:
+                    # A pooled value a flagged input attains is a floor
+                    # artifact, even where normalization lifts it above
+                    # LOG_FLOOR.
+                    masked = np.where(flags, stack, identity)
+                    _extremes(ufunc, masked, layout, hood.starts, entries, flagged)
+                    np.equal(flagged, out, out=prop)
         norm_rows(pooled, log_mu[t], clamped_mu[t])
         if any_flag:
             clamped_mu[t] |= propagated
         mu_flagged = mu_flagged or clamped_mu[t].any()
-    return log_mu, clamped_mu
+    return [(log_mu[:, span], clamped_mu[:, span]) for span in spans]

@@ -110,18 +110,22 @@ def erdos_renyi_connected(
 
 def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
     """The vertex count and edges of an edge-list file: first line n, then
-    one `u v` pair per line, `#` comments and blank lines allowed."""
+    one `u v` pair per line, `#` comments and blank lines allowed.  A
+    :class:`ParseError` names the file's line, counting every line."""
     path = Path(path)
-    lines = [ln.strip() for ln in path.read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    numbered = enumerate((ln.strip() for ln in path.read_text().splitlines()), 1)
+    lines = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"graph file {path} is empty")
+    first, head = lines[0]
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError:
-        raise ParseError(f"{path}:1: first line must be the vertex count") from None
+        raise ParseError(
+            f"{path}:{first}: first line must be the vertex count"
+        ) from None
     edges = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"{path}:{lineno}: expected 'u v', got {ln!r}")

@@ -16,16 +16,16 @@ meets its rate (:func:`rate_checks`) are decided here, and only here.
 
 Everything before the pooling loop (sources, checks, observation draws,
 posteriors, local trajectories) does not depend on the rule, so
-:func:`run_batch` prepares it once and pools it under several rules; that
-is how ``compare`` evaluates min, avg and max on the same draws (common
-random numbers).
+:func:`run_batch` prepares it once and pools it under several rules in one
+loop over rounds; that is how ``compare`` evaluates min, avg and max on the
+same draws (common random numbers).
 
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
-one network, the disjoint union of their graphs, in one loop over rounds,
-bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps the sum
-of a batch's :func:`run_bytes`, everything the batch holds: ten 3-agent,
-3-class runs at T = 3000.  :func:`run_experiment` is the one-run case.
+one network, the disjoint union of their graphs, in that same loop,
+bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps what a
+batch holds: ten 3-agent, 3-class runs at T = 3000 under one rule, six under
+three.  :func:`run_experiment` is the one-run case.
 """
 
 from __future__ import annotations
@@ -72,12 +72,14 @@ logger = logging.getLogger(__name__)
 #: Minimum number of unclamped samples required to fit a rejection rate.
 MIN_RATE_SAMPLES = 10
 
-#: Cap on the summed :func:`run_bytes` of one batch: its draws, posteriors
-#: and belief arrays, all held until the batch's last log is consumed.  A w3
-#: run at T=3000 takes 0.70 MB, so ten such seeds pool together; a run
-#: larger than the cap pools alone.  On the ``sweep-w3`` bench, ten-seed
-#: batches raised peak RSS by 3.5 MB (+7%, 47.6 to 51.2 MB) over the former
-#: four-seed ones.
+#: Cap on what one batch holds until its last log is consumed: its runs'
+#: :func:`run_bytes` (draws, posteriors and belief arrays) plus, as all its
+#: rules pool at once, a ``log_mu`` and ``clamped_mu`` per further rule.  A
+#: w3 run at T=3000 takes 0.70 MB, 1.19 MB under three rules, so ten such
+#: seeds pool together under one rule and six under three; a lone run above
+#: the cap pools its rules one at a time.  On the ``sweep-w3`` bench,
+#: ten-seed batches raised peak RSS by 3.5 MB (+7%, 47.6 to 51.2 MB) over the
+#: former four-seed ones.
 BATCH_BYTES = 7 * 2**20
 
 #: Cap on the estimated bytes of one run (:func:`run_bytes`); a larger run
@@ -226,12 +228,14 @@ def _prepare(config: ExperimentConfig):
     return obs, posts
 
 
-def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
-    """Consecutive configs that can share one pooling loop.
+def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tuple]:
+    """Consecutive configs that can share one pooling loop, each batch with
+    whether its ``rules`` fit in one :func:`global_trajectory` call.
 
     A batch holds runs of one shape (horizon, class count, ``local_only``)
-    whose :func:`run_bytes` fit in :data:`BATCH_BYTES` together; a run
-    larger than the cap forms a batch of its own.
+    whose fused costs fit in :data:`BATCH_BYTES` together: :func:`run_bytes`
+    plus 9 bytes per round, agent, class and rule after the first.  A run
+    above the cap forms a batch of its own and pools its rules one at a time.
     """
 
     def shape(config):
@@ -240,14 +244,15 @@ def _batches(configs: Iterable[ExperimentConfig]) -> Iterator[list]:
     batch: list[ExperimentConfig] = []
     size = 0
     for config in configs:
-        cost = run_bytes(config)
+        further = 9 * (len(rules) - 1) * (config.horizon + 1) * config.n_agents
+        cost = run_bytes(config) + further * config.world.m
         if batch and (shape(config) != shape(batch[0]) or size + cost > BATCH_BYTES):
-            yield batch
+            yield batch, size <= BATCH_BYTES
             batch, size = [], 0
         batch.append(config)
         size += cost
     if batch:
-        yield batch
+        yield batch, size <= BATCH_BYTES
 
 
 def run_batch(
@@ -258,24 +263,27 @@ def run_batch(
     Consecutive configs are grouped into batches (:func:`_batches`).  Each
     run of a batch is prepared once; the batch's graphs are then joined into
     one disjoint union, agent indices offset by the agents before them, and
-    pooled once per rule over the stacked (T+1, sum n, m) arrays.  Pooling
+    pooled over the stacked (T+1, sum n, m) arrays under every rule in one
+    call, or one rule at a time in a lone run too large for that.  Pooling
     is row-wise over each agent's own neighborhood, so every run's beliefs
     are bit-identical to running it alone.
 
     Logs are yielded batch by batch, rule by rule, then config by config.
-    Each log's arrays are views into its batch's arrays and its config is
-    the run's config with the rule replaced.  A caller that drops each log
-    before asking for the next holds one batch at a time.  One ``info`` line
-    is logged per batch once its last log has been consumed.
+    Each log's arrays are views into its batch's arrays, across the rules
+    pooled together, and its config is the run's config with the rule
+    replaced.  A caller that drops each log before asking for the next holds
+    one batch at a time.  One ``info`` line is logged per batch once its
+    last log has been consumed; it joins rules pooled together by ``+``.
     """
     rules = tuple(rules)
-    for batch in _batches(configs):
+    for batch, fused in _batches(configs, rules):
         started = time.perf_counter()
+        groups = [rules] if fused else [(r,) for r in rules]
         # Each run's config under each rule, checked before any draw.
-        variants = [
-            [replace(c, rule=r, overrides={**c.overrides, "rule": r}) for c in batch]
+        variants = {
+            r: [replace(c, rule=r, overrides={**c.overrides, "rule": r}) for c in batch]
             for r in rules
-        ]
+        }
         ends = list(accumulate(config.n_agents for config in batch))
         spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
         t_max, m = batch[0].horizon, batch[0].world.m
@@ -296,30 +304,30 @@ def run_batch(
                 for nbrs in config.graph.neighborhoods
             ]
         )
-        for rule, rule_configs in zip(rules, variants):
+        for group in groups:
             if batch[0].local_only:
-                log_mu, clamped_mu = log_pi.copy(), clamped_pi.copy()
+                pooled = [(log_pi.copy(), clamped_pi.copy())] * len(group)
             else:
-                log_mu, clamped_mu = global_trajectory(
-                    rule, log_pi, clamped_pi, hood
-                )
-            for config, span, (obs, posts) in zip(rule_configs, spans, prepared):
-                yield TrajectoryLog(
-                    config=config,
-                    log_pi=log_pi[:, span],
-                    log_mu=log_mu[:, span],
-                    clamped_pi=clamped_pi[:, span],
-                    clamped_mu=clamped_mu[:, span],
-                    observations=obs,
-                    posteriors=tuple(posts),
-                )
-            # Hold no reference to this rule's arrays while the next is pooled.
-            del log_mu, clamped_mu
+                pooled = global_trajectory(group, log_pi, clamped_pi, hood)
+            for rule, (log_mu, clamped_mu) in zip(group, pooled):
+                for config, span, (obs, posts) in zip(variants[rule], spans, prepared):
+                    yield TrajectoryLog(
+                        config=config,
+                        log_pi=log_pi[:, span],
+                        log_mu=log_mu[:, span],
+                        clamped_pi=clamped_pi[:, span],
+                        clamped_mu=clamped_mu[:, span],
+                        observations=obs,
+                        posteriors=tuple(posts),
+                    )
+            # Hold no reference to these arrays while the next group is
+            # pooled or the next batch prepared.
+            pooled = log_mu = clamped_mu = None
         logger.info(
             "batch seeds=%d first_seed=%d rules=%s rounds=%d elapsed_s=%.3f",
             len(batch),
             batch[0].seed,
-            ",".join(rules),
+            ",".join("+".join(group) for group in groups),
             t_max,
             time.perf_counter() - started,
         )

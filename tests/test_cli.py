@@ -24,7 +24,7 @@ import oracles
 from myopic_crowd import sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
-from myopic_crowd.config import load_config
+from myopic_crowd.config import RULES, load_config
 
 from conftest import W3_D_A, W3_SCOPE_CLASSES, w3_doc
 
@@ -541,15 +541,31 @@ def test_compare_rules(config_path, tmp_path, capsys):
 
 
 def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
-    # Batches of two seeds, so five seeds pool in three loops per rule.
+    # One seed a batch: at twice a run's bytes its three rules pool in one
+    # loop, at its bytes alone one rule at a time.
     base = load_config(W3_JSON)
-    monkeypatch.setattr(sim, "BATCH_BYTES", 2 * sim.run_bytes(base))
-    rc = main(
-        ["compare", "--config", str(W3_JSON), "--seeds", "5", "--out", str(tmp_path)]
-    )
-    assert rc == 0
-    doc = json.loads((tmp_path / "compare.json").read_text())
-    assert doc == oracles.compare_reference(base, 5)
+    want = oracles.compare_reference(base, 5)
+    pool = sim.global_trajectory
+    calls = []
+
+    def recorded(rules, *args):
+        calls.append(rules)
+        return pool(rules, *args)
+
+    monkeypatch.setattr(sim, "global_trajectory", recorded)
+    for cap, groups in (
+        (2 * sim.run_bytes(base), [RULES]),
+        (sim.run_bytes(base), [(rule,) for rule in RULES]),
+    ):
+        monkeypatch.setattr(sim, "BATCH_BYTES", cap)
+        calls.clear()
+        out = tmp_path / str(cap)
+        rc = main(
+            ["compare", "--config", str(W3_JSON), "--seeds", "5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert calls == groups * 5
+        assert json.loads((out / "compare.json").read_text()) == want
 
 
 def test_rates_matches_per_seed_runs(tmp_path):

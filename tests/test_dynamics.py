@@ -61,8 +61,8 @@ def test_init_beliefs_uniform():
         assert log_pi.shape == (1, m)
         np.testing.assert_allclose(np.exp(log_pi[0]), np.full(m, 1 / m), atol=1e-15)
         assert not flags.any()
-    log_mu, _ = global_trajectory(
-        "min", np.full((1, 2, 3), -math.log(3)), np.zeros((1, 2, 3), bool),
+    [(log_mu, _)] = global_trajectory(
+        ("min",), np.full((1, 2, 3), -math.log(3)), np.zeros((1, 2, 3), bool),
         neighborhood_csr([[0, 1], [0, 1]]),
     )
     np.testing.assert_allclose(np.exp(log_mu[0]), 1 / 3, atol=1e-15)
@@ -78,10 +78,8 @@ def test_belief_state_requires_normalization():
     assert clamped_pi.any()
     pis = np.stack([log_pi, log_pi], axis=1)
     flags = np.stack([clamped_pi, clamped_pi], axis=1)
-    for rule in RULES:
-        log_mu, _ = global_trajectory(
-            rule, pis, flags, neighborhood_csr([[0, 1], [0, 1]])
-        )
+    hood = neighborhood_csr([[0, 1], [0, 1]])
+    for log_mu, _ in global_trajectory(RULES, pis, flags, hood):
         for beliefs in (log_pi, log_mu):
             lse = np.logaddexp.reduce(beliefs, axis=-1)
             np.testing.assert_allclose(lse, 0.0, atol=1e-9)
@@ -175,12 +173,12 @@ def test_rules_registry_complete():
     flags = np.zeros(log_pi.shape, dtype=bool)
     hood = neighborhood_csr([[0]])
     for rule in RULES:
-        global_trajectory(rule, log_pi, flags, hood)
+        global_trajectory((rule,), log_pi, flags, hood)
     with pytest.raises(ValueError, match="unknown pooling rule 'median'"):
-        global_trajectory("median", log_pi, flags, hood)
-    # The rule is checked before any round is pooled.
-    with pytest.raises(ValueError):
-        global_trajectory("median", log_pi[:1], flags[:1], hood)
+        global_trajectory(("median",), log_pi, flags, hood)
+    # Every rule is checked before any round is pooled.
+    with pytest.raises(ValueError, match="unknown pooling rule 'median'"):
+        global_trajectory(("min", "median"), log_pi[:1], flags[:1], hood)
 
 
 @given(
@@ -271,22 +269,26 @@ def test_pool_kernel_matches_dense_reference(data):
             np.testing.assert_array_equal(got, want)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_global_trajectory_matches_reference_loop(data):
-    # Values and flags equal bit for bit a round-by-round loop of the
-    # former kernel and floor rule, under every rule, with unequal
-    # neighborhoods, before and after the floor.
-    graph = data.draw(_connected_graphs())
-    m = data.draw(st.integers(2, 4))
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shape, dtype and bytes: unlike ``==``, tells -0.0 from 0.0."""
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _floor_crossing_inputs(draw):
+    """(log_pi, clamped_pi, hood) of local trajectories that carry classes
+    past the floor, so flags first appear after round 1."""
+    graph = draw(_connected_graphs())
+    m = draw(st.integers(2, 4))
     world = build_world([f"c{j}" for j in range(m)], ["x"], [[1.0]] * m, "c0")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rounds = [data.draw(st.integers(240, 320)), data.draw(st.integers(0, 60))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rounds = [draw(st.integers(240, 320)), draw(st.integers(0, 60))]
     log_pi = np.empty((sum(rounds) + 1, graph.n, m))
     clamped_pi = np.empty(log_pi.shape, dtype=bool)
     for i in range(graph.n):
         # Agent 0 tells classes apart; the others may hold a single class.
-        k = data.draw(st.integers(2 if i == 0 else 1, m))
+        k = draw(st.integers(2 if i == 0 else 1, m))
         scope = make_scope(world, i, sorted(rng.permutation(m)[:k]))
         phases = []
         for length in rounds:
@@ -302,39 +304,75 @@ def test_global_trajectory_matches_reference_loop(data):
         log_pi[:, i], clamped_pi[:, i] = local_trajectory(scope, m, posts)
     flagged_rounds = np.nonzero(clamped_pi.any(axis=(1, 2)))[0]
     assert flagged_rounds.size and flagged_rounds[0] > 1
-    hood = neighborhood_csr(graph.neighborhoods)
+    return log_pi, clamped_pi, neighborhood_csr(graph.neighborhoods)
+
+
+@st.composite
+def _arbitrary_inputs(draw):
+    """(log_pi, clamped_pi, hood) of a few rounds of arbitrary log-beliefs:
+    entries pinned at the floor tie with free ones, and local flags start
+    after round 1 and then come and go, so a round may carry only global
+    flags, which normalization can lift above the floor."""
+    graph = draw(_connected_graphs())
+    m = draw(st.integers(2, 4))
+    rounds = draw(st.integers(2, 8))
+    shape = (rounds + 1, graph.n, m)
+    entries = st.one_of(st.just(LOG_FLOOR), st.floats(LOG_FLOOR, 0.0))
+    log_pi = draw(arrays(float, shape, elements=entries))
+    clamped_pi = draw(arrays(bool, shape))
+    clamped_pi[: draw(st.integers(2, rounds))] = False
+    clamped_pi[draw(st.lists(st.integers(0, rounds)))] = False
+    return log_pi, clamped_pi, neighborhood_csr(graph.neighborhoods)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=_floor_crossing_inputs())
+def test_global_trajectory_matches_reference_loop(inputs):
+    # Values and flags equal bit for bit a round-by-round loop of the
+    # former kernel and floor rule, under every rule, with unequal
+    # neighborhoods, before and after the floor.
+    log_pi, clamped_pi, hood = inputs
     for rule in RULES:
-        got_mu, got_flags = global_trajectory(rule, log_pi, clamped_pi, hood)
+        [(got_mu, got_flags)] = global_trajectory((rule,), log_pi, clamped_pi, hood)
         want_mu, want_flags = oracles.global_trajectory(
             rule, log_pi, clamped_pi, hood
         )
-        np.testing.assert_array_equal(got_mu, want_mu)
-        np.testing.assert_array_equal(got_flags, want_flags)
+        _same_bytes(got_mu, want_mu)
+        _same_bytes(got_flags, want_flags)
         if rule == "min":
             assert got_flags.any()
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_global_trajectory_matches_reference_loop_on_arbitrary_inputs(data):
-    # Entries pinned at the floor tie with free ones, and local flags start
-    # after round 1 and then come and go: a round may carry only global
-    # flags, which normalization can lift above the floor.
-    graph = data.draw(_connected_graphs())
-    m = data.draw(st.integers(2, 4))
-    rounds = data.draw(st.integers(2, 8))
-    shape = (rounds + 1, graph.n, m)
-    entries = st.one_of(st.just(LOG_FLOOR), st.floats(LOG_FLOOR, 0.0))
-    log_pi = data.draw(arrays(float, shape, elements=entries))
-    clamped_pi = data.draw(arrays(bool, shape))
-    clamped_pi[: data.draw(st.integers(2, rounds))] = False
-    clamped_pi[data.draw(st.lists(st.integers(0, rounds)))] = False
-    hood = neighborhood_csr(graph.neighborhoods)
+@given(inputs=_arbitrary_inputs())
+def test_global_trajectory_matches_reference_loop_on_arbitrary_inputs(inputs):
+    log_pi, clamped_pi, hood = inputs
     for rule in RULES:
-        got = global_trajectory(rule, log_pi, clamped_pi, hood)
+        [got] = global_trajectory((rule,), log_pi, clamped_pi, hood)
         want = oracles.global_trajectory(rule, log_pi, clamped_pi, hood)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
+        _same_bytes(got[0], want[0])
+        _same_bytes(got[1], want[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inputs=st.one_of(_floor_crossing_inputs(), _arbitrary_inputs()),
+    order=st.permutations(RULES),
+    count=st.integers(1, len(RULES)),
+)
+def test_fused_rules_match_reference_loop_per_rule(inputs, order, count):
+    # One call pooling any ordered tuple of distinct rules gives each rule
+    # the values and flags of the reference loop run for that rule alone.
+    log_pi, clamped_pi, hood = inputs
+    rules = tuple(order[:count])
+    got = global_trajectory(rules, log_pi, clamped_pi, hood)
+    assert len(got) == len(rules)
+    for rule, (got_mu, got_flags) in zip(rules, got):
+        want_mu, want_flags = oracles.global_trajectory(
+            rule, log_pi, clamped_pi, hood
+        )
+        _same_bytes(got_mu, want_mu)
+        _same_bytes(got_flags, want_flags)
 
 
 # -- the floor rule -------------------------------------------------------

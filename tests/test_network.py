@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from myopic_crowd.network import (
     erdos_renyi_connected,
     is_connected,
     load_graph,
+    read_edge_list,
 )
 from oracles import (
     complete_graph,
@@ -253,3 +256,27 @@ def test_load_graph_rejects_malformed(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# vertices\n\nx\n0 1\n", ":3: first line must be the vertex count"),
+        ("3\n# c\n\n0\n", ":4: expected 'u v', got '0'"),
+        ("3\n# c\n\n0 1\n1 x\n", ":5: vertex ids must be integers"),
+        ("3\n\n# c\n0 1\n\n0 9\n", ":6: edge (0, 9) out of range"),
+    ],
+)
+def test_read_edge_list_names_the_line_in_the_file(tmp_path, text, where):
+    # Comments and blank lines count: the line number is the file's own.
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(f"{path}{where}")):
+        read_edge_list(path)
+
+
+def test_read_edge_list_of_only_comments_is_empty(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# none\n\n")
+    with pytest.raises(ParseError, match=re.escape(f"graph file {path} is empty")):
+        read_edge_list(path)

@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import math
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from myopic_crowd.classifier import (
     write_replay_csv,
 )
 from myopic_crowd.config import RATE_SLACK, RULES, config_from_dict, load_config
+from myopic_crowd.dynamics import global_trajectory
 from myopic_crowd.errors import (
     ConfigError,
     DisconnectedGraph,
@@ -108,25 +110,31 @@ def test_run_batch_matches_per_seed_runs(
         }
     base = config_from_dict(doc)
     configs = [base.derived(seed=base_seed + k) for k in range(n_seeds)]
-    seed_bytes = sim.run_bytes(base)
-    with mock.patch.object(sim, "BATCH_BYTES", per_batch * seed_bytes):
+    cap = per_batch * sim.run_bytes(base)
+    # Pooling all three rules at once also holds two more rules' log_mu and
+    # clamped_mu, 9 bytes per round, agent and class each.
+    fused_bytes = sim.run_bytes(base) + 2 * 9 * (horizon + 1) * n_agents * 3
+    fused = fused_bytes <= cap
+    size = max(1, cap // fused_bytes)
+    with mock.patch.object(sim, "BATCH_BYTES", cap):
         logs = list(run_batch(configs, RULES))
 
-    batches = -(-n_seeds // per_batch)
+    batches = -(-n_seeds // size)
     order = [
         (b, rule, k)
         for b in range(batches)
         for rule in RULES
-        for k in range(b * per_batch, min((b + 1) * per_batch, n_seeds))
+        for k in range(b * size, min((b + 1) * size, n_seeds))
     ]
     assert [(log.config.rule, log.config.seed) for log in logs] == [
         (rule, base_seed + k) for _, rule, k in order
     ]
-    # Logs of one batch and rule are views into one array; batches are not.
+    # Logs of one batch are views into one array, across its rules when they
+    # were pooled together; batches share none.
     for (b1, r1, _), log1 in zip(order, logs):
         for (b2, r2, _), log2 in zip(order, logs):
             same = log1.log_mu.base is log2.log_mu.base
-            assert same == (b1 == b2 and r1 == r2)
+            assert same == (b1 == b2 and (fused or r1 == r2))
     if horizon >= 340:
         assert all(log.clamped_pi.any() for log in logs)
     for log in logs:
@@ -152,6 +160,8 @@ def test_run_batch_default_cap_groups_w3_seeds():
 
 
 def test_run_batch_logs_one_line_per_batch(caplog):
+    # Under three rules a w3 run at T=3000 holds 1.19 MB: six fit in
+    # BATCH_BYTES, pooled in one loop.
     base = load_config(W3_JSON, horizon=3000)
     configs = [base.derived(seed=s) for s in range(10, 22)]
     with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
@@ -159,10 +169,67 @@ def test_run_batch_logs_one_line_per_batch(caplog):
             pass
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 2
-    rest = " rules=min,avg,max rounds=3000 elapsed_s="
-    assert lines[0].startswith("batch seeds=10 first_seed=10" + rest)
-    assert lines[1].startswith("batch seeds=2 first_seed=20" + rest)
+    rest = " rules=min+avg+max rounds=3000 elapsed_s="
+    assert lines[0].startswith("batch seeds=6 first_seed=10" + rest)
+    assert lines[1].startswith("batch seeds=6 first_seed=16" + rest)
     assert all(float(line.rsplit("elapsed_s=", 1)[1]) >= 0 for line in lines)
+
+
+def _pooling_calls(monkeypatch) -> list:
+    """The rules of every ``global_trajectory`` call ``sim`` makes from now."""
+    calls = []
+
+    def recorded(rules, *args):
+        calls.append(rules)
+        return global_trajectory(rules, *args)
+
+    monkeypatch.setattr(sim, "global_trajectory", recorded)
+    return calls
+
+
+def test_run_batch_pools_a_w3_compare_batch_in_one_call(monkeypatch):
+    base = load_config(W3_JSON, horizon=3000)
+    calls = _pooling_calls(monkeypatch)
+    logs = list(run_batch([base.derived(seed=s) for s in range(5)], RULES))
+    assert calls == [RULES]
+    assert len({id(log.log_mu.base) for log in logs}) == 1
+
+
+def test_run_batch_pools_a_lone_run_above_the_cap_one_rule_at_a_time(
+    monkeypatch, caplog
+):
+    config = load_config(W3_JSON, horizon=3000)
+    # Under one rule the run fits; all three at once do not.
+    monkeypatch.setattr(sim, "BATCH_BYTES", sim.run_bytes(config) + 1)
+    calls = _pooling_calls(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
+        logs = list(run_batch([config, config.derived(seed=8)], RULES))
+    assert calls == [(rule,) for rule in RULES] * 2
+    assert [log.config.rule for log in logs] == list(RULES) * 2
+    lines = [r.getMessage() for r in caplog.records]
+    assert [line.split(" rounds=")[0] for line in lines] == [
+        f"batch seeds=1 first_seed={seed} rules=min,avg,max" for seed in (7, 8)
+    ]
+
+
+def test_run_batch_drops_a_batch_before_preparing_the_next(monkeypatch):
+    base = load_config(W3_JSON, horizon=3000)
+    logs = run_batch([base.derived(seed=s) for s in range(12)], RULES)
+    # The first batch: six runs under three rules, pooled into one array.
+    first = [next(logs) for _ in range(18)]
+    fused = weakref.ref(first[0].log_mu.base)
+    assert all(log.log_mu.base is fused() for log in first)
+    del first
+    prepare = sim._prepare
+    alive = []
+
+    def watched(config):
+        alive.append(fused() is not None)
+        return prepare(config)
+
+    monkeypatch.setattr(sim, "_prepare", watched)
+    assert next(logs).config.seed == 6
+    assert alive == [False] * 6
 
 
 def test_seed_changes_observations():
