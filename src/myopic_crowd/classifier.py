@@ -238,6 +238,14 @@ def write_replay_csv(path, world: World, scopes, series) -> None:
             )
 
 
+def _decoded_lines(f, path):
+    """The lines of ``f``; undecodable bytes raise a ParseError naming ``path``."""
+    try:
+        yield from f
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot decode replay file {path}: {e}") from None
+
+
 def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray]]:
     """Parse a replay CSV into its header labels and {agent_id: matrix}.
 
@@ -248,7 +256,7 @@ def load_replay_csv(path, world: World) -> tuple[list[str], dict[int, np.ndarray
     path = Path(path)
     per_agent: dict[int, dict[int, list[float]]] = {}
     with open(path, newline="") as f:
-        reader = csv.reader(f)
+        reader = csv.reader(_decoded_lines(f, path))
         try:
             header = next(reader)
         except StopIteration:

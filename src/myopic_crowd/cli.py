@@ -123,8 +123,9 @@ def _check_seeds(args) -> None:
 
 
 def _seed_configs(config, seeds: int):
-    """``config`` re-resolved for seeds seed, seed+1, ..., one at a time."""
-    return (config.derived(seed=config.seed + offset) for offset in range(seeds))
+    """``config``, then ``config`` re-resolved for seeds seed+1, ..., one at a time."""
+    yield config
+    yield from (config.derived(seed=config.seed + k) for k in range(1, seeds))
 
 
 def _fmt_time(t) -> str:
@@ -289,42 +290,31 @@ def cmd_rates(args) -> int:
 
 # -- compare --------------------------------------------------------------
 
-def _median_or_none(values) -> float | None:
-    arr = np.array(
-        [np.inf if v is None else float(v) for v in values], dtype=float
-    )
-    med = float(np.median(arr))
-    return None if np.isinf(med) else med
-
-
 def cmd_compare(args) -> int:
     _check_seeds(args)
     config = _load(args)
     star = config.world.true_class
     label = config.world.classes.labels[star]
-    per_agent_times = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
-    finals = {rule: [[] for _ in range(config.n_agents)] for rule in RULES}
-    identified_runs = dict.fromkeys(RULES, 0)
+    # Per rule, one row per run: identification times (inf where an agent
+    # never identifies) and final beliefs in the true class.
+    times: dict[str, list] = {rule: [] for rule in RULES}
+    finals: dict[str, list] = {rule: [] for rule in RULES}
     for trajectory in run_batch(_seed_configs(config, args.seeds), RULES):
         rule = trajectory.config.rule
-        run_ok = True
-        for i in range(trajectory.n_agents):
-            t_id = time_to_identification(trajectory, i)
-            per_agent_times[rule][i].append(t_id)
-            finals[rule][i].append(float(np.exp(trajectory.log_mu[-1, i, star])))
-            if t_id is None:
-                run_ok = False
-        if run_ok:
-            identified_runs[rule] += 1
+        agents = range(trajectory.n_agents)
+        run_times = [time_to_identification(trajectory, i) for i in agents]
+        times[rule].append([np.inf if t is None else float(t) for t in run_times])
+        finals[rule].append([float(np.exp(v)) for v in trajectory.log_mu[-1, :, star]])
         # Drop this log before the next one is handed out.
         del trajectory
     results = {
         rule: {
             "median_identification_time": [
-                _median_or_none(times) for times in per_agent_times[rule]
+                None if np.isinf(t) else t
+                for t in np.median(times[rule], axis=0).tolist()
             ],
-            "median_final_mu_true": [float(np.median(f)) for f in finals[rule]],
-            "runs_fully_identified": identified_runs[rule],
+            "median_final_mu_true": np.median(finals[rule], axis=0).tolist(),
+            "runs_fully_identified": int(np.isfinite(times[rule]).all(axis=1).sum()),
             "runs": args.seeds,
         }
         for rule in RULES

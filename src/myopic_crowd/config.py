@@ -85,7 +85,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     raw: dict = field(default_factory=dict)
     base_dir: Path = field(default_factory=Path)
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -102,9 +101,15 @@ class ExperimentConfig:
                 f"observation_mode must be one of {OBSERVATION_MODES}, "
                 f"got {self.observation_mode!r}"
             )
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
-        if not 0.0 < self.rate_window <= 1.0:
+        _natural("seed", self.seed)
+        _natural("horizon", self.horizon, MAX_HORIZON)
+        _boolean("local_only", self.local_only)
+        _boolean("enforce_identifiability", self.enforce_identifiability)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(
+                f"out_dir must be a directory path string, got {self.out_dir!r}"
+            )
+        if not 0.0 < _number("rate_window", self.rate_window) <= 1.0:
             raise ConfigError(
                 f"rate_window must be in (0, 1], got {self.rate_window}"
             )
@@ -121,13 +126,14 @@ class ExperimentConfig:
             )
 
     def derived(self, **changes) -> "ExperimentConfig":
-        """Re-resolve this config from its source document with overrides
-        applied on top of the current ones (e.g. a new seed or rule).
+        """Re-resolve this config from its source document, with this
+        config's values for the overridable fields, updated by ``changes``
+        (e.g. a new seed or rule).
 
         Regenerates anything seed-dependent, such as a random graph.
         """
-        merged = {**self.overrides, **changes}
-        return config_from_dict(self.raw, base_dir=self.base_dir, **merged)
+        current = {key: getattr(self, key) for key in _OVERRIDE_KEYS}
+        return config_from_dict(self.raw, base_dir=self.base_dir, **(current | changes))
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
@@ -302,10 +308,19 @@ def _number(key: str, value) -> float:
     return float(value)
 
 
-def _boolean(key: str, value) -> bool:
+def _boolean(key: str, value) -> None:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+
+
+def _natural(key: str, value, most: int | None = None) -> None:
+    """An int in [0, most]; never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < 0:
+        raise ConfigError(f"{key} must be >= 0, got {value}")
+    if most is not None and value > most:
+        raise ConfigError(f"{key} must be at most {most}, got {value}")
 
 
 def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
@@ -365,18 +380,9 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     scopes = [scope for scope, _ in entries]
     sources = [source for _, source in entries]
 
+    # The seed draws an ER graph before the config can check itself.
     seed = _integer("seed", setting("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    horizon = _integer("horizon", setting("horizon", 500))
-    if horizon > MAX_HORIZON:
-        raise ConfigError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
-    rate_window = _number("rate_window", setting("rate_window", 0.5))
-
-    out_dir = setting("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a directory path string, got {out_dir!r}")
-
+    _natural("seed", seed)
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
 
     return ExperimentConfig(
@@ -385,18 +391,15 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         sources=sources,
         graph=graph,
         rule=str(setting("rule", "min")),
-        horizon=horizon,
+        horizon=_integer("horizon", setting("horizon", 500)),
         observation_mode=str(setting("observation_mode", "independent")),
         seed=seed,
-        rate_window=rate_window,
-        local_only=_boolean("local_only", setting("local_only", False)),
-        enforce_identifiability=_boolean(
-            "enforce_identifiability", setting("enforce_identifiability", True)
-        ),
-        out_dir=out_dir,
+        rate_window=_number("rate_window", setting("rate_window", 0.5)),
+        local_only=setting("local_only", False),
+        enforce_identifiability=setting("enforce_identifiability", True),
+        out_dir=setting("out_dir", None),
         raw=doc,
         base_dir=base_dir,
-        overrides=overrides,
     )
 
 
@@ -405,7 +408,7 @@ def load_config(path, **overrides) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     try:
         doc = json.loads(text)

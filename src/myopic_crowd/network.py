@@ -113,7 +113,11 @@ def read_edge_list(path) -> tuple[int, list[tuple[int, int]]]:
     one `u v` pair per line, `#` comments and blank lines allowed.  A
     :class:`ParseError` names the file's line, counting every line."""
     path = Path(path)
-    numbered = enumerate((ln.strip() for ln in path.read_text().splitlines()), 1)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot decode graph file {path}: {e}") from None
+    numbered = enumerate((ln.strip() for ln in text.splitlines()), 1)
     lines = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError(f"graph file {path} is empty")

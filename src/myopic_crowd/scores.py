@@ -15,19 +15,19 @@ Every score is a difference of two entries of one short vector.  With L_i
 the (|X|, k_i) log-ratios ln p_i(θ|x) − ln p_i(θ) of agent i's posterior
 table and data from class w, the *evidence vector* e_i = rows[w] · L_i gives
 D_i(θ_p, θ_q) = e_i[θ_p] − e_i[θ_q], exactly antisymmetric because IEEE
-subtraction is.  A report uses w = the true class for discriminative and
-confusion scores alike, and derives sets, identifiability and R(θ) from one
-(n, m) table of evidence vectors, NaN outside each scope.  R(θ) is the
-largest candidate, and the agent reported with it is the lowest id whose
-candidate lies within a relative :data:`TIE_RTOL` of it.  The tolerance
-matters: every source agent's D_i(θ*, θ) is the KL divergence of the two
-likelihood rows whatever else its scope holds, so candidates that are equal
-mathematically routinely differ in the last ulp.
+subtraction is.  A report holds only the (n, m) table of evidence vectors
+under w = the true class, NaN outside each scope, and the verdicts read from
+it; score rows and sets are derived from the table when it is serialised.
+R(θ) is the largest candidate, and the agent reported with it is the lowest
+id whose candidate lies within a relative :data:`TIE_RTOL` of it.  The
+tolerance matters: every source agent's D_i(θ*, θ) is the KL divergence of
+the two likelihood rows whatever else its scope holds, so candidates that are
+equal mathematically routinely differ in the last ulp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,10 +126,11 @@ def _source_sets(ids: np.ndarray, table: np.ndarray) -> dict:
     return {(p, q): _ids(ids, table[:, p] - table[:, q] > 0.0) for p, q in pairs}
 
 
-def _witness(sources: dict, m: int) -> list[tuple[int, int]]:
-    """Unordered pairs with an empty source set in both directions."""
+def _witness(table: np.ndarray) -> list[tuple[int, int]]:
+    """Unordered pairs with empty source sets both ways: no e[p] − e[q] ≠ 0."""
+    m = table.shape[1]
     pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    return [(p, q) for p, q in pairs if not sources[(p, q)] and not sources[(q, p)]]
+    return [(p, q) for p, q in pairs if not np.any(abs(table[:, p] - table[:, q]) > 0)]
 
 
 def _support_margin(table: np.ndarray, theta_star: int, theta: int) -> np.ndarray:
@@ -183,39 +184,50 @@ def check_global_identifiability(
     A pair {θ_p, θ_q} is covered when some agent holds both classes and
     scores them apart in either direction.  Returns (ok, uncovered pairs).
     """
-    ids, table = _table(world, scopes, world.true_class)
-    witness = _witness(_source_sets(ids, table), world.m)
-    return (len(witness) == 0, witness)
+    _, table = _table(world, scopes, world.true_class)
+    witness = _witness(table)
+    return (not witness, witness)
 
 
 # -- full report ----------------------------------------------------------
 
 @dataclass(eq=False)
 class ScoreReport:
-    """All scores, sets, identifiability, and best rejection rates at once."""
+    """The evidence table of ``scopes`` (one row per agent, ids in ``ids``) and
+    the verdicts read from it; :meth:`to_dict` derives score rows and sets."""
 
     world: World
     scopes: list[AgentScope]
-    discriminative: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    confusion: dict[tuple[int, int, int], float] = field(default_factory=dict)
-    source_sets: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    support_sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    best_rate: dict[int, tuple[float, int] | None] = field(default_factory=dict)
-    identifiable: bool = False
-    witness: list[tuple[int, int]] = field(default_factory=list)
+    ids: np.ndarray
+    table: np.ndarray
+    best_rate: dict[int, tuple[float, int] | None]
+    witness: list[tuple[int, int]]
+
+    @property
+    def identifiable(self) -> bool:
+        return not self.witness
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
-
-        def score_rows(scores: dict) -> list[dict]:
-            return [
-                {"agent": a, "theta_p": labels[p], "theta_q": labels[q], "nats": v}
-                for (a, p, q), v in sorted(scores.items())
+        star = self.world.true_class
+        rows: dict[str, list[dict]] = {"discriminative": [], "confusion": []}
+        for aid, e, scope in zip(self.ids.tolist(), self.table, self.scopes):
+            held = sorted(scope.theta_i)
+            diffs = (e[held, None] - e[None, held]).tolist()
+            rows["discriminative" if scope.contains(star) else "confusion"] += [
+                {"agent": aid, "theta_p": labels[p], "theta_q": labels[q], "nats": d}
+                for p, ds in zip(held, diffs)
+                for q, d in zip(held, ds)
+                if p != q
             ]
-
+        support = {
+            t: _ids(self.ids, _support_margin(self.table, star, t) > 0.0)
+            for t in range(self.world.m)
+            if t != star
+        }
         return {
             "classes": list(labels),
-            "true_class": labels[self.world.true_class],
+            "true_class": labels[star],
             "agents": [
                 {
                     "id": s.agent_id,
@@ -224,15 +236,14 @@ class ScoreReport:
                 }
                 for s in self.scopes
             ],
-            "discriminative": score_rows(self.discriminative),
-            "confusion": score_rows(self.confusion),
+            **rows,
             "source_sets": [
                 {"theta_p": labels[p], "theta_q": labels[q], "agents": list(agents)}
-                for (p, q), agents in sorted(self.source_sets.items())
+                for (p, q), agents in _source_sets(self.ids, self.table).items()
             ],
             "support_sets": [
                 {"theta": labels[t], "agents": list(agents)}
-                for t, agents in sorted(self.support_sets.items())
+                for t, agents in support.items()
             ],
             "best_rate": [
                 {
@@ -248,25 +259,10 @@ class ScoreReport:
 
 
 def score_report(world: World, scopes: list[AgentScope]) -> ScoreReport:
-    """Compute the complete analytical report for a world and agent set."""
-    report = ScoreReport(world=world, scopes=sorted(scopes, key=lambda s: s.agent_id))
+    """The roster's evidence table under data from the true class, R(θ) for
+    every false class θ, and the class pairs no agent separates."""
     star = world.true_class
-    ids, table = _table(world, report.scopes, star)
-    for aid, row, scope in zip(ids.tolist(), table, report.scopes):
-        scores = report.discriminative if scope.contains(star) else report.confusion
-        e = row[list(scope.theta_i)]
-        diffs = (e[:, None] - e[None, :]).tolist()
-        for a, p in enumerate(scope.theta_i):
-            for b, q in enumerate(scope.theta_i):
-                if p != q:
-                    scores[(aid, p, q)] = diffs[a][b]
-    report.source_sets = _source_sets(ids, table)
-    for theta in range(world.m):
-        if theta == star:
-            continue
-        support = _support_margin(table, star, theta) > 0.0
-        report.support_sets[theta] = _ids(ids, support)
-        report.best_rate[theta] = _best_rate(ids, table, star, theta)
-    report.witness = _witness(report.source_sets, world.m)
-    report.identifiable = not report.witness
-    return report
+    ids, table = _table(world, scopes, star)
+    rates = {t: _best_rate(ids, table, star, t) for t in range(world.m) if t != star}
+    ordered = sorted(scopes, key=lambda s: s.agent_id)
+    return ScoreReport(world, ordered, ids, table, rates, _witness(table))

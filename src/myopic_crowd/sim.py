@@ -280,10 +280,7 @@ def run_batch(
         started = time.perf_counter()
         groups = [rules] if fused else [(r,) for r in rules]
         # Each run's config under each rule, checked before any draw.
-        variants = {
-            r: [replace(c, rule=r, overrides={**c.overrides, "rule": r}) for c in batch]
-            for r in rules
-        }
+        variants = {r: [replace(c, rule=r) for c in batch] for r in rules}
         ends = list(accumulate(config.n_agents for config in batch))
         spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
         t_max, m = batch[0].horizon, batch[0].world.m

@@ -218,6 +218,6 @@ def load_world(path) -> World:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"malformed world file {path}: {e}") from None
     return world_from_dict(doc)

@@ -12,6 +12,9 @@ for its buffered one.  The sweep
 references at the end (``rates_reference``, ``compare_reference``) are the
 other exception: they rebuild the ``rates`` and ``compare`` documents from a
 plain loop of one-seed package runs, the reference for batched seed sweeps.
+``score_report_reference`` is the package's former report, which stored
+every score and set in dicts, the reference for the report derived from its
+evidence table.
 The artifact writers are the package's former writers (``json.dumps``
 with ``indent``, a per-row ``trajectories.csv`` loop and a ``csv.writer``
 replay writer), the references for its serialisation.  The posterior-table
@@ -173,6 +176,90 @@ def oracle_best_rate(
             best = (cand, agent_id)
     return best
 
+
+
+def score_report_reference(world, scopes) -> dict:
+    """The ``scores.json`` document as the package built it when its report
+    stored every score and set: dicts keyed by (agent, p, q), (p, q) and θ,
+    filled agent by agent from the evidence table, then turned into rows.
+
+    It reads the package's evidence table and R(θ), so it checks only how a
+    report turns that table into score rows, sets and a witness."""
+    from myopic_crowd import scores
+
+    ordered = sorted(scopes, key=lambda s: s.agent_id)
+    star, m = world.true_class, world.m
+    ids, table = scores._table(world, ordered, star)
+    discriminative: dict = {}
+    confusion: dict = {}
+    for aid, row, scope in zip(ids.tolist(), table, ordered):
+        target = discriminative if scope.contains(star) else confusion
+        e = row[list(scope.theta_i)]
+        diffs = (e[:, None] - e[None, :]).tolist()
+        for a, p in enumerate(scope.theta_i):
+            for b, q in enumerate(scope.theta_i):
+                if p != q:
+                    target[(aid, p, q)] = diffs[a][b]
+    source_sets = {
+        (p, q): tuple(ids[table[:, p] - table[:, q] > 0.0].tolist())
+        for p in range(m)
+        for q in range(m)
+        if p != q
+    }
+    support_sets: dict = {}
+    best_rate: dict = {}
+    for theta in range(m):
+        if theta == star:
+            continue
+        margin = scores._support_margin(table, star, theta)
+        support_sets[theta] = tuple(ids[margin > 0.0].tolist())
+        best_rate[theta] = scores._best_rate(ids, table, star, theta)
+    witness = [
+        (p, q)
+        for p in range(m)
+        for q in range(p + 1, m)
+        if not source_sets[(p, q)] and not source_sets[(q, p)]
+    ]
+    labels = world.classes.labels
+
+    def score_rows(found: dict) -> list[dict]:
+        return [
+            {"agent": a, "theta_p": labels[p], "theta_q": labels[q], "nats": v}
+            for (a, p, q), v in sorted(found.items())
+        ]
+
+    return {
+        "classes": list(labels),
+        "true_class": labels[star],
+        "agents": [
+            {
+                "id": s.agent_id,
+                "scope": [labels[t] for t in s.theta_i],
+                "prior": [float(p) for p in s.prior],
+            }
+            for s in ordered
+        ],
+        "discriminative": score_rows(discriminative),
+        "confusion": score_rows(confusion),
+        "source_sets": [
+            {"theta_p": labels[p], "theta_q": labels[q], "agents": list(agents)}
+            for (p, q), agents in sorted(source_sets.items())
+        ],
+        "support_sets": [
+            {"theta": labels[t], "agents": list(agents)}
+            for t, agents in sorted(support_sets.items())
+        ],
+        "best_rate": [
+            {
+                "theta": labels[t],
+                "R": None if entry is None else entry[0],
+                "agent": None if entry is None else entry[1],
+            }
+            for t, entry in sorted(best_rate.items())
+        ],
+        "identifiable": not witness,
+        "witness": [[labels[p], labels[q]] for p, q in witness],
+    }
 
 # -- linear-domain dynamics oracle ----------------------------------------
 

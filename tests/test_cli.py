@@ -25,6 +25,7 @@ from myopic_crowd import sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import RULES, load_config
+from myopic_crowd.formats import json_text
 
 from conftest import W3_D_A, W3_SCOPE_CLASSES, w3_doc
 
@@ -256,6 +257,37 @@ def test_malformed_config(tmp_path, capsys):
     rc = main(["scores", "--config", str(path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def _undecodable_input(tmp_path, reader: str) -> tuple[Path, Path]:
+    """A config, and its input read by ``reader`` (the config itself or a
+    file it names), which starts with byte 0xff, as no UTF-8 text does."""
+    doc = w3_doc()
+    bad = tmp_path / f"{reader}.bin"
+    if reader == "config":
+        bad.write_bytes(b"\xff" + json.dumps(doc).encode())
+        return bad, bad
+    if reader == "world":
+        bad.write_bytes(b"\xff" + json.dumps(doc["world"]).encode())
+        doc["world"] = bad.name
+    elif reader == "graph":
+        bad.write_bytes(b"\xff3\n0 1\n1 2\n")
+        doc["graph"] = bad.name
+    else:
+        bad.write_bytes(b"\xffround,agent_id,theta0,theta1\n")
+        doc["agents"][0].update(
+            prior=[0.5, 0.5], source={"kind": "replay", "path": bad.name}
+        )
+    return _write(tmp_path, doc), bad
+
+
+@pytest.mark.parametrize("reader", ["config", "world", "graph", "replay"])
+def test_undecodable_input_file_exits_one(tmp_path, reader, capsys):
+    config, bad = _undecodable_input(tmp_path, reader)
+    assert main(["validate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(bad) in err[0]
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -542,9 +574,9 @@ def test_compare_rules(config_path, tmp_path, capsys):
 
 def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
     # One seed a batch: at twice a run's bytes its three rules pool in one
-    # loop, at its bytes alone one rule at a time.
-    base = load_config(W3_JSON)
-    want = oracles.compare_reference(base, 5)
+    # loop, at its bytes alone one rule at a time.  An even seed count takes
+    # the mean of two middle runs; local-only, nothing pools and agents
+    # without θ* never identify (null medians).
     pool = sim.global_trajectory
     calls = []
 
@@ -552,20 +584,23 @@ def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
         calls.append(rules)
         return pool(rules, *args)
 
-    monkeypatch.setattr(sim, "global_trajectory", recorded)
-    for cap, groups in (
-        (2 * sim.run_bytes(base), [RULES]),
-        (sim.run_bytes(base), [(rule,) for rule in RULES]),
-    ):
-        monkeypatch.setattr(sim, "BATCH_BYTES", cap)
-        calls.clear()
-        out = tmp_path / str(cap)
-        rc = main(
-            ["compare", "--config", str(W3_JSON), "--seeds", "5", "--out", str(out)]
-        )
-        assert rc == 0
-        assert calls == groups * 5
-        assert json.loads((out / "compare.json").read_text()) == want
+    for seeds, local_only in ((5, None), (4, None), (4, True)):
+        base = load_config(W3_JSON, local_only=local_only)
+        want = json_text(oracles.compare_reference(base, seeds)) + "\n"
+        monkeypatch.setattr(sim, "global_trajectory", recorded)
+        for cap, groups in (
+            (2 * sim.run_bytes(base), [RULES]),
+            (sim.run_bytes(base), [(rule,) for rule in RULES]),
+        ):
+            monkeypatch.setattr(sim, "BATCH_BYTES", cap)
+            calls.clear()
+            out = tmp_path / f"{seeds}-{local_only}-{cap}"
+            argv = ["compare", "--config", str(W3_JSON), "--seeds", str(seeds)]
+            argv += ["--out", str(out)] + ["--local-only"] * bool(local_only)
+            assert main(argv) == 0
+            assert calls == ([] if local_only else groups * seeds)
+            assert (out / "compare.json").read_text() == want
+        monkeypatch.undo()
 
 
 def test_rates_matches_per_seed_runs(tmp_path):

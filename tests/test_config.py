@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from myopic_crowd.cli import main
 from myopic_crowd.config import (
+    MAX_HORIZON,
     config_from_dict,
     load_config,
     spawn_streams,
@@ -249,6 +251,43 @@ def test_derived_new_seed_keeps_other_fields(w3_config):
     clone = w3_config.derived(seed=123)
     assert clone.seed == 123
     assert clone.rule == w3_config.rule
+
+
+def test_derived_keeps_a_replaced_field(w3_config):
+    assert replace(w3_config, rule="max").derived(seed=9).rule == "max"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", 3.0, "seed must be an integer, got 3.0"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("horizon", -1, "horizon must be >= 0, got -1"),
+        ("horizon", 2.5, "horizon must be an integer, got 2.5"),
+        ("horizon", MAX_HORIZON + 1, f"horizon must be at most {MAX_HORIZON}"),
+        ("local_only", "no", "local_only must be true or false, got 'no'"),
+        ("local_only", 1, "local_only must be true or false, got 1"),
+        (
+            "enforce_identifiability",
+            None,
+            "enforce_identifiability must be true or false, got None",
+        ),
+        ("out_dir", 5, "out_dir must be a directory path string, got 5"),
+        ("rate_window", "x", "rate_window must be a number, got 'x'"),
+    ],
+)
+def test_replace_checks_the_field(w3_config, field, value, message):
+    # A config checks itself however it is made, in config_from_dict's words.
+    with pytest.raises(ConfigError, match=message):
+        replace(w3_config, **{field: value})
+    if value == 3.0:
+        # A document may spell an integer 3.0; a resolved field may not.
+        assert config_from_dict(w3_doc(**{field: value})).seed == 3
+        return
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(w3_doc(**{field: value}))
 
 
 def test_er_graph_config_depends_on_seed():

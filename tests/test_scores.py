@@ -11,6 +11,7 @@ from myopic_crowd import scores
 from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import config_from_dict
 from myopic_crowd.errors import ClassOutOfScope, TrueClassInScope
+from myopic_crowd.formats import json_text
 from myopic_crowd.scores import (
     check_global_identifiability,
     confusion_score,
@@ -204,7 +205,10 @@ def test_noisy_agent_scored_on_its_noisy_table(w3_world):
     report = score_report(w3_world, scopes)
     # Agent 0's noisy table separates theta0 from theta1 by less than
     # agent 1's support margin, so agent 1 attains R(theta1).
-    assert report.discriminative[(0, 0, 1)] < W3_D_B_CONF
+    row = report.to_dict()["discriminative"][0]
+    assert (row["agent"], row["theta_p"], row["theta_q"]) == (0, "theta0", "theta1")
+    assert row["nats"] == discriminative_score(w3_world, scopes[0], 0, 1)
+    assert row["nats"] < W3_D_B_CONF
     rate, agent = report.best_rate[1]
     assert agent == 1
     assert rate == pytest.approx(W3_D_B_CONF, abs=1e-12)
@@ -376,41 +380,58 @@ def test_score_report_matches_public_functions_and_oracle(seed):
     star = spec.true_class
     oracle_scopes = [(i, list(c), list(p)) for i, c, p in spec.scopes]
     report = score_report(world, scopes)
+    doc = report.to_dict()
+    labels = world.classes.labels
+    index = {label: k for k, label in enumerate(labels)}
 
-    for scope in scopes:
-        held = scope.contains(star)
-        table = report.discriminative if held else report.confusion
-        for p in scope.theta_i:
-            for q in scope.theta_i:
-                if p == q:
-                    continue
-                got = table[(scope.agent_id, p, q)]
-                assert got == -table[(scope.agent_id, q, p)]
-                if held:
-                    assert got == discriminative_score(world, scope, p, q)
-                else:
-                    assert got == confusion_score(world, scope, star, p, q)
+    by_agent = {scope.agent_id: scope for scope in scopes}
+    for kind in ("discriminative", "confusion"):
+        nats = {
+            (row["agent"], index[row["theta_p"]], index[row["theta_q"]]): row["nats"]
+            for row in doc[kind]
+        }
+        want = [
+            (scope.agent_id, p, q)
+            for scope in scopes
+            if scope.contains(star) == (kind == "discriminative")
+            for p in sorted(scope.theta_i)
+            for q in sorted(scope.theta_i)
+            if p != q
+        ]
+        assert list(nats) == want
+        for (aid, p, q), got in nats.items():
+            assert got == -nats[(aid, q, p)]
+            if kind == "discriminative":
+                assert got == discriminative_score(world, by_agent[aid], p, q)
+            else:
+                assert got == confusion_score(world, by_agent[aid], star, p, q)
 
+    sources = {
+        (index[row["theta_p"]], index[row["theta_q"]]): tuple(row["agents"])
+        for row in doc["source_sets"]
+    }
+    pairs = [(p, q) for p in range(spec.m) for q in range(spec.m) if p != q]
+    assert list(sources) == pairs
     uncovered = []
-    for p in range(spec.m):
-        for q in range(spec.m):
-            if p == q:
-                continue
-            want = oracles.oracle_source_set(rows, star, oracle_scopes, p, q)
-            assert report.source_sets[(p, q)] == want
-            assert source_set(world, scopes, p, q) == want
-            if p < q and not want:
-                if not oracles.oracle_source_set(rows, star, oracle_scopes, q, p):
-                    uncovered.append((p, q))
+    for (p, q), got in sources.items():
+        want = oracles.oracle_source_set(rows, star, oracle_scopes, p, q)
+        assert got == want
+        assert source_set(world, scopes, p, q) == want
+        if p < q and not want:
+            if not oracles.oracle_source_set(rows, star, oracle_scopes, q, p):
+                uncovered.append((p, q))
     assert report.witness == uncovered
+    assert doc["witness"] == [[labels[p], labels[q]] for p, q in uncovered]
     assert check_global_identifiability(world, scopes) == (not uncovered, uncovered)
-    assert report.identifiable == (not uncovered)
+    assert report.identifiable == doc["identifiable"] == (not uncovered)
 
-    for theta in range(spec.m):
-        if theta == star:
-            continue
+    false_classes = [t for t in range(spec.m) if t != star]
+    assert [row["theta"] for row in doc["support_sets"]] == [
+        labels[t] for t in false_classes
+    ]
+    for theta, row in zip(false_classes, doc["support_sets"]):
         want = oracles.oracle_support_set(rows, star, oracle_scopes, theta)
-        assert report.support_sets[theta] == want
+        assert tuple(row["agents"]) == want
         assert support_set(world, scopes, star, theta) == want
         candidates = oracles.oracle_rate_candidates(rows, star, oracle_scopes, theta)
         entry = report.best_rate[theta]
@@ -422,7 +443,48 @@ def test_score_report_matches_public_functions_and_oracle(seed):
         assert entry[1] in [aid for c, aid in candidates if abs(c - best) <= 1e-12]
 
 
-@pytest.mark.parametrize("build", [score_report, check_global_identifiability])
+@settings(max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gammas=st.lists(st.just(0.0) | st.floats(0.0, 0.95), min_size=6, max_size=6),
+    overridden=st.lists(st.booleans(), min_size=6, max_size=6),
+    order=st.randoms(use_true_random=False),
+)
+def test_score_report_document_matches_dict_reference(seed, gammas, overridden, order):
+    """The document derived from the evidence table is, byte for byte, the
+    one built from per-pair and per-set dicts: for noisy agents, likelihood
+    overrides, unsorted scopes with and without θ*, in any roster order."""
+    rng = np.random.default_rng(seed)
+    spec = oracles.random_problem(rng, max_agents=6)
+    world, _ = _spec_to_package(spec)
+    roster = []
+    for (i, classes, prior), gamma, override in zip(spec.scopes, gammas, overridden):
+        perm = rng.permutation(len(classes))
+        likelihoods = (
+            rng.dirichlet(np.ones(spec.n_symbols), size=spec.m) if override else None
+        )
+        roster.append(
+            make_scope(
+                world,
+                i,
+                [classes[j] for j in perm],
+                prior=[prior[j] for j in perm],
+                likelihoods=likelihoods,
+                gamma=gamma,
+            )
+        )
+    order.shuffle(roster)
+    got = json_text(score_report(world, roster).to_dict())
+    assert got == oracles.json_reference(oracles.score_report_reference(world, roster))
+
+
+def _scores_document(world, roster):
+    return score_report(world, roster).to_dict()
+
+
+@pytest.mark.parametrize(
+    "build", [score_report, _scores_document, check_global_identifiability]
+)
 def test_posterior_table_built_at_most_once_per_agent(build, monkeypatch):
     # Guards against rebuilding each agent's posterior table for every class pair.
     spec = oracles.random_problem(np.random.default_rng(5), max_m=8, max_agents=12)
