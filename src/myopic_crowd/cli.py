@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
-from .errors import ConfigError, MyopicCrowdError
+from .errors import ConfigError, IdentifiabilityViolated, MyopicCrowdError
 from .formats import json_text
 from .network import is_connected
 from .scores import score_report
@@ -27,6 +27,7 @@ from .sim import (
     build_sources,
     first_identification,
     gap_text,
+    has_theory,
     rate_checks,
     run_batch,
     run_bytes,
@@ -134,37 +135,42 @@ def _fmt_time(t) -> str:
 
 # -- scores ---------------------------------------------------------------
 
+def _agent_list(agents: list) -> str:
+    return ", ".join(map(str, agents)) or "none"
+
+
 def _score_table(doc: dict) -> str:
     """The human-readable score report printed after the JSON document."""
     lines = [f"true class: {doc['true_class']}", "agents:"]
-    for entry in doc["agents"]:
-        scope = ", ".join(entry["scope"])
-        prior = ", ".join(f"{p:.4g}" for p in entry["prior"])
-        lines.append(f"  {entry['id']}: scope [{scope}]  prior [{prior}]")
+    agents = doc["agents"]
+    lines += map(
+        "  {}: scope [{}]  prior [{}]".format,
+        agents["id"], map(", ".join, agents["scope"]),
+        [", ".join(f"{p:.4g}" for p in prior) for prior in agents["prior"]],
+    )
     for kind in ("discriminative", "confusion"):
-        if doc[kind]:
+        rows = doc[kind]
+        if rows["agent"]:
             lines.append(f"{kind} scores (nats):")
-            lines.extend(
-                f"  agent {row['agent']}: D({row['theta_p']}, {row['theta_q']}) "
-                f"= {row['nats']:+.6f}"
-                for row in doc[kind]
+            lines += map(
+                "  agent %d: D(%s, %s) = %+.6f".__mod__,
+                zip(rows["agent"], rows["theta_p"], rows["theta_q"], rows["nats"]),
             )
+    sets = doc["source_sets"]
     lines.append("source sets:")
-    for row in doc["source_sets"]:
-        agents = ", ".join(str(a) for a in row["agents"]) or "none"
-        lines.append(f"  ({row['theta_p']} over {row['theta_q']}): {agents}")
+    lines += map(
+        "  ({} over {}): {}".format,
+        sets["theta_p"], sets["theta_q"], map(_agent_list, sets["agents"]),
+    )
+    sets = doc["support_sets"]
     lines.append("support sets:")
-    for row in doc["support_sets"]:
-        agents = ", ".join(str(a) for a in row["agents"]) or "none"
-        lines.append(f"  {row['theta']}: {agents}")
+    lines += map("  {}: {}".format, sets["theta"], map(_agent_list, sets["agents"]))
     lines.append("best rejection rates:")
-    for row in doc["best_rate"]:
-        if row["R"] is None:
-            lines.append(f"  {row['theta']}: no rejector")
-        else:
-            lines.append(
-                f"  {row['theta']}: R = {row['R']:.6f} via agent {row['agent']}"
-            )
+    lines += [
+        f"  {row['theta']}: no rejector" if row["R"] is None
+        else f"  {row['theta']}: R = {row['R']:.6f} via agent {row['agent']}"
+        for row in doc["best_rate"]
+    ]
     if doc["identifiable"]:
         lines.append("global identifiability: yes")
     else:
@@ -184,7 +190,8 @@ def cmd_scores(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "scores.json").write_text(text + "\n")
+        with open(out / "scores.json", "w") as f:
+            print(text, file=f)  # text, then the newline: no copy of the text
     return 0 if report.identifiable else 2
 
 
@@ -374,14 +381,16 @@ def cmd_validate(args) -> int:
     # run/rates/compare is a warning only, worded as they word the error.
     sources = build_sources(config)
     print(f"memory: about {run_bytes(config) / 1e6:.4g} MB per run")
-    for problem in run_problems(config, sources):
+    problems = run_problems(config, sources)
+    for problem in problems:
         print(f"warning: {problem}")
-    report = theory(config)
-    if report is not None and report.identifiable:
-        print("global identifiability: yes")
-    elif report is not None and not config.enforce_identifiability:
-        # Enforced, the gap is among the problems; else rates lacks theory.
+    # Enforced, run_problems made the check; else a gap stops only rates.
+    report = None if config.enforce_identifiability else theory(config)
+    gap = any(isinstance(p, IdentifiabilityViolated) for p in problems)
+    if report is not None and not report.identifiable:
         print(f"warning: {gap_text(config, report.witness)}")
+    elif has_theory(config) and not gap:
+        print("global identifiability: yes")
     print("config is valid")
     return 0
 
@@ -399,10 +408,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except MyopicCrowdError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (MyopicCrowdError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -198,6 +198,8 @@ _OVERRIDE_KEYS = {
     "out_dir",
     "local_only",
     "observation_mode",
+    "enforce_identifiability",
+    "rate_window",
 }
 
 

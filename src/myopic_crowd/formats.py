@@ -4,9 +4,12 @@ Every JSON artifact is exactly ``json.dumps(doc, indent=2, sort_keys=True)``.
 CPython uses its C encoder only without ``indent``, so :func:`json_text`
 renders the same bytes itself: strings through the C string encoder, floats
 through ``float.__repr__`` and ints through ``int.__repr__``, as the
-standard encoder does.  A list of scalars, or of dicts sharing one key set
-of strings and holding only scalars, renders column by column, one typed
-``map`` per column; everything else goes through the generic recursion.
+standard encoder does.  A list of scalars renders through one typed
+``map``.  A list of uniform rows renders from columns: a :class:`Columns`
+table, ``{key: list of cells}``, or a list of plain dicts sharing one key
+set, first turned into one; each column's cells go through one typed
+``map``, interleaved with the fixed text between cells.  Everything else
+goes through the generic recursion; the fragments are joined once.
 It raises what ``json.dumps`` raises: ``TypeError`` for a value or key
 JSON cannot hold, ``ValueError`` for a circular reference.
 
@@ -16,15 +19,25 @@ JSON cannot hold, ``ValueError`` for a circular reference.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 
 _INDENT = "  "
 
 
+class Columns(dict):
+    """A list of uniform rows held as columns, ``{key: list of cells}`` with
+    one cell per row in every list.  A cell is a scalar or a list of
+    scalars; :func:`json_text` renders the table as its list of dicts."""
+
+
 def json_text(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte."""
-    return _value(doc, "\n", set())
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, with
+    every :class:`Columns` table expanded to its list of dicts."""
+    out: list[str] = []
+    _emit(doc, "\n", set(), out)
+    return "".join(out)
 
 
 def csv_cell(text: str) -> str:
@@ -37,25 +50,17 @@ def csv_cell(text: str) -> str:
 
 
 def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == math.inf:
-        return "Infinity"
-    if o == -math.inf:
-        return "-Infinity"
-    return float.__repr__(o)
+    if math.isfinite(o):
+        return float.__repr__(o)
+    return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
 
 
 def _scalar(o) -> str | None:
     """JSON text of a scalar, or None for anything else."""
     if isinstance(o, str):
         return _string(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
+    if o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
@@ -63,60 +68,52 @@ def _scalar(o) -> str | None:
     return None
 
 
-def _value(o, nl: str, markers: set) -> str:
-    """JSON text of ``o`` whose closing bracket, if any, follows ``nl``."""
+def _emit(o, nl: str, markers: set, out: list) -> None:
+    """Append the JSON text of ``o``, whose closing bracket, if any, follows
+    ``nl``, to ``out``."""
     text = _scalar(o)
     if text is not None:
-        return text
-    if isinstance(o, (list, tuple)):
-        return _container("[", "]", o, nl, markers)
-    if isinstance(o, dict):
-        return _container("{", "}", o, nl, markers)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _container(open_: str, close: str, o, nl: str, markers: set) -> str:
+        out.append(text)
+        return
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     if not o:
-        return open_ + close
+        out.append("{}" if isinstance(o, dict) and not isinstance(o, Columns) else "[]")
+        return
     marker = id(o)
     if marker in markers:
         raise ValueError("Circular reference detected")
     markers.add(marker)
     inner = nl + _INDENT
-    if open_ == "{":
-        items = [
-            _key(k) + ": " + _value(v, inner, markers) for k, v in sorted(o.items())
-        ]
-    else:
-        items = _column(o)
-        if items is None:
-            items = _rows(o, inner)
-        if items is None:
-            items = [_value(v, inner, markers) for v in o]
+    if isinstance(o, Columns):
+        if not _table(o, nl, out):
+            _emit([dict(zip(o, cells)) for cells in zip(*o.values())], nl, markers, out)
+    elif isinstance(o, dict):
+        prefix = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(prefix + _key(k) + ": ")
+            prefix = "," + inner
+            _emit(v, inner, markers, out)
+        out.append(nl + "}")
+    elif (cells := _column(o)) is not None:
+        out.append(_array(cells, nl))
+    elif not _table(o, nl, out):
+        prefix = "[" + inner
+        for v in o:
+            out.append(prefix)
+            prefix = "," + inner
+            _emit(v, inner, markers, out)
+        out.append(nl + "]")
     markers.discard(marker)
-    return open_ + inner + ("," + inner).join(items) + nl + close
 
 
 def _key(k) -> str:
-    if isinstance(k, str):
-        return _string(k)
-    if isinstance(k, float):
-        return _string(_float(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _string(int.__repr__(k))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {k.__class__.__name__}"
-    )
-
-
-def _is_scalar_type(t: type) -> bool:
-    return t is type(None) or issubclass(t, (str, int, float))
+    """A key's JSON text: a string, or a scalar's JSON text as a string."""
+    text = k if isinstance(k, str) else _scalar(k)
+    if text is None:
+        name = k.__class__.__name__
+        raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
+    return _string(text)
 
 
 def _column(values) -> list[str] | None:
@@ -131,29 +128,59 @@ def _column(values) -> list[str] | None:
     if types == {str}:
         memo = {s: _string(s) for s in set(values)}
         return list(map(memo.__getitem__, values))
-    if all(map(_is_scalar_type, types)):
+    if all(t is type(None) or issubclass(t, (str, int, float)) for t in types):
         return list(map(_scalar, values))
     return None
 
 
-def _rows(rows, nl: str) -> list[str] | None:
-    """Each row's JSON text, when ``rows`` are plain dicts sharing one key
-    set of strings and holding only scalars; None otherwise."""
-    first = rows[0]
-    if set(map(type, rows)) != {dict} or not first:
-        return None
-    if set(map(len, rows)) != {len(first)} or set(map(type, first)) != {str}:
-        return None
-    keys = sorted(first)
-    try:
-        columns = [_column(list(map(itemgetter(k), rows))) for k in keys]
-    except KeyError:
-        return None
-    if None in columns:
-        return None
+def _array(items: list[str], nl: str) -> str:
+    """The JSON array of ``items``' texts, its closing bracket following ``nl``."""
     inner = nl + _INDENT
-    fields = ("," + inner).join(
-        _string(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys
-    )
-    template = "{{" + inner + fields + nl + "}}"
-    return list(map(template.format, *columns))
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+
+
+def _cells(values, nl: str) -> list[str] | None:
+    """Each cell's JSON text, when the cells are all scalars or all lists of
+    scalars (a list's closing bracket following ``nl``); None otherwise."""
+    texts = _column(values)
+    if texts is not None or not all(isinstance(v, (list, tuple)) for v in values):
+        return texts
+    items = _column(list(chain.from_iterable(values)))
+    ends = list(accumulate(map(len, values)))
+    bounds = zip([0, *ends], ends)
+    return None if items is None else [_array(items[a:b], nl) for a, b in bounds]
+
+
+def _table(table, nl: str, out: list) -> bool:
+    """Append a :class:`Columns` table, or a list of plain dicts sharing one
+    key set, as that list of dicts: the fixed text between cells
+    interleaved with each column's cell texts.  False, appending nothing,
+    when the rows are not uniform, a key is not a string or a cell is
+    neither a scalar nor a list of scalars."""
+    if not isinstance(table, Columns):
+        first = table[0]
+        if set(map(type, table)) != {dict} or set(map(len, table)) != {len(first)}:
+            return False
+        try:
+            table = Columns({k: list(map(itemgetter(k), table)) for k in first})
+        except KeyError:
+            return False
+    if set(map(type, table)) != {str}:
+        return False
+    inner = nl + _INDENT
+    field = inner + _INDENT
+    keys = sorted(table)
+    columns = [_cells(table[k], field) for k in keys]
+    if None in columns:
+        return False
+    # Every row opens with the separator; the first row's opens the list.
+    glue = ["," + inner + "{" + field] + ["," + field] * (len(keys) - 1)
+    parts = []
+    for g, k, cells in zip(glue, keys, columns):
+        parts += (repeat(g + _string(k) + ": "), cells)
+    start = len(out)
+    out.extend(chain.from_iterable(zip(*parts, repeat(inner + "}"))))
+    if len(out) > start:
+        out[start] = "[" + out[start][1:]
+    out.append(nl + "]" if len(out) > start else "[]")
+    return True

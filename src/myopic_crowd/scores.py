@@ -33,6 +33,7 @@ import numpy as np
 
 from .classifier import AgentScope, posterior_table
 from .errors import ClassOutOfScope, TrueClassInScope, UnknownClass
+from .formats import Columns
 from .world import World
 
 #: Relative tolerance within which two R(θ) candidates count as tied.
@@ -115,15 +116,22 @@ def confusion_score(
 
 # -- sets and identifiability --------------------------------------------
 
-def _ids(ids: np.ndarray, mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(ids[mask].tolist())
-
-
-def _source_sets(ids: np.ndarray, table: np.ndarray) -> dict:
-    """Source set of every ordered class pair: agents with e[p] − e[q] > 0."""
-    m = table.shape[1]
-    pairs = [(p, q) for p in range(m) for q in range(m) if p != q]
-    return {(p, q): _ids(ids, table[:, p] - table[:, q] > 0.0) for p, q in pairs}
+def _score_rows(scopes: list[AgentScope], table: np.ndarray):
+    """(table row, p, q, e[p] − e[q]) of every ordered pair p ≠ q in each
+    agent's scope, ordered by row, then p, then q; one gather per scope size."""
+    held = [sorted(s.theta_i) for s in scopes]
+    sizes = np.array(list(map(len, held)), dtype=int)
+    parts = [(np.empty(0, dtype=int),) * 3 + (np.empty(0),)]
+    for k in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == k)
+        classes = np.array([held[r] for r in rows]).reshape(rows.size, k)
+        a, b = np.nonzero(~np.eye(k, dtype=bool))
+        e = table[rows[:, None], classes]
+        p, q, d = classes[:, a], classes[:, b], e[:, a] - e[:, b]
+        parts.append((np.repeat(rows, a.size), p.ravel(), q.ravel(), d.ravel()))
+    row, p, q, d = map(np.concatenate, zip(*parts))
+    order = np.argsort(row, kind="stable")
+    return row[order], p[order], q[order], d[order]
 
 
 def _witness(table: np.ndarray) -> list[tuple[int, int]]:
@@ -162,7 +170,7 @@ def source_set(
     theta_p = _check_class(world, theta_p, "theta_p")
     theta_q = _check_class(world, theta_q, "theta_q")
     ids, table = _table(world, scopes, world.true_class)
-    return _ids(ids, table[:, theta_p] - table[:, theta_q] > 0.0)
+    return tuple(ids[table[:, theta_p] - table[:, theta_q] > 0.0].tolist())
 
 
 def support_set(
@@ -173,7 +181,7 @@ def support_set(
     theta_star = _check_class(world, theta_star, "theta_star")
     theta = _check_class(world, theta, "theta")
     ids, table = _table(world, scopes, theta_star)
-    return _ids(ids, _support_margin(table, theta_star, theta) > 0.0)
+    return tuple(ids[_support_margin(table, theta_star, theta) > 0.0].tolist())
 
 
 def check_global_identifiability(
@@ -209,42 +217,37 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
-        star = self.world.true_class
-        rows: dict[str, list[dict]] = {"discriminative": [], "confusion": []}
-        for aid, e, scope in zip(self.ids.tolist(), self.table, self.scopes):
-            held = sorted(scope.theta_i)
-            diffs = (e[held, None] - e[None, held]).tolist()
-            rows["discriminative" if scope.contains(star) else "confusion"] += [
-                {"agent": aid, "theta_p": labels[p], "theta_q": labels[q], "nats": d}
-                for p, ds in zip(held, diffs)
-                for q, d in zip(held, ds)
-                if p != q
-            ]
-        support = {
-            t: _ids(self.ids, _support_margin(self.table, star, t) > 0.0)
-            for t in range(self.world.m)
-            if t != star
+        names = np.array(labels, dtype=object)
+        star, m = self.world.true_class, self.world.m
+        row, p, q, nats = _score_rows(self.scopes, self.table)
+        held = np.array([s.contains(star) for s in self.scopes], dtype=bool)[row]
+        rows = dict(agent=self.ids[row], theta_p=names[p], theta_q=names[q], nats=nats)
+        scores = {
+            kind: Columns({key: cells[mask].tolist() for key, cells in rows.items()})
+            for kind, mask in (("discriminative", held), ("confusion", ~held))
         }
+        p, q = np.nonzero(~np.eye(m, dtype=bool))
+        # Source set of (p, q): agents with e[p] − e[q] > 0, one class p at a time.
+        above = [self.table[:, [t]] - self.table > 0.0 for t in range(m)]
+        false = [t for t in range(m) if t != star]
+        support = [self.ids[_support_margin(self.table, star, t) > 0.0] for t in false]
         return {
             "classes": list(labels),
             "true_class": labels[star],
-            "agents": [
-                {
-                    "id": s.agent_id,
-                    "scope": [labels[t] for t in s.theta_i],
-                    "prior": [float(p) for p in s.prior],
-                }
-                for s in self.scopes
-            ],
-            **rows,
-            "source_sets": [
-                {"theta_p": labels[p], "theta_q": labels[q], "agents": list(agents)}
-                for (p, q), agents in _source_sets(self.ids, self.table).items()
-            ],
-            "support_sets": [
-                {"theta": labels[t], "agents": list(agents)}
-                for t, agents in support.items()
-            ],
+            "agents": Columns(
+                id=self.ids.tolist(),
+                scope=[names[list(s.theta_i)].tolist() for s in self.scopes],
+                prior=[s.prior.tolist() for s in self.scopes],
+            ),
+            **scores,
+            "source_sets": Columns(
+                theta_p=names[p].tolist(),
+                theta_q=names[q].tolist(),
+                agents=[self.ids[above[a][:, b]].tolist() for a, b in zip(p, q)],
+            ),
+            "support_sets": Columns(
+                theta=names[false].tolist(), agents=[a.tolist() for a in support]
+            ),
             "best_rate": [
                 {
                     "theta": labels[t],

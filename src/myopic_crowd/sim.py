@@ -11,7 +11,7 @@ The recursion itself, its floor rule and pooling live in
 observations, turns them into posteriors, batches runs, and computes
 metrics and output files.  Rate estimation uses only samples the engine did
 not flag as clamped at the floor.  What stops a run (:func:`run_problems`),
-whether a roster has theory (:func:`theory`) and whether a fitted slope
+whether a roster has theory (:func:`has_theory`) and whether a fitted slope
 meets its rate (:func:`rate_checks`) are decided here, and only here.
 
 Everything before the pooling loop (sources, checks, observation draws,
@@ -391,12 +391,14 @@ def first_identification(log: TrajectoryLog, agent: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def has_theory(config: ExperimentConfig) -> bool:
+    """False when any agent replays a stream: it has no posterior table."""
+    return not any(spec.kind == "replay" for spec in config.sources)
+
+
 def theory(config: ExperimentConfig) -> ScoreReport | None:
-    """The roster's score report, or None when any agent replays a recorded
-    stream: a replayed classifier has no posterior table to score."""
-    if any(spec.kind == "replay" for spec in config.sources):
-        return None
-    return score_report(config.world, config.scopes)
+    """The roster's score report, or None without :func:`has_theory`."""
+    return score_report(config.world, config.scopes) if has_theory(config) else None
 
 
 def rate_checks(log: TrajectoryLog, best_rate: dict) -> list[tuple]:

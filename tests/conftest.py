@@ -78,6 +78,32 @@ def w3_doc(**overrides) -> dict:
     return doc
 
 
+def spec_doc(spec, horizon: int) -> dict:
+    """Experiment config for a random instance on a complete graph."""
+    labels = [f"c{k}" for k in range(spec.m)]
+    n = len(spec.scopes)
+    return {
+        "world": {
+            "classes": labels,
+            "inputs": [f"x{j}" for j in range(spec.n_symbols)],
+            "likelihoods": [list(r) for r in spec.rows],
+            "true_class": labels[spec.true_class],
+        },
+        "agents": [
+            {"id": i, "classes": [labels[c] for c in sc], "prior": list(pr)}
+            for i, sc, pr in spec.scopes
+        ],
+        "graph": {
+            "type": "edges",
+            "n": n,
+            "edges": [[i, j] for i in range(n) for j in range(i + 1, n)],
+        },
+        "rule": "min",
+        "horizon": horizon,
+        "seed": 0,
+    }
+
+
 @pytest.fixture
 def w3_config():
     return config_from_dict(w3_doc())

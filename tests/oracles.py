@@ -261,6 +261,46 @@ def score_report_reference(world, scopes) -> dict:
         "witness": [[labels[p], labels[q]] for p, q in witness],
     }
 
+
+def score_table_reference(doc: dict) -> str:
+    """The human-readable score report ``scores`` prints after the JSON
+    document, formatted row by row from a document of row dicts."""
+    lines = [f"true class: {doc['true_class']}", "agents:"]
+    for entry in doc["agents"]:
+        scope = ", ".join(entry["scope"])
+        prior = ", ".join(f"{p:.4g}" for p in entry["prior"])
+        lines.append(f"  {entry['id']}: scope [{scope}]  prior [{prior}]")
+    for kind in ("discriminative", "confusion"):
+        if doc[kind]:
+            lines.append(f"{kind} scores (nats):")
+            lines.extend(
+                f"  agent {row['agent']}: D({row['theta_p']}, {row['theta_q']}) "
+                f"= {row['nats']:+.6f}"
+                for row in doc[kind]
+            )
+    lines.append("source sets:")
+    for row in doc["source_sets"]:
+        agents = ", ".join(str(a) for a in row["agents"]) or "none"
+        lines.append(f"  ({row['theta_p']} over {row['theta_q']}): {agents}")
+    lines.append("support sets:")
+    for row in doc["support_sets"]:
+        agents = ", ".join(str(a) for a in row["agents"]) or "none"
+        lines.append(f"  {row['theta']}: {agents}")
+    lines.append("best rejection rates:")
+    for row in doc["best_rate"]:
+        if row["R"] is None:
+            lines.append(f"  {row['theta']}: no rejector")
+        else:
+            lines.append(
+                f"  {row['theta']}: R = {row['R']:.6f} via agent {row['agent']}"
+            )
+    if doc["identifiable"]:
+        lines.append("global identifiability: yes")
+    else:
+        pairs = ", ".join(f"({p}, {q})" for p, q in doc["witness"])
+        lines.append(f"global identifiability: NO — uncovered pairs: {pairs}")
+    return "\n".join(lines) + "\n"
+
 # -- linear-domain dynamics oracle ----------------------------------------
 
 @dataclass

@@ -30,7 +30,7 @@ from myopic_crowd.sim import (
 )
 from myopic_crowd.world import build_world
 
-from conftest import make_w3_config, w3_doc
+from conftest import make_w3_config, spec_doc, w3_doc
 from oracles import (
     oracle_pair_score,
     linear_run,
@@ -52,32 +52,6 @@ def _world_from_spec(spec):
         [list(r) for r in spec.rows],
         labels[spec.true_class],
     )
-
-
-def _doc_from_spec(spec, horizon: int) -> dict:
-    """Experiment config for a random instance on a complete graph."""
-    labels = [f"c{k}" for k in range(spec.m)]
-    n = len(spec.scopes)
-    return {
-        "world": {
-            "classes": labels,
-            "inputs": [f"x{j}" for j in range(spec.n_symbols)],
-            "likelihoods": [list(r) for r in spec.rows],
-            "true_class": labels[spec.true_class],
-        },
-        "agents": [
-            {"id": i, "classes": [labels[c] for c in sc], "prior": list(pr)}
-            for i, sc, pr in spec.scopes
-        ],
-        "graph": {
-            "type": "edges",
-            "n": n,
-            "edges": [[i, j] for i in range(n) for j in range(i + 1, n)],
-        },
-        "rule": "min",
-        "horizon": horizon,
-        "seed": 0,
-    }
 
 
 def test_criterion_1_scores_match_brute_force_oracle():
@@ -181,7 +155,7 @@ def test_criterion_4_decay_slopes_meet_rate_bound():
     rng = np.random.default_rng(42)
     docs = [w3_doc(horizon=2000, seed=0)]
     docs += [
-        _doc_from_spec(random_identifiable_problem(rng), horizon=2000)
+        spec_doc(random_identifiable_problem(rng), horizon=2000)
         for _ in range(10)
     ]
     total = passed = 0

@@ -16,18 +16,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import myopic_crowd
 import oracles
-from myopic_crowd import sim
+from myopic_crowd import scores, sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import RULES, load_config
 from myopic_crowd.formats import json_text
 
-from conftest import W3_D_A, W3_SCOPE_CLASSES, w3_doc
+from conftest import W3_D_A, W3_SCOPE_CLASSES, spec_doc, w3_doc
 
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
 
@@ -229,6 +229,21 @@ def test_validate_warns_on_a_replay_roster_run_refuses(tmp_path, capsys):
     assert "global identifiability: yes" not in out
 
 
+def test_validate_builds_the_evidence_table_once(monkeypatch, capsys):
+    # With enforcement on, the identifiability check is validate's theory.
+    calls = []
+    original = scores._table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scores, "_table", counting)
+    assert main(["validate", "--config", str(W3_JSON)]) == 0
+    assert "global identifiability: yes" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_validate_and_scores_leave_no_cyclic_garbage(capsys):
     for command in ("validate", "scores"):
         argv = [command, "--config", str(W3_JSON)]
@@ -325,6 +340,45 @@ def test_scores_identifiable(config_path, tmp_path, capsys):
     assert by_theta["theta2"]["agent"] == 2
     # stdout opens with the same JSON document, byte for byte.
     assert out.startswith((out_dir / "scores.json").read_text() + "\n")
+
+
+def _roster_config(seed: int) -> dict:
+    """A config of the random roster ``oracles.random_problem`` draws."""
+    return spec_doc(oracles.random_problem(np.random.default_rng(seed)), horizon=1)
+
+
+def _scores_stdout(doc: dict) -> tuple[str, str]:
+    """``scores``' stdout on the config ``doc``, and the dict reference's:
+    the JSON document, a blank line, then the score table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "roster.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["scores", "--config", str(path)])
+        config = load_config(path)
+    reference = oracles.score_report_reference(config.world, config.scopes)
+    text = oracles.json_reference(reference) + "\n\n"
+    return out.getvalue(), text + oracles.score_table_reference(reference)
+
+
+# Seed 0 has no confusion rows, seed 12 no discriminative rows, seed 3 a
+# class with no rejector and uncovered pairs; every seed has a "none" set.
+@example(seed=0)
+@example(seed=3)
+@example(seed=12)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scores_stdout_matches_the_dict_reference(seed):
+    got, want = _scores_stdout(_roster_config(seed))
+    assert got == want
+
+
+def test_scores_stdout_examples_cover_every_section():
+    texts = [_scores_stdout(_roster_config(seed))[1] for seed in (0, 3, 12)]
+    assert any("discriminative scores" not in text for text in texts)
+    assert any("confusion scores" not in text for text in texts)
+    for mark in (": none\n", "no rejector", "NO — uncovered pairs"):
+        assert any(mark in text for text in texts), mark
 
 
 def test_scores_not_identifiable_exit_two(tmp_path, capsys):

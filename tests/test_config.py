@@ -257,6 +257,14 @@ def test_derived_keeps_a_replaced_field(w3_config):
     assert replace(w3_config, rule="max").derived(seed=9).rule == "max"
 
 
+def test_derived_keeps_replaced_identifiability_and_rate_window(w3_config):
+    config = replace(w3_config, enforce_identifiability=False, rate_window=0.3)
+    clone = config.derived(seed=9)
+    assert (clone.enforce_identifiability, clone.rate_window, clone.seed) == (
+        False, 0.3, 9
+    )
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -21,7 +21,7 @@ from myopic_crowd.classifier import AgentScope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.dynamics import LOG_FLOOR
 from myopic_crowd.errors import DimensionMismatch
-from myopic_crowd.formats import json_text
+from myopic_crowd.formats import Columns, json_text
 from myopic_crowd.sim import write_trajectories_csv
 from myopic_crowd.world import build_world
 
@@ -81,6 +81,50 @@ documents = st.recursive(
 @given(documents)
 def test_json_text_matches_json_dumps(doc):
     assert json_text(doc) == oracles.json_reference(doc)
+
+
+# Column tables: keys with format characters, quotes and non-ASCII text;
+# columns of one scalar type, of mixed scalars (int, bool, None, NaN, ±inf),
+# of lists of scalars (empty lists too), and of lists of lists, which
+# json_text renders through its fallback.
+column_cells = st.sampled_from(
+    [
+        st.integers(),
+        floats,
+        texts,
+        scalars,
+        st.lists(floats, max_size=3),
+        st.lists(scalars, max_size=3),
+        scalars | st.lists(scalars, max_size=3),
+        st.lists(st.lists(scalars, max_size=2), max_size=2),
+    ]
+)
+
+
+@st.composite
+def column_tables(draw):
+    key_texts = texts | st.sampled_from(["%", "%s", "{", '"'])
+    keys = draw(st.lists(key_texts, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    return Columns(
+        {k: draw(st.lists(draw(column_cells), min_size=n, max_size=n)) for k in keys}
+    )
+
+
+def _expanded(doc):
+    """``doc`` with every column table turned into its list of dicts."""
+    if isinstance(doc, Columns):
+        return [dict(zip(doc, cells)) for cells in zip(*doc.values())]
+    if isinstance(doc, dict):
+        return {k: _expanded(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_expanded(v) for v in doc]
+    return doc
+
+
+@given(st.recursive(scalars | column_tables(), containers, max_leaves=12))
+def test_json_text_renders_column_tables_as_lists_of_dicts(doc):
+    assert json_text(doc) == oracles.json_reference(_expanded(doc))
 
 
 def _outcome(encode, doc):

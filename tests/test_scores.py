@@ -205,10 +205,11 @@ def test_noisy_agent_scored_on_its_noisy_table(w3_world):
     report = score_report(w3_world, scopes)
     # Agent 0's noisy table separates theta0 from theta1 by less than
     # agent 1's support margin, so agent 1 attains R(theta1).
-    row = report.to_dict()["discriminative"][0]
-    assert (row["agent"], row["theta_p"], row["theta_q"]) == (0, "theta0", "theta1")
-    assert row["nats"] == discriminative_score(w3_world, scopes[0], 0, 1)
-    assert row["nats"] < W3_D_B_CONF
+    rows = report.to_dict()["discriminative"]
+    first = [rows[key][0] for key in ("agent", "theta_p", "theta_q", "nats")]
+    assert first[:3] == [0, "theta0", "theta1"]
+    assert first[3] == discriminative_score(w3_world, scopes[0], 0, 1)
+    assert first[3] < W3_D_B_CONF
     rate, agent = report.best_rate[1]
     assert agent == 1
     assert rate == pytest.approx(W3_D_B_CONF, abs=1e-12)
@@ -386,9 +387,12 @@ def test_score_report_matches_public_functions_and_oracle(seed):
 
     by_agent = {scope.agent_id: scope for scope in scopes}
     for kind in ("discriminative", "confusion"):
+        got = doc[kind]
         nats = {
-            (row["agent"], index[row["theta_p"]], index[row["theta_q"]]): row["nats"]
-            for row in doc[kind]
+            (aid, index[p], index[q]): v
+            for aid, p, q, v in zip(
+                got["agent"], got["theta_p"], got["theta_q"], got["nats"]
+            )
         }
         want = [
             (scope.agent_id, p, q)
@@ -406,9 +410,10 @@ def test_score_report_matches_public_functions_and_oracle(seed):
             else:
                 assert got == confusion_score(world, by_agent[aid], star, p, q)
 
+    sets = doc["source_sets"]
     sources = {
-        (index[row["theta_p"]], index[row["theta_q"]]): tuple(row["agents"])
-        for row in doc["source_sets"]
+        (index[p], index[q]): tuple(agents)
+        for p, q, agents in zip(sets["theta_p"], sets["theta_q"], sets["agents"])
     }
     pairs = [(p, q) for p in range(spec.m) for q in range(spec.m) if p != q]
     assert list(sources) == pairs
@@ -426,12 +431,10 @@ def test_score_report_matches_public_functions_and_oracle(seed):
     assert report.identifiable == doc["identifiable"] == (not uncovered)
 
     false_classes = [t for t in range(spec.m) if t != star]
-    assert [row["theta"] for row in doc["support_sets"]] == [
-        labels[t] for t in false_classes
-    ]
-    for theta, row in zip(false_classes, doc["support_sets"]):
+    assert doc["support_sets"]["theta"] == [labels[t] for t in false_classes]
+    for theta, agents in zip(false_classes, doc["support_sets"]["agents"]):
         want = oracles.oracle_support_set(rows, star, oracle_scopes, theta)
-        assert tuple(row["agents"]) == want
+        assert tuple(agents) == want
         assert support_set(world, scopes, star, theta) == want
         candidates = oracles.oracle_rate_candidates(rows, star, oracle_scopes, theta)
         entry = report.best_rate[theta]
