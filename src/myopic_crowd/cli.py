@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
 from .errors import ConfigError, IdentifiabilityViolated, MyopicCrowdError
-from .formats import json_text
+from .formats import Columns, json_text
 from .network import is_connected
 from .scores import score_report
 from .sim import (
@@ -275,21 +275,16 @@ def cmd_rates(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        seeds, agents, thetas, slopes, r_values, _ = map(list, zip(*rows))
         doc = {
             "seeds": args.seeds,
             "horizon": config.horizon,
             "pass_fraction": fraction,
             "threshold": RATES_PASS_FRACTION,
-            "rows": [
-                {
-                    "agent": i,
-                    "theta": labels[theta],
-                    "seed": seed,
-                    "slope": slope,
-                    "R": r_theta,
-                }
-                for seed, i, theta, slope, r_theta, _ in rows
-            ],
+            "rows": Columns(
+                agent=agents, theta=[labels[t] for t in thetas], seed=seeds,
+                slope=slopes, R=r_values,
+            ),
         }
         (out / "rates.json").write_text(json_text(doc) + "\n")
     return 0 if fraction >= RATES_PASS_FRACTION else 2

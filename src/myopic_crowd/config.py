@@ -1,16 +1,18 @@
 """Experiment configuration: one JSON document resolving to a runnable setup.
 
 The document inlines or references the world and graph, lists the agents with
-their scopes and posterior sources, and fixes the aggregation rule, horizon,
-observation mode, seed, and output locations.  Resolution is deterministic:
-the same document and seed always produce the same world, graph, and random
-streams.
+their scopes and posterior sources, and sets the run settings (rule, horizon,
+seed and the rest).  Each setting is declared once, as a field of
+:class:`ExperimentConfig` with its default; document keys, overrides,
+:meth:`ExperimentConfig.derived` and the manifest all read that table.  Every
+object in the document refuses keys it does not know.  Resolution is
+deterministic: the same document and seed always produce the same world,
+graph, and random streams.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,10 @@ import numpy as np
 from .classifier import AgentScope, make_scope
 from .errors import ConfigError
 from .network import AgentGraph, erdos_renyi_connected, read_edge_list
-from .world import World, json_numbers, load_world, world_from_dict, world_to_dict
+from .world import (
+    World, check_keys, json_numbers, load_world, read_json, world_from_dict,
+    world_to_dict,
+)
 
 RULES = ("min", "avg", "max")
 OBSERVATION_MODES = ("independent", "shared")
@@ -75,6 +80,7 @@ class ExperimentConfig:
     scopes: list[AgentScope]
     sources: list[SourceSpec]
     graph: AgentGraph
+    # The run settings, each a document key and an override (see _SETTINGS).
     rule: str = "min"
     horizon: int = 500
     observation_mode: str = "independent"
@@ -127,12 +133,12 @@ class ExperimentConfig:
 
     def derived(self, **changes) -> "ExperimentConfig":
         """Re-resolve this config from its source document, with this
-        config's values for the overridable fields, updated by ``changes``
-        (e.g. a new seed or rule).
+        config's value for every setting, updated by ``changes`` (e.g. a new
+        seed or rule).
 
         Regenerates anything seed-dependent, such as a random graph.
         """
-        current = {key: getattr(self, key) for key in _OVERRIDE_KEYS}
+        current = {key: getattr(self, key) for key in _SETTINGS}
         return config_from_dict(self.raw, base_dir=self.base_dir, **(current | changes))
 
     def to_dict(self) -> dict:
@@ -158,29 +164,20 @@ class ExperimentConfig:
                 "edges": [[u, v] for u, v in self.graph.edges()],
                 "spec": self.raw.get("graph"),
             },
-            "rule": self.rule,
-            "horizon": self.horizon,
-            "observation_mode": self.observation_mode,
-            "seed": self.seed,
-            "rate_window": self.rate_window,
-            "local_only": self.local_only,
-            "enforce_identifiability": self.enforce_identifiability,
+            # out_dir is left out: a manifest does not depend on where it is written.
+            **{key: getattr(self, key) for key in _SETTINGS if key != "out_dir"},
         }
 
 
-_TOP_KEYS = {
-    "world",
-    "agents",
-    "graph",
-    "rule",
-    "horizon",
-    "observation_mode",
-    "seed",
-    "rate_window",
-    "local_only",
-    "enforce_identifiability",
-    "out_dir",
+#: Each run setting's default: every field but the roster and the source
+#: document.
+_SETTINGS = {
+    f.name: f.default
+    for f in fields(ExperimentConfig)
+    if f.name not in ("world", "scopes", "sources", "graph", "raw", "base_dir")
 }
+
+_TOP_KEYS = {"world", "agents", "graph", *_SETTINGS}
 
 _AGENT_KEYS = {"id", "classes", "prior", "source", "likelihoods"}
 
@@ -191,15 +188,11 @@ _GRAPH_KEYS = {
     "erdos_renyi": {"type", "n", "p", "max_retries"},
 }
 
-_OVERRIDE_KEYS = {
-    "seed",
-    "horizon",
-    "rule",
-    "out_dir",
-    "local_only",
-    "observation_mode",
-    "enforce_identifiability",
-    "rate_window",
+#: The keys each kind of source object accepts.
+_SOURCE_KEYS = {
+    "bayes": {"kind"},
+    "noisy": {"kind", "gamma"},
+    "replay": {"kind", "path"},
 }
 
 
@@ -214,23 +207,14 @@ def _resolve_source(entry, agent_id: int, base_dir: Path):
     if entry is None:
         return SourceSpec(), 0.0
     if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError(
-            f"agent {agent_id}: source must be an object with a 'kind'"
-        )
+        raise ConfigError(f"agent {agent_id}: source must be an object with a 'kind'")
     kind = entry["kind"]
-    if kind == "bayes":
-        extra = set(entry) - {"kind"}
-    elif kind == "noisy":
-        extra = set(entry) - {"kind", "gamma"}
-    elif kind == "replay":
-        extra = set(entry) - {"kind", "path"}
-    else:
+    if not isinstance(kind, str) or kind not in _SOURCE_KEYS:
         raise ConfigError(
             f"agent {agent_id}: unknown source kind {kind!r} "
             "(expected bayes, noisy, or replay)"
         )
-    if extra:
-        raise ConfigError(f"agent {agent_id}: unknown source keys {sorted(extra)}")
+    check_keys(f"agent {agent_id}: {kind} source", entry, _SOURCE_KEYS[kind])
     if kind == "noisy":
         gamma = _number(f"agent {agent_id}: gamma", entry.get("gamma", 0.0))
         return SourceSpec(kind="noisy"), gamma
@@ -247,9 +231,7 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         raise ConfigError("config needs a 'graph' entry")
     kind = doc.get("type") if isinstance(doc, dict) else None
     if isinstance(kind, str) and kind in _GRAPH_KEYS:
-        unknown = set(doc) - _GRAPH_KEYS[kind]
-        if unknown:
-            raise ConfigError(f"{kind} graph: unknown keys {sorted(unknown)}")
+        check_keys(f"{kind} graph", doc, _GRAPH_KEYS[kind])
     # The vertex count is checked against the roster before anything is
     # built; only the ER draw is quadratic in n.
     if isinstance(doc, str):
@@ -329,17 +311,11 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     """Resolve a config document; keyword overrides replace document values."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    bad_over = set(overrides) - _OVERRIDE_KEYS
-    if bad_over:
-        raise ConfigError(f"unknown overrides {sorted(bad_over)}")
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    check_keys("config", doc, _TOP_KEYS)
+    check_keys("overrides", overrides, _SETTINGS)
+    settings = _SETTINGS | {k: doc[k] for k in _SETTINGS.keys() & doc}
+    settings |= {k: v for k, v in overrides.items() if v is not None}
     base_dir = Path(base_dir)
-
-    def setting(key, default):
-        return overrides.get(key, doc.get(key, default))
 
     if "world" not in doc:
         raise ConfigError("config needs a 'world' entry")
@@ -352,11 +328,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     for position, entry in enumerate(agents_doc):
         if not isinstance(entry, dict):
             raise ConfigError(f"agent entry {position} must be an object")
-        unknown = set(entry) - _AGENT_KEYS
-        if unknown:
-            raise ConfigError(
-                f"agent entry {position}: unknown keys {sorted(unknown)}"
-            )
+        check_keys(f"agent entry {position}", entry, _AGENT_KEYS)
         agent_id = _integer(f"agent entry {position}: id", entry.get("id", position))
         classes = entry.get("classes")
         if not isinstance(classes, list) or not all(
@@ -383,37 +355,18 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     sources = [source for _, source in entries]
 
     # The seed draws an ER graph before the config can check itself.
-    seed = _integer("seed", setting("seed", 0))
+    settings["seed"] = seed = _integer("seed", settings["seed"])
     _natural("seed", seed)
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
-
+    settings["horizon"] = _integer("horizon", settings["horizon"])
+    settings["rate_window"] = _number("rate_window", settings["rate_window"])
     return ExperimentConfig(
-        world=world,
-        scopes=scopes,
-        sources=sources,
-        graph=graph,
-        rule=str(setting("rule", "min")),
-        horizon=_integer("horizon", setting("horizon", 500)),
-        observation_mode=str(setting("observation_mode", "independent")),
-        seed=seed,
-        rate_window=_number("rate_window", setting("rate_window", 0.5)),
-        local_only=setting("local_only", False),
-        enforce_identifiability=setting("enforce_identifiability", True),
-        out_dir=setting("out_dir", None),
-        raw=doc,
-        base_dir=base_dir,
+        world, scopes, sources, graph, raw=doc, base_dir=base_dir, **settings
     )
 
 
 def load_config(path, **overrides) -> ExperimentConfig:
     """Load and resolve a JSON config file; see :func:`config_from_dict`."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"malformed JSON in {path}: {e}") from None
+    doc = read_json(path, "config")
     return config_from_dict(doc, base_dir=path.parent, **overrides)

@@ -5,11 +5,11 @@ CPython uses its C encoder only without ``indent``, so :func:`json_text`
 renders the same bytes itself: strings through the C string encoder, floats
 through ``float.__repr__`` and ints through ``int.__repr__``, as the
 standard encoder does.  A list of scalars renders through one typed
-``map``.  A list of uniform rows renders from columns: a :class:`Columns`
-table, ``{key: list of cells}``, or a list of plain dicts sharing one key
-set, first turned into one; each column's cells go through one typed
-``map``, interleaved with the fixed text between cells.  Everything else
-goes through the generic recursion; the fragments are joined once.
+``map``.  A :class:`Columns` table, ``{key: list of cells}``, renders as
+its list of rows: each column's cells go through one typed ``map``,
+interleaved with the fixed text between cells.  Everything else, lists of
+dicts included, goes through the generic recursion; the fragments are
+joined once.
 It raises what ``json.dumps`` raises: ``TypeError`` for a value or key
 JSON cannot hold, ``ValueError`` for a circular reference.
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
 
 _INDENT = "  "
 
@@ -97,7 +96,7 @@ def _emit(o, nl: str, markers: set, out: list) -> None:
         out.append(nl + "}")
     elif (cells := _column(o)) is not None:
         out.append(_array(cells, nl))
-    elif not _table(o, nl, out):
+    else:
         prefix = "[" + inner
         for v in o:
             out.append(prefix)
@@ -151,20 +150,11 @@ def _cells(values, nl: str) -> list[str] | None:
     return None if items is None else [_array(items[a:b], nl) for a, b in bounds]
 
 
-def _table(table, nl: str, out: list) -> bool:
-    """Append a :class:`Columns` table, or a list of plain dicts sharing one
-    key set, as that list of dicts: the fixed text between cells
-    interleaved with each column's cell texts.  False, appending nothing,
-    when the rows are not uniform, a key is not a string or a cell is
-    neither a scalar nor a list of scalars."""
-    if not isinstance(table, Columns):
-        first = table[0]
-        if set(map(type, table)) != {dict} or set(map(len, table)) != {len(first)}:
-            return False
-        try:
-            table = Columns({k: list(map(itemgetter(k), table)) for k in first})
-        except KeyError:
-            return False
+def _table(table: Columns, nl: str, out: list) -> bool:
+    """Append a :class:`Columns` table as its list of dicts: the fixed text
+    between cells interleaved with each column's cell texts.  False,
+    appending nothing, when a key is not a string or a cell is neither a
+    scalar nor a list of scalars."""
     if set(map(type, table)) != {str}:
         return False
     inner = nl + _INDENT

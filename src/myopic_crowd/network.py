@@ -9,6 +9,7 @@ n agents and |E| edges holds O(n + |E|) integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,14 +48,17 @@ class AgentGraph:
     def from_edges(cls, n: int, edges) -> "AgentGraph":
         """The graph on n vertices with the given (u, v) pairs; duplicates
         and both orientations of an edge count once, self-loops are dropped."""
-        n = int(n)
+        try:
+            n = _index(n)
+        except TypeError:
+            raise ParseError(f"vertex count must be an integer, got {n!r}") from None
         if n < 1:
             raise ParseError(f"graph must have at least 1 vertex, got {n}")
         hoods = [{i} for i in range(n)]
         for e in edges:
             try:
-                u, v = (int(e[0]), int(e[1]))
-            except (TypeError, ValueError, IndexError):
+                u, v = _index(e[0]), _index(e[1])
+            except (TypeError, IndexError):
                 raise ParseError(f"bad edge {e!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
@@ -67,6 +71,13 @@ class AgentGraph:
         return [
             (i, j) for i, hood in enumerate(self.neighborhoods) for j in hood if j > i
         ]
+
+
+def _index(v) -> int:
+    """An integer of any type but bool, as an int; never truncated or parsed."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is not a vertex")
+    return operator.index(v)
 
 
 def is_connected(g: AgentGraph) -> bool:

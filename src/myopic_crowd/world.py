@@ -192,10 +192,30 @@ def json_numbers(key: str, value, ndim: int) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+_WORLD_KEYS = ("classes", "inputs", "likelihoods", "true_class")
+
+
+def check_keys(name: str, doc: dict, allowed) -> None:
+    """Refuse the keys of JSON object ``name`` that are not in ``allowed``."""
+    unknown = set(doc).difference(allowed)
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
+
+
+def read_json(path, what: str):
+    """The JSON document in file ``path``; a file that cannot be read,
+    decoded or parsed, or nests too deep, is a :class:`ConfigError` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as e:
+        raise ConfigError(f"cannot read {what} file {path}: {e}") from None
+
+
 def world_from_dict(doc: dict) -> World:
     if not isinstance(doc, dict):
         raise ConfigError("world definition must be a JSON object")
-    missing = {"classes", "inputs", "likelihoods", "true_class"} - set(doc)
+    check_keys("world", doc, _WORLD_KEYS)
+    missing = set(_WORLD_KEYS) - set(doc)
     if missing:
         raise ConfigError(f"world definition missing keys: {sorted(missing)}")
     for key in ("classes", "inputs"):
@@ -215,9 +235,4 @@ def world_from_dict(doc: dict) -> World:
 
 
 def load_world(path) -> World:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigError(f"malformed world file {path}: {e}") from None
-    return world_from_dict(doc)
+    return world_from_dict(read_json(path, "world"))

@@ -718,6 +718,7 @@ def _run_quietly(argv) -> int:
         (("graph", "n"), 10**30),
         (("horizon",), 10**30),
         (("out_dir",), 5),
+        (("world", "true_clas"), "theta1"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "scores", "run"])
@@ -777,6 +778,9 @@ _JSON_VALUES = st.recursive(
     path=st.sampled_from(list(_field_paths(_FUZZ_BASE))),
     value=st.just(_DELETE) | _JSON_VALUES,
 )
+# An unhashable source kind must not reach a dict lookup.
+@example(path=("agents", 1, "source", "kind"), value=[])
+@example(path=("agents", 1, "source", "kind"), value={})
 def test_cli_survives_any_one_field_mutation(path, value):
     doc = _mutated(_FUZZ_BASE, path, value)
     with tempfile.TemporaryDirectory() as tmp:

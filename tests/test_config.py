@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from myopic_crowd.cli import main
 from myopic_crowd.config import (
     MAX_HORIZON,
+    ExperimentConfig,
     config_from_dict,
     load_config,
     spawn_streams,
@@ -257,6 +258,50 @@ def test_derived_keeps_a_replaced_field(w3_config):
     assert replace(w3_config, rule="max").derived(seed=9).rule == "max"
 
 
+#: A valid value, other than its default and w3's, for every run setting.
+_SETTING_VALUES = {
+    "rule": "max",
+    "horizon": 42,
+    "observation_mode": "shared",
+    "seed": 9,
+    "rate_window": 0.3,
+    "local_only": True,
+    "enforce_identifiability": False,
+    "out_dir": "elsewhere",
+}
+
+#: Every field of a config that is a run setting: all but the roster and the
+#: source document.
+_SETTINGS = [
+    f
+    for f in fields(ExperimentConfig)
+    if f.name not in ("world", "scopes", "sources", "graph", "raw", "base_dir")
+]
+
+
+@pytest.mark.parametrize("setting", _SETTINGS, ids=lambda f: f.name)
+def test_every_setting_is_read_and_written(w3_config, tmp_path, setting):
+    name, value = setting.name, _SETTING_VALUES[setting.name]
+    assert value not in (setting.default, getattr(w3_config, name))
+    # derived keeps the replaced value while it changes another setting.
+    other = "horizon" if name == "seed" else "seed"
+    changes = {other: _SETTING_VALUES[other]}
+    clone = replace(w3_config, **{name: value}).derived(**changes)
+    assert getattr(clone, name) == value
+    assert getattr(clone, other) == changes[other]
+    # The setting is a document key and a load_config override.
+    assert getattr(config_from_dict(w3_doc(**{name: value})), name) == value
+    path = tmp_path / "w3.json"
+    path.write_text(json.dumps(w3_doc()))
+    config = load_config(path, **{name: value})
+    assert getattr(config, name) == value
+    # The manifest writes every setting but the output directory.
+    if name == "out_dir":
+        assert name not in config.to_dict()
+    else:
+        assert config.to_dict()[name] == value
+
+
 def test_derived_keeps_replaced_identifiability_and_rate_window(w3_config):
     config = replace(w3_config, enforce_identifiability=False, rate_window=0.3)
     clone = config.derived(seed=9)
@@ -367,6 +412,18 @@ def test_load_config_malformed_json(tmp_path):
     path.write_text("{oops")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_too_deeply_nested_json(tmp_path):
+    # The parser's recursion limit is a config error naming the file, for a
+    # config file and for a world file it names.
+    deep = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    with pytest.raises(ConfigError, match="cannot read config file .*deep.json"):
+        load_config(tmp_path / "deep.json")
+    (tmp_path / "w.json").write_text(json.dumps(w3_doc(world="deep.json")))
+    with pytest.raises(ConfigError, match="cannot read world file .*deep.json"):
+        load_config(tmp_path / "w.json")
 
 
 def test_manifest_dict_round_trips(w3_config):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import math
 import os
+import re
 import threading
 import types
 from pathlib import Path
@@ -369,6 +370,32 @@ def test_artifacts_have_one_writer_per_format():
                 and path.name != "formats.py"
             ):
                 offenders.append(f"{path.name}:{node.lineno}: dumps(indent=...)")
+    assert offenders == []
+
+
+def test_config_files_have_one_reader_and_one_key_check():
+    """Only ``world.read_json`` parses JSON, and only ``world.check_keys``
+    refuses unknown keys: per-object copies of either once drifted apart."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and owner != ("world.py", "read_json")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: json.{node.attr}")
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and re.search(r"unknown\b.*\bkeys", node.value)
+                    and owner != ("world.py", "check_keys")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: unknown keys")
     assert offenders == []
 
 

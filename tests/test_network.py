@@ -96,6 +96,17 @@ def test_from_edges_deduplicates_and_ignores_self_loops():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         AgentGraph.from_edges(3, [(0, 5)])
+    # An endpoint or vertex count that is not an integer is refused, not
+    # truncated (0.9 -> 0), read as one (True -> 1) or parsed ("2" -> 2).
+    for edges in ([(0.9, 1)], [(True, 2)], [("2", "0")], [(np.float64(1.0), 2)]):
+        with pytest.raises(ParseError, match="bad edge"):
+            AgentGraph.from_edges(3, edges)
+    for n in (3.0, True, "3"):
+        with pytest.raises(ParseError, match="vertex count must be an integer"):
+            AgentGraph.from_edges(n, [(0, 1)])
+    # Numpy integers are integers.
+    g = AgentGraph.from_edges(np.int64(3), np.array([[0, 1], [1, 2]]))
+    assert g.edges() == [(0, 1), (1, 2)]
 
 
 def test_from_adjacency_keeps_the_upper_triangle():
