@@ -23,9 +23,11 @@ same draws (common random numbers).
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
 one network, the disjoint union of their graphs, in that same loop,
-bit-identical to running each seed alone.  :data:`BATCH_BYTES` caps what a
-batch holds: ten 3-agent, 3-class runs at T = 3000 under one rule, six under
-three.  :func:`run_experiment` is the one-run case.
+bit-identical to running each seed alone.  A sweep batch keeps only the
+belief arrays it pools, and :data:`BATCH_BYTES` caps them
+(:func:`batch_bytes`): 21 3-agent, 3-class runs at T = 3000 under one rule,
+ten under three.  :func:`run_experiment` is the one-run case, and the only
+one whose log keeps its draws.
 """
 
 from __future__ import annotations
@@ -72,15 +74,14 @@ logger = logging.getLogger(__name__)
 #: Minimum number of unclamped samples required to fit a rejection rate.
 MIN_RATE_SAMPLES = 10
 
-#: Cap on what one batch holds until its last log is consumed: its runs'
-#: :func:`run_bytes` (draws, posteriors and belief arrays) plus, as all its
-#: rules pool at once, a ``log_mu`` and ``clamped_mu`` per further rule.  A
-#: w3 run at T=3000 takes 0.70 MB, 1.19 MB under three rules, so ten such
-#: seeds pool together under one rule and six under three; a lone run above
-#: the cap pools its rules one at a time.  On the ``sweep-w3`` bench,
-#: ten-seed batches raised peak RSS by 3.5 MB (+7%, 47.6 to 51.2 MB) over the
-#: former four-seed ones.
-BATCH_BYTES = 7 * 2**20
+#: Cap on what one batch holds while it pools: its runs' :func:`batch_bytes`
+#: under all its rules at once.  A w3 run at T=3000 takes 0.49 MB under one
+#: rule and 0.97 MB under three, so 21 such seeds pool together under one
+#: rule (``rates --seeds 20`` in one loop) and ten under three; a lone run
+#: above the cap pools its rules one at a time.  On the ``sweep-w3`` bench,
+#: one 20-seed batch raised peak RSS by 0.8 MB (+1.5%, 51.0 to 51.8 MB) over
+#: two ten-seed ones that also held their draws.
+BATCH_BYTES = 10 * 2**20
 
 #: Cap on the estimated bytes of one run (:func:`run_bytes`); a larger run
 #: is refused (:func:`run_problems`) before anything is drawn.
@@ -95,9 +96,10 @@ class TrajectoryLog:
     the clamp masks mark entries pinned at the numerical floor.
     ``observations`` holds the drawn symbol index per (round 1..T, agent)
     and ``posteriors`` the emitted posterior per agent, both exactly as the
-    dynamics consumed them.  The belief arrays may be views into a larger
-    batch (see :func:`run_batch`); logs of one run under several rules share
-    the rule-independent arrays and ``log_pi``/``clamped_pi``.
+    dynamics consumed them, in a log of :func:`run_experiment`; a sweep's
+    logs (:func:`run_batch`) carry no draws (``None`` and ``()``).  The
+    belief arrays may be views into a larger batch; logs of one run under
+    several rules share ``log_pi``/``clamped_pi``.
     """
 
     config: ExperimentConfig
@@ -105,7 +107,7 @@ class TrajectoryLog:
     log_mu: np.ndarray
     clamped_pi: np.ndarray
     clamped_mu: np.ndarray
-    observations: np.ndarray
+    observations: np.ndarray | None
     posteriors: tuple[np.ndarray, ...]
 
     @property
@@ -167,12 +169,19 @@ def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
 
 def run_bytes(config: ExperimentConfig) -> int:
     """Estimated bytes one run allocates: its observations, its posteriors
-    (8 per round and scope class) and its belief arrays (``log_pi``,
-    ``log_mu`` and their clamp flags, 18 per round, agent and class)."""
+    (8 per round and scope class) and its belief arrays (:func:`batch_bytes`
+    under one rule)."""
     scope_classes = sum(scope.size for scope in config.scopes)
     draws_and_posteriors = 8 * config.horizon * (config.n_agents + scope_classes)
-    beliefs = 18 * (config.horizon + 1) * config.n_agents * config.world.m
-    return draws_and_posteriors + beliefs
+    return draws_and_posteriors + batch_bytes(config, (config.rule,))
+
+
+def batch_bytes(config: ExperimentConfig, rules) -> int:
+    """Estimated bytes one run holds in a batch while its ``rules`` pool
+    together: ``log_pi`` and a ``log_mu`` per rule, each with its clamp
+    flags, 9 per round, agent and class."""
+    cells = (config.horizon + 1) * config.n_agents * config.world.m
+    return 9 * cells * (1 + len(rules))
 
 
 def run_problems(config: ExperimentConfig, sources) -> list[MyopicCrowdError]:
@@ -217,15 +226,25 @@ def gap_text(config: ExperimentConfig, witness) -> str:
     return f"not globally identifiable; uncovered pairs: {pairs}"
 
 
-def _prepare(config: ExperimentConfig):
-    """Sources, checks, observation draws and posteriors of one run; raises
-    the first of its :func:`run_problems` without making the later checks."""
+def _checked_sources(config: ExperimentConfig) -> list:
+    """Sources of one run; raises the first of its :func:`run_problems`
+    without making the later checks."""
     sources = build_sources(config)
     for problem in _problems(config, sources):
         raise problem
+    return sources
+
+
+def _draw_local(config, sources, log_pi, clamped_pi, keep_draws: bool) -> tuple:
+    """Draw one run and write its local trajectories into ``log_pi`` and
+    ``clamped_pi``, its rows of a batch's arrays; returns its observations
+    and posteriors if ``keep_draws``, else ``(None, ())``."""
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
-    return obs, posts
+    m = log_pi.shape[2]
+    for i, (scope, series) in enumerate(zip(config.scopes, posts)):
+        log_pi[:, i], clamped_pi[:, i] = local_trajectory(scope, m, series)
+    return (obs, tuple(posts)) if keep_draws else (None, ())
 
 
 def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tuple]:
@@ -233,9 +252,9 @@ def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tupl
     whether its ``rules`` fit in one :func:`global_trajectory` call.
 
     A batch holds runs of one shape (horizon, class count, ``local_only``)
-    whose fused costs fit in :data:`BATCH_BYTES` together: :func:`run_bytes`
-    plus 9 bytes per round, agent, class and rule after the first.  A run
-    above the cap forms a batch of its own and pools its rules one at a time.
+    whose :func:`batch_bytes` under all ``rules`` fit in :data:`BATCH_BYTES`
+    together.  A run above the cap forms a batch of its own and pools its
+    rules one at a time.
     """
 
     def shape(config):
@@ -244,8 +263,7 @@ def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tupl
     batch: list[ExperimentConfig] = []
     size = 0
     for config in configs:
-        further = 9 * (len(rules) - 1) * (config.horizon + 1) * config.n_agents
-        cost = run_bytes(config) + further * config.world.m
+        cost = batch_bytes(config, rules)
         if batch and (shape(config) != shape(batch[0]) or size + cost > BATCH_BYTES):
             yield batch, size <= BATCH_BYTES
             batch, size = [], 0
@@ -260,40 +278,48 @@ def run_batch(
 ) -> Iterator[TrajectoryLog]:
     """Run every config once per rule, pooling a batch of runs at a time.
 
-    Consecutive configs are grouped into batches (:func:`_batches`).  Each
-    run of a batch is prepared once; the batch's graphs are then joined into
-    one disjoint union, agent indices offset by the agents before them, and
-    pooled over the stacked (T+1, sum n, m) arrays under every rule in one
-    call, or one rule at a time in a lone run too large for that.  Pooling
-    is row-wise over each agent's own neighborhood, so every run's beliefs
-    are bit-identical to running it alone.
+    Consecutive configs are grouped into batches (:func:`_batches`).  Every
+    run of a batch is checked, in run order, before anything is allocated
+    or drawn; then each run in turn draws its observations and writes its
+    local trajectories into its rows of the batch's (T+1, sum n, m)
+    ``log_pi``, and its draws are dropped.  The batch's graphs are joined
+    into one disjoint union, agent indices offset by the agents before
+    them, and pooled under every rule in one call, or one rule at a time in
+    a lone run too large for that.  Pooling is row-wise over each agent's
+    own neighborhood, so every run's beliefs are bit-identical to running
+    it alone.
 
     Logs are yielded batch by batch, rule by rule, then config by config.
     Each log's arrays are views into its batch's arrays, across the rules
-    pooled together, and its config is the run's config with the rule
-    replaced.  A caller that drops each log before asking for the next holds
-    one batch at a time.  One ``info`` line is logged per batch once its
-    last log has been consumed; it joins rules pooled together by ``+``.
+    pooled together, its config is the run's config with the rule replaced,
+    and it carries no draws.  A caller that drops each log before asking
+    for the next holds one batch at a time.  One ``info`` line is logged per
+    batch once its last log has been consumed; it joins rules pooled
+    together by ``+``.
     """
-    rules = tuple(rules)
+    return _logs(configs, tuple(rules), keep_draws=False)
+
+
+def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
+    """:func:`run_batch`'s logs, carrying each run's draws if ``keep_draws``."""
     for batch, fused in _batches(configs, rules):
         started = time.perf_counter()
         groups = [rules] if fused else [(r,) for r in rules]
-        # Each run's config under each rule, checked before any draw.
+        # Each run's config under each rule, and each run's checks, in run
+        # order before anything is allocated or drawn.
         variants = {r: [replace(c, rule=r) for c in batch] for r in rules}
+        pending = [_checked_sources(config) for config in batch]
         ends = list(accumulate(config.n_agents for config in batch))
         spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
         t_max, m = batch[0].horizon, batch[0].world.m
-        prepared = [_prepare(config) for config in batch]
-        # Allocated after the draws: allocating first measurably raised the
-        # peak RSS of repeated single runs (heap growth, not more live data).
         log_pi = np.empty((t_max + 1, ends[-1], m))
         clamped_pi = np.empty(log_pi.shape, dtype=bool)
-        for config, span, (_, posts) in zip(batch, spans, prepared):
-            for i, scope in enumerate(config.scopes):
-                log_pi[:, span.start + i], clamped_pi[:, span.start + i] = (
-                    local_trajectory(scope, m, posts[i])
-                )
+        draws = [
+            _draw_local(
+                config, pending.pop(0), log_pi[:, span], clamped_pi[:, span], keep_draws
+            )
+            for config, span in zip(batch, spans)
+        ]
         hood = neighborhood_csr(
             [
                 [j + span.start for j in nbrs]
@@ -307,7 +333,7 @@ def run_batch(
             else:
                 pooled = global_trajectory(group, log_pi, clamped_pi, hood)
             for rule, (log_mu, clamped_mu) in zip(group, pooled):
-                for config, span, (obs, posts) in zip(variants[rule], spans, prepared):
+                for config, span, (obs, posts) in zip(variants[rule], spans, draws):
                     yield TrajectoryLog(
                         config=config,
                         log_pi=log_pi[:, span],
@@ -315,7 +341,7 @@ def run_batch(
                         clamped_pi=clamped_pi[:, span],
                         clamped_mu=clamped_mu[:, span],
                         observations=obs,
-                        posteriors=tuple(posts),
+                        posteriors=posts,
                     )
             # Hold no reference to these arrays while the next group is
             # pooled or the next batch prepared.
@@ -331,8 +357,9 @@ def run_batch(
 
 
 def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
-    """Execute T rounds of the configured experiment, deterministically."""
-    return next(run_batch([config], [config.rule]))
+    """Execute T rounds of the configured experiment, deterministically.
+    Unlike a sweep's, its log keeps the observations and posteriors."""
+    return next(_logs([config], (config.rule,), keep_draws=True))
 
 
 # -- metrics --------------------------------------------------------------
@@ -614,8 +641,12 @@ def write_outputs(log: TrajectoryLog, out_dir) -> dict[str, Path]:
     CPU above :data:`ROWS_PER_PROCESS` rows each
     (:func:`write_trajectories_csv`); its bytes are the same whatever the
     number of workers, and a failed write leaves no ``trajectories.csv``.
-    Rewriting the same log always produces byte-identical files.
+    Rewriting the same log always produces byte-identical files.  A
+    sweep's log (:func:`run_batch`) has no draws to write and is refused
+    with :class:`ValueError` before any file is written.
     """
+    if log.observations is None:
+        raise ValueError("write_outputs needs a log of run_experiment, with its draws")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = log.config

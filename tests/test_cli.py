@@ -7,6 +7,7 @@ import copy
 import gc
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -627,10 +628,10 @@ def test_compare_rules(config_path, tmp_path, capsys):
 
 
 def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
-    # One seed a batch: at twice a run's bytes its three rules pool in one
-    # loop, at its bytes alone one rule at a time.  An even seed count takes
-    # the mean of two middle runs; local-only, nothing pools and agents
-    # without θ* never identify (null medians).
+    # One seed a batch: at a run's batch bytes under all three rules they
+    # pool in one loop, a byte below that one rule at a time.  An even seed
+    # count takes the mean of two middle runs; local-only, nothing pools and
+    # agents without θ* never identify (null medians).
     pool = sim.global_trajectory
     calls = []
 
@@ -643,8 +644,8 @@ def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
         want = json_text(oracles.compare_reference(base, seeds)) + "\n"
         monkeypatch.setattr(sim, "global_trajectory", recorded)
         for cap, groups in (
-            (2 * sim.run_bytes(base), [RULES]),
-            (sim.run_bytes(base), [(rule,) for rule in RULES]),
+            (sim.batch_bytes(base, RULES), [RULES]),
+            (sim.batch_bytes(base, RULES) - 1, [(rule,) for rule in RULES]),
         ):
             monkeypatch.setattr(sim, "BATCH_BYTES", cap)
             calls.clear()
@@ -657,15 +658,34 @@ def test_compare_matches_per_rule_runs(tmp_path, monkeypatch):
         monkeypatch.undo()
 
 
-def test_rates_matches_per_seed_runs(tmp_path):
-    # At T=3000 ten w3 seeds fit under the batch cap: twelve pool as 10 + 2.
-    rc = main(
-        ["rates", "--config", str(W3_JSON), "--seeds", "12", "--horizon", "3000",
-         "--out", str(tmp_path)]
-    )
+def test_rates_matches_per_seed_runs(tmp_path, monkeypatch, caplog):
+    # With the batch cap cut to ten w3 runs at T=3000, twelve pool as 10 + 2.
+    base = load_config(W3_JSON, horizon=3000)
+    monkeypatch.setattr(sim, "BATCH_BYTES", 10 * sim.batch_bytes(base, ["min"]))
+    with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
+        rc = main(
+            ["rates", "--config", str(W3_JSON), "--seeds", "12", "--horizon",
+             "3000", "--out", str(tmp_path)]
+        )
     assert rc == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "myopic_crowd.sim"]
+    assert [line.split(" rules=")[0] for line in lines] == [
+        "batch seeds=10 first_seed=7", "batch seeds=2 first_seed=17"
+    ]
     doc = json.loads((tmp_path / "rates.json").read_text())
-    assert doc == oracles.rates_reference(load_config(W3_JSON, horizon=3000), 12)
+    assert doc == oracles.rates_reference(base, 12)
+
+
+def test_rates_pools_twenty_w3_seeds_in_one_loop(tmp_path, caplog):
+    with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
+        rc = main(
+            ["rates", "--config", str(W3_JSON), "--seeds", "20", "--horizon",
+             "3000", "--out", str(tmp_path)]
+        )
+    assert rc == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "myopic_crowd.sim"]
+    assert len(lines) == 1
+    assert lines[0].startswith("batch seeds=20 first_seed=7 rules=min rounds=3000 ")
 
 
 # -- malformed input ------------------------------------------------------

@@ -6,6 +6,7 @@ import csv
 import json
 import logging
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -66,15 +67,24 @@ def test_run_batch_rules_match_independent_runs():
     for log in shared:
         rule = log.config.rule
         alone = run_experiment(config.derived(rule=rule))
-        for name in ("observations", "log_pi", "clamped_pi", "clamped_mu"):
+        for name in ("log_pi", "clamped_pi", "clamped_mu"):
             np.testing.assert_array_equal(getattr(log, name), getattr(alone, name))
-        for got, want in zip(log.posteriors, alone.posteriors):
-            np.testing.assert_array_equal(got, want)
+        _assert_draws_only_alone(log, alone)
         if rule == "avg":
             np.testing.assert_allclose(log.log_mu, alone.log_mu, rtol=0, atol=1e-12)
         else:
             np.testing.assert_array_equal(log.log_mu, alone.log_mu)
         assert log.config.to_dict() == alone.config.to_dict()
+
+
+def _assert_draws_only_alone(log, alone):
+    """A sweep's log carries no draws; the same run alone keeps both."""
+    assert log.observations is None and log.posteriors == ()
+    config = alone.config
+    assert alone.observations.shape == (config.horizon, config.n_agents)
+    assert [p.shape for p in alone.posteriors] == [
+        (config.horizon, scope.size) for scope in config.scopes
+    ]
 
 
 # Sharp likelihoods: agent 0's local belief in theta1 reaches the floor
@@ -110,10 +120,10 @@ def test_run_batch_matches_per_seed_runs(
         }
     base = config_from_dict(doc)
     configs = [base.derived(seed=base_seed + k) for k in range(n_seeds)]
-    cap = per_batch * sim.run_bytes(base)
+    cap = per_batch * sim.batch_bytes(base, RULES[:1])
     # Pooling all three rules at once also holds two more rules' log_mu and
-    # clamped_mu, 9 bytes per round, agent and class each.
-    fused_bytes = sim.run_bytes(base) + 2 * 9 * (horizon + 1) * n_agents * 3
+    # clamped_mu.
+    fused_bytes = sim.batch_bytes(base, RULES)
     fused = fused_bytes <= cap
     size = max(1, cap // fused_bytes)
     with mock.patch.object(sim, "BATCH_BYTES", cap):
@@ -139,39 +149,36 @@ def test_run_batch_matches_per_seed_runs(
         assert all(log.clamped_pi.any() for log in logs)
     for log in logs:
         alone = run_experiment(log.config.derived(rule=log.config.rule))
-        for name in (
-            "observations", "log_pi", "clamped_pi", "log_mu", "clamped_mu"
-        ):
+        for name in ("log_pi", "clamped_pi", "log_mu", "clamped_mu"):
             np.testing.assert_array_equal(getattr(log, name), getattr(alone, name))
-        for got, want in zip(log.posteriors, alone.posteriors, strict=True):
-            np.testing.assert_array_equal(got, want)
+        _assert_draws_only_alone(log, alone)
         assert log.config.to_dict() == alone.config.to_dict()
 
 
 def test_run_batch_default_cap_groups_w3_seeds():
-    # A w3 run at T=3000 holds 702 kB of draws, posteriors and beliefs
-    # (sim.run_bytes): ten fit in BATCH_BYTES.
+    # Under one rule a w3 run at T=3000 pools 486 kB of beliefs
+    # (sim.batch_bytes): 21 fit in BATCH_BYTES.
     base = load_config(W3_JSON, horizon=3000)
-    logs = list(run_batch([base.derived(seed=s) for s in range(12)], ["min"]))
+    logs = list(run_batch([base.derived(seed=s) for s in range(23)], ["min"]))
     bases = [log.log_mu.base for log in logs]
-    assert [b is bases[0] for b in bases] == [True] * 10 + [False] * 2
-    assert bases[10] is bases[11]
-    assert bases[0].nbytes == 10 * logs[0].log_mu.nbytes
+    assert [b is bases[0] for b in bases] == [True] * 21 + [False] * 2
+    assert bases[21] is bases[22]
+    assert bases[0].nbytes == 21 * logs[0].log_mu.nbytes
 
 
 def test_run_batch_logs_one_line_per_batch(caplog):
-    # Under three rules a w3 run at T=3000 holds 1.19 MB: six fit in
+    # Under three rules a w3 run at T=3000 pools 972 kB: ten fit in
     # BATCH_BYTES, pooled in one loop.
     base = load_config(W3_JSON, horizon=3000)
-    configs = [base.derived(seed=s) for s in range(10, 22)]
+    configs = [base.derived(seed=s) for s in range(10, 30)]
     with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
         for _ in run_batch(configs, RULES):
             pass
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 2
     rest = " rules=min+avg+max rounds=3000 elapsed_s="
-    assert lines[0].startswith("batch seeds=6 first_seed=10" + rest)
-    assert lines[1].startswith("batch seeds=6 first_seed=16" + rest)
+    assert lines[0].startswith("batch seeds=10 first_seed=10" + rest)
+    assert lines[1].startswith("batch seeds=10 first_seed=20" + rest)
     assert all(float(line.rsplit("elapsed_s=", 1)[1]) >= 0 for line in lines)
 
 
@@ -200,7 +207,7 @@ def test_run_batch_pools_a_lone_run_above_the_cap_one_rule_at_a_time(
 ):
     config = load_config(W3_JSON, horizon=3000)
     # Under one rule the run fits; all three at once do not.
-    monkeypatch.setattr(sim, "BATCH_BYTES", sim.run_bytes(config) + 1)
+    monkeypatch.setattr(sim, "BATCH_BYTES", sim.batch_bytes(config, RULES) - 1)
     calls = _pooling_calls(monkeypatch)
     with caplog.at_level(logging.INFO, logger="myopic_crowd.sim"):
         logs = list(run_batch([config, config.derived(seed=8)], RULES))
@@ -215,21 +222,60 @@ def test_run_batch_pools_a_lone_run_above_the_cap_one_rule_at_a_time(
 def test_run_batch_drops_a_batch_before_preparing_the_next(monkeypatch):
     base = load_config(W3_JSON, horizon=3000)
     logs = run_batch([base.derived(seed=s) for s in range(12)], RULES)
-    # The first batch: six runs under three rules, pooled into one array.
-    first = [next(logs) for _ in range(18)]
+    # The first batch: ten runs under three rules, pooled into one array.
+    first = [next(logs) for _ in range(30)]
     fused = weakref.ref(first[0].log_mu.base)
     assert all(log.log_mu.base is fused() for log in first)
     del first
-    prepare = sim._prepare
+    build = sim.build_sources
     alive = []
 
     def watched(config):
         alive.append(fused() is not None)
-        return prepare(config)
+        return build(config)
 
-    monkeypatch.setattr(sim, "_prepare", watched)
-    assert next(logs).config.seed == 6
-    assert alive == [False] * 6
+    monkeypatch.setattr(sim, "build_sources", watched)
+    assert next(logs).config.seed == 10
+    assert alive == [False] * 2
+
+
+def test_run_batch_refuses_a_later_run_before_drawing_or_allocating(monkeypatch):
+    # Two runs that share a batch; the second one's graph is disconnected.
+    # At this horizon the batch's log_pi alone would take 29 MB.
+    cut = {"type": "edges", "n": 3, "edges": [[0, 1]]}
+    configs = [
+        config_from_dict(w3_doc(horizon=200_000)),
+        config_from_dict(w3_doc(horizon=200_000, seed=8, graph=cut)),
+    ]
+    monkeypatch.setattr(sim, "BATCH_BYTES", 2 ** 40)
+    drawn = []
+    monkeypatch.setattr(sim, "_draw_observations", drawn.append)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraph):
+            next(run_batch(configs, ["min"]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert drawn == []
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("rules", [RULES[:1], RULES])
+def test_batch_bytes_counts_what_a_batch_pools(rules):
+    base = config_from_dict(w3_doc(horizon=50))
+    configs = [base.derived(seed=s) for s in range(3)]
+    logs = list(run_batch(configs, rules))
+    first = logs[0]
+    assert all(log.log_mu.base is first.log_mu.base for log in logs)
+    arrays = [
+        first.log_pi.base,
+        first.clamped_pi.base,
+        first.log_mu.base,
+        first.clamped_mu.base,
+    ]
+    want = sum(sim.batch_bytes(config, rules) for config in configs)
+    assert sum(a.nbytes for a in arrays) == want
 
 
 def test_seed_changes_observations():
@@ -585,6 +631,13 @@ def test_posteriors_csv_has_all_rounds(tmp_path):
     # Header plus one row per (round, agent).
     assert len(lines) == 1 + 4 * 3
     assert lines[0] == "round,agent_id,theta0,theta1,theta2"
+
+
+def test_write_outputs_refuses_a_sweep_log_before_writing(tmp_path):
+    log = next(run_batch([make_w3_config(horizon=4)], ["min"]))
+    with pytest.raises(ValueError, match="run_experiment"):
+        write_outputs(log, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_long_run_clamps_and_still_fits_rate():
