@@ -44,6 +44,9 @@ log = logging.getLogger("myopic_crowd")
 #: bound for `rates` to succeed.
 RATES_PASS_FRACTION = 0.95
 
+#: Characters per write of a long text: a text stream copies each write whole.
+WRITE_SLICE = 1 << 16
+
 
 def _setup_logging() -> None:
     level_name = os.environ.get("MYOPIC_CROWD_LOG", "warning").lower()
@@ -184,14 +187,16 @@ def cmd_scores(args) -> int:
     report = score_report(config.world, config.scopes)
     doc = report.to_dict()
     text = json_text(doc)
-    print(text)
-    print()
+    starts = range(0, len(text), WRITE_SLICE)
+    sys.stdout.writelines(text[i : i + WRITE_SLICE] for i in starts)
+    sys.stdout.write("\n\n")
     sys.stdout.write(_score_table(doc))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "scores.json", "w") as f:
-            print(text, file=f)  # text, then the newline: no copy of the text
+            f.writelines(text[i : i + WRITE_SLICE] for i in starts)
+            f.write("\n")
     return 0 if report.identifiable else 2
 
 

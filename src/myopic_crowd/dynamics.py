@@ -22,7 +22,10 @@ here, in :func:`norm_rows`: an output entry at or below
 is applied on output only and never fed back into the local recursion,
 whose closed form keeps every belief exact past the floor.  Pooling does
 read the clamped global beliefs of the previous round and propagates their
-flags; downstream rate estimation drops flagged samples.
+flags; downstream rate estimation drops flagged samples.  Rows shorter than
+:data:`SHORT_ROW` are reduced one column at a time (:func:`reduce_rows`),
+skipping numpy's per-row cost; the bytes stay the same, as max is exact and
+numpy sums so short a row left to right.
 """
 
 from __future__ import annotations
@@ -43,6 +46,22 @@ LOG_FLOOR = math.log(1e-300)
 #: floor artifacts, not dynamics.
 CLAMP_TOL = 1e-9
 
+#: Rows narrower than this are reduced column by column.  It is numpy's
+#: pairwise-summation block: below it numpy sums a row left to right.
+SHORT_ROW = 8
+
+
+def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` (np.add or np.maximum) over x's last axis, kept; a row
+    shorter than :data:`SHORT_ROW` takes one elementwise call per column."""
+    width = x.shape[-1]
+    if not 2 <= width < SHORT_ROW:
+        return ufunc.reduce(x, axis=-1, keepdims=True)
+    acc = ufunc(x[..., :1], x[..., 1:2])
+    for j in range(2, width):
+        ufunc(acc, x[..., j : j + 1], out=acc)
+    return acc
+
 
 def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row in log-domain; clamp and flag floor hits.
@@ -53,9 +72,9 @@ def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.nda
     the floor and flagged.  The result goes to ``out`` and ``clamped``
     (float and bool arrays of x's shape, neither of them ``x``) when given.
     """
-    hi = x.max(axis=-1, keepdims=True)
+    hi = reduce_rows(np.maximum, x)
     out = np.exp(np.subtract(x, hi, out=out), out=out)
-    lse = np.log(out.sum(axis=-1, keepdims=True)) + hi
+    lse = np.log(reduce_rows(np.add, out)) + hi
     np.subtract(x, lse, out=out)
     clamped = np.less_equal(out, LOG_FLOOR + CLAMP_TOL, out=clamped)
     np.copyto(out, LOG_FLOOR, where=clamped)
@@ -84,12 +103,9 @@ def local_trajectory(
     v[0] = start
     cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
     in_part = start + cum
-    v[1:, idx] = in_part
     if idx.size < m:
-        fill = in_part.max(axis=1)
-        mask = np.ones(m, dtype=bool)
-        mask[idx] = False
-        v[1:, mask] = fill[:, None]
+        v[1:] = reduce_rows(np.maximum, in_part)
+    v[1:, idx] = in_part
     return norm_rows(v)
 
 

@@ -32,6 +32,7 @@ one whose log keeps its draws.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -39,6 +40,7 @@ import shutil
 import tempfile
 import threading
 import time
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import accumulate
@@ -56,7 +58,7 @@ from .classifier import (
     write_replay_csv,
 )
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
-from .dynamics import global_trajectory, local_trajectory, neighborhood_csr
+from .dynamics import global_trajectory, local_trajectory, neighborhood_csr, reduce_rows
 from .errors import (
     ConfigError,
     DisconnectedGraph,
@@ -383,22 +385,39 @@ def estimate_rejection_rate(log: TrajectoryLog, agent: int, theta: int) -> float
         )
     start = t_eff - int(math.floor(log.config.rate_window * t_eff))
     ts = np.arange(start, t_eff + 1)
-    ts = ts[~flags[ts]]
     if ts.size < MIN_RATE_SAMPLES:
         raise InsufficientSamples(
             f"agent {agent}, class {theta}: {ts.size} usable samples in the "
             f"fitting window, need {MIN_RATE_SAMPLES}"
         )
-    slope = np.polyfit(ts, -series[ts], 1)[0]
-    return float(slope)
+    return float(_slope(ts, -series[ts]))
+
+
+@functools.lru_cache(maxsize=16)
+def _scaled_design(x: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polyfit``'s degree-1 design matrix for the float64 abscissae ``x``,
+    columns scaled to unit norm, and the scales; a window recurs across fits."""
+    lhs = np.vander(np.frombuffer(x), 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    lhs.flags.writeable = scale.flags.writeable = False
+    return lhs, scale
+
+
+def _slope(ts: np.ndarray, y: np.ndarray) -> float:
+    """``np.polyfit(ts, y, 1)[0]`` bit for bit, by polyfit's own steps."""
+    lhs, scale = _scaled_design((ts + 0.0).tobytes())
+    c, _, rank, _ = np.linalg.lstsq(lhs, y, ts.size * np.finfo(float).eps)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning, 2)
+    return c[0] / scale[0]
 
 
 def _argmax_flags(log: TrajectoryLog, agent: int) -> np.ndarray:
     """Per-round flag: true class holds the strict argmax of μ."""
     star = log.world.true_class
     mu = log.log_mu[:, agent, :]
-    others = np.delete(mu, star, axis=1).max(axis=1)
-    return mu[:, star] > others
+    return mu[:, star] > reduce_rows(np.maximum, np.delete(mu, star, axis=1))[:, 0]
 
 
 def time_to_identification(log: TrajectoryLog, agent: int) -> int | None:

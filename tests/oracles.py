@@ -508,6 +508,17 @@ def global_trajectory(rule, log_pi, clamped_pi, hood):
     return log_mu, clamped_mu
 
 
+def identification_reference(mu, star: int) -> tuple[int | None, int | None]:
+    """(sustained, first) identification rounds of one agent's (T+1, m)
+    global log-beliefs: rounds where the true class beats the max of the
+    others, taken with ``np.delete`` and a row reduction."""
+    ok = (mu[:, star] > np.delete(mu, star, axis=1).max(axis=1)).tolist()
+    misses = [t for t, hit in enumerate(ok) if not hit]
+    hits = [t for t, hit in enumerate(ok) if hit]
+    sustained = (misses[-1] + 1 if misses else 0) if ok[-1] else None
+    return sustained, hits[0] if hits else None
+
+
 # -- randomized problem instances -----------------------------------------
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import myopic_crowd
 import oracles
-from myopic_crowd import scores, sim
+from myopic_crowd import cli, scores, sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import RULES, load_config
@@ -341,6 +341,18 @@ def test_scores_identifiable(config_path, tmp_path, capsys):
     assert by_theta["theta2"]["agent"] == 2
     # stdout opens with the same JSON document, byte for byte.
     assert out.startswith((out_dir / "scores.json").read_text() + "\n")
+
+
+def test_scores_writes_the_json_text_in_slices_unchanged(
+    config_path, tmp_path, capsysbinary, monkeypatch
+):
+    monkeypatch.setattr(cli, "WRITE_SLICE", 7)  # hundreds of slices, one partial
+    out_dir = tmp_path / "scores_out"
+    main(["scores", "--config", str(config_path), "--out", str(out_dir)])
+    config = load_config(config_path)
+    text = json_text(scores.score_report(config.world, config.scopes).to_dict())
+    assert (out_dir / "scores.json").read_bytes() == (text + "\n").encode()
+    assert capsysbinary.readouterr().out.startswith((text + "\n\n").encode())
 
 
 def _roster_config(seed: int) -> dict:

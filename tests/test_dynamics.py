@@ -15,9 +15,11 @@ from myopic_crowd.config import RULES
 from myopic_crowd.dynamics import (
     CLAMP_TOL,
     LOG_FLOOR,
+    SHORT_ROW,
     global_trajectory,
     local_trajectory,
     neighborhood_csr,
+    norm_rows,
 )
 from myopic_crowd.errors import ScopeMismatch
 from myopic_crowd.network import AgentGraph, erdos_renyi_connected
@@ -273,6 +275,56 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
     """Equal shape, dtype and bytes: unlike ``==``, tells -0.0 from 0.0."""
     assert (got.shape, got.dtype) == (want.shape, want.dtype)
     assert got.tobytes() == want.tobytes()
+
+
+# -- short-row rule -------------------------------------------------------
+
+@st.composite
+def _norm_rows_inputs(draw):
+    """1- to 3-D log-beliefs 1 to 12 entries wide, on both sides of
+    SHORT_ROW: entries pinned at or just above the floor, and entries that
+    tie within a row."""
+    width = draw(st.integers(1, 12))
+    lead = draw(st.lists(st.integers(1, 5), max_size=2))
+    entries = st.one_of(
+        st.sampled_from([LOG_FLOOR, LOG_FLOOR + CLAMP_TOL / 2, -1.0, 0.0]),
+        st.floats(LOG_FLOOR - 50.0, 20.0),
+    )
+    return draw(arrays(float, (*lead, width), elements=entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_norm_rows_inputs())
+def test_norm_rows_matches_row_reductions_bitwise(x):
+    want, want_clamped = oracles.norm_rows(x)
+    got, got_clamped = norm_rows(x)
+    _same_bytes(got, want)
+    _same_bytes(got_clamped, want_clamped)
+    # Into strided views, as an agent's rows sit in a sweep batch's arrays.
+    batch = np.full((*x.shape[:1], 3, *x.shape[1:]), np.nan)
+    flags = np.zeros(batch.shape, dtype=bool)
+    out, clamped = batch[:, 1], flags[:, 1]
+    assert norm_rows(x, out, clamped)[0] is out
+    _same_bytes(out, want)
+    _same_bytes(clamped, want_clamped)
+
+
+def test_numpy_sums_rows_shorter_than_short_row_left_to_right():
+    # The short-row rule relies on it; if numpy changes its summation order,
+    # this test fails rather than an artifact changing.
+    rng = np.random.default_rng(5)
+    for width in range(1, SHORT_ROW):
+        x = np.exp(rng.normal(0.0, 20.0, size=(2, 1000, width)))
+        ordered = x[..., 0].copy()
+        backward = x[..., -1].copy()
+        for j in range(1, width):
+            ordered += x[..., j]
+            backward += x[..., width - 1 - j]
+        _same_bytes(np.add.reduce(x, axis=-1), ordered)
+        _same_bytes(np.add.reduce(x[0], axis=-1), ordered[0])
+        _same_bytes(np.add.reduce(x[:, ::3], axis=-1), ordered[:, ::3])
+        # The order shows in the bits, so the test can fail.
+        assert width < 3 or (backward != ordered).any()
 
 
 @st.composite

@@ -1,0 +1,47 @@
+"""``tools/same_bytes.py``, the byte-identity check between two source trees."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "tools" / "same_bytes.py"
+
+
+def _module():
+    spec = importlib.util.spec_from_file_location("same_bytes", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_against_itself_is_the_same():
+    src = str(ROOT / "src")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), src, src, "--horizon", "30"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 13
+    assert all(": same (exit " in line for line in lines)
+
+
+def test_every_difference_is_named():
+    same_bytes = _module()
+    parent = (0, b"wrote <out>/a.csv\n", {"a.csv": b"1", "b.json": b"{}"})
+    change = (1, b"wrote <out>/a.csv\n", {"a.csv": b"2", "c.json": b"{}"})
+    assert same_bytes.differences("run", parent, change) == [
+        "run: exit code 0 against 1",
+        "run: a.csv differs",
+        "run: b.json written by the parent only",
+        "run: c.json written by the change only",
+    ]
+    assert same_bytes.differences("run", parent, parent) == []
+    assert same_bytes.with_horizon(["run", "--horizon", "9", "--seeds", "2"], 30) == [
+        "run", "--seeds", "2", "--horizon", "30"
+    ]

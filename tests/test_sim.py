@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from myopic_crowd import classifier, sim
 
@@ -25,7 +26,7 @@ from myopic_crowd.classifier import (
     write_replay_csv,
 )
 from myopic_crowd.config import RATE_SLACK, RULES, config_from_dict, load_config
-from myopic_crowd.dynamics import global_trajectory
+from myopic_crowd.dynamics import LOG_FLOOR, global_trajectory
 from myopic_crowd.errors import (
     ConfigError,
     DisconnectedGraph,
@@ -44,6 +45,7 @@ from myopic_crowd.sim import (
     write_outputs,
 )
 
+import oracles
 from conftest import W3_CLASSES, W3_SCOPE_CLASSES, make_w3_config, w3_doc
 
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
@@ -550,6 +552,73 @@ def test_identification_flicker_reported_separately():
 def test_identification_from_round_zero():
     log = _log_with_true_series([True, True, True])
     assert time_to_identification(log, 0) == 0
+
+
+def _full_scope_config(m: int, n: int = 2):
+    """``n`` agents holding all ``m`` classes of a two-symbol world."""
+    labels = [f"c{k}" for k in range(m)]
+    rows = [[(k + 1) / (m + 1), (m - k) / (m + 1)] for k in range(m)]
+    return config_from_dict(
+        {
+            "world": {
+                "classes": labels,
+                "inputs": ["x0", "x1"],
+                "likelihoods": rows,
+                "true_class": labels[m // 2],
+            },
+            "agents": [{"id": i, "classes": labels} for i in range(n)],
+            "graph": {"type": "edges", "n": n, "edges": [[0, 1]]},
+        }
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), m=st.sampled_from([2, 3, 9, 20]))
+def test_identification_matches_the_delete_reference(data, m):
+    config = _full_scope_config(m)
+    star = config.world.true_class
+    rounds = data.draw(st.integers(1, 30))
+    # Few distinct values, so the true class often ties another exactly.
+    entries = st.sampled_from([LOG_FLOOR, -3.0, -1.0, -0.5])
+    log_mu = data.draw(arrays(float, (rounds, 2, m), elements=entries))
+    # From a drawn round on, the true class leads (0.0 beats every entry).
+    for agent in range(2):
+        log_mu[data.draw(st.integers(0, rounds)) :, agent, star] = 0.0
+    flags = np.zeros(log_mu.shape, dtype=bool)
+    log = TrajectoryLog(config, log_mu, log_mu, flags, flags, None, ())
+    for agent in range(2):
+        got = time_to_identification(log, agent), first_identification(log, agent)
+        assert got == oracles.identification_reference(log_mu[:, agent], star)
+
+
+@pytest.mark.parametrize("m", [2, 3, 9, 20])
+def test_identification_tie_with_the_true_class_is_no_lead(m):
+    config = _full_scope_config(m)
+    star = config.world.true_class
+    log_mu = np.full((4, 2, m), -2.0)
+    log_mu[:, :, star] = -1.0
+    log_mu[1:3, 0, (star + 1) % m] = -1.0  # agent 0 ties in rounds 1 and 2
+    flags = np.zeros(log_mu.shape, dtype=bool)
+    log = TrajectoryLog(config, log_mu, log_mu, flags, flags, None, ())
+    assert (time_to_identification(log, 0), first_identification(log, 0)) == (3, 0)
+    assert (time_to_identification(log, 1), first_identification(log, 1)) == (0, 0)
+    assert oracles.identification_reference(log_mu[:, 0], star) == (3, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rate_fit_is_polyfit_bitwise(data):
+    start = data.draw(st.integers(0, 5000))
+    size = data.draw(st.integers(sim.MIN_RATE_SAMPLES, 400))
+    ts = np.arange(start, start + size)
+    dropped = data.draw(st.lists(st.integers(1, size - 2), max_size=size // 3))
+    ts = np.delete(ts, dropped)  # samples dropped inside the window
+    y = data.draw(
+        arrays(float, ts.size, elements=st.floats(-1e4, 1e4, allow_subnormal=False))
+    )
+    want = np.polyfit(ts, y, 1)[0]
+    for _ in range(2):  # the second fit reads the cached design matrix
+        assert sim._slope(ts, y).tobytes() == want.tobytes()
 
 
 # -- artifacts ------------------------------------------------------------

@@ -1,0 +1,136 @@
+"""Check that two source trees write the same bytes for a fixed command list.
+
+    python tools/same_bytes.py PARENT_SRC CHANGE_SRC [--horizon T]
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the
+``myopic_crowd`` package, such as a checkout's ``src``.  Every command of
+:func:`commands` runs once per tree, in a subprocess with that directory
+first on PYTHONPATH and a fresh output directory.  The exit code, stdout
+(with the output directory masked) and every file written must match byte
+for byte.  Each difference is printed by name, and the script exits 1 if
+there is any.  ``--horizon`` sets every command's horizon, for a quick
+check; without it the horizons are those listed.
+
+The two bench configs are generated from bench seed 5 by
+``bench/workloads.py`` of the checkout holding this script, so both trees
+read the same files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+W3 = str(ROOT / "configs" / "w3.json")
+ER_NOISY = str(ROOT / "configs" / "er_noisy.json")
+
+#: Bench seed of the generated run-n50 and compare-n120 configs.
+BENCH_SEED = 5
+
+
+def bench_configs(work_dir: Path) -> dict[str, str]:
+    """Write the run-n50 and compare-n120 bench configs; their paths by name."""
+    sys.path.insert(0, str(ROOT))
+    from bench.workloads import generate
+
+    paths = {}
+    for name in ("run-n50", "compare-n120"):
+        generate(name, BENCH_SEED, work_dir)
+        paths[name] = str(work_dir / f"{name}.json")
+    return paths
+
+
+def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
+    """(label, CLI argv without ``--out``) of every checked command."""
+    run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
+    return [
+        ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
+        ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
+        ("run-w3-avg", ["run", "--config", W3, "--rule", "avg", "--horizon", "1500"]),
+        ("run-er-min", ["run", "--config", ER_NOISY]),
+        ("run-er-avg", ["run", "--config", ER_NOISY, "--rule", "avg"]),
+        ("run-n50-avg", ["run", "--config", run_n50, "--rule", "avg"]),
+        ("run-n120-avg", ["run", "--config", compare_n120, "--rule", "avg"]),
+        ("compare-w3", ["compare", "--config", W3, "--seeds", "5", "--horizon", "3000"]),
+        ("compare-er", ["compare", "--config", ER_NOISY, "--seeds", "4"]),
+        ("compare-n120-1", ["compare", "--config", compare_n120, "--seeds", "1"]),
+        ("compare-n120-3", ["compare", "--config", compare_n120, "--seeds", "3"]),
+        ("rates-w3", ["rates", "--config", W3, "--seeds", "20", "--horizon", "3000"]),
+        ("rates-er", ["rates", "--config", ER_NOISY, "--seeds", "3"]),
+    ]
+
+
+def with_horizon(argv: list[str], horizon: int) -> list[str]:
+    """``argv`` with its ``--horizon`` set to ``horizon``."""
+    if "--horizon" in argv:
+        i = argv.index("--horizon")
+        argv = argv[:i] + argv[i + 2 :]
+    return [*argv, "--horizon", str(horizon)]
+
+
+def run(src: str, argv: list[str], out: Path) -> tuple[int, bytes, dict[str, bytes]]:
+    """Exit code, masked stdout and written files of one command on one tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "myopic_crowd.cli", *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+    )
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+    return done.returncode, done.stdout.replace(str(out).encode(), b"<out>"), files
+
+
+def differences(label: str, parent, change) -> list[str]:
+    """One line per difference between two :func:`run` results."""
+    (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = parent, change
+    found = []
+    if code_a != code_b:
+        found.append(f"{label}: exit code {code_a} against {code_b}")
+    if stdout_a != stdout_b:
+        found.append(f"{label}: stdout differs")
+    for name in sorted(files_a.keys() | files_b.keys()):
+        if name not in files_a or name not in files_b:
+            side = "parent" if name in files_a else "change"
+            found.append(f"{label}: {name} written by the {side} only")
+        elif files_a[name] != files_b[name]:
+            found.append(f"{label}: {name} differs")
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="source directory of the parent tree")
+    parser.add_argument("change_src", help="source directory of the changed tree")
+    parser.add_argument("--horizon", type=int, help="set every command's horizon")
+    args = parser.parse_args(argv)
+    srcs = [
+        ("parent", str(Path(args.parent_src).resolve())),
+        ("change", str(Path(args.change_src).resolve())),
+    ]
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for label, command in commands(bench_configs(work)):
+            if args.horizon is not None:
+                command = with_horizon(command, args.horizon)
+            results = [run(src, command, work / side / label) for side, src in srcs]
+            lines = differences(label, *results)
+            print(f"{label}: {'DIFFERS' if lines else 'same'} (exit {results[0][0]})")
+            found += lines
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
