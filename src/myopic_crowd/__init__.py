@@ -47,7 +47,7 @@ from .classifier import (
     ReplaySource,
     load_replay_csv,
     make_scope,
-    posterior_table,
+    posterior_tables,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -63,7 +63,7 @@ from .scores import (
 from .dynamics import (
     CLAMP_TOL,
     LOG_FLOOR,
-    local_trajectory,
+    local_trajectories,
 )
 from .network import (
     AgentGraph,
@@ -129,7 +129,7 @@ __all__ = [
     "ReplaySource",
     "load_replay_csv",
     "make_scope",
-    "posterior_table",
+    "posterior_tables",
     "replay_source_from_csv",
     "write_replay_csv",
     # scores
@@ -143,7 +143,7 @@ __all__ = [
     # dynamics
     "CLAMP_TOL",
     "LOG_FLOOR",
-    "local_trajectory",
+    "local_trajectories",
     # network
     "AgentGraph",
     "erdos_renyi_connected",

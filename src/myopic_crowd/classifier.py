@@ -2,12 +2,11 @@
 
 An agent's classifier (:class:`AgentScope`) is its scope Θ_i ⊆ Θ, a prior
 over it, an optional private likelihood table and a noise level γ.
-:func:`posterior_table` turns a classifier into the one posterior table the
-agent uses, one row per input symbol: the Bayes posterior, mixed with the
-uniform distribution when γ > 0.  The dynamics read that table through a
-table source (``per_symbol``) and the score engine reads it for its
-log-ratios.  A replay source instead holds pre-recorded posterior vectors,
-one per round (``vectors``), read from a CSV file.
+:func:`posterior_tables` turns classifiers, a group at a time, into each
+agent's one posterior table, a row per input symbol: the Bayes posterior,
+mixed with uniform when γ > 0.  The dynamics read it through a table source
+(``per_symbol``) and the score engine for its log-ratios.  A replay source
+instead holds recorded posterior vectors, one per round (``vectors``).
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -126,40 +126,51 @@ def make_scope(
     )
 
 
-def posterior_table(world: World, scope: AgentScope) -> np.ndarray:
-    """The agent's posterior table, read-only, of shape (|X|, |Θ_i|).
+def posterior_tables(world: World, scopes) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Yield (positions, tables) per group of ``scopes`` sharing a scope size
+    k, an override or not and γ > 0 or not; ``tables[j]``, read-only (|X|, k),
+    is agent ``scopes[positions[j]]``'s table, a row per symbol.
 
     Row x is the Bayes posterior p_i(θ|x) ∝ p_i(x|θ)·p_i(θ), floored at
     :data:`EPS` and normalized; when γ > 0 it is then mixed with uniform,
-    (1−γ)·p + γ/|Θ_i|, and normalized again.  Likelihoods are the agent's
-    override, else the world's.
+    (1−γ)·p + γ/k, and normalized again.  Likelihoods are the agent's
+    override, else the world's.  Sums run as for a lone agent, in order.
     """
-    table = world.likelihoods if scope.likelihoods is None else scope.likelihoods
-    lik = table.rows[list(scope.theta_i), :]
-    unnorm = lik * scope.prior[:, None]
-    post = (unnorm / unnorm.sum(axis=0, keepdims=True)).T
-    post = np.maximum(post, EPS)
-    post = post / post.sum(axis=1, keepdims=True)
-    if scope.gamma > 0.0:
-        post = (1.0 - scope.gamma) * post + scope.gamma / scope.size
-        post = post / post.sum(axis=1, keepdims=True)
-    post.flags.writeable = False
-    return post
+    keys: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scopes):
+        keys.setdefault((s.size, s.likelihoods is None, s.gamma > 0.0), []).append(i)
+    for (k, shared, noisy), members in keys.items():
+        group = [scopes[i] for i in members]
+        classes = np.array([s.theta_i for s in group])
+        if shared:
+            lik = world.likelihoods.rows[classes]
+        else:
+            rows = np.stack([s.likelihoods.rows for s in group])
+            lik = rows[np.arange(len(group))[:, None], classes]
+        unnorm = lik * np.array([s.prior for s in group])[:, :, None]
+        post = (unnorm / unnorm.sum(axis=1, keepdims=True)).transpose(0, 2, 1)
+        post = np.maximum(post, EPS)
+        post = post / post.sum(axis=2, keepdims=True)
+        if noisy:
+            gamma = np.array([s.gamma for s in group])[:, None, None]
+            post = (1.0 - gamma) * post + gamma / k
+            post = post / post.sum(axis=2, keepdims=True)
+        post.flags.writeable = False
+        yield members, post
 
 
 class BayesOracle:
     """Table source: ``per_symbol[x]`` is the posterior the agent emits on
-    symbol x, one row of its :func:`posterior_table`."""
+    symbol x, one row of its table (:func:`posterior_tables`)."""
 
-    def __init__(self, world: World, scope: AgentScope):
-        self.per_symbol = posterior_table(world, scope)
+    def __init__(self, per_symbol: np.ndarray):
+        self.per_symbol = per_symbol
 
 
 class NoisySource(BayesOracle):
     """Table source of an agent with γ > 0; it holds the same table."""
 
-    def __init__(self, world: World, scope: AgentScope):
-        self.per_symbol = posterior_table(world, scope)
+    __init__ = BayesOracle.__init__
 
 
 class ReplaySource:

@@ -6,12 +6,12 @@ in-scope unnormalized value, then normalize.  Global update: pool the
 inclusive neighborhood's previous global beliefs with the fresh local belief
 using an elementwise min (or the avg/max baselines) and normalize.
 
-:func:`local_trajectory` evaluates the local recursion for a whole posterior
-stream in closed form: the normalization constant cancels between rounds,
-so the unnormalized log-belief after t rounds is the uniform start plus the
-cumulative log posterior/prior ratio.  The global recursion reads the
-previous round, so :func:`global_trajectory` loops over rounds, pooling
-every agent under every rule at once from the layouts of
+:func:`local_trajectories` evaluates the local recursion for whole posterior
+streams in closed form, one pass per scope size: the normalization constant
+cancels between rounds, so the unnormalized log-belief after t rounds is the
+uniform start plus the cumulative log posterior/prior ratio.  The global
+recursion reads the previous round, so :func:`global_trajectory` loops over
+rounds, pooling every agent under every rule at once from the layouts of
 :func:`neighborhood_csr`.
 
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
@@ -50,6 +50,10 @@ CLAMP_TOL = 1e-9
 #: pairwise-summation block: below it numpy sums a row left to right.
 SHORT_ROW = 8
 
+#: Belief cells one pass of :func:`local_trajectories` evaluates at most:
+#: 64 KiB temporaries are reused from the heap, not mapped afresh.
+GROUP_CELLS = 2**13
+
 
 def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce`` (np.add or np.maximum) over x's last axis, kept; a row
@@ -81,32 +85,42 @@ def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.nda
     return out, clamped
 
 
-def local_trajectory(
-    scope: AgentScope, m: int, posts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local log-beliefs (T+1, m) over rounds 0..T and their clamp flags.
+def local_trajectories(
+    scopes: Sequence[AgentScope], posts, out: np.ndarray, clamped: np.ndarray
+) -> None:
+    """Write n agents' local log-beliefs over rounds 0..T into ``out``, a
+    (T+1, n, m) array, and their clamp flags into ``clamped``.
 
-    ``posts`` is the agent's (T, |Θ_i|) posterior stream, row t-1 feeding
-    round t.  Round 0 is uniform.  Per-round normalization constants cancel
-    in the recursion, so normalizing each round of the cumulative form
-    reproduces the step-by-step update without its rounding or any clamp.
+    ``posts[i]`` is agent ``scopes[i]``'s (T, |Θ_i|) posterior stream, row
+    t-1 feeding round t.  Round 0 is uniform.  Per-round normalization
+    constants cancel in the recursion, so normalizing each round of the
+    cumulative form reproduces the step-by-step update without its rounding
+    or any clamp.  Agents of one scope size share each array operation.
     """
-    if posts.ndim != 2 or posts.shape[1] != scope.size:
-        raise ScopeMismatch(
-            f"posterior stream of shape {posts.shape} does not fit agent "
-            f"{scope.agent_id}'s scope of {scope.size} classes"
-        )
-    t_max = posts.shape[0]
-    idx = np.fromiter(scope.theta_i, dtype=int)
+    rounds, _, m = out.shape
+    groups: dict[int, list[int]] = {}
+    for i, (scope, stream) in enumerate(zip(scopes, posts)):
+        if stream.shape != (rounds - 1, scope.size):
+            raise ScopeMismatch(
+                f"posterior stream of shape {stream.shape} does not fit agent "
+                f"{scope.agent_id}'s {rounds - 1} rounds of {scope.size} classes"
+            )
+        groups.setdefault(scope.size, []).append(i)
     start = -math.log(m)
-    v = np.empty((t_max + 1, m))
-    v[0] = start
-    cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
-    in_part = start + cum
-    if idx.size < m:
-        v[1:] = reduce_rows(np.maximum, in_part)
-    v[1:, idx] = in_part
-    return norm_rows(v)
+    step = max(1, GROUP_CELLS // (rounds * m))
+    for k, members in groups.items():
+        for j in range(0, len(members), step):
+            cols = members[j : j + step]
+            group = [scopes[i] for i in cols]
+            prior = np.log([s.prior for s in group])
+            stream = np.stack([posts[i] for i in cols], axis=1)
+            in_part = start + np.cumsum(np.log(stream) - prior, axis=0)
+            v = np.empty((rounds, len(cols), m))
+            v[0] = start
+            if k < m:
+                v[1:] = reduce_rows(np.maximum, in_part)
+            v[1:, np.arange(len(cols))[:, None], [s.theta_i for s in group]] = in_part
+            out[:, cols], clamped[:, cols] = norm_rows(v)
 
 
 class Hood(NamedTuple):
@@ -197,13 +211,17 @@ def global_trajectory(
         # Maps the rows ``hood`` indexes (previous global beliefs, local
         # beliefs, identity) to this rule's rows of the stack.
         rows = np.r_[span.start : span.stop, r_n : r_n + n + 1]
-        rows[-1] += rule == "max"
+        rows[-1] += rule != "min"
         index = rows[hood.index]
+        layout = index if hood.padded is None else rows[hood.padded]
         if rule == "avg":
-            entries = np.empty((index.size, m))
-            buffers = (entries, np.empty_like(entries), np.empty((n, m)))
+            # Max is exact in any order: it reduces min's layout, gathered into
+            # ``spread`` first; the sum's CSR order sets the bytes, so it stays.
+            memory = np.empty((max(index.size, layout.size), m))
+            spread, hi = memory[: index.size], np.empty((n, m))
+            gathered = memory[: layout.size].reshape(*layout.shape, m)
+            buffers = (np.empty_like(spread), spread, hi, layout, gathered)
         else:
-            layout = index if hood.padded is None else rows[hood.padded]
             extreme = (np.minimum, np.inf) if rule == "min" else (np.maximum, -np.inf)
             buffers = (layout, *extreme, np.empty((*layout.shape, m)))
         blocks.append((rule, index, pooled[span], propagated[span], buffers))
@@ -219,9 +237,9 @@ def global_trajectory(
             flags = np.concatenate((clamped_mu[t - 1], clamped_pi[t], no_flags))
         for rule, index, out, prop, buffers in blocks:
             if rule == "avg":
-                entries, spread, hi = buffers
+                entries, spread, hi, layout, padded = buffers
+                _extremes(np.maximum, stack, layout, hood.starts, padded, hi)
                 stack.take(index, 0, entries, "clip")
-                np.maximum.reduceat(entries, hood.starts, axis=0, out=hi)
                 hi.take(hood.owner, 0, spread, "clip")
                 np.exp(np.subtract(entries, spread, out=spread), out=spread)
                 np.add.reduceat(spread, hood.starts, axis=0, out=out)

@@ -8,8 +8,10 @@ rejection rate per false class.
 
 Scores are in nats and are computed exactly, never by sampling, from the
 world's ground-truth likelihoods and the agent's posterior table
-(:func:`~myopic_crowd.classifier.posterior_table`), the same table its source
-feeds the dynamics, so a noisy agent is scored on its noisy table.
+(:func:`~myopic_crowd.classifier.posterior_tables`), the same table its
+source feeds the dynamics, so a noisy agent is scored on its noisy table.
+The evidence table is built one group of equal-size tables at a time, and
+the witness compares each class column with the whole table at once.
 
 Every score is a difference of two entries of one short vector.  With L_i
 the (|X|, k_i) log-ratios ln p_i(θ|x) − ln p_i(θ) of agent i's posterior
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import AgentScope, posterior_table
+from .classifier import AgentScope, posterior_tables
 from .errors import ClassOutOfScope, TrueClassInScope, UnknownClass
 from .formats import Columns
 from .world import World
@@ -55,33 +57,24 @@ def _check_pair(scope: AgentScope, theta_p: int, theta_q: int) -> None:
         )
 
 
-def _log_ratios(world: World, scope: AgentScope) -> np.ndarray:
-    """Log-ratios ln p_i(θ|x) − ln p_i(θ) of the agent's posterior table,
-    shape (|X|, k_i)."""
-    return np.log(posterior_table(world, scope)) - np.log(scope.prior)
-
-
-def _evidence(world: World, scope: AgentScope, weight_class: int) -> np.ndarray:
-    """Evidence vector e_i under data from ``weight_class``, in scope order;
-    summed row by row, so identical log-ratio columns give equal entries."""
-    weights = world.likelihoods.rows[weight_class]
-    return (weights[:, None] * _log_ratios(world, scope)).sum(axis=0)
-
-
 def _table(world: World, scopes: list[AgentScope], weight_class: int):
-    """Agent ids in ascending order and their (n, m) evidence table, with
-    NaN for classes outside each agent's scope."""
+    """Agent ids in ascending order and their (n, m) evidence table, NaN
+    outside each scope; a pass per table group sums every column alike."""
     ordered = sorted(scopes, key=lambda s: s.agent_id)
     table = np.full((len(ordered), world.m), np.nan)
-    for row, scope in zip(table, ordered):
-        row[list(scope.theta_i)] = _evidence(world, scope, weight_class)
+    weights = world.likelihoods.rows[weight_class][None, :, None]
+    for members, tables in posterior_tables(world, ordered):
+        group = [ordered[i] for i in members]
+        ratios = np.log(tables) - np.log([s.prior for s in group])[:, None, :]
+        rows = np.array(members)[:, None]
+        table[rows, [s.theta_i for s in group]] = (weights * ratios).sum(axis=1)
     return np.array([s.agent_id for s in ordered], dtype=int), table
 
 
 def _pair_score(world: World, scope: AgentScope, w: int, p: int, q: int) -> float:
     _check_pair(scope, p, q)
-    e = _evidence(world, scope, w)
-    return float(e[scope.position(p)] - e[scope.position(q)])
+    e = _table(world, [scope], w)[1][0]
+    return float(e[p] - e[q])
 
 
 def discriminative_score(
@@ -135,10 +128,13 @@ def _score_rows(scopes: list[AgentScope], table: np.ndarray):
 
 
 def _witness(table: np.ndarray) -> list[tuple[int, int]]:
-    """Unordered pairs with empty source sets both ways: no e[p] − e[q] ≠ 0."""
+    """Unordered pairs with empty source sets both ways: no e[p] − e[q] ≠ 0
+    (NaN, a class outside the scope, compares false).  Each class column is
+    compared with the whole table at once, so temporaries stay (n, m)."""
     m = table.shape[1]
-    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
-    return [(p, q) for p, q in pairs if not np.any(abs(table[:, p] - table[:, q]) > 0)]
+    apart = np.array([(abs(table[:, [p]] - table) > 0).any(axis=0) for p in range(m)])
+    p, q = np.nonzero(~apart)
+    return [(a, b) for a, b in zip(p.tolist(), q.tolist()) if a < b]
 
 
 def _support_margin(table: np.ndarray, theta_star: int, theta: int) -> np.ndarray:

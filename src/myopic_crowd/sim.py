@@ -54,11 +54,12 @@ from .classifier import (
     BayesOracle,
     ReplaySource,
     load_replay_csv,
+    posterior_tables,
     replay_source,
     write_replay_csv,
 )
 from .config import RATE_SLACK, ExperimentConfig, spawn_streams
-from .dynamics import global_trajectory, local_trajectory, neighborhood_csr, reduce_rows
+from .dynamics import global_trajectory, local_trajectories, neighborhood_csr
 from .errors import (
     ConfigError,
     DisconnectedGraph,
@@ -124,21 +125,34 @@ class TrajectoryLog:
     def n_agents(self) -> int:
         return self.config.n_agents
 
+    @functools.cached_property
+    def identified(self) -> np.ndarray:
+        """(T+1, n) flags, computed once, a class column at a time: the true
+        class holds the strict argmax of the global belief (a tie is no lead)."""
+        star, mu = self.world.true_class, self.log_mu
+        hi = np.full(mu.shape[:2], -np.inf)
+        for c in [*range(star), *range(star + 1, self.world.m)]:
+            np.maximum(hi, mu[..., c], out=hi)
+        return mu[..., star] > hi
+
 
 def build_sources(config: ExperimentConfig) -> list:
-    """Each agent's posterior source, in agent order: its posterior table,
-    or its replay stream.  Each replay file is read once per call; agents
-    that share a file take their rows from that one parse."""
+    """Each agent's posterior source, in agent order: its posterior table
+    (built a group at a time), or its replay stream.  Each replay file is
+    read once per call; agents sharing a file take rows from that one parse."""
+    agents = [i for i, spec in enumerate(config.sources) if spec.kind != "replay"]
+    sources = [None] * config.n_agents
+    scopes = [config.scopes[i] for i in agents]
+    for members, tables in posterior_tables(config.world, scopes):
+        for j, table in zip(members, tables):
+            sources[agents[j]] = BayesOracle(table)
     parsed: dict[str, tuple] = {}
-    sources = []
-    for scope, spec in zip(config.scopes, config.sources):
-        if spec.kind != "replay":
-            sources.append(BayesOracle(config.world, scope))
-            continue
-        path = spec.replay_path
-        if path not in parsed:
-            parsed[path] = load_replay_csv(path, config.world)
-        sources.append(replay_source(path, *parsed[path], config.world, scope))
+    for i, (scope, spec) in enumerate(zip(config.scopes, config.sources)):
+        if spec.kind == "replay":
+            path = spec.replay_path
+            if path not in parsed:
+                parsed[path] = load_replay_csv(path, config.world)
+            sources[i] = replay_source(path, *parsed[path], config.world, scope)
     return sources
 
 
@@ -243,9 +257,7 @@ def _draw_local(config, sources, log_pi, clamped_pi, keep_draws: bool) -> tuple:
     and posteriors if ``keep_draws``, else ``(None, ())``."""
     obs = _draw_observations(config)
     posts = _posterior_series(config, sources, obs)
-    m = log_pi.shape[2]
-    for i, (scope, series) in enumerate(zip(config.scopes, posts)):
-        log_pi[:, i], clamped_pi[:, i] = local_trajectory(scope, m, series)
+    local_trajectories(config.scopes, posts, log_pi, clamped_pi)
     return (obs, tuple(posts)) if keep_draws else (None, ())
 
 
@@ -413,17 +425,10 @@ def _slope(ts: np.ndarray, y: np.ndarray) -> float:
     return c[0] / scale[0]
 
 
-def _argmax_flags(log: TrajectoryLog, agent: int) -> np.ndarray:
-    """Per-round flag: true class holds the strict argmax of μ."""
-    star = log.world.true_class
-    mu = log.log_mu[:, agent, :]
-    return mu[:, star] > reduce_rows(np.maximum, np.delete(mu, star, axis=1))[:, 0]
-
-
 def time_to_identification(log: TrajectoryLog, agent: int) -> int | None:
     """Smallest round t such that the true class holds the strict argmax of
     the agent's global belief at every round from t through the horizon."""
-    ok = _argmax_flags(log, agent)
+    ok = log.identified[:, agent]
     if not ok[-1]:
         return None
     bad = np.nonzero(~ok)[0]
@@ -432,7 +437,7 @@ def time_to_identification(log: TrajectoryLog, agent: int) -> int | None:
 
 def first_identification(log: TrajectoryLog, agent: int) -> int | None:
     """First round where the true class holds the strict argmax (may flicker)."""
-    ok = _argmax_flags(log, agent)
+    ok = log.identified[:, agent]
     hits = np.nonzero(ok)[0]
     return int(hits[0]) if hits.size else None
 

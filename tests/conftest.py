@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from myopic_crowd.classifier import make_scope
+from myopic_crowd.classifier import make_scope, posterior_tables
 from myopic_crowd.config import config_from_dict
 from myopic_crowd.world import build_world
 from oracles import path_graph
@@ -36,6 +36,13 @@ W3_SCOPE_CLASSES = [
 W3_D_A = 0.8317766166719343
 W3_D_B_CONF = 0.6390318596501767
 W3_D_C = 0.1927447570217576
+
+
+def posterior_table(world, scope):
+    """One agent's (|X|, k) posterior table, built alone by
+    ``posterior_tables``."""
+    [(_, [table])] = posterior_tables(world, [scope])
+    return table
 
 
 @pytest.fixture

@@ -18,9 +18,12 @@ evidence table.
 The artifact writers are the package's former writers (``json.dumps``
 with ``indent``, a per-row ``trajectories.csv`` loop and a ``csv.writer``
 replay writer), the references for its serialisation.  The posterior-table
-builders after them are the package's former numpy builders, the references
-for ``posterior_table``.  ``dense_erdos_renyi`` is the package's former
-n×n random-graph builder, the reference for its edge-list one.  The other
+builders after them are the package's former numpy builders, and the
+per-agent passes after those (posterior table, evidence vector, witness,
+local trajectory, identification flags) the package's former one-agent
+code, the references for its grouped passes.  ``dense_erdos_renyi`` is the
+package's former n×n random-graph builder, the reference for its edge-list
+one.  The other
 helpers at the end (``empirical_score``, small graph builders, ``diameter``
 and file writers) serve the tests only.
 """
@@ -761,7 +764,7 @@ def replay_rows(labels, scopes, series):
 # -- posterior tables -----------------------------------------------------
 #
 # The package's former table builders, kept as bit-for-bit references for
-# ``classifier.posterior_table``: the Bayes table the score engine and the
+# ``classifier.posterior_tables``: the Bayes table the score engine and the
 # Bayes source built, and the uniform mixture the noisy source built on it.
 
 def bayes_table_reference(world, scope) -> np.ndarray:
@@ -780,17 +783,75 @@ def noisy_table_reference(world, scope, gamma: float) -> np.ndarray:
     return mixed / mixed.sum(axis=1, keepdims=True)
 
 
+# -- per-agent passes -----------------------------------------------------
+#
+# The package's former one-agent (or one-pair) passes, kept as bit-for-bit
+# references for the passes that now run a group of agents at a time:
+# ``classifier.posterior_tables``, ``scores._table`` and ``scores._witness``,
+# ``dynamics.local_trajectories`` and ``TrajectoryLog.identified``.
+
+def posterior_table_reference(world, scope) -> np.ndarray:
+    """One agent's (|X|, k_i) posterior table: the Bayes table, mixed with
+    uniform when γ > 0 (the former ``classifier.posterior_table``)."""
+    if scope.gamma > 0.0:
+        return noisy_table_reference(world, scope, scope.gamma)
+    return bayes_table_reference(world, scope)
+
+
+def evidence_reference(world, scope, weight_class: int) -> np.ndarray:
+    """One agent's evidence vector in scope order, under data from
+    ``weight_class`` (the former ``scores._evidence``)."""
+    weights = world.likelihoods.rows[weight_class]
+    ratios = np.log(posterior_table_reference(world, scope)) - np.log(scope.prior)
+    return (weights[:, None] * ratios).sum(axis=0)
+
+
+def witness_reference(table) -> list[tuple[int, int]]:
+    """Class pairs no row of the evidence table separates, one pair at a
+    time (the former ``scores._witness``)."""
+    m = table.shape[1]
+    pairs = [(p, q) for p in range(m) for q in range(p + 1, m)]
+    return [(p, q) for p, q in pairs if not np.any(abs(table[:, p] - table[:, q]) > 0)]
+
+
+def local_trajectory_reference(scope, m: int, posts):
+    """One agent's (T+1, m) local log-beliefs and clamp flags (the former
+    ``dynamics.local_trajectory``)."""
+    from myopic_crowd.dynamics import norm_rows, reduce_rows
+
+    t_max = posts.shape[0]
+    idx = np.fromiter(scope.theta_i, dtype=int)
+    start = -math.log(m)
+    v = np.empty((t_max + 1, m))
+    v[0] = start
+    cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
+    in_part = start + cum
+    if idx.size < m:
+        v[1:] = reduce_rows(np.maximum, in_part)
+    v[1:, idx] = in_part
+    return norm_rows(v)
+
+
+def argmax_flags_reference(log, agent: int) -> np.ndarray:
+    """Per-round flags of one agent: the true class holds the strict argmax
+    of μ, over a copy without the true class (the former
+    ``sim._argmax_flags``)."""
+    from myopic_crowd.dynamics import reduce_rows
+
+    star = log.world.true_class
+    mu = log.log_mu[:, agent, :]
+    return mu[:, star] > reduce_rows(np.maximum, np.delete(mu, star, axis=1))[:, 0]
+
+
 def empirical_score(world, scope, theta_p, theta_q, n_samples, rng, weight_class=None):
     """Monte Carlo estimate of agent ``scope``'s expected log evidence for
     θ_p over θ_q: the mean log-ratio difference of its posterior table over
     ``n_samples`` draws from ``weight_class`` (default: the true class)."""
-    from myopic_crowd.classifier import posterior_table
-
     if weight_class is None:
         weight_class = world.true_class
     row = world.likelihoods.rows[weight_class]
     draws = rng.choice(row.size, size=int(n_samples), p=row)
-    ratios = np.log(posterior_table(world, scope)) - np.log(scope.prior)
+    ratios = np.log(posterior_table_reference(world, scope)) - np.log(scope.prior)
     terms = ratios[:, scope.position(theta_p)] - ratios[:, scope.position(theta_q)]
     return float(terms[draws].mean())
 

@@ -13,7 +13,6 @@ from myopic_crowd.classifier import (
     ReplaySource,
     load_replay_csv,
     make_scope,
-    posterior_table,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -25,9 +24,12 @@ from myopic_crowd.errors import (
     ScopeMismatch,
     UnknownClass,
 )
+from myopic_crowd.config import config_from_dict
+from myopic_crowd.sim import build_sources
 from myopic_crowd.world import EPS, build_world
 
 import oracles
+from conftest import posterior_table, w3_doc
 
 
 def test_scope_defaults_uniform_prior(w3_world):
@@ -141,12 +143,16 @@ def test_noisy_rows_normalized(gamma, col):
     assert table.min() >= EPS
 
 
-def test_table_sources_hold_the_posterior_table(w3_world):
-    scope = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.3)
-    table = posterior_table(w3_world, scope)
-    for source in (BayesOracle(w3_world, scope), NoisySource(w3_world, scope)):
-        np.testing.assert_array_equal(source.per_symbol, table)
-    assert not table.flags.writeable
+def test_table_sources_hold_the_posterior_table():
+    doc = w3_doc()
+    doc["agents"][1]["source"] = {"kind": "noisy", "gamma": 0.3}
+    config = config_from_dict(doc)
+    for scope, source in zip(config.scopes, build_sources(config)):
+        assert type(source) is BayesOracle
+        table = posterior_table(config.world, scope)
+        assert source.per_symbol.tobytes() == table.tobytes()
+        assert not source.per_symbol.flags.writeable
+    assert NoisySource(table).per_symbol is table
 
 
 def test_prior_below_floor_rejected(w3_world):

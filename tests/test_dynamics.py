@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd.classifier import make_scope, posterior_table
+from myopic_crowd.classifier import make_scope
 from myopic_crowd.config import RULES
 from myopic_crowd.dynamics import (
     CLAMP_TOL,
     LOG_FLOOR,
     SHORT_ROW,
     global_trajectory,
-    local_trajectory,
+    local_trajectories,
     neighborhood_csr,
     norm_rows,
 )
@@ -27,11 +27,21 @@ from myopic_crowd.world import build_world
 
 import oracles
 from oracles import complete_graph, path_graph
-from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE
+from conftest import W3_CLASSES, W3_ROWS, W3_SYMBOLS, W3_TRUE, posterior_table
 
 _WORLD = build_world(W3_CLASSES, W3_SYMBOLS, W3_ROWS, W3_TRUE)
 _SCOPE_A = make_scope(_WORLD, 0, ["theta0", "theta1"])
 _SCOPE_FULL = make_scope(_WORLD, 0, ["theta0", "theta1", "theta2"])
+
+
+def local_trajectory(scope, m, posts):
+    """One agent's (T+1, m) local log-beliefs and clamp flags, evaluated
+    alone by ``local_trajectories``."""
+    posts = np.asarray(posts, dtype=float)
+    log_pi = np.empty((posts.shape[0] + 1, 1, m))
+    clamped = np.empty(log_pi.shape, dtype=bool)
+    local_trajectories([scope], [posts], log_pi, clamped)
+    return log_pi[:, 0], clamped[:, 0]
 
 
 def _local(scope, posts, m=3):

@@ -493,12 +493,12 @@ def test_posterior_table_built_at_most_once_per_agent(build, monkeypatch):
     spec = oracles.random_problem(np.random.default_rng(5), max_m=8, max_agents=12)
     world, roster = _spec_to_package(spec)
     calls = []
-    original = scores.posterior_table
+    original = scores.posterior_tables
 
-    def counting(world, scope):
-        calls.append(scope.agent_id)
-        return original(world, scope)
+    def counting(world, scopes):
+        calls.extend(scope.agent_id for scope in scopes)
+        return original(world, scopes)
 
-    monkeypatch.setattr(scores, "posterior_table", counting)
+    monkeypatch.setattr(scores, "posterior_tables", counting)
     build(world, roster)
     assert sorted(calls) == sorted(s.agent_id for s in roster)

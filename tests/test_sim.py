@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd import classifier, sim
+from myopic_crowd import classifier, dynamics, scores, sim
 
 from myopic_crowd.classifier import (
     load_replay_csv,
@@ -26,7 +28,7 @@ from myopic_crowd.classifier import (
     write_replay_csv,
 )
 from myopic_crowd.config import RATE_SLACK, RULES, config_from_dict, load_config
-from myopic_crowd.dynamics import LOG_FLOOR, global_trajectory
+from myopic_crowd.dynamics import LOG_FLOOR, global_trajectory, local_trajectories
 from myopic_crowd.errors import (
     ConfigError,
     DisconnectedGraph,
@@ -554,8 +556,9 @@ def test_identification_from_round_zero():
     assert time_to_identification(log, 0) == 0
 
 
-def _full_scope_config(m: int, n: int = 2):
-    """``n`` agents holding all ``m`` classes of a two-symbol world."""
+def _full_scope_config(m: int, n: int = 2, star: int | None = None):
+    """``n`` agents holding all ``m`` classes of a two-symbol world; the
+    true class is class ``star``, by default the middle one."""
     labels = [f"c{k}" for k in range(m)]
     rows = [[(k + 1) / (m + 1), (m - k) / (m + 1)] for k in range(m)]
     return config_from_dict(
@@ -564,7 +567,7 @@ def _full_scope_config(m: int, n: int = 2):
                 "classes": labels,
                 "inputs": ["x0", "x1"],
                 "likelihoods": rows,
-                "true_class": labels[m // 2],
+                "true_class": labels[m // 2 if star is None else star],
             },
             "agents": [{"id": i, "classes": labels} for i in range(n)],
             "graph": {"type": "edges", "n": n, "edges": [[0, 1]]},
@@ -603,6 +606,178 @@ def test_identification_tie_with_the_true_class_is_no_lead(m):
     assert (time_to_identification(log, 0), first_identification(log, 0)) == (3, 0)
     assert (time_to_identification(log, 1), first_identification(log, 1)) == (0, 0)
     assert oracles.identification_reference(log_mu[:, 0], star) == (3, 0)
+
+
+def _log_of(config, log_mu) -> TrajectoryLog:
+    flags = np.zeros(log_mu.shape, dtype=bool)
+    return TrajectoryLog(config, log_mu, log_mu, flags, flags, None, ())
+
+
+def _times(log, n: int) -> list[tuple]:
+    """(sustained, first) identification rounds of agents 0..n-1."""
+    return [
+        (time_to_identification(log, i), first_identification(log, i))
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("m, star", [(2, 0), (2, 1), (3, 0), (3, 2), (9, 0), (9, 8)])
+def test_identification_with_the_true_class_at_either_edge(m, star):
+    config = _full_scope_config(m, n=3, star=star)
+    other = (star + 1) % m
+    log_mu = np.full((5, 3, m), -3.0)  # round 0: all tied, no lead
+    log_mu[1:, 0, star] = [-1.0, -2.0, -4.0, -1.0]  # lead, tie, behind, lead
+    log_mu[1:, 0, other] = -2.0
+    log_mu[1:, 1, :] = -1.0  # every class tied every round: never a lead
+    log_mu[:, 2, star] = -0.5  # leads from round 0
+    log = _log_of(config, log_mu)
+    got = _times(log, 3)
+    assert got == [(4, 1), (None, None), (0, 0)]
+    for i in range(3):
+        assert got[i] == oracles.identification_reference(log_mu[:, i], star)
+        np.testing.assert_array_equal(
+            log.identified[:, i], oracles.argmax_flags_reference(log, i)
+        )
+
+
+@pytest.mark.parametrize("star", [0, 1])
+def test_identification_at_horizon_zero(star):
+    config = _full_scope_config(2, star=star)
+    log_mu = np.full((1, 2, 2), math.log(0.5))
+    log_mu[0, 1] = np.log([0.9, 0.1] if star == 0 else [0.1, 0.9])
+    log = _log_of(config, log_mu)
+    assert _times(log, 2) == [(None, None), (0, 0)]
+
+
+def test_identification_flags_computed_once_per_log(monkeypatch):
+    calls = []
+    flags = TrajectoryLog.identified.func
+
+    def counting(log):
+        calls.append(log)
+        return flags(log)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(TrajectoryLog, "identified")
+    monkeypatch.setattr(TrajectoryLog, "identified", prop)
+    logs = list(run_batch([make_w3_config(horizon=40)], RULES))
+    for log in logs:
+        for i in range(log.n_agents):
+            time_to_identification(log, i)
+            first_identification(log, i)
+    assert calls == logs
+
+
+def _bits_equal(got, want) -> bool:
+    return np.array_equal(
+        np.asarray(got, dtype=float).view(np.int64),
+        np.asarray(want, dtype=float).view(np.int64),
+    )
+
+
+@st.composite
+def _mixed_rosters(draw):
+    """A config document, without the graph, and the replay streams its
+    replaying agents read.  Scope sizes mix 1, 2, 3, 8 and m (m ≥ 8 runs both
+    branches of ``reduce_rows``); classes come unsorted; agents may override
+    the likelihoods, be noisy (γ > 0) or replay a stream."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.sampled_from([3, 8, 9]))
+    n_symbols = draw(st.sampled_from([1, 3, 9]))
+    horizon = draw(st.integers(1, 12))
+    labels = [f"c{k}" for k in range(m)]
+
+    def rows(count):
+        raw = rng.uniform(0.0, 1.0, size=(count, n_symbols)) ** 4
+        return (raw / raw.sum(axis=1, keepdims=True)).tolist()
+
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3, 8, m]), min_size=1, max_size=10))
+    agents, streams = [], {}
+    for i, k in enumerate(min(k, m) for k in sizes):
+        prior = rng.uniform(0.2, 1.0, size=k)
+        entry = {
+            "id": i,
+            "classes": [labels[c] for c in rng.permutation(m)[:k]],
+            "prior": (prior / prior.sum()).tolist(),
+        }
+        if draw(st.booleans()):
+            entry["likelihoods"] = rows(m)
+        kind = draw(st.sampled_from(["bayes", "noisy", "replay"]))
+        if kind == "noisy":
+            entry["source"] = {"kind": "noisy", "gamma": draw(st.floats(0.01, 0.99))}
+        elif kind == "replay":
+            entry["source"] = {"kind": "replay", "path": "replay.csv"}
+            raw = rng.uniform(0.05, 1.0, size=(horizon, k))
+            streams[i] = raw / raw.sum(axis=1, keepdims=True)
+        agents.append(entry)
+    doc = {
+        "world": {
+            "classes": labels,
+            "inputs": [f"x{j}" for j in range(n_symbols)],
+            "likelihoods": rows(m),
+            "true_class": labels[draw(st.integers(0, m - 1))],
+        },
+        "agents": agents,
+        "graph": {
+            "type": "edges",
+            "n": len(agents),
+            "edges": [[i, i + 1] for i in range(len(agents) - 1)],
+        },
+        "horizon": horizon,
+        "enforce_identifiability": False,
+    }
+    return doc, streams
+
+
+@settings(max_examples=60, deadline=None)
+@given(roster=_mixed_rosters(), cells=st.sampled_from([1, 40, dynamics.GROUP_CELLS]))
+def test_grouped_passes_match_per_agent_references(roster, cells):
+    # A small cell budget splits a group into passes of a few agents each.
+    doc, streams = roster
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        dynamics, "GROUP_CELLS", cells
+    ):
+        config = config_from_dict(doc, base_dir=tmp)
+        world, scopes, m = config.world, config.scopes, config.world.m
+        replayed = sorted(streams)
+        if replayed:
+            write_replay_csv(
+                Path(tmp) / "replay.csv",
+                world,
+                [scopes[i] for i in replayed],
+                [streams[i] for i in replayed],
+            )
+        sources = sim.build_sources(config)
+        log = run_experiment(config)
+    tabled = [s for s, spec in zip(scopes, config.sources) if spec.kind != "replay"]
+    for scope, source in zip(scopes, sources):
+        if scope in tabled:
+            want = oracles.posterior_table_reference(world, scope)
+            assert _bits_equal(source.per_symbol, want)
+    for weight_class in {world.true_class, 0}:
+        ids, table = scores._table(world, tabled, weight_class)
+        assert ids.tolist() == [s.agent_id for s in tabled]
+        for row, scope in zip(table, tabled):
+            want = np.full(m, np.nan)
+            want[list(scope.theta_i)] = oracles.evidence_reference(
+                world, scope, weight_class
+            )
+            assert _bits_equal(row, want)
+        assert scores._witness(table) == oracles.witness_reference(table)
+    alone = np.empty(log.log_pi.shape), np.empty(log.log_pi.shape, dtype=bool)
+    with mock.patch.object(dynamics, "GROUP_CELLS", cells):
+        local_trajectories(scopes, log.posteriors, *alone)
+    for i, scope in enumerate(scopes):
+        want, want_flags = oracles.local_trajectory_reference(
+            scope, m, log.posteriors[i]
+        )
+        assert _bits_equal(log.log_pi[:, i], want)
+        assert _bits_equal(alone[0][:, i], want)
+        np.testing.assert_array_equal(log.clamped_pi[:, i], want_flags)
+        np.testing.assert_array_equal(alone[1][:, i], want_flags)
+        np.testing.assert_array_equal(
+            log.identified[:, i], oracles.argmax_flags_reference(log, i)
+        )
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ for byte.  Each difference is printed by name, and the script exits 1 if
 there is any.  ``--horizon`` sets every command's horizon, for a quick
 check; without it the horizons are those listed.
 
-The two bench configs are generated from bench seed 5 by
+The three bench configs are generated from bench seed 5 by
 ``bench/workloads.py`` of the checkout holding this script, so both trees
 read the same files.
 """
@@ -29,17 +29,18 @@ ROOT = Path(__file__).resolve().parents[1]
 W3 = str(ROOT / "configs" / "w3.json")
 ER_NOISY = str(ROOT / "configs" / "er_noisy.json")
 
-#: Bench seed of the generated run-n50 and compare-n120 configs.
+#: Bench seed of the generated run-n50, compare-n120 and scores-n300 configs.
 BENCH_SEED = 5
 
 
 def bench_configs(work_dir: Path) -> dict[str, str]:
-    """Write the run-n50 and compare-n120 bench configs; their paths by name."""
+    """Write the run-n50, compare-n120 and scores-n300 bench configs; their
+    paths by name."""
     sys.path.insert(0, str(ROOT))
     from bench.workloads import generate
 
     paths = {}
-    for name in ("run-n50", "compare-n120"):
+    for name in ("run-n50", "compare-n120", "scores-n300"):
         generate(name, BENCH_SEED, work_dir)
         paths[name] = str(work_dir / f"{name}.json")
     return paths
@@ -48,6 +49,7 @@ def bench_configs(work_dir: Path) -> dict[str, str]:
 def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(label, CLI argv without ``--out``) of every checked command."""
     run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
+    scores_n300 = bench["scores-n300"]
     return [
         ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
         ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
@@ -62,6 +64,11 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("compare-n120-3", ["compare", "--config", compare_n120, "--seeds", "3"]),
         ("rates-w3", ["rates", "--config", W3, "--seeds", "20", "--horizon", "3000"]),
         ("rates-er", ["rates", "--config", ER_NOISY, "--seeds", "3"]),
+        ("scores-w3", ["scores", "--config", W3]),
+        ("scores-er", ["scores", "--config", ER_NOISY]),
+        ("scores-n300", ["scores", "--config", scores_n300]),
+        ("validate-w3", ["validate", "--config", W3]),
+        ("validate-er", ["validate", "--config", ER_NOISY]),
     ]
 
 
