@@ -26,7 +26,7 @@ from .errors import (
     ScopeMismatch,
     UnknownClass,
 )
-from .formats import csv_cell
+from .formats import csv_cell, format_once
 from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly
 
 
@@ -221,17 +221,17 @@ def write_replay_csv(path, world: World, scopes, series) -> None:
     ``series[i]`` is agent ``scopes[i]``'s (T, |Θ_i|) posterior array, row
     t-1 emitted in round t; rows go round by round, agent by agent.  Every
     probability is written as its ``repr``; lines end in CRLF and labels are
-    quoted, as ``csv.writer`` writes them.
+    quoted, as ``csv.writer`` writes them.  Each agent's line after the
+    round number is formatted once per distinct row (:func:`_row_texts`).
     """
     labels = world.classes.labels
     row_formats = []
     for scope in scopes:
-        # Field 0 is the round, field j+1 the scope's j-th class.
+        # Field j is the scope's j-th class.
         cells = [""] * len(labels)
         for j, theta in enumerate(scope.theta_i):
-            cells[theta] = f"{{{j + 1}}}"
-        row = "{0}," + f"{scope.agent_id}," + ",".join(cells) + "\r\n"
-        row_formats.append(row.format)
+            cells[theta] = f"{{{j}}}"
+        row_formats.append((f",{scope.agent_id}," + ",".join(cells) + "\r\n").format)
     arrays = [np.asarray(s, dtype=float) for s in series]
     if len(arrays) != len(scopes) or any(
         a.ndim != 2 or a.shape != (arrays[0].shape[0], scope.size)
@@ -241,12 +241,21 @@ def write_replay_csv(path, world: World, scopes, series) -> None:
             "replay series must be one (rounds, scope size) array per scope, "
             "all with the same number of rounds"
         )
+    lines = [_row_texts(fmt, a) for fmt, a in zip(row_formats, arrays)]
     with open(path, "w", newline="") as f:
         f.write(",".join(["round", "agent_id", *map(csv_cell, labels)]) + "\r\n")
-        for t, rows in enumerate(zip(*arrays), start=1):
-            f.write(
-                "".join([fmt(t, *row.tolist()) for fmt, row in zip(row_formats, rows)])
-            )
+        for t, texts in enumerate(zip(*lines), start=1):
+            # Every line of the round starts with its number.
+            f.write(str(t) + str(t).join(texts))
+
+
+def _row_texts(fmt, a: np.ndarray) -> list[str]:
+    """``fmt(*row)`` for each row of ``a``, called once per distinct row:
+    rows are keyed by their bytes, so ``-0.0`` and ``0.0`` stay apart."""
+    rows = np.ascontiguousarray(a)
+    void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    keys = rows.view(void).ravel().tolist()
+    return format_once(lambda key: fmt(*np.frombuffer(key).tolist()), keys)
 
 
 def _decoded_lines(f, path):

@@ -13,12 +13,16 @@ joined once.
 It raises what ``json.dumps`` raises: ``TypeError`` for a value or key
 JSON cannot hold, ``ValueError`` for a circular reference.
 
-:func:`csv_cell` quotes a CSV cell as ``csv.writer`` does.
+:func:`format_once` is the one memo rule of the writers: a JSON float
+column, each round of ``trajectories.csv`` and each agent's rows of
+``posteriors.csv`` (keyed by their bytes) format each distinct value once
+through it.  :func:`csv_cell` quotes a CSV cell as ``csv.writer`` does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
 
@@ -46,6 +50,20 @@ def csv_cell(text: str) -> str:
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def format_once(fmt, values: list) -> list[str]:
+    """``[fmt(v) for v in values]``, calling ``fmt`` once per distinct value.
+
+    A list holding a negative zero is formatted value by value, because
+    ``-0.0`` and ``0.0`` are one key of a dict.  NaN entries need no care:
+    a dict finds each NaN object by its identity."""
+    distinct = set(values)
+    zero_signs = map(math.copysign, repeat(1.0), filter(operator.not_, values))
+    if 0.0 in distinct and min(zero_signs) < 0:
+        return list(map(fmt, values))
+    texts = dict(zip(distinct, map(fmt, distinct)))
+    return list(map(texts.__getitem__, values))
 
 
 def _float(o: float) -> str:
@@ -116,12 +134,11 @@ def _key(k) -> str:
 
 
 def _column(values) -> list[str] | None:
-    """Each value's JSON text through one typed map, or None when a value
-    is not a scalar."""
+    """Each value's JSON text through one typed map (floats through
+    :func:`format_once`), or None when a value is not a scalar."""
     types = set(map(type, values))
     if all(issubclass(t, float) for t in types):
-        finite = all(map(math.isfinite, values))
-        return list(map(float.__repr__ if finite else _float, values))
+        return format_once(_float, values)
     if all(issubclass(t, int) and t is not bool for t in types):
         return list(map(int.__repr__, values))
     if types == {str}:

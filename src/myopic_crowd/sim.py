@@ -43,7 +43,7 @@ import time
 import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -68,7 +68,7 @@ from .errors import (
     MyopicCrowdError,
     ReplayExhausted,
 )
-from .formats import csv_cell, json_text
+from .formats import csv_cell, format_once, json_text
 from .network import is_connected
 from .scores import ScoreReport, check_global_identifiability, score_report
 
@@ -548,38 +548,21 @@ def _process_count(rows: int) -> int:
     return max(1, min(cpus, rows // ROWS_PER_PROCESS))
 
 
-def _negative_zero(a: np.ndarray) -> bool:
-    return bool(np.signbit(a[a == 0]).any())
-
-
 def _format_round(t: int, heads: list[str], lp_t: np.ndarray, lm_t: np.ndarray) -> str:
     """Round ``t``'s rows of ``trajectories.csv``, one per (agent, class).
 
-    Each distinct log value is formatted once; a round holding a negative
-    zero is formatted value by value, because ``-0.0`` and ``0.0`` are one
-    key of a dict.
+    ``heads[r]`` is row r's text between the round and the cells, ending in
+    a comma.  Each distinct value is formatted once, as its ``repr`` and
+    as the ``repr`` of its ``math.exp`` (:func:`~.formats.format_once`),
+    and the rows are one join of the fixed pieces and the cells.
     """
-    lp, lm = lp_t.ravel().tolist(), lm_t.ravel().tolist()
-    values = set(lp)
-    values.update(lm)
-    if 0.0 in values and (_negative_zero(lp_t) or _negative_zero(lm_t)):
-        cells = (
-            map(float.__repr__, map(math.exp, lp)),
-            map(float.__repr__, map(math.exp, lm)),
-            map(float.__repr__, lp),
-            map(float.__repr__, lm),
-        )
-    else:
-        exps = dict(zip(values, map(float.__repr__, map(math.exp, values))))
-        logs = dict(zip(values, map(float.__repr__, values)))
-        cells = (
-            map(exps.__getitem__, lp),
-            map(exps.__getitem__, lm),
-            map(logs.__getitem__, lp),
-            map(logs.__getitem__, lm),
-        )
-    row = (str(t) + "{},{},{},{},{}\n").format
-    return "".join(map(row, heads, *cells))
+    values = lp_t.ravel().tolist() + lm_t.ravel().tolist()
+    exps = format_once(float.__repr__, list(map(math.exp, values)))
+    logs = format_once(float.__repr__, values)
+    k, comma = len(heads), repeat(",")
+    cells = (exps[:k], comma, exps[k:], comma, logs[:k], comma, logs[k:])
+    rows = zip(repeat(str(t)), heads, *cells, repeat("\n"))
+    return "".join(chain.from_iterable(rows))
 
 
 def _format_part_and_exit(part, rounds: range, fmt) -> None:
@@ -610,7 +593,7 @@ def write_trajectories_csv(path, labels, log_pi: np.ndarray, log_mu: np.ndarray)
     raised, no worker outlives the call and ``path`` is removed.
     """
     label_cells = [csv_cell(label) for label in labels]
-    heads = [f",{i},{cell}" for i in range(log_pi.shape[1]) for cell in label_cells]
+    heads = [f",{i},{cell}," for i in range(log_pi.shape[1]) for cell in label_cells]
 
     def fmt(t: int) -> str:
         return _format_round(t, heads, log_pi[t], log_mu[t])

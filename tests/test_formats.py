@@ -4,6 +4,7 @@ former writers in ``oracles``, byte for byte."""
 from __future__ import annotations
 
 import ast
+import json
 import math
 import os
 import re
@@ -22,7 +23,7 @@ from myopic_crowd.classifier import AgentScope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.dynamics import LOG_FLOOR
 from myopic_crowd.errors import DimensionMismatch
-from myopic_crowd.formats import Columns, json_text
+from myopic_crowd.formats import Columns, format_once, json_text
 from myopic_crowd.sim import write_trajectories_csv
 from myopic_crowd.world import build_world
 
@@ -171,6 +172,46 @@ def test_json_text_rejects_circular_references(wrap):
         json_text(loop)
 
 
+def test_json_text_keeps_both_zeros_in_a_float_column():
+    table = Columns({"x": [0.0, -0.0, 1.5, -0.0, 0.0], "y": [-0.0] * 5})
+    rows = [dict(zip(table, cells)) for cells in zip(*table.values())]
+    assert json_text(table) == json.dumps(rows, indent=2, sort_keys=True)
+    assert json_text([-0.0, 0.0, -0.0]) == json.dumps([-0.0, 0.0, -0.0], indent=2)
+
+
+def _exp_repr(v: float) -> str:
+    return float.__repr__(math.exp(v))
+
+
+# Lists with heavy repeats: a few special and finite values drawn many
+# times, NaN objects among them both shared and fresh.
+repeated_floats = st.lists(
+    st.floats(max_value=700.0) | st.just(math.nan), min_size=1, max_size=3
+).flatmap(
+    lambda few: st.lists(
+        st.sampled_from(SPECIAL_FLOATS + few) | st.builds(float, st.just("nan")),
+        max_size=40,
+    )
+)
+
+
+@given(repeated_floats, st.sampled_from([float.__repr__, _exp_repr]))
+def test_format_once_matches_formatting_each_value(values, fmt):
+    assert format_once(fmt, values) == [fmt(v) for v in values]
+
+
+def test_format_once_formats_each_distinct_value_once():
+    calls = []
+
+    def fmt(v):
+        calls.append(v)
+        return repr(v)
+
+    values = [1.5, 0.0, 1.5, 0.0, 2.5]
+    assert format_once(fmt, values) == list(map(repr, values))
+    assert sorted(calls) == [0.0, 1.5, 2.5]
+
+
 # -- CSV writers ----------------------------------------------------------
 
 labels_st = st.lists(
@@ -308,22 +349,40 @@ def test_trajectories_csv_does_not_fork_without_fork_or_beside_a_thread(
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _replaced(row, j, value):
+    return [*row[:j], value, *row[j + 1 :]]
+
+
 @st.composite
 def replay_streams(draw):
+    """Streams whose rows repeat: each agent draws its rows from a small pool
+    that holds rows differing only in a zero's sign, by one ulp, or in a NaN
+    (of either sign), so a writer that formats each distinct row once must
+    tell rows apart by their bytes."""
     labels = draw(labels_st)
     m = len(labels)
     world = build_world(labels, ["x"], [[1.0]] * m, 0)
-    rounds = draw(st.integers(0, 4))
+    rounds = draw(st.integers(0, 12))
     scopes, series = [], []
     for agent_id in range(draw(st.integers(1, 3))):
         theta = draw(st.permutations(range(m)))[: draw(st.integers(1, m))]
         prior = np.full(len(theta), 1 / len(theta))
         scopes.append(AgentScope(agent_id, tuple(theta), prior))
-        size = rounds * len(theta)
-        values = draw(
-            st.lists(log_values | st.floats(0.0, 1.0), min_size=size, max_size=size)
-        )
-        series.append(np.array(values, dtype=float).reshape(rounds, len(theta)))
+        k = len(theta)
+        cells = log_values | st.floats(0.0, 1.0)
+        base = draw(st.lists(cells, min_size=k, max_size=k))
+        j = draw(st.integers(0, k - 1))
+        pool = [
+            base,
+            _replaced(base, j, 0.0),
+            _replaced(base, j, -0.0),
+            _replaced(base, j, math.nextafter(base[j], math.inf)),
+            _replaced(base, j, math.nan),
+            _replaced(base, j, -math.nan),
+            *draw(st.lists(st.lists(cells, min_size=k, max_size=k), max_size=2)),
+        ]
+        rows = draw(st.lists(st.sampled_from(pool), min_size=rounds, max_size=rounds))
+        series.append(np.array(rows, dtype=float).reshape(rounds, k))
     return world, scopes, series
 
 
@@ -370,6 +429,23 @@ def test_artifacts_have_one_writer_per_format():
                 and path.name != "formats.py"
             ):
                 offenders.append(f"{path.name}:{node.lineno}: dumps(indent=...)")
+    assert offenders == []
+
+
+def test_floats_have_one_memo_rule():
+    """Only ``formats.format_once`` tells ``-0.0`` from ``0.0``: a writer
+    with its own memo and its own negative-zero check once sat beside it."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = (path.name, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("copysign", "signbit")
+                    and owner != ("formats.py", "format_once")
+                ):
+                    offenders.append(f"{path.name}:{node.lineno}: {node.attr}")
     assert offenders == []
 
 

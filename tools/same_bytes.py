@@ -56,6 +56,7 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("run-w3-avg", ["run", "--config", W3, "--rule", "avg", "--horizon", "1500"]),
         ("run-er-min", ["run", "--config", ER_NOISY]),
         ("run-er-avg", ["run", "--config", ER_NOISY, "--rule", "avg"]),
+        ("run-n50", ["run", "--config", run_n50]),
         ("run-n50-avg", ["run", "--config", run_n50, "--rule", "avg"]),
         ("run-n120-avg", ["run", "--config", compare_n120, "--rule", "avg"]),
         ("compare-w3", ["compare", "--config", W3, "--seeds", "5", "--horizon", "3000"]),
