@@ -222,7 +222,8 @@ def write_replay_csv(path, world: World, scopes, series) -> None:
     t-1 emitted in round t; rows go round by round, agent by agent.  Every
     probability is written as its ``repr``; lines end in CRLF and labels are
     quoted, as ``csv.writer`` writes them.  Each agent's line after the
-    round number is formatted once per distinct row (:func:`_row_texts`).
+    round number is formatted once per distinct row, keyed by its bytes
+    (:func:`~.formats.format_once`).
     """
     labels = world.classes.labels
     row_formats = []
@@ -241,21 +242,12 @@ def write_replay_csv(path, world: World, scopes, series) -> None:
             "replay series must be one (rounds, scope size) array per scope, "
             "all with the same number of rounds"
         )
-    lines = [_row_texts(fmt, a) for fmt, a in zip(row_formats, arrays)]
+    lines = [format_once(lambda r, f=f: f(*r), a) for f, a in zip(row_formats, arrays)]
     with open(path, "w", newline="") as f:
         f.write(",".join(["round", "agent_id", *map(csv_cell, labels)]) + "\r\n")
         for t, texts in enumerate(zip(*lines), start=1):
             # Every line of the round starts with its number.
             f.write(str(t) + str(t).join(texts))
-
-
-def _row_texts(fmt, a: np.ndarray) -> list[str]:
-    """``fmt(*row)`` for each row of ``a``, called once per distinct row:
-    rows are keyed by their bytes, so ``-0.0`` and ``0.0`` stay apart."""
-    rows = np.ascontiguousarray(a)
-    void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-    keys = rows.view(void).ravel().tolist()
-    return format_once(lambda key: fmt(*np.frombuffer(key).tolist()), keys)
 
 
 def _decoded_lines(f, path):

@@ -54,22 +54,23 @@ class SourceSpec:
         return out
 
 
+def graph_stream(seed: int) -> np.random.Generator:
+    """The graph stream of ``seed``, ``spawn_streams(seed, n)[0]`` for any n."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.Generator(np.random.PCG64(child))
+
+
 def spawn_streams(seed: int, n_agents: int):
     """Deterministic random streams for one experiment.
 
-    Returns (graph_rng, shared_rng, per_agent_rngs): one stream for graph
-    generation, one for the shared observation mode, and one per agent for
-    the independent mode.  Derived by spawning the master seed, so any
-    consumer re-deriving with the same seed and agent count gets identical
-    streams.
+    Returns (graph_rng, shared_rng, per_agent_rngs): :func:`graph_stream`,
+    one stream for the shared observation mode and one per agent for the
+    independent mode.  Derived by spawning the master seed, so any consumer
+    re-deriving with the same seed and agent count gets identical streams.
     """
-    children = np.random.SeedSequence(seed).spawn(n_agents + 2)
-    graph_rng = np.random.Generator(np.random.PCG64(children[0]))
-    shared_rng = np.random.Generator(np.random.PCG64(children[1]))
-    agent_rngs = [
-        np.random.Generator(np.random.PCG64(c)) for c in children[2:]
-    ]
-    return graph_rng, shared_rng, agent_rngs
+    children = np.random.SeedSequence(seed).spawn(n_agents + 2)[1:]
+    shared_rng, *agent_rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    return graph_stream(seed), shared_rng, agent_rngs
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,11 +253,10 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
     if kind == "erdos_renyi":
         if "p" not in doc:
             raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
-        graph_rng, _, _ = spawn_streams(seed, n_agents)
         return erdos_renyi_connected(
             n,
             _number("graph p", doc["p"]),
-            graph_rng,
+            graph_stream(seed),
             _integer("graph max_retries", doc.get("max_retries", 1000)),
         )
     if kind == "edges":

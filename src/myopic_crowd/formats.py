@@ -13,18 +13,20 @@ joined once.
 It raises what ``json.dumps`` raises: ``TypeError`` for a value or key
 JSON cannot hold, ``ValueError`` for a circular reference.
 
-:func:`format_once` is the one memo rule of the writers: a JSON float
-column, each round of ``trajectories.csv`` and each agent's rows of
-``posteriors.csv`` (keyed by their bytes) format each distinct value once
-through it.  :func:`csv_cell` quotes a CSV cell as ``csv.writer`` does.
+:func:`format_once` is the writers' one memo rule: a JSON float column,
+each round of ``trajectories.csv`` and each agent's ``posteriors.csv``
+rows format each distinct entry, found by one ``np.unique`` of their
+bits, once.  :func:`csv_cell` quotes a CSV cell as ``csv.writer`` does.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+from collections.abc import Callable
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii as _string
+
+import numpy as np
 
 _INDENT = "  "
 
@@ -52,18 +54,23 @@ def csv_cell(text: str) -> str:
     return text
 
 
-def format_once(fmt, values: list) -> list[str]:
-    """``[fmt(v) for v in values]``, calling ``fmt`` once per distinct value.
+def distinct(values) -> tuple[list, Callable[[list], list]]:
+    """The distinct entries of ``values``, floats keyed by their 64-bit
+    pattern or the rows of a 2-D array keyed by their bytes (so ``-0.0``
+    and ``0.0`` stay apart), as Python floats or lists of them; and a
+    ``gather`` that maps one text per distinct entry to one per entry."""
+    a = np.ascontiguousarray(values, dtype=np.float64)
+    key = np.int64 if a.ndim == 1 else np.dtype((np.void, a.itemsize * a.shape[1]))
+    keys, inverse = np.unique(a.view(key).ravel(), return_inverse=True)
+    entries = keys.view(np.float64).reshape(-1, *a.shape[1:]).tolist()
+    return entries, lambda texts: np.array(texts, dtype=object)[inverse].tolist()
 
-    A list holding a negative zero is formatted value by value, because
-    ``-0.0`` and ``0.0`` are one key of a dict.  NaN entries need no care:
-    a dict finds each NaN object by its identity."""
-    distinct = set(values)
-    zero_signs = map(math.copysign, repeat(1.0), filter(operator.not_, values))
-    if 0.0 in distinct and min(zero_signs) < 0:
-        return list(map(fmt, values))
-    texts = dict(zip(distinct, map(fmt, distinct)))
-    return list(map(texts.__getitem__, values))
+
+def format_once(fmt, values) -> list[str]:
+    """``fmt(v)`` for each entry ``v`` of ``values``, a float or a row,
+    calling ``fmt`` once per :func:`distinct` entry."""
+    entries, gather = distinct(values)
+    return gather(list(map(fmt, entries)))
 
 
 def _float(o: float) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from myopic_crowd.cli import main
@@ -16,7 +17,7 @@ from myopic_crowd.config import (
     spawn_streams,
 )
 from myopic_crowd.errors import ConfigError
-from myopic_crowd.network import AgentGraph, is_connected
+from myopic_crowd.network import AgentGraph, erdos_renyi_connected, is_connected
 
 from conftest import w3_doc
 
@@ -343,12 +344,17 @@ def test_replace_checks_the_field(w3_config, field, value, message):
         config_from_dict(w3_doc(**{field: value}))
 
 
-def test_er_graph_config_depends_on_seed():
+def _er_doc(n: int) -> dict:
     doc = w3_doc()
     doc["agents"] = [
-        {"id": i, "classes": ["theta0", "theta1", "theta2"]} for i in range(5)
+        {"id": i, "classes": ["theta0", "theta1", "theta2"]} for i in range(n)
     ]
     doc["graph"] = {"type": "erdos_renyi", "p": 0.5}
+    return doc
+
+
+def test_er_graph_config_depends_on_seed():
+    doc = _er_doc(5)
     c1 = config_from_dict(doc, seed=1)
     c2 = config_from_dict(doc, seed=1)
     c3 = config_from_dict(doc, seed=2)
@@ -360,6 +366,29 @@ def test_er_graph_config_depends_on_seed():
     r = c1.derived(seed=2)
     assert r.graph.edges() == c3.graph.edges()
     assert r.graph.neighborhoods == c3.graph.neighborhoods
+
+
+@pytest.mark.parametrize("seed, n", [(0, 2), (5, 7), (123456, 12), (2**31 - 1, 30)])
+def test_er_graph_is_drawn_from_the_graph_stream(seed, n):
+    expected = erdos_renyi_connected(n, 0.5, spawn_streams(seed, n)[0])
+    graph = config_from_dict(_er_doc(n), seed=seed).graph
+    assert graph.edges() == expected.edges()
+    assert graph.neighborhoods == expected.neighborhoods
+
+
+def test_resolving_an_er_config_builds_one_generator(monkeypatch):
+    """The graph needs one stream; spawning every agent's stream to keep
+    the first once cost n + 2 generators per resolution."""
+    built = []
+
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    config_from_dict(_er_doc(40), seed=3)
+    assert len(built) == 1
 
 
 def test_graph_file_reference(tmp_path):

@@ -183,21 +183,48 @@ def _exp_repr(v: float) -> str:
     return float.__repr__(math.exp(v))
 
 
+def _from_bits(bits: int) -> float:
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0].item()
+
+
+def _bits(v: float) -> int:
+    return int(np.array([v], dtype=np.float64).view(np.uint64)[0])
+
+
+# NaNs whose payloads differ, subnormals, and both zeros and infinities.
+BIT_FLOATS = SPECIAL_FLOATS + [
+    _from_bits(0x7FF8000000000001),
+    _from_bits(0xFFF8000000000000),
+    _from_bits(0x7FF4000000000000),
+    -5e-324,
+    2.225073858507201e-308,
+]
+
 # Lists with heavy repeats: a few special and finite values drawn many
 # times, NaN objects among them both shared and fresh.
 repeated_floats = st.lists(
     st.floats(max_value=700.0) | st.just(math.nan), min_size=1, max_size=3
 ).flatmap(
     lambda few: st.lists(
-        st.sampled_from(SPECIAL_FLOATS + few) | st.builds(float, st.just("nan")),
+        st.sampled_from(BIT_FLOATS + few) | st.builds(float, st.just("nan")),
         max_size=40,
     )
 )
 
 
-@given(repeated_floats, st.sampled_from([float.__repr__, _exp_repr]))
-def test_format_once_matches_formatting_each_value(values, fmt):
-    assert format_once(fmt, values) == [fmt(v) for v in values]
+@given(
+    repeated_floats,
+    st.booleans(),
+    st.sampled_from([float.__repr__, _exp_repr]),
+)
+@example([], False, float.__repr__)
+@example([], True, float.__repr__)
+@example([-0.0], False, float.__repr__)
+@example([5e-324], True, _exp_repr)
+@example(BIT_FLOATS, True, float.__repr__)
+def test_format_once_matches_formatting_each_value(values, as_array, fmt):
+    given = np.array(values, dtype=np.float64) if as_array else values
+    assert format_once(fmt, given) == [fmt(v) for v in values]
 
 
 def test_format_once_formats_each_distinct_value_once():
@@ -210,6 +237,28 @@ def test_format_once_formats_each_distinct_value_once():
     values = [1.5, 0.0, 1.5, 0.0, 2.5]
     assert format_once(fmt, values) == list(map(repr, values))
     assert sorted(calls) == [0.0, 1.5, 2.5]
+
+    # One call per distinct 64-bit pattern: both zeros, each NaN payload.
+    calls.clear()
+    assert format_once(fmt, [0.0, -0.0, 0.0]) == ["0.0", "-0.0", "0.0"]
+    assert len(calls) == 2
+    calls.clear()
+    values = BIT_FLOATS + BIT_FLOATS[::-1]
+    assert format_once(fmt, np.array(values)) == list(map(repr, values))
+    assert sorted(map(_bits, calls)) == sorted(set(map(_bits, values)))
+
+
+def test_format_once_formats_each_distinct_row_once():
+    calls = []
+
+    def fmt(row):
+        calls.append(row)
+        return repr(row)
+
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [math.nan, 1.0]])
+    assert format_once(fmt, rows) == [repr(r) for r in rows.tolist()]
+    assert len(calls) == 3
+    assert format_once(fmt, np.zeros((0, 2))) == []
 
 
 # -- CSV writers ----------------------------------------------------------
@@ -433,19 +482,21 @@ def test_artifacts_have_one_writer_per_format():
 
 
 def test_floats_have_one_memo_rule():
-    """Only ``formats.format_once`` tells ``-0.0`` from ``0.0``: a writer
-    with its own memo and its own negative-zero check once sat beside it."""
+    """Only ``formats.distinct`` finds distinct values, by their bits with
+    ``np.unique``, so no writer needs a sign test: a writer with its own
+    memo and its own negative-zero check once sat beside it."""
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = (path.name, getattr(top, "name", None))
             for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr in ("copysign", "signbit")
-                    and owner != ("formats.py", "format_once")
-                ):
-                    offenders.append(f"{path.name}:{node.lineno}: {node.attr}")
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name in ("copysign", "signbit"):
+                    offenders.append(f"{path.name}:{node.lineno}: {name}")
+                if name == "unique" and owner != ("formats.py", "distinct"):
+                    offenders.append(f"{path.name}:{node.lineno}: unique")
     assert offenders == []
 
 
