@@ -43,46 +43,49 @@ class AgentScope:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        theta = tuple(int(t) for t in self.theta_i)
+        theta = tuple(map(int, self.theta_i))
         if len(theta) == 0:
             raise ScopeMismatch("agent scope must contain at least one class")
         if len(set(theta)) != len(theta) or min(theta) < 0:
             raise ScopeMismatch(f"invalid class indices in scope: {theta}")
         object.__setattr__(self, "theta_i", theta)
-        prior = np.asarray(self.prior, dtype=float)
+        prior = np.array(self.prior, dtype=float)
         if prior.shape != (len(theta),):
             raise DimensionMismatch(
                 f"prior has {prior.size} entries for {len(theta)} scope classes"
             )
-        if not np.all((prior >= EPS) & (prior <= 1)):
+        # Python floats: a NaN makes the sum NaN, whatever min and max say.
+        values = prior.tolist()
+        total = sum(values)
+        if not (EPS <= min(values) and max(values) <= 1 and total == total):
             raise ConfigError(
                 f"agent {self.agent_id}: prior entries must lie in [{EPS}, 1], "
-                f"got {prior.tolist()}"
+                f"got {values}"
             )
-        if abs(prior.sum() - 1.0) > ROW_TOL:
-            raise RowNotStochastic(f"prior sums to {prior.sum()!r}, expected 1")
+        if abs(total - 1.0) > ROW_TOL:
+            raise RowNotStochastic(f"prior sums to {total!r}, expected 1")
         gamma = float(self.gamma)
         if not 0.0 <= gamma < 1.0:
             raise ConfigError(
                 f"agent {self.agent_id}: noise level gamma must be in [0, 1), "
                 f"got {gamma}"
             )
-        object.__setattr__(self, "prior", _readonly(prior))
+        prior.flags.writeable = False
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "_pos", {t: j for j, t in enumerate(theta)})
 
     @property
     def size(self) -> int:
         return len(self.theta_i)
 
     def contains(self, theta: int) -> bool:
-        return theta in self._pos
+        return theta in self.theta_i
 
     def position(self, theta: int) -> int:
         """Position of a class index within the scope ordering."""
         try:
-            return self._pos[theta]
-        except KeyError:
+            return self.theta_i.index(theta)
+        except ValueError:
             raise ScopeMismatch(
                 f"class {theta} not in agent {self.agent_id}'s scope"
             ) from None
@@ -102,28 +105,25 @@ def make_scope(
     over the scope; ``likelihoods`` optionally overrides the world table and
     must have the world's full dimensions; ``gamma`` is the noise level.
     """
-    theta = tuple(
-        world.classes.index(c) if isinstance(c, str) else int(c) for c in classes
-    )
-    for t in theta:
-        if not 0 <= t < world.m:
-            raise UnknownClass(f"class index {t} out of range for agent {agent_id}")
+    index, m = world.classes.index, world.m
+    theta = tuple([index(c) if isinstance(c, str) else int(c) for c in classes])
+    outside = [t for t in theta if not 0 <= t < m]
+    if outside:
+        raise UnknownClass(f"class index {outside[0]} out of range for agent {agent_id}")
     if not theta:
         raise ScopeMismatch(f"agent {agent_id}'s scope must contain a class")
     if prior is None:
-        prior = np.full(len(theta), 1.0 / len(theta))
+        prior = [1.0 / len(theta)] * len(theta)
     if likelihoods is not None and not isinstance(likelihoods, LikelihoodTable):
         likelihoods = LikelihoodTable(np.asarray(likelihoods, dtype=float))
     if likelihoods is not None and (
-        likelihoods.m != world.m or likelihoods.n_symbols != world.inputs.size
+        likelihoods.m != m or likelihoods.n_symbols != world.inputs.size
     ):
         raise DimensionMismatch(
             f"agent {agent_id} likelihood override must match the world's "
-            f"{world.m} x {world.inputs.size} table"
+            f"{m} x {world.inputs.size} table"
         )
-    return AgentScope(
-        int(agent_id), theta, np.asarray(prior, dtype=float), likelihoods, gamma
-    )
+    return AgentScope(int(agent_id), theta, prior, likelihoods, gamma)
 
 
 def posterior_tables(world: World, scopes) -> Iterator[tuple[list[int], np.ndarray]]:

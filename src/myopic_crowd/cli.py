@@ -19,15 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RATE_SLACK, RULES, load_config
-from .errors import ConfigError, IdentifiabilityViolated, MyopicCrowdError
+from .errors import ConfigError, MyopicCrowdError
 from .formats import Columns, json_text
 from .network import is_connected
-from .scores import score_report
 from .sim import (
     build_sources,
     first_identification,
     gap_text,
-    has_theory,
     rate_checks,
     run_batch,
     run_bytes,
@@ -127,7 +125,8 @@ def _check_seeds(args) -> None:
 
 
 def _seed_configs(config, seeds: int):
-    """``config``, then ``config`` re-resolved for seeds seed+1, ..., one at a time."""
+    """``config``, then ``config`` derived for seeds seed+1, ..., one at a
+    time: each shares its roster, and draws only an ER graph and its streams."""
     yield config
     yield from (config.derived(seed=config.seed + k) for k in range(1, seeds))
 
@@ -184,7 +183,7 @@ def _score_table(doc: dict) -> str:
 
 def cmd_scores(args) -> int:
     config = _load(args)
-    report = score_report(config.world, config.scopes)
+    report = config.roster.report
     doc = report.to_dict()
     text = json_text(doc)
     starts = range(0, len(text), WRITE_SLICE)
@@ -297,6 +296,13 @@ def cmd_rates(args) -> int:
 
 # -- compare --------------------------------------------------------------
 
+def _medians(runs: list[list[float]]) -> list[float]:
+    """Each agent's ``np.median(runs, axis=0)``, bit for bit, without
+    importing ``numpy.ma``: the middle value, or the mean of the middle two."""
+    half, columns = len(runs) // 2, [sorted(column) for column in zip(*runs)]
+    return [c[half] if len(c) % 2 else (c[half - 1] + c[half]) / 2 for c in columns]
+
+
 def cmd_compare(args) -> int:
     _check_seeds(args)
     config = _load(args)
@@ -317,10 +323,9 @@ def cmd_compare(args) -> int:
     results = {
         rule: {
             "median_identification_time": [
-                None if np.isinf(t) else t
-                for t in np.median(times[rule], axis=0).tolist()
+                None if np.isinf(t) else t for t in _medians(times[rule])
             ],
-            "median_final_mu_true": np.median(finals[rule], axis=0).tolist(),
+            "median_final_mu_true": _medians(finals[rule]),
             "runs_fully_identified": int(np.isfinite(times[rule]).all(axis=1).sum()),
             "runs": args.seeds,
         }
@@ -384,13 +389,12 @@ def cmd_validate(args) -> int:
     problems = run_problems(config, sources)
     for problem in problems:
         print(f"warning: {problem}")
-    # Enforced, run_problems made the check; else a gap stops only rates.
-    report = None if config.enforce_identifiability else theory(config)
-    gap = any(isinstance(p, IdentifiabilityViolated) for p in problems)
-    if report is not None and not report.identifiable:
-        print(f"warning: {gap_text(config, report.witness)}")
-    elif has_theory(config) and not gap:
+    # An enforced gap is one of the problems; else it stops only rates.
+    report = theory(config)
+    if report is not None and report.identifiable:
         print("global identifiability: yes")
+    elif report is not None and not config.enforce_identifiability:
+        print(f"warning: {gap_text(config, report.witness)}")
     print("config is valid")
     return 0
 

@@ -8,11 +8,17 @@ seed and the rest).  Each setting is declared once, as a field of
 object in the document refuses keys it does not know.  Resolution is
 deterministic: the same document and seed always produce the same world,
 graph, and random streams.
+
+What no setting changes, the :class:`Roster`, is resolved once per document
+and shared by every config derived from it, score report included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from contextlib import suppress
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +26,7 @@ import numpy as np
 from .classifier import AgentScope, make_scope
 from .errors import ConfigError
 from .network import AgentGraph, erdos_renyi_connected, read_edge_list
+from .scores import ScoreReport, score_report
 from .world import (
     World, check_keys, json_numbers, load_world, read_json, world_from_dict,
     world_to_dict,
@@ -54,6 +61,10 @@ class SourceSpec:
         return out
 
 
+#: The default source spec: one frozen object, shared by the agents using it.
+_BAYES = SourceSpec()
+
+
 def graph_stream(seed: int) -> np.random.Generator:
     """The graph stream of ``seed``, ``spawn_streams(seed, n)[0]`` for any n."""
     child = np.random.SeedSequence(seed).spawn(1)[0]
@@ -74,12 +85,26 @@ def spawn_streams(seed: int, n_agents: int):
 
 
 @dataclass(frozen=True, eq=False)
-class ExperimentConfig:
-    """Fully resolved experiment setup, checked once whenever one is made."""
+class Roster:
+    """What every run of a document shares: the world, the agents' scopes
+    and source specs in id order, the graph unless a seed draws it (None for
+    an ER graph), and the score report, built on first use."""
 
     world: World
     scopes: list[AgentScope]
     sources: list[SourceSpec]
+    graph: AgentGraph | None
+
+    @cached_property
+    def report(self) -> ScoreReport:
+        return score_report(self.world, self.scopes)
+
+
+@dataclass(frozen=True, eq=False)
+class ExperimentConfig:
+    """Fully resolved experiment setup, checked once whenever one is made."""
+
+    roster: Roster
     graph: AgentGraph
     # The run settings, each a document key and an override (see _SETTINGS).
     rule: str = "min"
@@ -95,6 +120,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.validate()
+
+    world = property(lambda self: self.roster.world)
+    scopes = property(lambda self: self.roster.scopes)
+    sources = property(lambda self: self.roster.sources)
 
     @property
     def n_agents(self) -> int:
@@ -133,14 +162,15 @@ class ExperimentConfig:
             )
 
     def derived(self, **changes) -> "ExperimentConfig":
-        """Re-resolve this config from its source document, with this
-        config's value for every setting, updated by ``changes`` (e.g. a new
-        seed or rule).
-
-        Regenerates anything seed-dependent, such as a random graph.
-        """
-        current = {key: getattr(self, key) for key in _SETTINGS}
-        return config_from_dict(self.raw, base_dir=self.base_dir, **(current | changes))
+        """This config with ``changes`` to its settings (e.g. a new seed or
+        rule), checked as by :func:`dataclasses.replace`.  The roster is
+        reused; only an ER graph is drawn again, from the config's seed."""
+        check_keys("overrides", changes, _SETTINGS)
+        config = replace(self, **changes)
+        graph = self.roster.graph or _resolve_graph(
+            self.raw["graph"], self.n_agents, config.seed, self.base_dir
+        )
+        return replace(config, graph=graph)
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
@@ -175,7 +205,7 @@ class ExperimentConfig:
 _SETTINGS = {
     f.name: f.default
     for f in fields(ExperimentConfig)
-    if f.name not in ("world", "scopes", "sources", "graph", "raw", "base_dir")
+    if f.name not in ("roster", "graph", "raw", "base_dir")
 }
 
 _TOP_KEYS = {"world", "agents", "graph", *_SETTINGS}
@@ -206,7 +236,7 @@ def _resolve_world(doc, base_dir: Path) -> World:
 def _resolve_source(entry, agent_id: int, base_dir: Path):
     """The agent's source spec and its noise level γ (0 unless noisy)."""
     if entry is None:
-        return SourceSpec(), 0.0
+        return _BAYES, 0.0
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"agent {agent_id}: source must be an object with a 'kind'")
     kind = entry["kind"]
@@ -224,7 +254,7 @@ def _resolve_source(entry, agent_id: int, base_dir: Path):
             raise ConfigError(f"agent {agent_id}: replay source needs a 'path'")
         path = _path(f"agent {agent_id}: replay path", entry["path"], base_dir)
         return SourceSpec(kind="replay", replay_path=str(path)), 0.0
-    return SourceSpec(), 0.0
+    return _BAYES, 0.0
 
 
 def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
@@ -261,11 +291,15 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         )
     if kind == "edges":
         edges = doc.get("edges", [])
-        if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 for e in edges
-        ):
+        # Each list's types are read at once.
+        pairs = isinstance(edges, list) and {list}.issuperset(map(type, edges))
+        if not pairs or not {2}.issuperset(map(len, edges)):
             raise ConfigError("edges graph: 'edges' must be a list of [u, v] pairs")
-        edges = [[_integer("graph edge endpoint", v) for v in e] for e in edges]
+        if not {int}.issuperset(map(type, chain.from_iterable(edges))):
+            edges = [[_integer("graph edge endpoint", v) for v in e] for e in edges]
+    # One int array, unless an endpoint is too large and from_edges must name it.
+    with suppress(OverflowError):
+        edges = np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
     return AgentGraph.from_edges(n, edges)
 
 
@@ -321,6 +355,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         raise ConfigError("config needs a 'world' entry")
     world = _resolve_world(doc["world"], base_dir)
 
+    # The roster, an agent at a time in document order; the first fault raises.
     agents_doc = doc.get("agents")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ConfigError("config needs a nonempty 'agents' list")
@@ -331,9 +366,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
         check_keys(f"agent entry {position}", entry, _AGENT_KEYS)
         agent_id = _integer(f"agent entry {position}: id", entry.get("id", position))
         classes = entry.get("classes")
-        if not isinstance(classes, list) or not all(
-            isinstance(c, (str, int)) and not isinstance(c, bool) for c in classes
-        ):
+        if not isinstance(classes, list) or not {str, int}.issuperset(map(type, classes)):
             raise ConfigError(
                 f"agent {agent_id} needs a 'classes' list of labels or indices"
             )
@@ -360,9 +393,9 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
     settings["horizon"] = _integer("horizon", settings["horizon"])
     settings["rate_window"] = _number("rate_window", settings["rate_window"])
-    return ExperimentConfig(
-        world, scopes, sources, graph, raw=doc, base_dir=base_dir, **settings
-    )
+    drawn = isinstance(doc["graph"], dict) and doc["graph"]["type"] == "erdos_renyi"
+    roster = Roster(world, scopes, sources, None if drawn else graph)
+    return ExperimentConfig(roster, graph, raw=doc, base_dir=base_dir, **settings)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

@@ -47,24 +47,38 @@ class AgentGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "AgentGraph":
         """The graph on n vertices with the given (u, v) pairs; duplicates
-        and both orientations of an edge count once, self-loops are dropped."""
+        and both orientations of an edge count once, self-loops are dropped.
+        An (E, 2) signed int array is checked at once, anything else an
+        edge at a time; the neighborhoods come from one sorted array."""
         try:
             n = _index(n)
         except TypeError:
             raise ParseError(f"vertex count must be an integer, got {n!r}") from None
         if n < 1:
             raise ParseError(f"graph must have at least 1 vertex, got {n}")
-        hoods = [{i} for i in range(n)]
-        for e in edges:
-            try:
-                u, v = _index(e[0]), _index(e[1])
-            except (TypeError, IndexError):
-                raise ParseError(f"bad edge {e!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
-            hoods[u].add(v)
-            hoods[v].add(u)
-        return cls(n=n, neighborhoods=tuple(tuple(sorted(h)) for h in hoods))
+        array = isinstance(edges, np.ndarray) and edges.dtype.kind == "i"
+        if not (array and edges.shape[1:] == (2,)):
+            pairs = []
+            for e in edges:
+                try:
+                    u, v = _index(e[0]), _index(e[1])
+                except (TypeError, IndexError):
+                    raise ParseError(f"bad edge {e!r}") from None
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
+                pairs += (u, v)
+            edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        outside = np.flatnonzero(((edges < 0) | (edges >= n)).any(axis=1))
+        if outside.size:
+            u, v = edges[outside[0]].tolist()
+            raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
+        u, v = edges.astype(np.int64).T
+        keys = np.concatenate((u * n + v, v * n + u, np.arange(n) * (n + 1)))
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        ends = np.cumsum(np.bincount(keys // n, minlength=n)).tolist()
+        flat = (keys % n).tolist()
+        return cls(n, tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends)))
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once as (i, j) with i < j, in row-major order."""
@@ -109,9 +123,7 @@ def erdos_renyi_connected(
     iu = np.triu_indices(n, 1)
     for _ in range(int(max_retries)):
         draws = rng.random(iu[0].size) < p
-        g = AgentGraph.from_edges(
-            n, zip(iu[0][draws].tolist(), iu[1][draws].tolist())
-        )
+        g = AgentGraph.from_edges(n, np.column_stack((iu[0][draws], iu[1][draws])))
         if is_connected(g):
             return g
     raise RetriesExhausted(

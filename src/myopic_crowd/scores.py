@@ -30,6 +30,7 @@ equal mathematically routinely differ in the last ulp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -188,9 +189,8 @@ def check_global_identifiability(
     A pair {θ_p, θ_q} is covered when some agent holds both classes and
     scores them apart in either direction.  Returns (ok, uncovered pairs).
     """
-    _, table = _table(world, scopes, world.true_class)
-    witness = _witness(table)
-    return (not witness, witness)
+    report = score_report(world, scopes)
+    return (report.identifiable, report.witness)
 
 
 # -- full report ----------------------------------------------------------
@@ -204,12 +204,18 @@ class ScoreReport:
     scopes: list[AgentScope]
     ids: np.ndarray
     table: np.ndarray
-    best_rate: dict[int, tuple[float, int] | None]
     witness: list[tuple[int, int]]
 
     @property
     def identifiable(self) -> bool:
         return not self.witness
+
+    @cached_property
+    def best_rate(self) -> dict[int, tuple[float, int] | None]:
+        """R(θ) and its agent for every false class θ, read on first use."""
+        star = self.world.true_class
+        rest = [t for t in range(self.world.m) if t != star]
+        return {t: _best_rate(self.ids, self.table, star, t) for t in rest}
 
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
@@ -258,10 +264,8 @@ class ScoreReport:
 
 
 def score_report(world: World, scopes: list[AgentScope]) -> ScoreReport:
-    """The roster's evidence table under data from the true class, R(θ) for
-    every false class θ, and the class pairs no agent separates."""
-    star = world.true_class
-    ids, table = _table(world, scopes, star)
-    rates = {t: _best_rate(ids, table, star, t) for t in range(world.m) if t != star}
+    """The roster's evidence table under data from the true class, the class
+    pairs no agent separates, and R(θ) for every false class θ on first use."""
+    ids, table = _table(world, scopes, world.true_class)
     ordered = sorted(scopes, key=lambda s: s.agent_id)
-    return ScoreReport(world, ordered, ids, table, rates, _witness(table))
+    return ScoreReport(world, ordered, ids, table, _witness(table))

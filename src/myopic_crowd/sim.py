@@ -70,7 +70,7 @@ from .errors import (
 )
 from .formats import csv_cell, distinct, json_text
 from .network import is_connected
-from .scores import ScoreReport, check_global_identifiability, score_report
+from .scores import ScoreReport
 
 logger = logging.getLogger(__name__)
 
@@ -161,10 +161,13 @@ def _draw_observations(config: ExperimentConfig) -> np.ndarray:
     n, t_max = config.n_agents, config.horizon
     row = config.world.true_row()
     k = row.size
-    _, shared_rng, agent_rngs = spawn_streams(config.seed, n)
     if config.observation_mode == "shared":
+        # spawn_streams(seed, n)[1] for any n, without the agents' streams.
+        child = np.random.SeedSequence(config.seed).spawn(2)[1]
+        shared_rng = np.random.Generator(np.random.PCG64(child))
         stream = shared_rng.choice(k, size=t_max, p=row)
         return np.tile(stream[:, None], (1, n))
+    _, _, agent_rngs = spawn_streams(config.seed, n)
     cols = [rng.choice(k, size=t_max, p=row) for rng in agent_rngs]
     return np.stack(cols, axis=1) if cols else np.zeros((t_max, 0), dtype=int)
 
@@ -219,13 +222,12 @@ def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
         yield DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
         )
-    if config.enforce_identifiability:
-        ok, witness = check_global_identifiability(config.world, config.scopes)
-        if not ok:
-            yield IdentifiabilityViolated(
-                f"{gap_text(config, witness)}; add agents or disable "
-                "enforce_identifiability"
-            )
+    report = config.roster.report if config.enforce_identifiability else None
+    if report is not None and not report.identifiable:
+        yield IdentifiabilityViolated(
+            f"{gap_text(config, report.witness)}; add agents or disable "
+            "enforce_identifiability"
+        )
     for scope, source in zip(config.scopes, sources):
         if isinstance(source, ReplaySource) and source.length < config.horizon:
             yield ReplayExhausted(
@@ -449,7 +451,7 @@ def has_theory(config: ExperimentConfig) -> bool:
 
 def theory(config: ExperimentConfig) -> ScoreReport | None:
     """The roster's score report, or None without :func:`has_theory`."""
-    return score_report(config.world, config.scopes) if has_theory(config) else None
+    return config.roster.report if has_theory(config) else None
 
 
 def rate_checks(log: TrajectoryLog, best_rate: dict) -> list[tuple]:

@@ -47,7 +47,8 @@ class ClassSet:
             raise DimensionMismatch(
                 f"need at least 2 classes, got {len(self.labels)}"
             )
-        if len(set(self.labels)) != len(self.labels):
+        object.__setattr__(self, "_index", dict(zip(self.labels, range(self.m))))
+        if len(self._index) != len(self.labels):
             raise DimensionMismatch("class labels must be unique")
 
     @property
@@ -56,8 +57,8 @@ class ClassSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise UnknownClass(f"unknown class label {label!r}") from None
 
 
@@ -177,9 +178,9 @@ def world_to_dict(world: World) -> dict:
 
 
 def _numeric(v, depth: int) -> bool:
-    """``v`` is a number, or JSON lists nested ``depth`` deep of numbers."""
-    if depth == 0:
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """``v`` is JSON lists nested ``depth`` >= 1 deep of numbers."""
+    if depth == 1:
+        return isinstance(v, list) and {int, float}.issuperset(map(type, v))
     return isinstance(v, list) and all(_numeric(x, depth - 1) for x in v)
 
 

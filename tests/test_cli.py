@@ -245,6 +245,81 @@ def test_validate_builds_the_evidence_table_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores"],
+        ["run", "--horizon", "40"],
+        ["rates", "--seeds", "3", "--horizon", "40"],
+        ["compare", "--seeds", "3", "--horizon", "40"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_builds_the_evidence_table_once(monkeypatch, tmp_path, argv):
+    # Every seed of a sweep and the run's summary read the roster's one report.
+    calls = []
+    original = scores._table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scores, "_table", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--config", str(W3_JSON), "--out", str(tmp_path)])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scores"],
+        ["run", "--horizon", "40"],
+        ["rates", "--seeds", "3", "--horizon", "40"],
+        ["compare", "--seeds", "4", "--horizon", "40"],
+        ["validate"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_imports_numpy_ma(tmp_path, argv):
+    # numpy.ma costs a fresh process 16-28 ms and about 2 MB on its first
+    # import; np.median and a plain np.unique import it.
+    script = (
+        "import sys\n"
+        "from myopic_crowd.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(myopic_crowd.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--config", str(W3_JSON),
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stderr.splitlines()[-1] == "False", done.stderr
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.lists(
+            st.sampled_from([0.0, 0.25, 1.0, 3.0, 7.5, -1.0, np.inf]),
+            min_size=3,
+            max_size=3,
+        ),
+        min_size=1,
+        max_size=7,
+    )
+)
+def test_medians_match_numpy_bit_for_bit(runs):
+    # Identification times are finite or inf; the middle two may be either.
+    want = np.median(runs, axis=0).tolist()
+    assert [v.hex() for v in cli._medians(runs)] == [v.hex() for v in want]
+
+
 def test_validate_and_scores_leave_no_cyclic_garbage(capsys):
     for command in ("validate", "scores"):
         argv = [command, "--config", str(W3_JSON)]

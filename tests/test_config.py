@@ -7,19 +7,24 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from myopic_crowd import config as config_module
+from myopic_crowd.classifier import make_scope
 from myopic_crowd.cli import main
 from myopic_crowd.config import (
     MAX_HORIZON,
     ExperimentConfig,
+    _integer,
     config_from_dict,
     load_config,
     spawn_streams,
 )
-from myopic_crowd.errors import ConfigError
+from myopic_crowd.errors import ConfigError, MyopicCrowdError, ParseError
 from myopic_crowd.network import AgentGraph, erdos_renyi_connected, is_connected
 
-from conftest import w3_doc
+from conftest import W3_CLASSES, w3_doc
 
 
 def test_w3_config_resolves(w3_config):
@@ -276,7 +281,7 @@ _SETTING_VALUES = {
 _SETTINGS = [
     f
     for f in fields(ExperimentConfig)
-    if f.name not in ("world", "scopes", "sources", "graph", "raw", "base_dir")
+    if f.name not in ("roster", "graph", "raw", "base_dir")
 ]
 
 
@@ -476,3 +481,155 @@ def test_spawn_streams_deterministic_and_distinct():
     assert draws1 == draws2
     # Streams are mutually distinct with overwhelming probability.
     assert len(set(draws1)) == 3
+
+
+def test_deriving_a_seed_resolves_no_scope_or_fixed_graph(w3_config, monkeypatch):
+    # The roster is reused: only an ER graph depends on the seed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived re-resolved the roster")
+
+    monkeypatch.setattr(config_module, "make_scope", refuse)
+    monkeypatch.setattr(AgentGraph, "from_edges", refuse)
+    clone = w3_config.derived(seed=9)
+    assert clone.seed == 9 and clone.roster is w3_config.roster
+    assert clone.graph is w3_config.graph
+
+
+def test_deriving_a_seed_draws_an_er_graph_only(monkeypatch):
+    config = config_from_dict(_er_doc(6), seed=1)
+    want = config_from_dict(_er_doc(6), seed=2).graph
+    monkeypatch.setattr(config_module, "make_scope", None)
+    clone = config.derived(seed=2)
+    assert clone.roster is config.roster
+    assert clone.graph.neighborhoods == want.neighborhoods
+
+
+def _first_fault(resolve):
+    """The first exception of ``resolve`` as (type, message), or its result."""
+    try:
+        return resolve()
+    except MyopicCrowdError as e:
+        return type(e), str(e)
+
+
+#: At most one fault per agent: None leaves the entry valid.
+_FAULTS = [None] * 8 + [
+    "bool", "unknown", "range", "duplicate", "empty",
+    "nan", "tiny", "sum", "length", "gamma", "override",
+]
+
+
+@st.composite
+def _agent_lists(draw):
+    """Agent entries in a shuffled id order: scopes mixing labels and
+    indices, priors, γ and likelihood overrides, with an occasional fault."""
+    n = draw(st.integers(1, 5))
+    agents = []
+    for agent_id in draw(st.permutations(range(n))):
+        picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        classes = [draw(st.sampled_from([W3_CLASSES[k], k])) for k in picks]
+        weights = [draw(st.integers(1, 9)) for _ in picks]
+        prior = draw(st.sampled_from([None, [w / sum(weights) for w in weights]]))
+        entry = {"id": agent_id, "classes": classes}
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault in ("bool", "unknown", "range"):
+            outside = draw(st.sampled_from([3, -1]))
+            bad = {"bool": True, "unknown": "bogus", "range": outside}
+            classes[draw(st.integers(0, len(classes) - 1))] = bad[fault]
+        elif fault == "duplicate":
+            classes.append(classes[0])
+        elif fault == "empty":
+            classes.clear()
+        elif fault in ("nan", "tiny", "sum", "length"):
+            prior = [w / sum(weights) for w in weights]
+            if fault == "nan":
+                prior[-1] = float("nan")
+            elif fault == "tiny":
+                prior = [1e-13] + prior[1:]
+            elif fault == "sum":
+                prior = [p * 1.1 for p in prior]
+            else:
+                prior.append(0.0)
+        if prior is not None:
+            entry["prior"] = prior
+        gamma = draw(st.sampled_from([None, 0.0, 0.2]))
+        if fault == "gamma":
+            gamma = 1.0
+        if gamma is not None:
+            entry["source"] = {"kind": "noisy", "gamma": gamma}
+        if fault == "override":
+            entry["likelihoods"] = [[0.7, 0.3], [0.4, 0.6]]
+        elif draw(st.booleans()):
+            entry["likelihoods"] = [[0.7, 0.3], [0.4, 0.6], [0.5, 0.5]]
+        agents.append(entry)
+    return agents
+
+
+@settings(max_examples=300)
+@given(_agent_lists())
+def test_roster_matches_make_scope_agent_by_agent(agents):
+    # The bulk path reads each list's types at once; per agent, make_scope
+    # must find the same scopes, or the same first fault in document order.
+    world = config_from_dict(w3_doc()).world
+    n = len(agents)
+    doc = w3_doc(agents=agents, graph={"type": "edges", "n": n, "edges": []})
+
+    def one_at_a_time():
+        scopes = []
+        for entry in agents:
+            classes = entry["classes"]
+            if any(isinstance(c, bool) for c in classes):
+                raise ConfigError(
+                    f"agent {entry['id']} needs a 'classes' list of labels or indices"
+                )
+            scopes.append(
+                make_scope(
+                    world,
+                    entry["id"],
+                    classes,
+                    prior=entry.get("prior"),
+                    likelihoods=entry.get("likelihoods"),
+                    gamma=entry.get("source", {}).get("gamma", 0.0),
+                )
+            )
+        return sorted(scopes, key=lambda s: s.agent_id)
+
+    want = _first_fault(one_at_a_time)
+    got = _first_fault(lambda: config_from_dict(doc).scopes)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert [s.agent_id for s in got] == list(range(n))
+    for a, b in zip(got, want):
+        assert (a.theta_i, a.gamma) == (b.theta_i, b.gamma)
+        assert a.prior.tobytes() == b.prior.tobytes() and not a.prior.flags.writeable
+        tables = [s.likelihoods and s.likelihoods.rows.tobytes() for s in (a, b)]
+        assert tables[0] == tables[1]
+
+
+#: Vertices of w3's three agents, mostly ints, sometimes integral floats
+#: and now and then refused or out of range.
+_ENDPOINTS = st.sampled_from(
+    [0, 1, 2] * 15 + [0.0, 1.0, 2.0] + [3, -1, 2.5, True, False, 2**70]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(_ENDPOINTS, min_size=2, max_size=2), max_size=6))
+def test_edges_match_one_endpoint_at_a_time(edges):
+    # The bulk path converts the list to one int array; the reference reads
+    # every endpoint, then builds the graph an edge at a time.
+    def one_at_a_time():
+        ints = [[_integer("graph edge endpoint", v) for v in e] for e in edges]
+        hoods = [{i} for i in range(3)]
+        for u, v in ints:
+            if not (0 <= u < 3 and 0 <= v < 3):
+                raise ParseError(f"edge ({u}, {v}) out of range for n=3")
+            hoods[u].add(v)
+            hoods[v].add(u)
+        return tuple(tuple(sorted(h)) for h in hoods)
+
+    graph = {"type": "edges", "n": 3, "edges": edges}
+    doc = w3_doc(graph=graph)
+    got = _first_fault(lambda: config_from_dict(doc).graph.neighborhoods)
+    assert got == _first_fault(one_at_a_time)

@@ -96,6 +96,8 @@ def test_from_edges_deduplicates_and_ignores_self_loops():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ParseError):
         AgentGraph.from_edges(3, [(0, 5)])
+    with pytest.raises(ParseError, match=r"edge \(-1, 2\) out of range for n=3"):
+        AgentGraph.from_edges(3, np.array([[0, 1], [-1, 2], [0, 7]]))
     # An endpoint or vertex count that is not an integer is refused, not
     # truncated (0.9 -> 0), read as one (True -> 1) or parsed ("2" -> 2).
     for edges in ([(0.9, 1)], [(True, 2)], [("2", "0")], [(np.float64(1.0), 2)]):
@@ -134,6 +136,9 @@ def vertex_count_and_edges(draw):
 def test_from_edges_property(graph):
     n, edges = graph
     g = AgentGraph.from_edges(n, edges)
+    # An int array is checked at once instead of an edge at a time.
+    array = AgentGraph.from_edges(n, np.array(edges, dtype=np.int32).reshape(-1, 2))
+    assert array.neighborhoods == g.neighborhoods
     assert g.n == n
     _assert_well_formed(g)
     assert g.edges() == sorted({(min(u, v), max(u, v)) for u, v in edges if u != v})

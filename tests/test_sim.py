@@ -27,7 +27,13 @@ from myopic_crowd.classifier import (
     replay_source_from_csv,
     write_replay_csv,
 )
-from myopic_crowd.config import RATE_SLACK, RULES, config_from_dict, load_config
+from myopic_crowd.config import (
+    RATE_SLACK,
+    RULES,
+    config_from_dict,
+    load_config,
+    spawn_streams,
+)
 from myopic_crowd.dynamics import LOG_FLOOR, global_trajectory, local_trajectories
 from myopic_crowd.errors import (
     ConfigError,
@@ -221,6 +227,28 @@ def test_run_batch_pools_a_lone_run_above_the_cap_one_rule_at_a_time(
     assert [line.split(" rounds=")[0] for line in lines] == [
         f"batch seeds=1 first_seed={seed} rules=min,avg,max" for seed in (7, 8)
     ]
+
+
+def test_a_shared_mode_run_builds_one_generator(monkeypatch):
+    # Only the shared stream is drawn from; building every agent's stream
+    # cost about 1 ms a run at n = 50.
+    config = config_from_dict(w3_doc(observation_mode="shared", horizon=50))
+    built = []
+
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    alone = run_experiment(config)
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    log = run_experiment(config)
+    assert len(built) == 1
+    np.testing.assert_array_equal(log.observations, alone.observations)
+    stream = spawn_streams(config.seed, config.n_agents)[1]
+    np.testing.assert_array_equal(
+        log.observations[:, 0], stream.choice(2, size=50, p=config.world.true_row())
+    )
 
 
 def test_run_batch_drops_a_batch_before_preparing_the_next(monkeypatch):

@@ -70,6 +70,8 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("scores-n300", ["scores", "--config", scores_n300]),
         ("validate-w3", ["validate", "--config", W3]),
         ("validate-er", ["validate", "--config", ER_NOISY]),
+        ("validate-n300", ["validate", "--config", scores_n300]),
+        ("validate-n120", ["validate", "--config", compare_n120]),
     ]
 
 
