@@ -21,7 +21,6 @@ import numpy as np
 from .config import RATE_SLACK, RULES, load_config
 from .errors import ConfigError, MyopicCrowdError
 from .formats import Columns, json_text
-from .network import is_connected
 from .sim import (
     build_sources,
     first_identification,
@@ -376,7 +375,7 @@ def cmd_validate(args) -> int:
         print(f"agent {scope.agent_id}: scope [{names}], source {source.kind}")
     print(
         f"graph: {config.graph.n} vertices, {len(config.graph.edges())} edges, "
-        f"{'connected' if is_connected(config.graph) else 'DISCONNECTED'}"
+        f"{'connected' if config.connected else 'DISCONNECTED'}"
     )
     print(
         f"rule={config.rule} horizon={config.horizon} seed={config.seed} "

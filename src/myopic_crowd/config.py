@@ -25,7 +25,7 @@ import numpy as np
 
 from .classifier import AgentScope, make_scope
 from .errors import ConfigError
-from .network import AgentGraph, erdos_renyi_connected, read_edge_list
+from .network import AgentGraph, erdos_renyi_connected, is_connected, read_edge_list
 from .scores import ScoreReport, score_report
 from .world import (
     World, check_keys, json_numbers, load_world, read_json, world_from_dict,
@@ -88,7 +88,7 @@ def spawn_streams(seed: int, n_agents: int):
 class Roster:
     """What every run of a document shares: the world, the agents' scopes
     and source specs in id order, the graph unless a seed draws it (None for
-    an ER graph), and the score report, built on first use."""
+    an ER graph), and the score report and graph check, made on first use."""
 
     world: World
     scopes: list[AgentScope]
@@ -98,6 +98,8 @@ class Roster:
     @cached_property
     def report(self) -> ScoreReport:
         return score_report(self.world, self.scopes)
+
+    connected = cached_property(lambda self: is_connected(self.graph))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +130,11 @@ class ExperimentConfig:
     @property
     def n_agents(self) -> int:
         return len(self.scopes)
+
+    @property
+    def connected(self) -> bool:
+        """Whether the graph is connected; a roster's fixed graph is checked once."""
+        return self.roster.connected if self.roster.graph else is_connected(self.graph)
 
     def validate(self) -> None:
         if self.rule not in RULES:

@@ -11,8 +11,9 @@ streams in closed form, one pass per scope size: the normalization constant
 cancels between rounds, so the unnormalized log-belief after t rounds is the
 uniform start plus the cumulative log posterior/prior ratio.  The global
 recursion reads the previous round, so :func:`global_trajectory` loops over
-rounds, pooling every agent under every rule at once from the layouts of
-:func:`neighborhood_csr`.
+rounds, pooling every agent under every rule at once from one gather per
+round on the layouts of :func:`neighborhood_csr`; flags are read off the
+gathered entries.
 
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
@@ -24,13 +25,15 @@ whose closed form keeps every belief exact past the floor.  Pooling does
 read the clamped global beliefs of the previous round and propagates their
 flags; downstream rate estimation drops flagged samples.  Rows shorter than
 :data:`SHORT_ROW` are reduced one column at a time (:func:`reduce_rows`),
-skipping numpy's per-row cost; the bytes stay the same, as max is exact and
-numpy sums so short a row left to right.
+one elementwise call per 1-D column view, skipping numpy's per-row cost; the
+bytes stay the same, as max is exact and numpy sums so short a row left to
+right.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,13 +60,14 @@ GROUP_CELLS = 2**13
 
 def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce`` (np.add or np.maximum) over x's last axis, kept; a row
-    shorter than :data:`SHORT_ROW` takes one elementwise call per column."""
+    shorter than :data:`SHORT_ROW` takes one elementwise call per 1-D column."""
     width = x.shape[-1]
     if not 2 <= width < SHORT_ROW:
         return ufunc.reduce(x, axis=-1, keepdims=True)
-    acc = ufunc(x[..., :1], x[..., 1:2])
+    acc = np.empty(x.shape[:-1] + (1,))
+    col = ufunc(x[..., 0], x[..., 1], out=acc[..., 0])
     for j in range(2, width):
-        ufunc(acc, x[..., j : j + 1], out=acc)
+        ufunc(col, x[..., j], out=col)
     return acc
 
 
@@ -78,7 +82,8 @@ def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.nda
     """
     hi = reduce_rows(np.maximum, x)
     out = np.exp(np.subtract(x, hi, out=out), out=out)
-    lse = np.log(reduce_rows(np.add, out)) + hi
+    lse = reduce_rows(np.add, out)
+    np.add(np.log(lse, out=lse), hi, out=lse)
     np.subtract(x, lse, out=out)
     clamped = np.less_equal(out, LOG_FLOOR + CLAMP_TOL, out=clamped)
     np.copyto(out, LOG_FLOOR, where=clamped)
@@ -128,7 +133,7 @@ class Hood(NamedTuple):
 
     Entries are rows of the stacked input ``[prev_mu; own_pi; identity]``:
     row j < n is agent j's previous global belief, row n + i agent i's local
-    belief, row 2n the identity of min or max.  Segment i, agent i's
+    belief, row 2n the pooling rule's identity.  Segment i, agent i's
     inclusive neighborhood then row n + i, starts at ``starts[i]`` in the
     CSR ``index``; ``owner`` maps entries to segments, ``log_size`` is the
     (n, 1) log of segment lengths.  ``padded`` is the degree-major (D, n)
@@ -163,15 +168,20 @@ def neighborhood_csr(neighborhoods: Sequence[Sequence[int]]) -> Hood:
     )
 
 
-def _extremes(ufunc, rows: np.ndarray, layout, starts, entries, out) -> None:
-    """``ufunc`` (minimum or maximum) of ``rows`` over each segment of a CSR
-    or padded ``layout``, gathered into ``entries``; mode "clip" (every
-    index is valid) skips a copy."""
-    rows.take(layout, 0, entries, "clip")
-    if layout.ndim == 1:
-        ufunc.reduceat(entries, starts, axis=0, out=out)
-    else:
-        ufunc.reduce(entries, axis=0, out=out)
+def _reduction(ufunc, hood: Hood, source: np.ndarray, out: np.ndarray, a: int, b: int):
+    """A call of ``ufunc`` over each segment of blocks a..b of ``source``, as
+    gathered on ``hood``'s layout, into ``out``; or None if a == b."""
+    n, e = len(hood.starts), hood.index.size
+    if a == b:
+        return None
+    if hood.padded is not None:
+        return partial(ufunc.reduce, source[:, a * n : b * n], 0, out=out)
+    starts = (hood.starts + e * np.arange(b - a)[:, None]).ravel()
+    return partial(ufunc.reduceat, source[a * e : b * e], starts, 0, out=out)
+
+
+#: Rules in block order: max beside avg, whose row maxima max's pass yields.
+_BLOCKS = ("min", "max", "avg")
 
 
 def global_trajectory(
@@ -186,81 +196,88 @@ def global_trajectory(
     class only as far as nobody has rejected it; avg (mean of linear
     probabilities) and max are baselines.  At a few agents per run a round
     costs numpy call overhead, so rounds write into buffers made once, and
-    the R ``rules`` share one loop: each pools its own block of n rows, and
-    all R·n rows are normalized together into one (T+1, R·n, m) array.
-    Rule r's pair is a view of the r-th block.
+    the R ``rules`` share one loop in blocks of n rows ordered min, max,
+    avg: one gather fills every block's entries, one min and one max
+    reduction pool them, one call normalizes all R·n rows of a (T+1, R·n,
+    m) array.  Flags are read off one gather: a min or max output is flagged
+    where a flagged entry equals it, avg's where every entry is flagged.
     """
     rounds, n, m = log_pi.shape
-    r_n = len(rules) * n
-    spans = [slice(r * n, r * n + n) for r in range(len(rules))]
+    for rule in rules:
+        if rule not in _BLOCKS:
+            raise ValueError(f"unknown pooling rule {rule!r}")
+    order = [rule for rule in _BLOCKS if rule in rules]
+    # Blocks 0..lo are min's, lo..mm max's and mm..k avg's.
+    k, e, r_n = len(order), hood.index.size, len(order) * n
+    lo, mm = int("min" in order), k - ("avg" in order)
     log_mu = np.empty((rounds, r_n, m))
     clamped_mu = np.zeros(log_mu.shape, dtype=bool)
     log_mu[0] = -math.log(m)
-    # Rows: each rule's previous global beliefs, the local beliefs, then the
-    # identities of min and max.
-    stack = np.empty((r_n + n + 2, m))
-    stack[-2:] = [[np.inf], [-np.inf]]
-    no_flags = np.zeros((2, m), dtype=bool)  # the identity rows'
-    pooled = np.empty((r_n, m))
-    propagated = np.empty((r_n, m), dtype=bool)
-    flagged = np.empty((n, m))
-    blocks = []
-    for rule, span in zip(rules, spans):
-        if rule not in ("min", "avg", "max"):
-            raise ValueError(f"unknown pooling rule {rule!r}")
-        # Maps the rows ``hood`` indexes (previous global beliefs, local
-        # beliefs, identity) to this rule's rows of the stack.
-        rows = np.r_[span.start : span.stop, r_n : r_n + n + 1]
-        rows[-1] += rule != "min"
-        index = rows[hood.index]
-        layout = index if hood.padded is None else rows[hood.padded]
-        if rule == "avg":
-            # Max is exact in any order: it reduces min's layout, gathered into
-            # ``spread`` first; the sum's CSR order sets the bytes, so it stays.
-            memory = np.empty((max(index.size, layout.size), m))
-            spread, hi = memory[: index.size], np.empty((n, m))
-            gathered = memory[: layout.size].reshape(*layout.shape, m)
-            buffers = (np.empty_like(spread), spread, hi, layout, gathered)
-        else:
-            extreme = (np.minimum, np.inf) if rule == "min" else (np.maximum, -np.inf)
-            buffers = (layout, *extreme, np.empty((*layout.shape, m)))
-        blocks.append((rule, index, pooled[span], propagated[span], buffers))
+    # Rows: each block's previous global beliefs, the local beliefs, then
+    # the identities of min, max and avg.  Avg's is flagged: a floored input
+    # is negligible inside a mean, an artifact only if every input is one.
+    stack = np.empty((r_n + n + 3, m))
+    stack[-3:] = [[np.inf], [-np.inf], [-np.inf]]
+    flags = np.zeros(stack.shape, dtype=bool)
+    flags[-1] = True
+    # Each block's map from the rows ``hood`` indexes to rows of the stack.
+    ids = [r_n + n + _BLOCKS.index(rule) for rule in order]
+    rows = [np.r_[b * n : b * n + n, r_n : r_n + n, i] for b, i in enumerate(ids)]
+    layout = hood.index if hood.padded is None else hood.padded
+    grid = np.concatenate([layout[..., :0], *[r[layout] for r in rows]], axis=-1)
+    # Avg sums each neighborhood in CSR order, which sets the bytes; the
+    # padded layout gathers avg's CSR entries after the grid.
+    tail = [rows[-1][hood.index]] if mm < k and layout.ndim == 2 else []
+    flat = np.concatenate([grid.ravel(), *tail])
+    gathered = np.empty((flat.size, m))
+    entries = gathered[: grid.size].reshape(*grid.shape, m)
+    # Avg's spread reuses entries read by then, if enough precede its own.
+    csr, total = gathered[flat.size - e :], np.empty((n, m))
+    spread = gathered[:e] if flat.size >= 2 * e or mm == k else np.empty((e, m))
+    marks, equal = np.empty(entries.shape, bool), np.empty(entries.shape, bool)
+    pooled, propagated = np.empty((r_n, m)), np.empty((r_n, m), dtype=bool)
+    steps = [
+        _reduction(np.minimum, hood, entries, pooled[: lo * n], 0, lo),
+        _reduction(np.maximum, hood, entries, pooled[lo * n :], lo, k),
+        _reduction(np.logical_or, hood, equal, propagated[: mm * n], 0, mm),
+        _reduction(np.logical_and, hood, marks, propagated[mm * n :], mm, k),
+    ]
+    pools, tests = [s for s in steps[:2] if s], [s for s in steps[2:] if s]
+    # Each entry's pooled value: broadcast on the padded layout, else gathered.
+    attained = pooled if layout.ndim == 2 else np.empty(entries.shape)
+    owners = (hood.owner + n * np.arange(k)[:, None]).ravel()
     # Flag work is skipped while no input is flagged, as it would flag
     # nothing; after the first global flag it runs every round.
-    pi_flagged = clamped_pi.any(axis=(1, 2)).tolist()
-    mu_flagged = False
+    pi_flagged, mu_flagged = clamped_pi.any(axis=(1, 2)).tolist(), False
     for t in range(1, rounds):
         stack[:r_n] = log_mu[t - 1]
-        stack[r_n:-2] = log_pi[t]
+        stack[r_n : r_n + n] = log_pi[t]
+        stack.take(flat, 0, gathered, "clip")
+        for pool in pools:
+            pool()
         any_flag = mu_flagged or pi_flagged[t]
         if any_flag:
-            flags = np.concatenate((clamped_mu[t - 1], clamped_pi[t], no_flags))
-        for rule, index, out, prop, buffers in blocks:
-            if rule == "avg":
-                entries, spread, hi, layout, padded = buffers
-                _extremes(np.maximum, stack, layout, hood.starts, padded, hi)
-                stack.take(index, 0, entries, "clip")
-                hi.take(hood.owner, 0, spread, "clip")
-                np.exp(np.subtract(entries, spread, out=spread), out=spread)
-                np.add.reduceat(spread, hood.starts, axis=0, out=out)
-                np.add(hi, np.log(out, out=out), out=out)
-                np.subtract(out, hood.log_size, out=out)
-                if any_flag:
-                    # A floored input is negligible inside a mean; the output
-                    # is an artifact only when every input is floored.
-                    np.logical_and.reduceat(flags[index], hood.starts, out=prop)
-            else:
-                layout, ufunc, identity, entries = buffers
-                _extremes(ufunc, stack, layout, hood.starts, entries, out)
-                if any_flag:
-                    # A pooled value a flagged input attains is a floor
-                    # artifact, even where normalization lifts it above
-                    # LOG_FLOOR.
-                    masked = np.where(flags, stack, identity)
-                    _extremes(ufunc, masked, layout, hood.starts, entries, flagged)
-                    np.equal(flagged, out, out=prop)
+            flags[:r_n] = clamped_mu[t - 1]
+            flags[r_n : r_n + n] = clamped_pi[t]
+            flags.take(grid, 0, marks, "clip")
+            # A pooled value a flagged input attains is a floor artifact,
+            # even where normalization lifts it above LOG_FLOOR.
+            if layout.ndim == 1:
+                pooled.take(owners, 0, attained, "clip")
+            np.logical_and(np.equal(entries, attained, out=equal), marks, out=equal)
+            for test in tests:
+                test()
+        if mm < k:
+            hi = pooled[mm * n :]
+            hi.take(hood.owner, 0, spread, "clip")
+            np.exp(np.subtract(csr, spread, out=spread), out=spread)
+            np.add.reduceat(spread, hood.starts, axis=0, out=total)
+            np.add(hi, np.log(total, out=total), out=hi)
+            np.subtract(hi, hood.log_size, out=hi)
         norm_rows(pooled, log_mu[t], clamped_mu[t])
         if any_flag:
             clamped_mu[t] |= propagated
-        mu_flagged = mu_flagged or clamped_mu[t].any()
-    return [(log_mu[:, span], clamped_mu[:, span]) for span in spans]
+        if not mu_flagged:
+            mu_flagged = np.count_nonzero(clamped_mu[t]) > 0
+    spans = {rule: slice(b * n, b * n + n) for b, rule in enumerate(order)}
+    return [(log_mu[:, spans[rule]], clamped_mu[:, spans[rule]]) for rule in rules]

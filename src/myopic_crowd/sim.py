@@ -69,7 +69,6 @@ from .errors import (
     ReplayExhausted,
 )
 from .formats import csv_cell, distinct, json_text
-from .network import is_connected
 from .scores import ScoreReport
 
 logger = logging.getLogger(__name__)
@@ -218,7 +217,7 @@ def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
             f"{config.horizon} rounds needs about {needed / 1e6:.4g} MB; "
             "lower the horizon"
         )
-    if not is_connected(config.graph):
+    if not config.connected:
         yield DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
         )

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import myopic_crowd
 import oracles
-from myopic_crowd import cli, scores, sim
+from myopic_crowd import cli, network, scores, sim
 from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.cli import main
 from myopic_crowd.config import RULES, load_config
@@ -267,6 +267,28 @@ def test_each_command_builds_the_evidence_table_once(monkeypatch, tmp_path, argv
     monkeypatch.setattr(scores, "_table", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         main([*argv, "--config", str(W3_JSON), "--out", str(tmp_path)])
+    assert len(calls) == 1
+
+
+def test_rates_checks_a_fixed_graph_once(monkeypatch, tmp_path):
+    # Every seed reads the roster's one connectivity check.  The check is
+    # counted under every module name that holds it, as the bench tracer
+    # counts it.
+    calls = []
+    original = network.is_connected
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("myopic_crowd"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+    argv = ["rates", "--seeds", "20", "--config", str(W3_JSON)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--out", str(tmp_path)])
     assert len(calls) == 1
 
 

@@ -20,6 +20,7 @@ from myopic_crowd.dynamics import (
     local_trajectories,
     neighborhood_csr,
     norm_rows,
+    reduce_rows,
 )
 from myopic_crowd.errors import ScopeMismatch
 from myopic_crowd.network import AgentGraph, erdos_renyi_connected
@@ -319,6 +320,38 @@ def test_norm_rows_matches_row_reductions_bitwise(x):
     _same_bytes(clamped, want_clamped)
 
 
+@st.composite
+def _strided_views(draw):
+    """Views 1 to 9 entries wide into a larger buffer: a block of its
+    columns, or a slice of every step-th row."""
+    width = draw(st.integers(1, 9))
+    lead = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    entries = st.one_of(
+        st.sampled_from([LOG_FLOOR, LOG_FLOOR + CLAMP_TOL / 2, -1.0, 0.0]),
+        st.floats(LOG_FLOOR - 50.0, 20.0),
+    )
+    start = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        shape = (*lead, width + draw(st.integers(1, 4)) + start)
+        return draw(arrays(float, shape, elements=entries))[..., start : start + width]
+    step = draw(st.integers(2, 3))
+    shape = (lead[0] * step + start, *lead[1:], width)
+    return draw(arrays(float, shape, elements=entries))[start::step]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_strided_views())
+def test_row_reductions_of_views_match_numpy_bitwise(x):
+    # Pooling normalizes a block of a larger array, so the column-by-column
+    # rule must keep the bytes on views as well as on fresh arrays.
+    for ufunc in (np.add, np.maximum):
+        _same_bytes(reduce_rows(ufunc, x), ufunc.reduce(x, axis=-1, keepdims=True))
+    want, want_clamped = oracles.norm_rows(x)
+    got, got_clamped = norm_rows(x)
+    _same_bytes(got, want)
+    _same_bytes(got_clamped, want_clamped)
+
+
 def test_numpy_sums_rows_shorter_than_short_row_left_to_right():
     # The short-row rule relies on it; if numpy changes its summation order,
     # this test fails rather than an artifact changing.
@@ -435,6 +468,36 @@ def test_fused_rules_match_reference_loop_per_rule(inputs, order, count):
         )
         _same_bytes(got_mu, want_mu)
         _same_bytes(got_flags, want_flags)
+
+
+def test_fused_rules_on_a_hub_match_reference_loop_per_rule():
+    # A 12-leaf star's hub makes the padded layout too wide, so all three
+    # rules pool from the compact layout; local flags start in round 2.
+    star = AgentGraph.from_edges(13, [[0, leaf] for leaf in range(1, 13)])
+    hood = neighborhood_csr(star.neighborhoods)
+    assert hood.padded is None
+    rng = np.random.default_rng(12)
+    log_pi = rng.uniform(-30.0, 0.0, size=(25, 13, 3))
+    clamped_pi = np.zeros(log_pi.shape, dtype=bool)
+    clamped_pi[2:, 1:, 2] = True
+    clamped_pi[9:14, 5:, 0] = True
+    log_pi[clamped_pi] = LOG_FLOOR
+    # A flagged input above every other, which max propagates.
+    clamped_pi[6:, 0, 1] = True
+    log_pi[6:, 0, 1] = 0.0
+    rules = ("avg", "min", "max")
+    got = global_trajectory(rules, log_pi, clamped_pi, hood)
+    for rule, (got_mu, got_flags) in zip(rules, got):
+        want_mu, want_flags = oracles.global_trajectory(
+            rule, log_pi, clamped_pi, hood
+        )
+        _same_bytes(got_mu, want_mu)
+        _same_bytes(got_flags, want_flags)
+    # Avg flags an output only when every input is flagged, which needs a
+    # floored global belief: none in so few rounds.
+    first = [np.flatnonzero(flags.any(axis=(1, 2)))[:1].tolist() for _, flags in got]
+    assert first == [[], [2], [6]]
+    assert global_trajectory((), log_pi, clamped_pi, hood) == []
 
 
 # -- the floor rule -------------------------------------------------------

@@ -12,13 +12,14 @@ there is any.  ``--horizon`` sets every command's horizon, for a quick
 check; without it the horizons are those listed.
 
 The three bench configs are generated from bench seed 5 by
-``bench/workloads.py`` of the checkout holding this script, so both trees
-read the same files.
+``bench/workloads.py`` of the checkout holding this script, and the hub
+config is written beside them, so both trees read the same files.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -32,10 +33,18 @@ ER_NOISY = str(ROOT / "configs" / "er_noisy.json")
 #: Bench seed of the generated run-n50, compare-n120 and scores-n300 configs.
 BENCH_SEED = 5
 
+#: Agents of the hub config, whose hub neighbors every other agent.
+HUB_AGENTS = 12
+
 
 def bench_configs(work_dir: Path) -> dict[str, str]:
-    """Write the run-n50, compare-n120 and scores-n300 bench configs; their
-    paths by name."""
+    """Write the run-n50, compare-n120 and scores-n300 bench configs and the
+    hub config; their paths by name.
+
+    The hub config is w3's world with w3's scopes cycled over
+    :data:`HUB_AGENTS` agents on a star, a graph whose pooling loop reads
+    the compact neighborhood layout.
+    """
     sys.path.insert(0, str(ROOT))
     from bench.workloads import generate
 
@@ -43,13 +52,20 @@ def bench_configs(work_dir: Path) -> dict[str, str]:
     for name in ("run-n50", "compare-n120", "scores-n300"):
         generate(name, BENCH_SEED, work_dir)
         paths[name] = str(work_dir / f"{name}.json")
+    doc = json.loads(Path(W3).read_text())
+    scopes = doc["agents"]
+    doc["agents"] = [{**scopes[i % len(scopes)], "id": i} for i in range(HUB_AGENTS)]
+    edges = [[0, i] for i in range(1, HUB_AGENTS)]
+    doc["graph"] = {"type": "edges", "n": HUB_AGENTS, "edges": edges}
+    paths["hub-w3"] = str(work_dir / "hub-w3.json")
+    Path(paths["hub-w3"]).write_text(json.dumps(doc))
     return paths
 
 
 def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(label, CLI argv without ``--out``) of every checked command."""
     run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
-    scores_n300 = bench["scores-n300"]
+    scores_n300, hub = bench["scores-n300"], bench["hub-w3"]
     return [
         ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
         ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
@@ -65,6 +81,8 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("compare-n120-3", ["compare", "--config", compare_n120, "--seeds", "3"]),
         ("rates-w3", ["rates", "--config", W3, "--seeds", "20", "--horizon", "3000"]),
         ("rates-er", ["rates", "--config", ER_NOISY, "--seeds", "3"]),
+        ("compare-hub", ["compare", "--config", hub, "--seeds", "3", "--horizon", "3000"]),
+        ("rates-hub", ["rates", "--config", hub, "--seeds", "5", "--horizon", "3000"]),
         ("scores-w3", ["scores", "--config", W3]),
         ("scores-er", ["scores", "--config", ER_NOISY]),
         ("scores-n300", ["scores", "--config", scores_n300]),
