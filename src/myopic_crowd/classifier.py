@@ -4,9 +4,9 @@ An agent's classifier (:class:`AgentScope`) is its scope Θ_i ⊆ Θ, a prior
 over it, an optional private likelihood table and a noise level γ.
 :func:`posterior_tables` turns classifiers, a group at a time, into each
 agent's one posterior table, a row per input symbol: the Bayes posterior,
-mixed with uniform when γ > 0.  The dynamics read it through a table source
-(``per_symbol``) and the score engine for its log-ratios.  A replay source
-instead holds recorded posterior vectors, one per round (``vectors``).
+mixed with uniform when γ > 0.  The dynamics read its rows by the drawn
+symbols (``per_symbol``) and the score engine its log-ratios.  A replay
+source instead holds recorded posterior vectors, one per round (``vectors``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     ScopeMismatch,
     UnknownClass,
 )
-from .formats import csv_cell, format_once
+from .formats import csv_cell
 from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly
 
 
@@ -215,34 +215,34 @@ class ReplaySource:
 # label used by any agent; each data row fills only the labels in that
 # agent's scope and leaves other cells empty.
 
-def write_replay_csv(path, world: World, scopes, series) -> None:
+def write_replay_csv(path, world: World, scopes, streams) -> None:
     """Write each agent's recorded posteriors as a replay stream.
 
-    ``series[i]`` is agent ``scopes[i]``'s (T, |Θ_i|) posterior array, row
-    t-1 emitted in round t; rows go round by round, agent by agent.  Every
-    probability is written as its ``repr``; lines end in CRLF and labels are
-    quoted, as ``csv.writer`` writes them.  Each agent's line after the
-    round number is formatted once per distinct row, keyed by its bytes
-    (:func:`~.formats.format_once`).
+    ``streams[i]`` is agent ``scopes[i]``'s posteriors as ``(rows, index)``,
+    row ``index[t-1]`` emitted in round t; lines go round by round, agent by
+    agent.  Every probability is written as its ``repr``; lines end in CRLF
+    and labels are quoted, as ``csv.writer`` writes them.  Each agent's line
+    after the round number is formatted once per row and gathered by
+    ``index``.
     """
     labels = world.classes.labels
-    row_formats = []
-    for scope in scopes:
+    if len(streams) != len(scopes) or any(
+        np.shape(rows)[1:] != (scope.size,) or len(index) != len(streams[0][1])
+        for (rows, index), scope in zip(streams, scopes)
+    ):
+        raise DimensionMismatch(
+            "replay streams must be one (rows, index) pair per scope, rows of "
+            "its scope size, every index of the same number of rounds"
+        )
+    lines = []
+    for scope, (rows, index) in zip(scopes, streams):
         # Field j is the scope's j-th class.
         cells = [""] * len(labels)
         for j, theta in enumerate(scope.theta_i):
             cells[theta] = f"{{{j}}}"
-        row_formats.append((f",{scope.agent_id}," + ",".join(cells) + "\r\n").format)
-    arrays = [np.asarray(s, dtype=float) for s in series]
-    if len(arrays) != len(scopes) or any(
-        a.ndim != 2 or a.shape != (arrays[0].shape[0], scope.size)
-        for a, scope in zip(arrays, scopes)
-    ):
-        raise DimensionMismatch(
-            "replay series must be one (rounds, scope size) array per scope, "
-            "all with the same number of rounds"
-        )
-    lines = [format_once(lambda r, f=f: f(*r), a) for f, a in zip(row_formats, arrays)]
+        fmt = (f",{scope.agent_id}," + ",".join(cells) + "\r\n").format
+        texts = [fmt(*row) for row in np.asarray(rows, dtype=float).tolist()]
+        lines.append(np.array(texts, dtype=object)[index].tolist())
     with open(path, "w", newline="") as f:
         f.write(",".join(["round", "agent_id", *map(csv_cell, labels)]) + "\r\n")
         for t, texts in enumerate(zip(*lines), start=1):

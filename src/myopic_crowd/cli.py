@@ -237,6 +237,10 @@ def cmd_rates(args) -> int:
         raise ConfigError(
             f"theory unavailable — {gap_text(config, report.witness)}"
         )
+    unrejected = sorted(t for t, entry in report.best_rate.items() if entry is None)
+    if unrejected:
+        names = ", ".join(labels[t] for t in unrejected)
+        raise ConfigError(f"theory unavailable — no agent rejects {names}")
 
     rows = []  # (seed, agent, false class, slope, R, pass)
     for trajectory in run_batch(_seed_configs(config, args.seeds), [config.rule]):

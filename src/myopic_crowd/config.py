@@ -290,12 +290,11 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
     if kind == "erdos_renyi":
         if "p" not in doc:
             raise ConfigError("erdos_renyi graph needs an edge probability 'p'")
-        return erdos_renyi_connected(
-            n,
-            _number("graph p", doc["p"]),
-            graph_stream(seed),
-            _integer("graph max_retries", doc.get("max_retries", 1000)),
-        )
+        p = _number("graph p", doc["p"])
+        retries = _integer("graph max_retries", doc.get("max_retries", 1000))
+        if retries < 1:
+            raise ConfigError(f"graph max_retries must be at least 1, got {retries}")
+        return erdos_renyi_connected(n, p, graph_stream(seed), retries)
     if kind == "edges":
         edges = doc.get("edges", [])
         # Each list's types are read at once.

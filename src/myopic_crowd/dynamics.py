@@ -91,35 +91,37 @@ def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.nda
 
 
 def local_trajectories(
-    scopes: Sequence[AgentScope], posts, out: np.ndarray, clamped: np.ndarray
+    scopes: Sequence[AgentScope], streams, out: np.ndarray, clamped: np.ndarray
 ) -> None:
     """Write n agents' local log-beliefs over rounds 0..T into ``out``, a
     (T+1, n, m) array, and their clamp flags into ``clamped``.
 
-    ``posts[i]`` is agent ``scopes[i]``'s (T, |Θ_i|) posterior stream, row
-    t-1 feeding round t.  Round 0 is uniform.  Per-round normalization
-    constants cancel in the recursion, so normalizing each round of the
-    cumulative form reproduces the step-by-step update without its rounding
-    or any clamp.  Agents of one scope size share each array operation.
+    ``streams[i]`` is agent ``scopes[i]``'s ``(rows, index)``: row
+    ``index[t-1]``, |Θ_i| posteriors, feeds round t.  Round 0 is uniform.
+    Per-round normalization constants cancel in the recursion, so
+    normalizing each round of the cumulative form reproduces the step-by-step
+    update without its rounding or any clamp.  Agents of one scope size and
+    row count share each array operation; log ratios are taken per row.
     """
     rounds, _, m = out.shape
-    groups: dict[int, list[int]] = {}
-    for i, (scope, stream) in enumerate(zip(scopes, posts)):
-        if stream.shape != (rounds - 1, scope.size):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (scope, (rows, index)) in enumerate(zip(scopes, streams)):
+        if rows.shape[1:] != (scope.size,) or index.shape != (rounds - 1,):
             raise ScopeMismatch(
-                f"posterior stream of shape {stream.shape} does not fit agent "
-                f"{scope.agent_id}'s {rounds - 1} rounds of {scope.size} classes"
+                f"posterior rows {rows.shape} read by index {index.shape} do not fit "
+                f"agent {scope.agent_id}'s {rounds - 1} rounds of {scope.size} classes"
             )
-        groups.setdefault(scope.size, []).append(i)
+        groups.setdefault((scope.size, len(rows)), []).append(i)
     start = -math.log(m)
     step = max(1, GROUP_CELLS // (rounds * m))
-    for k, members in groups.items():
+    for (k, _), members in groups.items():
         for j in range(0, len(members), step):
             cols = members[j : j + step]
             group = [scopes[i] for i in cols]
             prior = np.log([s.prior for s in group])
-            stream = np.stack([posts[i] for i in cols], axis=1)
-            in_part = start + np.cumsum(np.log(stream) - prior, axis=0)
+            ratios = np.log(np.stack([streams[i][0] for i in cols], axis=1)) - prior
+            index = np.stack([streams[i][1] for i in cols], axis=1)
+            in_part = start + np.cumsum(ratios[index, np.arange(len(cols))], axis=0)
             v = np.empty((rounds, len(cols), m))
             v[0] = start
             if k < m:

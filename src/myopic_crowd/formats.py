@@ -13,10 +13,9 @@ joined once.
 It raises what ``json.dumps`` raises: ``TypeError`` for a value or key
 JSON cannot hold, ``ValueError`` for a circular reference.
 
-:func:`format_once` is the writers' one memo rule: a JSON float column,
-each round of ``trajectories.csv`` and each agent's ``posteriors.csv``
-rows format each distinct entry, found by one ``np.unique`` of their
-bits, once.  :func:`csv_cell` quotes a CSV cell as ``csv.writer`` does.
+:func:`format_once` is the writers' one memo rule: a JSON float column and
+each round of ``trajectories.csv`` format each distinct float, found by one
+``np.unique`` of their bits, once.  :func:`csv_cell` quotes as ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -55,20 +54,18 @@ def csv_cell(text: str) -> str:
 
 
 def distinct(values) -> tuple[list, Callable[[list], list]]:
-    """The distinct entries of ``values``, floats keyed by their 64-bit
-    pattern or the rows of a 2-D array keyed by their bytes (so ``-0.0``
-    and ``0.0`` stay apart), as Python floats or lists of them; and a
+    """The distinct entries of the floats ``values``, keyed by their 64-bit
+    pattern (so ``-0.0`` and ``0.0`` stay apart), as Python floats; and a
     ``gather`` that maps one text per distinct entry to one per entry."""
     a = np.ascontiguousarray(values, dtype=np.float64)
-    key = np.int64 if a.ndim == 1 else np.dtype((np.void, a.itemsize * a.shape[1]))
-    keys, inverse = np.unique(a.view(key).ravel(), return_inverse=True)
-    entries = keys.view(np.float64).reshape(-1, *a.shape[1:]).tolist()
+    keys, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    entries = keys.view(np.float64).tolist()
     return entries, lambda texts: np.array(texts, dtype=object)[inverse].tolist()
 
 
 def format_once(fmt, values) -> list[str]:
-    """``fmt(v)`` for each entry ``v`` of ``values``, a float or a row,
-    calling ``fmt`` once per :func:`distinct` entry."""
+    """``fmt(v)`` for each float ``v`` of ``values``, calling ``fmt`` once
+    per :func:`distinct` entry."""
     entries, gather = distinct(values)
     return gather(list(map(fmt, entries)))
 

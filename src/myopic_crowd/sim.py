@@ -8,7 +8,7 @@ delay), so evaluation order within a round cannot matter.
 
 The recursion itself, its floor rule and pooling live in
 :mod:`~myopic_crowd.dynamics`; this module checks a run, draws its
-observations, turns them into posteriors, batches runs, and computes
+observations, reads them as posteriors, batches runs, and computes
 metrics and output files.  Rate estimation uses only samples the engine did
 not flag as clamped at the floor.  What stops a run (:func:`run_problems`),
 whether a roster has theory (:func:`has_theory`) and whether a fitted slope
@@ -94,14 +94,14 @@ MAX_RUN_BYTES = 2**30
 class TrajectoryLog:
     """Complete record of one experiment run.
 
-    Belief arrays are (T+1, n_agents, m) log-probabilities for rounds 0..T;
-    the clamp masks mark entries pinned at the numerical floor.
-    ``observations`` holds the drawn symbol index per (round 1..T, agent)
-    and ``posteriors`` the emitted posterior per agent, both exactly as the
-    dynamics consumed them, in a log of :func:`run_experiment`; a sweep's
-    logs (:func:`run_batch`) carry no draws (``None`` and ``()``).  The
-    belief arrays may be views into a larger batch; logs of one run under
-    several rules share ``log_pi``/``clamped_pi``.
+    Belief arrays are (T+1, n_agents, m) log-probabilities for rounds 0..T,
+    maybe views into a larger batch (logs of one run under several rules
+    share ``log_pi``/``clamped_pi``); the clamp masks mark entries pinned at
+    the numerical floor.  A log of :func:`run_experiment` keeps its draws:
+    ``observations``, the symbol drawn per (round 1..T, agent), and
+    ``streams``, each agent's ``(rows, index)`` with row ``index[t-1]`` fed
+    in round t: its table and its observation column, or its replay vectors
+    and ``arange(T)``.  A sweep's logs (:func:`run_batch`) carry neither.
     """
 
     config: ExperimentConfig
@@ -110,7 +110,7 @@ class TrajectoryLog:
     clamped_pi: np.ndarray
     clamped_mu: np.ndarray
     observations: np.ndarray | None
-    posteriors: tuple[np.ndarray, ...]
+    streams: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @property
     def world(self):
@@ -123,6 +123,11 @@ class TrajectoryLog:
     @property
     def n_agents(self) -> int:
         return self.config.n_agents
+
+    @property
+    def posteriors(self) -> tuple[np.ndarray, ...]:
+        """Each agent's (T, |Θ_i|) posteriors, gathered from its stream."""
+        return tuple(rows[index] for rows, index in self.streams)
 
     @functools.cached_property
     def identified(self) -> np.ndarray:
@@ -171,24 +176,10 @@ def _draw_observations(config: ExperimentConfig) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((t_max, 0), dtype=int)
 
 
-def _posterior_series(config: ExperimentConfig, sources, obs: np.ndarray):
-    """Per-agent (T, |Θ_i|) posterior arrays: row t-1 is what the agent's
-    source emits in round t (its table row for the drawn symbol, or the
-    recorded vector)."""
-    t_max = config.horizon
-    series = []
-    for i, source in enumerate(sources):
-        if isinstance(source, ReplaySource):
-            series.append(np.array(source.vectors[:t_max]))
-        else:
-            series.append(source.per_symbol[obs[:, i]])
-    return series
-
-
 def run_bytes(config: ExperimentConfig) -> int:
-    """Estimated bytes one run allocates: its observations, its posteriors
-    (8 per round and scope class) and its belief arrays (:func:`batch_bytes`
-    under one rule)."""
+    """Estimated bytes one run allocates: its observations, 8 per round and
+    scope class for posteriors (a bound: only replay streams hold a row per
+    round) and its belief arrays (:func:`batch_bytes` under one rule)."""
     scope_classes = sum(scope.size for scope in config.scopes)
     draws_and_posteriors = 8 * config.horizon * (config.n_agents + scope_classes)
     return draws_and_posteriors + batch_bytes(config, (config.rule,))
@@ -255,11 +246,16 @@ def _checked_sources(config: ExperimentConfig) -> list:
 def _draw_local(config, sources, log_pi, clamped_pi, keep_draws: bool) -> tuple:
     """Draw one run and write its local trajectories into ``log_pi`` and
     ``clamped_pi``, its rows of a batch's arrays; returns its observations
-    and posteriors if ``keep_draws``, else ``(None, ())``."""
+    and posterior streams if ``keep_draws``, else ``(None, ())``."""
     obs = _draw_observations(config)
-    posts = _posterior_series(config, sources, obs)
-    local_trajectories(config.scopes, posts, log_pi, clamped_pi)
-    return (obs, tuple(posts)) if keep_draws else (None, ())
+    streams = tuple(
+        (source.vectors[: config.horizon], np.arange(config.horizon))
+        if isinstance(source, ReplaySource)
+        else (source.per_symbol, obs[:, i])
+        for i, source in enumerate(sources)
+    )
+    local_trajectories(config.scopes, streams, log_pi, clamped_pi)
+    return (obs, streams) if keep_draws else (None, ())
 
 
 def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tuple]:
@@ -348,7 +344,7 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
             else:
                 pooled = global_trajectory(group, log_pi, clamped_pi, hood)
             for rule, (log_mu, clamped_mu) in zip(group, pooled):
-                for config, span, (obs, posts) in zip(variants[rule], spans, draws):
+                for config, span, (obs, streams) in zip(variants[rule], spans, draws):
                     yield TrajectoryLog(
                         config=config,
                         log_pi=log_pi[:, span],
@@ -356,7 +352,7 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
                         clamped_pi=clamped_pi[:, span],
                         clamped_mu=clamped_mu[:, span],
                         observations=obs,
-                        posteriors=posts,
+                        streams=streams,
                     )
             # Hold no reference to these arrays while the next group is
             # pooled or the next batch prepared.
@@ -373,7 +369,7 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
 
 def run_experiment(config: ExperimentConfig) -> TrajectoryLog:
     """Execute T rounds of the configured experiment, deterministically.
-    Unlike a sweep's, its log keeps the observations and posteriors."""
+    Unlike a sweep's, its log keeps the observations and posterior streams."""
     return next(_logs([config], (config.rule,), keep_draws=True))
 
 
@@ -669,7 +665,7 @@ def write_outputs(log: TrajectoryLog, out_dir) -> dict[str, Path]:
     summary_path.write_text(json_text(summary(log)) + "\n")
 
     posteriors_path = out_dir / "posteriors.csv"
-    write_replay_csv(posteriors_path, config.world, config.scopes, log.posteriors)
+    write_replay_csv(posteriors_path, config.world, config.scopes, log.streams)
 
     manifest_path = out_dir / "manifest.json"
     manifest = {"package_version": __version__, "config": config.to_dict()}

@@ -249,7 +249,9 @@ def test_replay_csv_round_trip(w3_world, tmp_path):
         np.array([[0.8, 0.2], [0.3, 0.7]]),
         np.array([[0.55, 0.45], [0.5, 0.5]]),
     ]
-    write_replay_csv(path, w3_world, [scope0, scope1], series)
+    write_replay_csv(
+        path, w3_world, [scope0, scope1], [(s, np.arange(2)) for s in series]
+    )
     lines = path.read_text().splitlines()
     assert lines == [
         "round,agent_id,theta0,theta1,theta2",
@@ -290,7 +292,7 @@ def test_replay_csv_rejects_bad_header(w3_world, tmp_path):
 def test_replay_csv_missing_scope_column(w3_world, tmp_path):
     path = tmp_path / "partial.csv"
     scope = make_scope(w3_world, 0, ["theta0", "theta1"])
-    write_replay_csv(path, w3_world, [scope], [np.array([[0.8, 0.2]])])
+    write_replay_csv(path, w3_world, [scope], [(np.array([[0.8, 0.2]]), np.arange(1))])
     scope_c = make_scope(w3_world, 0, ["theta0", "theta2"])
     with pytest.raises(ParseError):
         replay_source_from_csv(path, w3_world, scope_c)

@@ -155,7 +155,8 @@ def _short_replay(tmp_path, doc):
     stream = tmp_path / "short.csv"
     world = load_config(W3_JSON).world
     scope = make_scope(world, 0, ["theta0", "theta1"])
-    write_replay_csv(stream, world, [scope], [np.tile([0.8, 0.2], (5, 1))])
+    rows = np.tile([0.8, 0.2], (5, 1))
+    write_replay_csv(stream, world, [scope], [(rows, np.arange(5))])
     doc["agents"][0]["prior"] = [0.5, 0.5]
     doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
     return doc
@@ -698,6 +699,27 @@ def test_rates_replay_theory_unavailable(config_path, tmp_path, capsys):
     rc = main(["rates", "--config", str(_write(tmp_path, doc))])
     assert rc == 1
     assert "theory unavailable" in capsys.readouterr().err
+
+
+def test_rates_refuses_a_class_no_agent_rejects(tmp_path, capsys, monkeypatch):
+    # Both agents are misled: their noisy tables under a skewed prior favour
+    # t0 on every symbol, so the roster is identifiable but nobody rejects t1.
+    def no_draws(config):
+        raise AssertionError("observations drawn without theory")
+
+    monkeypatch.setattr(sim, "_draw_observations", no_draws)
+    misled = {"classes": ["t0", "t1"], "prior": [0.9, 0.1],
+              "source": {"kind": "noisy", "gamma": 0.9}}
+    doc = {
+        "world": {"classes": ["t0", "t1"], "inputs": ["x0", "x1"],
+                  "likelihoods": [[0.8, 0.2], [0.2, 0.8]], "true_class": "t0"},
+        "agents": [{"id": 0, **misled}, {"id": 1, **misled}],
+        "graph": {"type": "edges", "n": 2, "edges": [[0, 1]]},
+    }
+    path = _write(tmp_path, doc)
+    rc = main(["rates", "--config", str(path), "--seeds", "2", "--horizon", "500"])
+    assert rc == 1
+    assert "theory unavailable — no agent rejects t1" in capsys.readouterr().err
 
 
 def test_rates_non_identifiable(tmp_path, capsys):

@@ -145,6 +145,13 @@ def test_bad_graph_object_rejected(tmp_path, graph):
         config_from_dict(w3_doc(graph=graph), base_dir=tmp_path)
 
 
+@pytest.mark.parametrize("retries", [0, -1])
+def test_er_graph_needs_a_retry(retries):
+    graph = {"type": "erdos_renyi", "p": 0.5, "max_retries": retries}
+    with pytest.raises(ConfigError, match="graph max_retries must be at least 1"):
+        config_from_dict(w3_doc(graph=graph))
+
+
 def test_graph_objects_of_each_type_accepted(tmp_path):
     (tmp_path / "net.txt").write_text("3\n0 1\n1 2\n")
     for graph in [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd.classifier import make_scope
+from myopic_crowd import dynamics
+from myopic_crowd.classifier import make_scope, write_replay_csv
 from myopic_crowd.config import RULES
 from myopic_crowd.dynamics import (
     CLAMP_TOL,
+    GROUP_CELLS,
     LOG_FLOOR,
     SHORT_ROW,
     global_trajectory,
@@ -41,7 +44,7 @@ def local_trajectory(scope, m, posts):
     posts = np.asarray(posts, dtype=float)
     log_pi = np.empty((posts.shape[0] + 1, 1, m))
     clamped = np.empty(log_pi.shape, dtype=bool)
-    local_trajectories([scope], [posts], log_pi, clamped)
+    local_trajectories([scope], [(posts, np.arange(len(posts)))], log_pi, clamped)
     return log_pi[:, 0], clamped[:, 0]
 
 
@@ -133,6 +136,63 @@ def test_local_update_matches_linear_oracle_stepwise():
     for t, post in enumerate(posts, start=1):
         agent.local_step(list(post))
         np.testing.assert_allclose(pi[t], agent.pi, atol=1e-9)
+
+
+@st.composite
+def _mixed_streams(draw):
+    """(world, scopes, streams, t_max): table-shaped streams (a few rows read
+    by a drawn index) beside replay-shaped ones (T rows read in order), of
+    every scope size.  Each row's lead class gains 3 to 8 nats a round on the
+    scope's other classes, so beliefs of scopes of two or more classes reach
+    the floor before the horizon."""
+    m = draw(st.integers(2, 4))
+    world = build_world([f"c{j}" for j in range(m)], ["x"], [[1.0]] * m, "c0")
+    t_max = draw(st.integers(240, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scopes, streams = [], []
+    for i in range(draw(st.integers(1, 6))):
+        k = 2 if i == 0 else draw(st.integers(1, m))
+        raw_prior = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)))
+        scope = make_scope(
+            world, i, sorted(rng.permutation(m)[:k]), prior=raw_prior / raw_prior.sum()
+        )
+        tabled = draw(st.booleans())
+        n_rows = draw(st.integers(1, 4)) if tabled else t_max
+        ratios = rng.uniform(0.1, 1.0, size=(n_rows, k))
+        lead = rng.integers(k)
+        ratios[:, lead] = ratios.max(axis=1) * np.exp(rng.uniform(3, 8, n_rows))
+        rows = ratios * scope.prior
+        rows /= rows.sum(axis=1, keepdims=True)
+        index = rng.integers(n_rows, size=t_max) if tabled else np.arange(t_max)
+        scopes.append(scope)
+        streams.append((rows, index))
+    return world, scopes, streams, t_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_mixed_streams(), cells=st.sampled_from([1, 400, GROUP_CELLS]))
+def test_mixed_streams_match_per_agent_references(tmp_path_factory, case, cells):
+    # Gathering each row's log ratio equals the ratio of the gathered row,
+    # bit for bit, and the writer reads the same rows the dynamics did.
+    world, scopes, streams, t_max = case
+    m, n = world.m, len(scopes)
+    out = np.empty((t_max + 1, n, m))
+    clamped = np.empty(out.shape, dtype=bool)
+    with mock.patch.object(dynamics, "GROUP_CELLS", cells):
+        local_trajectories(scopes, streams, out, clamped)
+    assert clamped[:, 0].any()
+    for i, (scope, (rows, index)) in enumerate(zip(scopes, streams)):
+        want, want_flags = oracles.local_trajectory_reference(scope, m, rows[index])
+        _same_bytes(out[:, i].copy(), want)
+        _same_bytes(clamped[:, i].copy(), want_flags)
+    tmp = tmp_path_factory.mktemp("replay")
+    write_replay_csv(tmp / "fast.csv", world, scopes, streams)
+    labels = world.classes.labels
+    series = [rows[index] for rows, index in streams]
+    oracles.replay_csv_reference(
+        tmp / "ref.csv", labels, oracles.replay_rows(labels, scopes, series)
+    )
+    assert (tmp / "fast.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
 
 # -- pooling rules --------------------------------------------------------
@@ -498,6 +558,25 @@ def test_fused_rules_on_a_hub_match_reference_loop_per_rule():
     first = [np.flatnonzero(flags.any(axis=(1, 2)))[:1].tolist() for _, flags in got]
     assert first == [[], [2], [6]]
     assert global_trajectory((), log_pi, clamped_pi, hood) == []
+
+
+def test_avg_propagates_flags_through_the_padding():
+    # On the path 0-1-2 the end agents' padded columns read avg's identity
+    # row, which must count as flagged.  Class 1 sits at the floor, flagged,
+    # until round T lifts every local belief to 0.5: avg's pooled mean is
+    # then far above the floor, and only propagation flags it.
+    t_max = 4000
+    hood = neighborhood_csr(path_graph(3).neighborhoods)
+    assert hood.padded is not None and (hood.padded == 6).any()
+    log_pi = np.zeros((t_max + 1, 3, 2))
+    log_pi[1:, :, 1] = LOG_FLOOR
+    log_pi[t_max] = math.log(0.5)
+    clamped_pi = np.zeros(log_pi.shape, dtype=bool)
+    clamped_pi[1:, :, 1] = True
+    [(log_mu, clamped_mu)] = global_trajectory(("avg",), log_pi, clamped_pi, hood)
+    assert clamped_mu[2010:t_max, :, 1].all()
+    np.testing.assert_allclose(log_mu[t_max, :, 1], -1.8, atol=0.3)
+    assert clamped_mu[t_max, :, 1].tolist() == [True, True, True]
 
 
 # -- the floor rule -------------------------------------------------------

@@ -248,19 +248,6 @@ def test_format_once_formats_each_distinct_value_once():
     assert sorted(map(_bits, calls)) == sorted(set(map(_bits, values)))
 
 
-def test_format_once_formats_each_distinct_row_once():
-    calls = []
-
-    def fmt(row):
-        calls.append(row)
-        return repr(row)
-
-    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [math.nan, 1.0]])
-    assert format_once(fmt, rows) == [repr(r) for r in rows.tolist()]
-    assert len(calls) == 3
-    assert format_once(fmt, np.zeros((0, 2))) == []
-
-
 # -- CSV writers ----------------------------------------------------------
 
 labels_st = st.lists(
@@ -439,7 +426,8 @@ def replay_streams(draw):
 def test_replay_csv_matches_csv_writer(tmp_path_factory, case):
     world, scopes, series = case
     out = tmp_path_factory.mktemp("replay")
-    write_replay_csv(out / "fast.csv", world, scopes, series)
+    streams = [(s, np.arange(len(s))) for s in series]
+    write_replay_csv(out / "fast.csv", world, scopes, streams)
     labels = world.classes.labels
     oracles.replay_csv_reference(
         out / "ref.csv", labels, oracles.replay_rows(labels, scopes, series)
@@ -456,7 +444,8 @@ def test_replay_csv_rejects_series_that_do_not_fit_the_scopes(
     narrow_agent = [fits[0][:, :1], *fits[1:]]
     for series in (too_few, short_agent, narrow_agent):
         with pytest.raises(DimensionMismatch):
-            write_replay_csv(tmp_path / "bad.csv", w3_world, w3_scopes, series)
+            streams = [(s, np.arange(len(s))) for s in series]
+            write_replay_csv(tmp_path / "bad.csv", w3_world, w3_scopes, streams)
 
 
 # -- one serialisation path -----------------------------------------------

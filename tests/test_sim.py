@@ -24,6 +24,7 @@ from myopic_crowd import classifier, dynamics, scores, sim
 from myopic_crowd.classifier import (
     load_replay_csv,
     make_scope,
+    posterior_tables,
     replay_source_from_csv,
     write_replay_csv,
 )
@@ -95,6 +96,21 @@ def _assert_draws_only_alone(log, alone):
     assert [p.shape for p in alone.posteriors] == [
         (config.horizon, scope.size) for scope in config.scopes
     ]
+
+
+@pytest.mark.parametrize("mode", ["independent", "shared"])
+def test_run_log_keeps_tables_and_observation_columns_not_copies(mode):
+    config = config_from_dict(w3_doc(horizon=200, observation_mode=mode))
+    log = run_experiment(config)
+    for members, tables in posterior_tables(config.world, config.scopes):
+        for i, table in zip(members, tables):
+            rows, index = log.streams[i]
+            assert rows.shape == table.shape and _bits_equal(rows, table)
+            assert np.shares_memory(index, log.observations)
+            np.testing.assert_array_equal(index, log.observations[:, i])
+            posts = log.posteriors[i]
+            assert posts.shape == (config.horizon, config.scopes[i].size)
+            assert posts.tobytes() == table[log.observations[:, i]].tobytes()
 
 
 # Sharp likelihoods: agent 0's local belief in theta1 reaches the floor
@@ -395,7 +411,8 @@ def test_replay_shorter_than_horizon_raises(tmp_path):
     stream = tmp_path / "short.csv"
     world = config_from_dict(w3_doc()).world
     scope = make_scope(world, 0, ["theta0", "theta1"])
-    write_replay_csv(stream, world, [scope], [np.tile([0.8, 0.2], (5, 1))])
+    rows = np.tile([0.8, 0.2], (5, 1))
+    write_replay_csv(stream, world, [scope], [(rows, np.arange(5))])
     doc = w3_doc(horizon=10)
     doc["agents"][0]["prior"] = [0.5, 0.5]
     doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
@@ -407,7 +424,8 @@ def test_run_problems_lists_every_refusal_in_check_order(tmp_path):
     stream = tmp_path / "short.csv"
     world = config_from_dict(w3_doc()).world
     scope = make_scope(world, 0, ["theta0", "theta1"])
-    write_replay_csv(stream, world, [scope], [np.tile([0.8, 0.2], (5, 1))])
+    rows = np.tile([0.8, 0.2], (5, 1))
+    write_replay_csv(stream, world, [scope], [(rows, np.arange(5))])
     doc = w3_doc(horizon=10**15)
     doc["agents"] = doc["agents"][:2]
     doc["agents"][0]["prior"] = [0.5, 0.5]
@@ -495,7 +513,7 @@ def _synthetic_log(mu_false, clamped=None, rate_window=0.5):
         clamped_pi=flags.copy(),
         clamped_mu=flags,
         observations=np.zeros((t_max - 1, n), dtype=int),
-        posteriors=(),
+        streams=(),
     )
 
 
@@ -557,7 +575,7 @@ def _log_with_true_series(lead_rounds):
         clamped_pi=np.zeros((t_max, n, m), dtype=bool),
         clamped_mu=np.zeros((t_max, n, m), dtype=bool),
         observations=np.zeros((t_max - 1, n), dtype=int),
-        posteriors=(),
+        streams=(),
     )
 
 
@@ -773,7 +791,7 @@ def test_grouped_passes_match_per_agent_references(roster, cells):
                 Path(tmp) / "replay.csv",
                 world,
                 [scopes[i] for i in replayed],
-                [streams[i] for i in replayed],
+                [(streams[i], np.arange(len(streams[i]))) for i in replayed],
             )
         sources = sim.build_sources(config)
         log = run_experiment(config)
@@ -794,7 +812,7 @@ def test_grouped_passes_match_per_agent_references(roster, cells):
         assert scores._witness(table) == oracles.witness_reference(table)
     alone = np.empty(log.log_pi.shape), np.empty(log.log_pi.shape, dtype=bool)
     with mock.patch.object(dynamics, "GROUP_CELLS", cells):
-        local_trajectories(scopes, log.posteriors, *alone)
+        local_trajectories(scopes, log.streams, *alone)
     for i, scope in enumerate(scopes):
         want, want_flags = oracles.local_trajectory_reference(
             scope, m, log.posteriors[i]

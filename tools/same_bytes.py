@@ -13,13 +13,15 @@ check; without it the horizons are those listed.
 
 The three bench configs are generated from bench seed 5 by
 ``bench/workloads.py`` of the checkout holding this script, and the hub
-config is written beside them, so both trees read the same files.
+and replay configs and the replay stream are written beside them, so both
+trees read the same files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -36,14 +38,18 @@ BENCH_SEED = 5
 #: Agents of the hub config, whose hub neighbors every other agent.
 HUB_AGENTS = 12
 
+#: Rounds of the replay config's recorded stream.
+REPLAY_ROUNDS = 3000
+
 
 def bench_configs(work_dir: Path) -> dict[str, str]:
-    """Write the run-n50, compare-n120 and scores-n300 bench configs and the
-    hub config; their paths by name.
+    """Write the run-n50, compare-n120 and scores-n300 bench configs, the
+    hub config and the replay config; their paths by name.
 
     The hub config is w3's world with w3's scopes cycled over
     :data:`HUB_AGENTS` agents on a star, a graph whose pooling loop reads
-    the compact neighborhood layout.
+    the compact neighborhood layout.  The replay config is w3 with agent 0
+    replaying a fixed stream of :data:`REPLAY_ROUNDS` distinct rows.
     """
     sys.path.insert(0, str(ROOT))
     from bench.workloads import generate
@@ -59,13 +65,25 @@ def bench_configs(work_dir: Path) -> dict[str, str]:
     doc["graph"] = {"type": "edges", "n": HUB_AGENTS, "edges": edges}
     paths["hub-w3"] = str(work_dir / "hub-w3.json")
     Path(paths["hub-w3"]).write_text(json.dumps(doc))
+
+    stream = work_dir / "replay-stream.csv"
+    lines = ["round,agent_id,theta0,theta1,theta2\n"]
+    for t in range(1, REPLAY_ROUNDS + 1):
+        p = 0.6 + 0.3 * math.sin(t)
+        lines.append(f"{t},0,{p!r},{1.0 - p!r},\n")
+    stream.write_text("".join(lines))
+    doc = json.loads(Path(W3).read_text())
+    doc["agents"][0]["prior"] = [0.5, 0.5]
+    doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
+    paths["replay-w3"] = str(work_dir / "replay-w3.json")
+    Path(paths["replay-w3"]).write_text(json.dumps(doc))
     return paths
 
 
 def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(label, CLI argv without ``--out``) of every checked command."""
     run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
-    scores_n300, hub = bench["scores-n300"], bench["hub-w3"]
+    scores_n300, hub, replay = bench["scores-n300"], bench["hub-w3"], bench["replay-w3"]
     return [
         ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
         ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
@@ -75,6 +93,7 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("run-n50", ["run", "--config", run_n50]),
         ("run-n50-avg", ["run", "--config", run_n50, "--rule", "avg"]),
         ("run-n120-avg", ["run", "--config", compare_n120, "--rule", "avg"]),
+        ("run-replay-w3", ["run", "--config", replay, "--horizon", "3000"]),
         ("compare-w3", ["compare", "--config", W3, "--seeds", "5", "--horizon", "3000"]),
         ("compare-er", ["compare", "--config", ER_NOISY, "--seeds", "4"]),
         ("compare-n120-1", ["compare", "--config", compare_n120, "--seeds", "1"]),
