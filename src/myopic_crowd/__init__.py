@@ -78,7 +78,6 @@ from .config import (
     SourceSpec,
     config_from_dict,
     load_config,
-    spawn_streams,
 )
 from .sim import (
     MIN_RATE_SAMPLES,
@@ -156,7 +155,6 @@ __all__ = [
     "SourceSpec",
     "config_from_dict",
     "load_config",
-    "spawn_streams",
     # sim
     "MIN_RATE_SAMPLES",
     "TrajectoryLog",

@@ -81,15 +81,6 @@ class AgentScope:
     def contains(self, theta: int) -> bool:
         return theta in self.theta_i
 
-    def position(self, theta: int) -> int:
-        """Position of a class index within the scope ordering."""
-        try:
-            return self.theta_i.index(theta)
-        except ValueError:
-            raise ScopeMismatch(
-                f"class {theta} not in agent {self.agent_id}'s scope"
-            ) from None
-
 
 def make_scope(
     world: World,

@@ -224,23 +224,26 @@ def cmd_run(args) -> int:
 
 # -- rates ----------------------------------------------------------------
 
+def _no_theory(config, report) -> str | None:
+    """Why ``rates`` has no bound to check ``config``'s slopes against, given
+    its :func:`theory` ``report``; None when it has one."""
+    if report is None:
+        return "replay sources have no analytical scores"
+    if not report.identifiable:
+        return gap_text(config, report.witness)
+    unrejected = sorted(t for t, entry in report.best_rate.items() if entry is None)
+    names = ", ".join(config.world.classes.labels[t] for t in unrejected)
+    return f"no agent rejects {names}" if unrejected else None
+
+
 def cmd_rates(args) -> int:
     _check_seeds(args)
     config = _load(args)
     labels = config.world.classes.labels
     report = theory(config)
-    if report is None:
-        raise ConfigError(
-            "theory unavailable — replay sources have no analytical scores"
-        )
-    if not report.identifiable:
-        raise ConfigError(
-            f"theory unavailable — {gap_text(config, report.witness)}"
-        )
-    unrejected = sorted(t for t, entry in report.best_rate.items() if entry is None)
-    if unrejected:
-        names = ", ".join(labels[t] for t in unrejected)
-        raise ConfigError(f"theory unavailable — no agent rejects {names}")
+    refusal = _no_theory(config, report)
+    if refusal:
+        raise ConfigError(f"theory unavailable — {refusal}")
 
     rows = []  # (seed, agent, false class, slope, R, pass)
     for trajectory in run_batch(_seed_configs(config, args.seeds), [config.rule]):
@@ -392,12 +395,16 @@ def cmd_validate(args) -> int:
     problems = run_problems(config, sources)
     for problem in problems:
         print(f"warning: {problem}")
-    # An enforced gap is one of the problems; else it stops only rates.
+    # A gap is one warning, one of the problems when enforced; whatever else
+    # stops rates is a warning worded as rates words it.
     report = theory(config)
     if report is not None and report.identifiable:
         print("global identifiability: yes")
     elif report is not None and not config.enforce_identifiability:
         print(f"warning: {gap_text(config, report.witness)}")
+    refusal = _no_theory(config, report)
+    if refusal and (report is None or report.identifiable):
+        print(f"warning: theory unavailable — {refusal}")
     print("config is valid")
     return 0
 

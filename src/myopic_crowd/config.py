@@ -65,23 +65,12 @@ class SourceSpec:
 _BAYES = SourceSpec()
 
 
-def graph_stream(seed: int) -> np.random.Generator:
-    """The graph stream of ``seed``, ``spawn_streams(seed, n)[0]`` for any n."""
-    child = np.random.SeedSequence(seed).spawn(1)[0]
+def stream(seed: int, key: int) -> np.random.Generator:
+    """Random stream ``key`` of ``seed``: 0 draws the ER graph, 1 the shared
+    observations and 2 + i agent i's.  It is child ``key`` of
+    ``SeedSequence(seed).spawn``, built without its siblings."""
+    child = np.random.SeedSequence(seed, spawn_key=(key,))
     return np.random.Generator(np.random.PCG64(child))
-
-
-def spawn_streams(seed: int, n_agents: int):
-    """Deterministic random streams for one experiment.
-
-    Returns (graph_rng, shared_rng, per_agent_rngs): :func:`graph_stream`,
-    one stream for the shared observation mode and one per agent for the
-    independent mode.  Derived by spawning the master seed, so any consumer
-    re-deriving with the same seed and agent count gets identical streams.
-    """
-    children = np.random.SeedSequence(seed).spawn(n_agents + 2)[1:]
-    shared_rng, *agent_rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
-    return graph_stream(seed), shared_rng, agent_rngs
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +283,7 @@ def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
         retries = _integer("graph max_retries", doc.get("max_retries", 1000))
         if retries < 1:
             raise ConfigError(f"graph max_retries must be at least 1, got {retries}")
-        return erdos_renyi_connected(n, p, graph_stream(seed), retries)
+        return erdos_renyi_connected(n, p, stream(seed, 0), retries)
     if kind == "edges":
         edges = doc.get("edges", [])
         # Each list's types are read at once.

@@ -68,6 +68,8 @@ def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     col = ufunc(x[..., 0], x[..., 1], out=acc[..., 0])
     for j in range(2, width):
         ufunc(col, x[..., j], out=col)
+    if ufunc is np.add:
+        col += 0.0  # numpy's sum starts from +0.0: a row of -0.0 sums to +0.0
     return acc
 
 

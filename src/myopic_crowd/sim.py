@@ -58,7 +58,7 @@ from .classifier import (
     replay_source,
     write_replay_csv,
 )
-from .config import RATE_SLACK, ExperimentConfig, spawn_streams
+from .config import RATE_SLACK, ExperimentConfig, stream
 from .dynamics import global_trajectory, local_trajectories, neighborhood_csr
 from .errors import (
     ConfigError,
@@ -161,19 +161,13 @@ def build_sources(config: ExperimentConfig) -> list:
 
 
 def _draw_observations(config: ExperimentConfig) -> np.ndarray:
-    """Symbol indices of shape (T, n_agents), i.i.d. from the true row."""
-    n, t_max = config.n_agents, config.horizon
-    row = config.world.true_row()
-    k = row.size
-    if config.observation_mode == "shared":
-        # spawn_streams(seed, n)[1] for any n, without the agents' streams.
-        child = np.random.SeedSequence(config.seed).spawn(2)[1]
-        shared_rng = np.random.Generator(np.random.PCG64(child))
-        stream = shared_rng.choice(k, size=t_max, p=row)
-        return np.tile(stream[:, None], (1, n))
-    _, _, agent_rngs = spawn_streams(config.seed, n)
-    cols = [rng.choice(k, size=t_max, p=row) for rng in agent_rngs]
-    return np.stack(cols, axis=1) if cols else np.zeros((t_max, 0), dtype=int)
+    """Symbol indices of shape (T, n_agents), i.i.d. from the true row and
+    read-only: agent i's column from stream 2 + i, or in shared mode one
+    column from stream 1 that every agent reads."""
+    row, t_max, n = config.world.true_row(), config.horizon, config.n_agents
+    keys = [1] if config.observation_mode == "shared" else range(2, n + 2)
+    cols = [stream(config.seed, key).choice(row.size, t_max, p=row) for key in keys]
+    return np.broadcast_to(np.stack(cols, axis=1), (t_max, n))
 
 
 def run_bytes(config: ExperimentConfig) -> int:

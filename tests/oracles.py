@@ -23,9 +23,10 @@ per-agent passes after those (posterior table, evidence vector, witness,
 local trajectory, identification flags) the package's former one-agent
 code, the references for its grouped passes.  ``dense_erdos_renyi`` is the
 package's former n×n random-graph builder, the reference for its edge-list
-one.  The other
-helpers at the end (``empirical_score``, small graph builders, ``diameter``
-and file writers) serve the tests only.
+one.  ``spawned_streams`` is the package's former stream spawner, the reference
+for ``config.stream``.  The other
+helpers at the end (``position``, ``empirical_score``, small graph builders,
+``diameter`` and file writers) serve the tests only.
 """
 
 from __future__ import annotations
@@ -843,6 +844,20 @@ def argmax_flags_reference(log, agent: int) -> np.ndarray:
     return mu[:, star] > reduce_rows(np.maximum, np.delete(mu, star, axis=1))[:, 0]
 
 
+def position(scope, theta: int) -> int:
+    """Position of class ``theta`` within ``scope.theta_i``."""
+    return scope.theta_i.index(theta)
+
+
+def spawned_streams(seed: int, n_agents: int):
+    """(graph, shared, per-agent generators) of ``seed``, the children of one
+    ``SeedSequence(seed).spawn(n_agents + 2)`` in that order: the reference
+    for ``config.stream``'s keys 0, 1 and 2 + i."""
+    children = np.random.SeedSequence(seed).spawn(n_agents + 2)
+    graph, shared, *agents = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    return graph, shared, agents
+
+
 def empirical_score(world, scope, theta_p, theta_q, n_samples, rng, weight_class=None):
     """Monte Carlo estimate of agent ``scope``'s expected log evidence for
     θ_p over θ_q: the mean log-ratio difference of its posterior table over
@@ -852,7 +867,7 @@ def empirical_score(world, scope, theta_p, theta_q, n_samples, rng, weight_class
     row = world.likelihoods.rows[weight_class]
     draws = rng.choice(row.size, size=int(n_samples), p=row)
     ratios = np.log(posterior_table_reference(world, scope)) - np.log(scope.prior)
-    terms = ratios[:, scope.position(theta_p)] - ratios[:, scope.position(theta_q)]
+    terms = ratios[:, position(scope, theta_p)] - ratios[:, position(scope, theta_q)]
     return float(terms[draws].mean())
 
 

@@ -34,6 +34,7 @@ from conftest import make_w3_config, spec_doc, w3_doc
 from oracles import (
     oracle_pair_score,
     linear_run,
+    position,
     random_identifiable_problem,
     random_problem,
 )
@@ -240,7 +241,7 @@ def _rho_lambda(config, log, agent: int, theta: int, theta_star: int):
     trajectory, and the per-round increments λ from its posteriors."""
     scope = config.scopes[agent]
     ratios = np.log(log.posteriors[agent]) - np.log(scope.prior)
-    p, s = scope.position(theta), scope.position(theta_star)
+    p, s = position(scope, theta), position(scope, theta_star)
     rho = log.log_pi[:, agent, theta] - log.log_pi[:, agent, theta_star]
     return rho, ratios[:, p] - ratios[:, s]
 

@@ -21,7 +21,6 @@ from myopic_crowd.errors import (
     DimensionMismatch,
     ParseError,
     RowNotStochastic,
-    ScopeMismatch,
     UnknownClass,
 )
 from myopic_crowd.config import config_from_dict
@@ -53,13 +52,6 @@ def test_scope_rejects_unknown_class(w3_world):
 def test_scope_rejects_bad_prior(w3_world):
     with pytest.raises(RowNotStochastic):
         make_scope(w3_world, 0, ["theta0", "theta1"], prior=[0.9, 0.5])
-
-
-def test_scope_position_lookup(w3_world):
-    scope = make_scope(w3_world, 1, ["theta1", "theta2"])
-    assert scope.position(2) == 1
-    with pytest.raises(ScopeMismatch):
-        scope.position(0)
 
 
 def test_likelihood_override_must_match_world(w3_world):

@@ -178,6 +178,21 @@ def _gap(tmp_path, doc):
     return doc
 
 
+def _misled(tmp_path, doc):
+    """Two agents misled alike at ``doc``'s horizon: their noisy tables under
+    a skewed prior favour t0 on every symbol, so the roster is identifiable
+    but nobody rejects t1."""
+    misled = {"classes": ["t0", "t1"], "prior": [0.9, 0.1],
+              "source": {"kind": "noisy", "gamma": 0.9}}
+    return {
+        "world": {"classes": ["t0", "t1"], "inputs": ["x0", "x1"],
+                  "likelihoods": [[0.8, 0.2], [0.2, 0.8]], "true_class": "t0"},
+        "agents": [{"id": 0, **misled}, {"id": 1, **misled}],
+        "graph": {"type": "edges", "n": 2, "edges": [[0, 1]]},
+        "horizon": doc["horizon"],
+    }
+
+
 def _validate_and_run(tmp_path, capsys, path):
     """validate's stdout lines, and run's exit code and stderr lines."""
     assert main(["validate", "--config", str(path)]) == 0
@@ -229,6 +244,25 @@ def test_validate_warns_on_a_replay_roster_run_refuses(tmp_path, capsys):
     ]
     assert "warning: " + err[0].removeprefix("error: ") in out
     assert "global identifiability: yes" not in out
+
+
+@pytest.mark.parametrize(
+    ("roster", "reason"),
+    [
+        (_short_replay, "replay sources have no analytical scores"),
+        (_misled, "no agent rejects t1"),
+    ],
+)
+def test_validate_warns_wherever_rates_refuses(roster, reason, tmp_path, capsys):
+    path = _write(tmp_path, roster(tmp_path, w3_doc(horizon=5)))
+    assert main(["validate", "--config", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert main(["rates", "--config", str(path), "--seeds", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: theory unavailable — {reason}"]
+    warnings = [line for line in out if line.startswith("warning: ")]
+    assert warnings == ["warning: " + err[0].removeprefix("error: ")]
+    assert out[-1] == "config is valid"
 
 
 def test_validate_builds_the_evidence_table_once(monkeypatch, capsys):
@@ -702,21 +736,12 @@ def test_rates_replay_theory_unavailable(config_path, tmp_path, capsys):
 
 
 def test_rates_refuses_a_class_no_agent_rejects(tmp_path, capsys, monkeypatch):
-    # Both agents are misled: their noisy tables under a skewed prior favour
-    # t0 on every symbol, so the roster is identifiable but nobody rejects t1.
+    # The roster is identifiable, but nobody rejects t1 (see _misled).
     def no_draws(config):
         raise AssertionError("observations drawn without theory")
 
     monkeypatch.setattr(sim, "_draw_observations", no_draws)
-    misled = {"classes": ["t0", "t1"], "prior": [0.9, 0.1],
-              "source": {"kind": "noisy", "gamma": 0.9}}
-    doc = {
-        "world": {"classes": ["t0", "t1"], "inputs": ["x0", "x1"],
-                  "likelihoods": [[0.8, 0.2], [0.2, 0.8]], "true_class": "t0"},
-        "agents": [{"id": 0, **misled}, {"id": 1, **misled}],
-        "graph": {"type": "edges", "n": 2, "edges": [[0, 1]]},
-    }
-    path = _write(tmp_path, doc)
+    path = _write(tmp_path, _misled(tmp_path, {"horizon": 500}))
     rc = main(["rates", "--config", str(path), "--seeds", "2", "--horizon", "500"])
     assert rc == 1
     assert "theory unavailable — no agent rejects t1" in capsys.readouterr().err

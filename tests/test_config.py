@@ -19,11 +19,12 @@ from myopic_crowd.config import (
     _integer,
     config_from_dict,
     load_config,
-    spawn_streams,
+    stream,
 )
 from myopic_crowd.errors import ConfigError, MyopicCrowdError, ParseError
 from myopic_crowd.network import AgentGraph, erdos_renyi_connected, is_connected
 
+import oracles
 from conftest import W3_CLASSES, w3_doc
 
 
@@ -382,7 +383,7 @@ def test_er_graph_config_depends_on_seed():
 
 @pytest.mark.parametrize("seed, n", [(0, 2), (5, 7), (123456, 12), (2**31 - 1, 30)])
 def test_er_graph_is_drawn_from_the_graph_stream(seed, n):
-    expected = erdos_renyi_connected(n, 0.5, spawn_streams(seed, n)[0])
+    expected = erdos_renyi_connected(n, 0.5, oracles.spawned_streams(seed, n)[0])
     graph = config_from_dict(_er_doc(n), seed=seed).graph
     assert graph.edges() == expected.edges()
     assert graph.neighborhoods == expected.neighborhoods
@@ -478,16 +479,19 @@ def test_manifest_dict_round_trips(w3_config):
 
 
 def test_spawn_streams_deterministic_and_distinct():
-    g1, s1, a1 = spawn_streams(7, 3)
-    g2, s2, a2 = spawn_streams(7, 3)
-    assert g1.integers(0, 2**31) == g2.integers(0, 2**31)
-    assert s1.integers(0, 2**31) == s2.integers(0, 2**31)
-    assert len(a1) == len(a2) == 3
-    draws1 = [r.integers(0, 2**31) for r in a1]
-    draws2 = [r.integers(0, 2**31) for r in a2]
-    assert draws1 == draws2
+    draws = [stream(7, key).integers(0, 2**31) for key in range(5)]
+    assert draws == [stream(7, key).integers(0, 2**31) for key in range(5)]
     # Streams are mutually distinct with overwhelming probability.
-    assert len(set(draws1)) == 3
+    assert len(set(draws)) == 5
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**64 - 1])
+def test_stream_is_the_spawned_child_of_its_key(seed):
+    # Key 0 is the graph's stream, 1 the shared one and 2 + i agent i's:
+    # child k of SeedSequence(seed).spawn, whatever the number spawned.
+    graph, shared, agents = oracles.spawned_streams(seed, 4)
+    for key, reference in enumerate([graph, shared, *agents]):
+        assert stream(seed, key).bit_generator.state == reference.bit_generator.state
 
 
 def test_deriving_a_seed_resolves_no_scope_or_fixed_graph(w3_config, monkeypatch):

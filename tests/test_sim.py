@@ -33,7 +33,6 @@ from myopic_crowd.config import (
     RULES,
     config_from_dict,
     load_config,
-    spawn_streams,
 )
 from myopic_crowd.dynamics import LOG_FLOOR, global_trajectory, local_trajectories
 from myopic_crowd.errors import (
@@ -261,7 +260,7 @@ def test_a_shared_mode_run_builds_one_generator(monkeypatch):
     log = run_experiment(config)
     assert len(built) == 1
     np.testing.assert_array_equal(log.observations, alone.observations)
-    stream = spawn_streams(config.seed, config.n_agents)[1]
+    stream = oracles.spawned_streams(config.seed, config.n_agents)[1]
     np.testing.assert_array_equal(
         log.observations[:, 0], stream.choice(2, size=50, p=config.world.true_row())
     )
@@ -369,6 +368,24 @@ def test_shared_mode_gives_common_observations():
 def test_independent_mode_gives_distinct_streams():
     log = run_experiment(make_w3_config(horizon=40))
     assert not np.all(log.observations == log.observations[:, :1])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("mode", ["independent", "shared"])
+def test_observations_are_drawn_from_the_spawned_streams(mode, seed):
+    # Agent i draws from stream 2 + i; in shared mode every agent reads the
+    # one column of stream 1, which no caller may write.
+    config = config_from_dict(w3_doc(observation_mode=mode, horizon=40, seed=seed))
+    _, shared, agents = oracles.spawned_streams(seed, config.n_agents)
+    row = config.world.true_row()
+    if mode == "shared":
+        col = shared.choice(row.size, size=40, p=row)
+        want = np.stack([col] * config.n_agents, axis=1)
+    else:
+        want = np.stack([r.choice(row.size, size=40, p=row) for r in agents], axis=1)
+    observations = sim._draw_observations(config)
+    np.testing.assert_array_equal(observations, want)
+    assert not observations.flags.writeable
 
 
 def test_local_only_skips_pooling():

@@ -12,9 +12,9 @@ there is any.  ``--horizon`` sets every command's horizon, for a quick
 check; without it the horizons are those listed.
 
 The three bench configs are generated from bench seed 5 by
-``bench/workloads.py`` of the checkout holding this script, and the hub
-and replay configs and the replay stream are written beside them, so both
-trees read the same files.
+``bench/workloads.py`` of the checkout holding this script, and the hub,
+replay and override configs and the replay stream are written beside them,
+so both trees read the same files.
 """
 
 from __future__ import annotations
@@ -41,15 +41,21 @@ HUB_AGENTS = 12
 #: Rounds of the replay config's recorded stream.
 REPLAY_ROUNDS = 3000
 
+#: Agent 0's likelihood table in the override config: w3's rows, less peaked.
+OVERRIDE = [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]]
+
 
 def bench_configs(work_dir: Path) -> dict[str, str]:
     """Write the run-n50, compare-n120 and scores-n300 bench configs, the
-    hub config and the replay config; their paths by name.
+    hub config, the replay config and the override config; their paths by
+    name.
 
     The hub config is w3's world with w3's scopes cycled over
     :data:`HUB_AGENTS` agents on a star, a graph whose pooling loop reads
     the compact neighborhood layout.  The replay config is w3 with agent 0
-    replaying a fixed stream of :data:`REPLAY_ROUNDS` distinct rows.
+    replaying a fixed stream of :data:`REPLAY_ROUNDS` distinct rows.  The
+    override config is w3 with agent 0 reading :data:`OVERRIDE` in place of
+    the world's likelihood table.
     """
     sys.path.insert(0, str(ROOT))
     from bench.workloads import generate
@@ -77,6 +83,11 @@ def bench_configs(work_dir: Path) -> dict[str, str]:
     doc["agents"][0]["source"] = {"kind": "replay", "path": str(stream)}
     paths["replay-w3"] = str(work_dir / "replay-w3.json")
     Path(paths["replay-w3"]).write_text(json.dumps(doc))
+
+    doc = json.loads(Path(W3).read_text())
+    doc["agents"][0]["likelihoods"] = OVERRIDE
+    paths["override-w3"] = str(work_dir / "override-w3.json")
+    Path(paths["override-w3"]).write_text(json.dumps(doc))
     return paths
 
 
@@ -84,6 +95,7 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(label, CLI argv without ``--out``) of every checked command."""
     run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
     scores_n300, hub, replay = bench["scores-n300"], bench["hub-w3"], bench["replay-w3"]
+    override = bench["override-w3"]
     return [
         ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
         ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
@@ -94,6 +106,11 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("run-n50-avg", ["run", "--config", run_n50, "--rule", "avg"]),
         ("run-n120-avg", ["run", "--config", compare_n120, "--rule", "avg"]),
         ("run-replay-w3", ["run", "--config", replay, "--horizon", "3000"]),
+        ("run-override-w3", ["run", "--config", override, "--horizon", "3000"]),
+        (
+            "run-w3-local",
+            ["run", "--config", W3, "--local-only", "--horizon", "3000"],
+        ),
         ("compare-w3", ["compare", "--config", W3, "--seeds", "5", "--horizon", "3000"]),
         ("compare-er", ["compare", "--config", ER_NOISY, "--seeds", "4"]),
         ("compare-n120-1", ["compare", "--config", compare_n120, "--seeds", "1"]),
