@@ -24,7 +24,6 @@ from .formats import Columns, json_text
 from .sim import (
     build_sources,
     first_identification,
-    gap_text,
     rate_checks,
     run_batch,
     run_bytes,
@@ -204,8 +203,7 @@ def cmd_run(args) -> int:
     config = _load(args)
     log.info("running %d rounds with rule=%s", config.horizon, config.rule)
     trajectory = run_experiment(config)
-    out_dir = args.out or config.out_dir or "out"
-    paths = write_outputs(trajectory, out_dir)
+    paths = write_outputs(trajectory, config.out_dir or "out")
     star = config.world.true_class
     label = config.world.classes.labels[star]
     print(f"rule={config.rule} horizon={config.horizon} seed={config.seed}")
@@ -224,24 +222,11 @@ def cmd_run(args) -> int:
 
 # -- rates ----------------------------------------------------------------
 
-def _no_theory(config, report) -> str | None:
-    """Why ``rates`` has no bound to check ``config``'s slopes against, given
-    its :func:`theory` ``report``; None when it has one."""
-    if report is None:
-        return "replay sources have no analytical scores"
-    if not report.identifiable:
-        return gap_text(config, report.witness)
-    unrejected = sorted(t for t, entry in report.best_rate.items() if entry is None)
-    names = ", ".join(config.world.classes.labels[t] for t in unrejected)
-    return f"no agent rejects {names}" if unrejected else None
-
-
 def cmd_rates(args) -> int:
     _check_seeds(args)
     config = _load(args)
     labels = config.world.classes.labels
-    report = theory(config)
-    refusal = _no_theory(config, report)
+    report, refusal = theory(config)
     if refusal:
         raise ConfigError(f"theory unavailable — {refusal}")
 
@@ -382,7 +367,7 @@ def cmd_validate(args) -> int:
         print(f"agent {scope.agent_id}: scope [{names}], source {source.kind}")
     print(
         f"graph: {config.graph.n} vertices, {len(config.graph.edges())} edges, "
-        f"{'connected' if config.connected else 'DISCONNECTED'}"
+        f"{'connected' if config.roster.connected else 'DISCONNECTED'}"
     )
     print(
         f"rule={config.rule} horizon={config.horizon} seed={config.seed} "
@@ -397,14 +382,15 @@ def cmd_validate(args) -> int:
         print(f"warning: {problem}")
     # A gap is one warning, one of the problems when enforced; whatever else
     # stops rates is a warning worded as rates words it.
-    report = theory(config)
-    if report is not None and report.identifiable:
-        print("global identifiability: yes")
-    elif report is not None and not config.enforce_identifiability:
-        print(f"warning: {gap_text(config, report.witness)}")
-    refusal = _no_theory(config, report)
-    if refusal and (report is None or report.identifiable):
-        print(f"warning: theory unavailable — {refusal}")
+    report, refusal = theory(config)
+    if report is not None and not report.identifiable:
+        if not config.enforce_identifiability:
+            print(f"warning: {refusal}")
+    else:
+        if report is not None:
+            print("global identifiability: yes")
+        if refusal:
+            print(f"warning: theory unavailable — {refusal}")
     print("config is valid")
     return 0
 

@@ -16,7 +16,7 @@ and shared by every config derived from it, score report included.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -76,19 +76,23 @@ def stream(seed: int, key: int) -> np.random.Generator:
 @dataclass(frozen=True, eq=False)
 class Roster:
     """What every run of a document shares: the world, the agents' scopes
-    and source specs in id order, the graph unless a seed draws it (None for
-    an ER graph), and the score report and graph check, made on first use."""
+    and source specs in id order, the graph entry and its graph unless a
+    seed draws it (None for ER), and the score report and graph check."""
 
     world: World
     scopes: list[AgentScope]
     sources: list[SourceSpec]
+    graph_doc: object
     graph: AgentGraph | None
 
     @cached_property
     def report(self) -> ScoreReport:
         return score_report(self.world, self.scopes)
 
-    connected = cached_property(lambda self: is_connected(self.graph))
+    @cached_property
+    def connected(self) -> bool:
+        # A drawn graph is connected: erdos_renyi_connected draws no other.
+        return self.graph is None or is_connected(self.graph)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +110,6 @@ class ExperimentConfig:
     local_only: bool = False
     enforce_identifiability: bool = True
     out_dir: str | None = None
-    raw: dict = field(default_factory=dict)
-    base_dir: Path = field(default_factory=Path)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -119,11 +121,6 @@ class ExperimentConfig:
     @property
     def n_agents(self) -> int:
         return len(self.scopes)
-
-    @property
-    def connected(self) -> bool:
-        """Whether the graph is connected; a roster's fixed graph is checked once."""
-        return self.roster.connected if self.roster.graph else is_connected(self.graph)
 
     def validate(self) -> None:
         if self.rule not in RULES:
@@ -160,11 +157,11 @@ class ExperimentConfig:
     def derived(self, **changes) -> "ExperimentConfig":
         """This config with ``changes`` to its settings (e.g. a new seed or
         rule), checked as by :func:`dataclasses.replace`.  The roster is
-        reused; only an ER graph is drawn again, from the config's seed."""
+        reused; only an ER graph, which names no file, is drawn again."""
         check_keys("overrides", changes, _SETTINGS)
         config = replace(self, **changes)
         graph = self.roster.graph or _resolve_graph(
-            self.raw["graph"], self.n_agents, config.seed, self.base_dir
+            self.roster.graph_doc, self.n_agents, config.seed, Path()
         )
         return replace(config, graph=graph)
 
@@ -189,19 +186,18 @@ class ExperimentConfig:
             "graph": {
                 "n": self.graph.n,
                 "edges": [[u, v] for u, v in self.graph.edges()],
-                "spec": self.raw.get("graph"),
+                "spec": self.roster.graph_doc,
             },
             # out_dir is left out: a manifest does not depend on where it is written.
             **{key: getattr(self, key) for key in _SETTINGS if key != "out_dir"},
         }
 
 
-#: Each run setting's default: every field but the roster and the source
-#: document.
+#: Each run setting's default: every field but the roster and the graph.
 _SETTINGS = {
     f.name: f.default
     for f in fields(ExperimentConfig)
-    if f.name not in ("roster", "graph", "raw", "base_dir")
+    if f.name not in ("roster", "graph")
 }
 
 _TOP_KEYS = {"world", "agents", "graph", *_SETTINGS}
@@ -385,12 +381,13 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     # The seed draws an ER graph before the config can check itself.
     settings["seed"] = seed = _integer("seed", settings["seed"])
     _natural("seed", seed)
-    graph = _resolve_graph(doc.get("graph"), len(scopes), seed, base_dir)
+    graph_doc = doc.get("graph")
+    graph = _resolve_graph(graph_doc, len(scopes), seed, base_dir)
     settings["horizon"] = _integer("horizon", settings["horizon"])
     settings["rate_window"] = _number("rate_window", settings["rate_window"])
-    drawn = isinstance(doc["graph"], dict) and doc["graph"]["type"] == "erdos_renyi"
-    roster = Roster(world, scopes, sources, None if drawn else graph)
-    return ExperimentConfig(roster, graph, raw=doc, base_dir=base_dir, **settings)
+    drawn = isinstance(graph_doc, dict) and graph_doc["type"] == "erdos_renyi"
+    roster = Roster(world, scopes, sources, graph_doc, None if drawn else graph)
+    return ExperimentConfig(roster, graph, **settings)
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

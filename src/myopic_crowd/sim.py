@@ -11,8 +11,9 @@ The recursion itself, its floor rule and pooling live in
 observations, reads them as posteriors, batches runs, and computes
 metrics and output files.  Rate estimation uses only samples the engine did
 not flag as clamped at the floor.  What stops a run (:func:`run_problems`),
-whether a roster has theory (:func:`has_theory`) and whether a fitted slope
-meets its rate (:func:`rate_checks`) are decided here, and only here.
+a roster's theory and why ``rates`` has no bound without it
+(:func:`theory`), and whether a fitted slope meets its rate
+(:func:`rate_checks`) are decided here, and only here.
 
 Everything before the pooling loop (sources, checks, observation draws,
 posteriors, local trajectories) does not depend on the rule, so
@@ -191,33 +192,30 @@ def run_problems(config: ExperimentConfig, sources) -> list[MyopicCrowdError]:
     """Every reason a run of ``config`` with these sources is refused, in
     check order: the memory cap, a disconnected graph, an identifiability
     gap (when enforced), replay streams shorter than the horizon."""
-    return list(_problems(config, sources))
-
-
-def _problems(config: ExperimentConfig, sources) -> Iterator[MyopicCrowdError]:
-    needed = run_bytes(config)
-    if needed > MAX_RUN_BYTES:
-        yield ConfigError(
+    problems: list[MyopicCrowdError] = []
+    if (needed := run_bytes(config)) > MAX_RUN_BYTES:
+        problems.append(ConfigError(
             f"above the cap of {MAX_RUN_BYTES / 1e6:.4g} MB: a run of "
             f"{config.horizon} rounds needs about {needed / 1e6:.4g} MB; "
             "lower the horizon"
-        )
-    if not config.connected:
-        yield DisconnectedGraph(
+        ))
+    if not config.roster.connected:
+        problems.append(DisconnectedGraph(
             "the experiment graph must be connected; fix the graph entry"
+        ))
+    if config.enforce_identifiability and not config.roster.report.identifiable:
+        problems.append(IdentifiabilityViolated(
+            f"{gap_text(config, config.roster.report.witness)}; add agents or "
+            "disable enforce_identifiability"
+        ))
+    return problems + [
+        ReplayExhausted(
+            f"agent {scope.agent_id}: replay stream has "
+            f"{source.length} rounds, horizon is {config.horizon}"
         )
-    report = config.roster.report if config.enforce_identifiability else None
-    if report is not None and not report.identifiable:
-        yield IdentifiabilityViolated(
-            f"{gap_text(config, report.witness)}; add agents or disable "
-            "enforce_identifiability"
-        )
-    for scope, source in zip(config.scopes, sources):
-        if isinstance(source, ReplaySource) and source.length < config.horizon:
-            yield ReplayExhausted(
-                f"agent {scope.agent_id}: replay stream has "
-                f"{source.length} rounds, horizon is {config.horizon}"
-            )
+        for scope, source in zip(config.scopes, sources)
+        if isinstance(source, ReplaySource) and source.length < config.horizon
+    ]
 
 
 def gap_text(config: ExperimentConfig, witness) -> str:
@@ -226,15 +224,6 @@ def gap_text(config: ExperimentConfig, witness) -> str:
     labels = config.world.classes.labels
     pairs = ", ".join(f"({labels[p]}, {labels[q]})" for p, q in witness)
     return f"not globally identifiable; uncovered pairs: {pairs}"
-
-
-def _checked_sources(config: ExperimentConfig) -> list:
-    """Sources of one run; raises the first of its :func:`run_problems`
-    without making the later checks."""
-    sources = build_sources(config)
-    for problem in _problems(config, sources):
-        raise problem
-    return sources
 
 
 def _draw_local(config, sources, log_pi, clamped_pi, keep_draws: bool) -> tuple:
@@ -313,7 +302,11 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
         # Each run's config under each rule, and each run's checks, in run
         # order before anything is allocated or drawn.
         variants = {r: [replace(c, rule=r) for c in batch] for r in rules}
-        pending = [_checked_sources(config) for config in batch]
+        pending = []
+        for config in batch:
+            pending.append(build_sources(config))
+            if problems := run_problems(config, pending[-1]):
+                raise problems[0]
         ends = list(accumulate(config.n_agents for config in batch))
         spans = [slice(hi - c.n_agents, hi) for c, hi in zip(batch, ends)]
         t_max, m = batch[0].horizon, batch[0].world.m
@@ -433,14 +426,18 @@ def first_identification(log: TrajectoryLog, agent: int) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
-def has_theory(config: ExperimentConfig) -> bool:
-    """False when any agent replays a stream: it has no posterior table."""
-    return not any(spec.kind == "replay" for spec in config.sources)
-
-
-def theory(config: ExperimentConfig) -> ScoreReport | None:
-    """The roster's score report, or None without :func:`has_theory`."""
-    return config.roster.report if has_theory(config) else None
+def theory(config: ExperimentConfig) -> tuple[ScoreReport | None, str | None]:
+    """The roster's score report (None if an agent replays a stream: it has
+    no posterior table) and why ``rates`` has no bound to check slopes
+    against (None if it has one): no report, a gap, or an unrejected class."""
+    if any(spec.kind == "replay" for spec in config.sources):
+        return None, "replay sources have no analytical scores"
+    report = config.roster.report
+    if not report.identifiable:
+        return report, gap_text(config, report.witness)
+    best = sorted(report.best_rate.items())
+    unrejected = [config.world.classes.labels[t] for t, e in best if e is None]
+    return report, (f"no agent rejects {', '.join(unrejected)}" if unrejected else None)
 
 
 def rate_checks(log: TrajectoryLog, best_rate: dict) -> list[tuple]:
@@ -471,7 +468,7 @@ def summary(log: TrajectoryLog) -> dict:
     config = log.config
     labels = config.world.classes.labels
     star = config.world.true_class
-    report = theory(config)
+    report, _ = theory(config)
 
     rates: dict[str, dict] = {str(i): {} for i in range(config.n_agents)}
     best_rate = {} if report is None else report.best_rate

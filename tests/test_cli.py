@@ -31,6 +31,7 @@ from myopic_crowd.formats import json_text
 from conftest import W3_D_A, W3_SCOPE_CLASSES, spec_doc, w3_doc
 
 W3_JSON = Path(__file__).resolve().parents[1] / "configs" / "w3.json"
+ER_JSON = W3_JSON.with_name("er_noisy.json")
 
 
 @pytest.fixture
@@ -265,6 +266,25 @@ def test_validate_warns_wherever_rates_refuses(roster, reason, tmp_path, capsys)
     assert out[-1] == "config is valid"
 
 
+@pytest.mark.parametrize(
+    ("roster", "has_report", "reason"),
+    [
+        (lambda tmp_path, doc: doc, True, None),
+        (_short_replay, False, "replay sources have no analytical scores"),
+        (_gap, True, "not globally identifiable; uncovered pairs: (theta0, theta2)"),
+        (_misled, True, "no agent rejects t1"),
+    ],
+    ids=["w3", "replay-w3", "gap", "noisy"],
+)
+def test_theory_gives_the_report_and_why_rates_has_no_bound(
+    roster, has_report, reason, tmp_path
+):
+    config = load_config(_write(tmp_path, roster(tmp_path, w3_doc(horizon=5))))
+    report, why = sim.theory(config)
+    assert report is (config.roster.report if has_report else None)
+    assert why == reason
+
+
 def test_validate_builds_the_evidence_table_once(monkeypatch, capsys):
     # With enforcement on, the identifiability check is validate's theory.
     calls = []
@@ -325,6 +345,29 @@ def test_rates_checks_a_fixed_graph_once(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         main([*argv, "--out", str(tmp_path)])
     assert len(calls) == 1
+
+
+def test_rates_checks_a_drawn_graph_only_while_drawing_it(monkeypatch, tmp_path):
+    # An ER graph is connected by construction, so the only connectivity
+    # checks are erdos_renyi_connected's own, counted under every module name
+    # that holds the check.
+    callers = []
+    original = network.is_connected
+
+    def counting(graph):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(graph)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("myopic_crowd"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counting)
+    argv = ["rates", "--seeds", "3", "--horizon", "200", "--config", str(ER_JSON)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--out", str(tmp_path)])
+    assert len(callers) >= 3
+    assert set(callers) == {"erdos_renyi_connected"}
 
 
 @pytest.mark.parametrize(

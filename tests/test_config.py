@@ -285,12 +285,8 @@ _SETTING_VALUES = {
 }
 
 #: Every field of a config that is a run setting: all but the roster and the
-#: source document.
-_SETTINGS = [
-    f
-    for f in fields(ExperimentConfig)
-    if f.name not in ("roster", "graph", "raw", "base_dir")
-]
+#: graph.
+_SETTINGS = [f for f in fields(ExperimentConfig) if f.name not in ("roster", "graph")]
 
 
 @pytest.mark.parametrize("setting", _SETTINGS, ids=lambda f: f.name)

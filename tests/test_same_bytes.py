@@ -27,16 +27,19 @@ def test_one_tree_against_itself_is_the_same():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 26
+    assert len(lines) == 36
     assert all(": same (exit " in line for line in lines)
 
 
 def test_every_difference_is_named():
     same_bytes = _module()
-    parent = (0, b"wrote <out>/a.csv\n", {"a.csv": b"1", "b.json": b"{}"})
-    change = (1, b"wrote <out>/a.csv\n", {"a.csv": b"2", "c.json": b"{}"})
+    parent = (0, b"wrote <out>/a.csv\n", b"", {"a.csv": b"1", "b.json": b"{}"})
+    change = (
+        1, b"wrote <out>/a.csv\n", b"error: x\n", {"a.csv": b"2", "c.json": b"{}"}
+    )
     assert same_bytes.differences("run", parent, change) == [
         "run: exit code 0 against 1",
+        "run: stderr differs",
         "run: a.csv differs",
         "run: b.json written by the parent only",
         "run: c.json written by the change only",

@@ -457,6 +457,20 @@ def test_run_problems_lists_every_refusal_in_check_order(tmp_path):
     assert sim.run_problems(make_w3_config(), sim.build_sources(make_w3_config())) == []
 
 
+def test_run_batch_raises_the_first_runs_problem_first(tmp_path):
+    # Each run is checked, its sources built first, before the next run's
+    # sources are built: run 2's missing replay file is never opened.
+    split = w3_doc(graph={"type": "edges", "n": 3, "edges": [[0, 1]]})
+    missing = w3_doc()
+    missing["agents"][0]["prior"] = [0.5, 0.5]
+    missing["agents"][0]["source"] = {"kind": "replay", "path": "absent.csv"}
+    configs = [config_from_dict(split), config_from_dict(missing, base_dir=tmp_path)]
+    with pytest.raises(DisconnectedGraph):
+        next(run_batch(configs, ["min"]))
+    with pytest.raises(FileNotFoundError):
+        next(run_batch(configs[1:], ["min"]))
+
+
 def test_run_batch_rejects_an_unknown_rule_before_drawing(monkeypatch):
     def no_draws(config):
         raise AssertionError("observations drawn for an unknown rule")
@@ -484,7 +498,7 @@ def test_build_sources_reads_a_shared_replay_file_once(tmp_path, monkeypatch):
     monkeypatch.setattr(sim, "load_replay_csv", counted, raising=False)
     sources = sim.build_sources(config)
     assert len(calls) == 1
-    assert sim.theory(config) is None
+    assert sim.theory(config)[0] is None
     for source, scope, posts in zip(sources, config.scopes, recorded.posteriors):
         want = replay_source_from_csv(out["posteriors"], config.world, scope)
         np.testing.assert_array_equal(source.vectors, want.vectors)
@@ -896,7 +910,7 @@ def test_summary_replay_has_no_theory(tmp_path):
 
 def test_summary_rates_are_the_rate_checks():
     log = run_experiment(make_w3_config(horizon=400))
-    report = sim.theory(log.config)
+    report, _ = sim.theory(log.config)
     rows = sim.rate_checks(log, report.best_rate)
     assert [(i, theta) for i, theta, *_ in rows] == [
         (i, theta) for i in range(3) for theta in (1, 2)

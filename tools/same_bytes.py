@@ -6,15 +6,15 @@
 ``myopic_crowd`` package, such as a checkout's ``src``.  Every command of
 :func:`commands` runs once per tree, in a subprocess with that directory
 first on PYTHONPATH and a fresh output directory.  The exit code, stdout
-(with the output directory masked) and every file written must match byte
-for byte.  Each difference is printed by name, and the script exits 1 if
+and stderr (each with the output directory masked) and every file written
+must match byte for byte.  Each difference is printed by name, and the script exits 1 if
 there is any.  ``--horizon`` sets every command's horizon, for a quick
 check; without it the horizons are those listed.
 
 The three bench configs are generated from bench seed 5 by
 ``bench/workloads.py`` of the checkout holding this script, and the hub,
-replay and override configs and the replay stream are written beside them,
-so both trees read the same files.
+replay, override, gap, noisy and disconnected configs and the replay stream
+are written beside them, so both trees read the same files.
 """
 
 from __future__ import annotations
@@ -44,18 +44,29 @@ REPLAY_ROUNDS = 3000
 #: Agent 0's likelihood table in the override config: w3's rows, less peaked.
 OVERRIDE = [[0.7, 0.3], [0.3, 0.7], [0.5, 0.5]]
 
+#: The noisy config's two agents: identifiable, but their noisy tables under
+#: a skewed prior favour t0 on every symbol, so nobody rejects t1.
+NOISY_AGENT = {
+    "classes": ["t0", "t1"], "prior": [0.9, 0.1],
+    "source": {"kind": "noisy", "gamma": 0.9},
+}
+
 
 def bench_configs(work_dir: Path) -> dict[str, str]:
     """Write the run-n50, compare-n120 and scores-n300 bench configs, the
-    hub config, the replay config and the override config; their paths by
-    name.
+    hub, replay, override, gap, noisy and disconnected configs; their paths
+    by name.
 
     The hub config is w3's world with w3's scopes cycled over
     :data:`HUB_AGENTS` agents on a star, a graph whose pooling loop reads
     the compact neighborhood layout.  The replay config is w3 with agent 0
     replaying a fixed stream of :data:`REPLAY_ROUNDS` distinct rows.  The
     override config is w3 with agent 0 reading :data:`OVERRIDE` in place of
-    the world's likelihood table.
+    the world's likelihood table.  The gap configs are w3's first two
+    agents, which leave (theta0, theta2) uncovered, with the gap enforced
+    and not.  The noisy config is two :data:`NOISY_AGENT` agents on a
+    two-class world.  The disconnected config is w3 on a graph without
+    agent 2's edges.
     """
     sys.path.insert(0, str(ROOT))
     from bench.workloads import generate
@@ -88,6 +99,30 @@ def bench_configs(work_dir: Path) -> dict[str, str]:
     doc["agents"][0]["likelihoods"] = OVERRIDE
     paths["override-w3"] = str(work_dir / "override-w3.json")
     Path(paths["override-w3"]).write_text(json.dumps(doc))
+
+    for name, enforce in (("gap-w3", True), ("gap-w3-free", False)):
+        doc = json.loads(Path(W3).read_text())
+        doc["agents"] = doc["agents"][:2]
+        doc["graph"] = {"type": "edges", "n": 2, "edges": [[0, 1]]}
+        doc["enforce_identifiability"] = enforce
+        paths[name] = str(work_dir / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+
+    doc = {
+        "world": {
+            "classes": ["t0", "t1"], "inputs": ["x0", "x1"],
+            "likelihoods": [[0.8, 0.2], [0.2, 0.8]], "true_class": "t0",
+        },
+        "agents": [{"id": 0, **NOISY_AGENT}, {"id": 1, **NOISY_AGENT}],
+        "graph": {"type": "edges", "n": 2, "edges": [[0, 1]]},
+    }
+    paths["noisy-2"] = str(work_dir / "noisy-2.json")
+    Path(paths["noisy-2"]).write_text(json.dumps(doc))
+
+    doc = json.loads(Path(W3).read_text())
+    doc["graph"] = {"type": "edges", "n": 3, "edges": [[0, 1]]}
+    paths["split-w3"] = str(work_dir / "split-w3.json")
+    Path(paths["split-w3"]).write_text(json.dumps(doc))
     return paths
 
 
@@ -95,7 +130,8 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(label, CLI argv without ``--out``) of every checked command."""
     run_n50, compare_n120 = bench["run-n50"], bench["compare-n120"]
     scores_n300, hub, replay = bench["scores-n300"], bench["hub-w3"], bench["replay-w3"]
-    override = bench["override-w3"]
+    override, noisy, split = bench["override-w3"], bench["noisy-2"], bench["split-w3"]
+    gap, gap_free = bench["gap-w3"], bench["gap-w3-free"]
     return [
         ("run-w3-min", ["run", "--config", W3, "--horizon", "3000"]),
         ("run-w3-max", ["run", "--config", W3, "--rule", "max", "--horizon", "3000"]),
@@ -126,6 +162,17 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("validate-er", ["validate", "--config", ER_NOISY]),
         ("validate-n300", ["validate", "--config", scores_n300]),
         ("validate-n120", ["validate", "--config", compare_n120]),
+        # Refusals and warnings: exit codes and stderr.
+        ("validate-replay-w3", ["validate", "--config", replay]),
+        ("rates-replay-w3", ["rates", "--config", replay, "--seeds", "2"]),
+        ("validate-gap", ["validate", "--config", gap]),
+        ("validate-gap-free", ["validate", "--config", gap_free]),
+        ("rates-gap", ["rates", "--config", gap, "--seeds", "2"]),
+        ("run-gap", ["run", "--config", gap]),
+        ("validate-noisy", ["validate", "--config", noisy]),
+        ("rates-noisy", ["rates", "--config", noisy, "--seeds", "2"]),
+        ("validate-split", ["validate", "--config", split]),
+        ("run-split", ["run", "--config", split]),
     ]
 
 
@@ -137,8 +184,9 @@ def with_horizon(argv: list[str], horizon: int) -> list[str]:
     return [*argv, "--horizon", str(horizon)]
 
 
-def run(src: str, argv: list[str], out: Path) -> tuple[int, bytes, dict[str, bytes]]:
-    """Exit code, masked stdout and written files of one command on one tree."""
+def run(src: str, argv: list[str], out: Path) -> tuple[int, bytes, bytes, dict]:
+    """Exit code, masked stdout and stderr, and written files of one command
+    on one tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -151,17 +199,24 @@ def run(src: str, argv: list[str], out: Path) -> tuple[int, bytes, dict[str, byt
         for path in sorted(out.rglob("*"))
         if path.is_file()
     }
-    return done.returncode, done.stdout.replace(str(out).encode(), b"<out>"), files
+    mask = str(out).encode()
+    return (
+        done.returncode,
+        done.stdout.replace(mask, b"<out>"),
+        done.stderr.replace(mask, b"<out>"),
+        files,
+    )
 
 
 def differences(label: str, parent, change) -> list[str]:
     """One line per difference between two :func:`run` results."""
-    (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = parent, change
+    (code_a, *streams_a, files_a), (code_b, *streams_b, files_b) = parent, change
     found = []
     if code_a != code_b:
         found.append(f"{label}: exit code {code_a} against {code_b}")
-    if stdout_a != stdout_b:
-        found.append(f"{label}: stdout differs")
+    for name, a, b in zip(("stdout", "stderr"), streams_a, streams_b):
+        if a != b:
+            found.append(f"{label}: {name} differs")
     for name in sorted(files_a.keys() | files_b.keys()):
         if name not in files_a or name not in files_b:
             side = "parent" if name in files_a else "change"
