@@ -172,12 +172,18 @@ def _draw_observations(config: ExperimentConfig) -> np.ndarray:
 
 
 def run_bytes(config: ExperimentConfig) -> int:
-    """Estimated bytes one run allocates: its observations, 8 per round and
-    scope class for posteriors (a bound: only replay streams hold a row per
-    round) and its belief arrays (:func:`batch_bytes` under one rule)."""
-    scope_classes = sum(scope.size for scope in config.scopes)
-    draws_and_posteriors = 8 * config.horizon * (config.n_agents + scope_classes)
-    return draws_and_posteriors + batch_bytes(config, (config.rule,))
+    """Estimated bytes one run allocates: 8 per round for each observation
+    column it draws (one in shared mode, one per agent otherwise), each
+    agent's stream (a table agent's (|X|, k) table, a replay agent's (T, k)
+    vectors and its ``arange(T)`` index) and its belief arrays
+    (:func:`batch_bytes` under one rule)."""
+    t_max, symbols = config.horizon, config.world.inputs.size
+    columns = 1 if config.observation_mode == "shared" else config.n_agents
+    streams = sum(
+        t_max * (scope.size + 1) if spec.kind == "replay" else symbols * scope.size
+        for scope, spec in zip(config.scopes, config.sources)
+    )
+    return 8 * (t_max * columns + streams) + batch_bytes(config, (config.rule,))
 
 
 def batch_bytes(config: ExperimentConfig, rules) -> int:

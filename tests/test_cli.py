@@ -61,7 +61,7 @@ def test_validate_ok(config_path, capsys):
 def test_validate_prints_the_memory_estimate(capsys):
     assert main(["validate", "--config", str(W3_JSON)]) == 0
     out = capsys.readouterr().out
-    assert "memory: about 0.1172 MB per run" in out
+    assert "memory: about 0.09326 MB per run" in out
     assert "above the cap" not in out
 
     assert main(["validate", "--config", str(W3_JSON), "--horizon", str(10**15)]) == 0

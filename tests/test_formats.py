@@ -544,10 +544,22 @@ def test_posterior_tables_have_one_builder():
     assert offenders == []
 
 
-def test_public_surface_is_explicit():
+def test_package_file_holds_only_its_version():
+    """Each name is reached through the module that defines it: the package
+    file imports nothing and lists no ``__all__``, so its namespace holds only
+    dunders and the submodules that importing the CLI loads."""
     import myopic_crowd
+    import myopic_crowd.cli  # noqa: F401
 
-    exported = {name: getattr(myopic_crowd, name) for name in myopic_crowd.__all__}
-    modules = [name for name, v in exported.items() if isinstance(v, types.ModuleType)]
-    assert modules == []
-    assert "json_text" not in exported
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+    assert "__all__" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names = [
+        name
+        for name, value in vars(myopic_crowd).items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and not isinstance(value, types.ModuleType)
+    ]
+    assert names == []
+    assert myopic_crowd.__version__ == "0.1.0"

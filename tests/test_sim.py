@@ -338,18 +338,27 @@ def test_horizon_zero_is_init_only():
     np.testing.assert_allclose(np.exp(log.log_mu), 1 / 3, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["independent", "shared"])
-def test_run_bytes_counts_what_a_run_holds(mode):
-    config = config_from_dict(w3_doc(horizon=50, observation_mode=mode))
+@pytest.mark.parametrize("mode", ["independent", "shared", "replay"])
+def test_run_bytes_counts_what_a_run_holds(mode, tmp_path):
+    """The estimate is the bytes a run's log holds: the observation columns
+    it drew (not their broadcast view), each stream's rows and each replay
+    index, and its belief arrays."""
+    drawn = "shared" if mode == "shared" else "independent"
+    doc = w3_doc(horizon=50, observation_mode=drawn)
+    if mode == "replay":
+        world = config_from_dict(doc).world
+        scope = make_scope(world, 0, W3_SCOPE_CLASSES[0])
+        path = tmp_path / "agent0.csv"
+        rows = np.tile([0.8, 0.2], (50, 1))
+        write_replay_csv(path, world, [scope], [(rows, np.arange(50))])
+        doc["agents"][0]["prior"] = [0.5, 0.5]
+        doc["agents"][0]["source"] = {"kind": "replay", "path": str(path)}
+    config = config_from_dict(doc, base_dir=tmp_path)
     log = run_experiment(config)
-    arrays = [
-        log.observations,
-        *log.posteriors,
-        log.log_pi,
-        log.log_mu,
-        log.clamped_pi,
-        log.clamped_mu,
-    ]
+    arrays = [log.observations.base, log.log_pi, log.log_mu]
+    arrays += [log.clamped_pi, log.clamped_mu]
+    for (rows, index), spec in zip(log.streams, config.sources):
+        arrays += [rows, index] if spec.kind == "replay" else [rows]
     assert sim.run_bytes(config) == sum(a.nbytes for a in arrays)
 
 
