@@ -165,14 +165,14 @@ class NoisySource(BayesOracle):
 
 
 class ReplaySource:
-    """Recorded posterior vectors, one per round: ``vectors[t - 1]`` feeds
-    round t.
+    """Recorded posterior vectors, all checked, the first ``rounds`` kept
+    (all if None): ``vectors[t - 1]`` feeds round t; ``length`` counts all.
 
     Unlike the oracle sources a replay source ignores the observed symbol: the
     vector for round t is whatever the recorded classifier emitted then.
     """
 
-    def __init__(self, scope: AgentScope, vectors: np.ndarray):
+    def __init__(self, scope: AgentScope, vectors: np.ndarray, rounds=None):
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[1] != scope.size:
             raise DimensionMismatch(
@@ -193,11 +193,8 @@ class ReplaySource:
             vectors = vectors.copy()
             patched = np.maximum(vectors[low], EPS)
             vectors[low] = patched / patched.sum(axis=1, keepdims=True)
-        self.vectors = _readonly(vectors)
-
-    @property
-    def length(self) -> int:
-        return self.vectors.shape[0]
+        self.length = len(vectors)
+        self.vectors = _readonly(vectors[:rounds])
 
 
 # -- replay CSV -----------------------------------------------------------
@@ -319,8 +316,8 @@ def replay_source_from_csv(path, world: World, scope: AgentScope) -> ReplaySourc
     return replay_source(path, *load_replay_csv(path, world), world, scope)
 
 
-def replay_source(path, labels, table, world: World, scope: AgentScope) -> ReplaySource:
-    """One agent's replay source, projected from a parsed replay file
+def replay_source(path, labels, table, world: World, scope: AgentScope, rounds=None):
+    """One agent's :class:`ReplaySource`, projected from a parsed replay file
     (:func:`load_replay_csv`); ``path`` names the file in errors."""
     if scope.agent_id not in table:
         raise ParseError(f"replay file {path} has no rows for agent {scope.agent_id}")
@@ -336,4 +333,4 @@ def replay_source(path, labels, table, world: World, scope: AgentScope) -> Repla
             f"replay file {path}: empty cells inside agent "
             f"{scope.agent_id}'s scope"
         )
-    return ReplaySource(scope, vectors)
+    return ReplaySource(scope, vectors, rounds)

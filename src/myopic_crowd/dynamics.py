@@ -18,16 +18,15 @@ gathered entries.
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
 rates around 1, so state never leaves log-domain.  The floor rule lives
-here, in :func:`norm_rows`: an output entry at or below
-``LOG_FLOOR + CLAMP_TOL`` is clamped to ``LOG_FLOOR`` and flagged.  A clamp
-is applied on output only and never fed back into the local recursion,
-whose closed form keeps every belief exact past the floor.  Pooling does
-read the clamped global beliefs of the previous round and propagates their
-flags; downstream rate estimation drops flagged samples.  Rows shorter than
-:data:`SHORT_ROW` are reduced one column at a time (:func:`reduce_rows`),
-one elementwise call per 1-D column view, skipping numpy's per-row cost; the
-bytes stay the same, as max is exact and numpy sums so short a row left to
-right.
+here, in :func:`norm_plan` and :func:`norm_rows`: an output entry at or
+below ``LOG_FLOOR + CLAMP_TOL`` is clamped to ``LOG_FLOOR`` and flagged.  A
+clamp is applied on output only and never fed back into the local
+recursion, whose closed form keeps every belief exact past the floor.
+Pooling does read the clamped global beliefs of the previous round and
+propagates their flags; downstream rate estimation drops flagged samples.
+Rows shorter than :data:`SHORT_ROW` are reduced one call per 1-D column
+view, skipping numpy's per-row cost; the bytes stay the same, as max is
+exact and numpy sums so short a row left to right.
 """
 
 from __future__ import annotations
@@ -58,6 +57,13 @@ SHORT_ROW = 8
 GROUP_CELLS = 2**13
 
 
+def _fold(ufunc, cols, acc: np.ndarray) -> None:
+    """``ufunc`` over the 1-D views ``cols``, left to right, into ``acc``."""
+    ufunc(cols[0], cols[1], out=acc)
+    for col in cols[2:]:
+        ufunc(acc, col, out=acc)
+
+
 def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     """``ufunc.reduce`` (np.add or np.maximum) over x's last axis, kept; a row
     shorter than :data:`SHORT_ROW` takes one elementwise call per 1-D column."""
@@ -65,12 +71,37 @@ def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
     if not 2 <= width < SHORT_ROW:
         return ufunc.reduce(x, axis=-1, keepdims=True)
     acc = np.empty(x.shape[:-1] + (1,))
-    col = ufunc(x[..., 0], x[..., 1], out=acc[..., 0])
-    for j in range(2, width):
-        ufunc(col, x[..., j], out=col)
+    _fold(ufunc, [x[..., j] for j in range(width)], acc[..., 0])
     if ufunc is np.add:
-        col += 0.0  # numpy's sum starts from +0.0: a row of -0.0 sums to +0.0
+        acc += 0.0  # numpy's sum starts from +0.0: a row of -0.0 sums to +0.0
     return acc
+
+
+def norm_plan(x: np.ndarray):
+    """:func:`norm_rows` built once for the buffer ``x``: a call ``(out,
+    clamped)`` that normalizes x's current rows into them.  It holds the row
+    maxima, log-sum-exps and exp scratch, and below :data:`SHORT_ROW` their
+    column views and x's, so a loop refilling ``x`` makes none per call.  Its
+    sum reads only exp output, never -0.0, so it needs no ``+= 0.0``."""
+    (hi, lse), scratch = np.empty((2, *x.shape[:-1], 1)), np.empty(x.shape)
+    if 2 <= x.shape[-1] < SHORT_ROW:
+        xs, es = zip(*[(x[..., j], scratch[..., j]) for j in range(x.shape[-1])])
+        row_max = partial(_fold, np.maximum, xs, hi[..., 0])
+        row_sum = partial(_fold, np.add, es, lse[..., 0])
+    else:
+        row_max = partial(np.maximum.reduce, x, -1, out=hi, keepdims=True)
+        row_sum = partial(np.add.reduce, scratch, -1, out=lse, keepdims=True)
+
+    def norm(out: np.ndarray, clamped: np.ndarray) -> None:
+        row_max()
+        np.exp(np.subtract(x, hi, out=scratch), out=scratch)
+        row_sum()
+        np.add(np.log(lse, out=lse), hi, out=lse)
+        np.subtract(x, lse, out=out)
+        np.less_equal(out, LOG_FLOOR + CLAMP_TOL, out=clamped)
+        np.copyto(out, LOG_FLOOR, where=clamped)
+
+    return norm
 
 
 def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.ndarray]:
@@ -80,15 +111,12 @@ def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.nda
     rounding of the floor round after round; those samples carry no slope
     information, so anything at or below LOG_FLOOR + CLAMP_TOL is snapped to
     the floor and flagged.  The result goes to ``out`` and ``clamped``
-    (float and bool arrays of x's shape, neither of them ``x``) when given.
+    (float and bool arrays of x's shape, neither of them ``x``) when given,
+    by :func:`norm_plan` built for ``x`` and called once.
     """
-    hi = reduce_rows(np.maximum, x)
-    out = np.exp(np.subtract(x, hi, out=out), out=out)
-    lse = reduce_rows(np.add, out)
-    np.add(np.log(lse, out=lse), hi, out=lse)
-    np.subtract(x, lse, out=out)
-    clamped = np.less_equal(out, LOG_FLOOR + CLAMP_TOL, out=clamped)
-    np.copyto(out, LOG_FLOOR, where=clamped)
+    out = np.empty(x.shape) if out is None else out
+    clamped = np.empty(x.shape, dtype=bool) if clamped is None else clamped
+    norm_plan(x)(out, clamped)
     return out, clamped
 
 
@@ -199,12 +227,13 @@ def global_trajectory(
     with its current local belief, then normalizes.  The min rule keeps a
     class only as far as nobody has rejected it; avg (mean of linear
     probabilities) and max are baselines.  At a few agents per run a round
-    costs numpy call overhead, so rounds write into buffers made once, and
-    the R ``rules`` share one loop in blocks of n rows ordered min, max,
-    avg: one gather fills every block's entries, one min and one max
-    reduction pool them, one call normalizes all R·n rows of a (T+1, R·n,
-    m) array.  Flags are read off one gather: a min or max output is flagged
-    where a flagged entry equals it, avg's where every entry is flagged.
+    costs numpy call overhead, so rounds are zipped round views, write into
+    buffers, row views and a :func:`norm_plan` made once, and the R
+    ``rules`` share one loop in blocks of n rows ordered min, max, avg: one
+    gather fills every block's entries, one min and one max reduction pool
+    them, one plan normalizes all R·n rows of a (T+1, R·n, m) array.  Flags
+    are read off one gather: a min or max output is flagged where a flagged
+    entry equals it, avg's where every entry is flagged.
     """
     rounds, n, m = log_pi.shape
     for rule in rules:
@@ -250,19 +279,26 @@ def global_trajectory(
     # Each entry's pooled value: broadcast on the padded layout, else gathered.
     attained = pooled if layout.ndim == 2 else np.empty(entries.shape)
     owners = (hood.owner + n * np.arange(k)[:, None]).ravel()
+    prev_rows, own_rows = stack[:r_n], stack[r_n : r_n + n]
+    prev_flags, own_flags = flags[:r_n], flags[r_n : r_n + n]
+    hi, norm = pooled[mm * n :], norm_plan(pooled)
     # Flag work is skipped while no input is flagged, as it would flag
     # nothing; after the first global flag it runs every round.
     pi_flagged, mu_flagged = clamped_pi.any(axis=(1, 2)).tolist(), False
-    for t in range(1, rounds):
-        stack[:r_n] = log_mu[t - 1]
-        stack[r_n : r_n + n] = log_pi[t]
+    walk = zip(
+        log_mu, clamped_mu, log_pi[1:], clamped_pi[1:], pi_flagged[1:],
+        log_mu[1:], clamped_mu[1:],
+    )
+    for mu_prev, mu_prev_flags, pi, pi_flags, pi_any, mu, mu_flags in walk:
+        prev_rows[...] = mu_prev
+        own_rows[...] = pi
         stack.take(flat, 0, gathered, "clip")
         for pool in pools:
             pool()
-        any_flag = mu_flagged or pi_flagged[t]
+        any_flag = mu_flagged or pi_any
         if any_flag:
-            flags[:r_n] = clamped_mu[t - 1]
-            flags[r_n : r_n + n] = clamped_pi[t]
+            prev_flags[...] = mu_prev_flags
+            own_flags[...] = pi_flags
             flags.take(grid, 0, marks, "clip")
             # A pooled value a flagged input attains is a floor artifact,
             # even where normalization lifts it above LOG_FLOOR.
@@ -272,16 +308,15 @@ def global_trajectory(
             for test in tests:
                 test()
         if mm < k:
-            hi = pooled[mm * n :]
             hi.take(hood.owner, 0, spread, "clip")
             np.exp(np.subtract(csr, spread, out=spread), out=spread)
             np.add.reduceat(spread, hood.starts, axis=0, out=total)
             np.add(hi, np.log(total, out=total), out=hi)
             np.subtract(hi, hood.log_size, out=hi)
-        norm_rows(pooled, log_mu[t], clamped_mu[t])
+        norm(mu, mu_flags)
         if any_flag:
-            clamped_mu[t] |= propagated
+            mu_flags |= propagated
         if not mu_flagged:
-            mu_flagged = np.count_nonzero(clamped_mu[t]) > 0
+            mu_flagged = np.count_nonzero(mu_flags) > 0
     spans = {rule: slice(b * n, b * n + n) for b, rule in enumerate(order)}
     return [(log_mu[:, spans[rule]], clamped_mu[:, spans[rule]]) for rule in rules]

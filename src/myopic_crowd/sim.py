@@ -140,11 +140,23 @@ class TrajectoryLog:
             np.maximum(hi, mu[..., c], out=hi)
         return mu[..., star] > hi
 
+    @functools.cached_property
+    def identification(self) -> tuple[list, list]:
+        """Every agent's sustained and first identification round, None if
+        none (:func:`time_to_identification`), from one pass over the flags."""
+        ok = self.identified
+        held, hit = ok[-1].tolist(), ok.any(axis=0).tolist()
+        sustained = np.where(ok.all(axis=0), 0, len(ok) - (~ok[::-1]).argmax(axis=0))
+        return (
+            [t if h else None for t, h in zip(sustained.tolist(), held)],
+            [t if h else None for t, h in zip(ok.argmax(axis=0).tolist(), hit)],
+        )
+
 
 def build_sources(config: ExperimentConfig) -> list:
     """Each agent's posterior source, in agent order: its posterior table
-    (built a group at a time), or its replay stream.  Each replay file is
-    read once per call; agents sharing a file take rows from that one parse."""
+    (built a group at a time), or its replay stream's first T rows; a replay
+    file is read once per call, and the agents sharing it share that parse."""
     agents = [i for i, spec in enumerate(config.sources) if spec.kind != "replay"]
     sources = [None] * config.n_agents
     scopes = [config.scopes[i] for i in agents]
@@ -157,7 +169,9 @@ def build_sources(config: ExperimentConfig) -> list:
             path = spec.replay_path
             if path not in parsed:
                 parsed[path] = load_replay_csv(path, config.world)
-            sources[i] = replay_source(path, *parsed[path], config.world, scope)
+            sources[i] = replay_source(
+                path, *parsed[path], config.world, scope, config.horizon
+            )
     return sources
 
 
@@ -238,7 +252,7 @@ def _draw_local(config, sources, log_pi, clamped_pi, keep_draws: bool) -> tuple:
     and posterior streams if ``keep_draws``, else ``(None, ())``."""
     obs = _draw_observations(config)
     streams = tuple(
-        (source.vectors[: config.horizon], np.arange(config.horizon))
+        (source.vectors, np.arange(config.horizon))
         if isinstance(source, ReplaySource)
         else (source.per_symbol, obs[:, i])
         for i, source in enumerate(sources)
@@ -418,18 +432,12 @@ def _slope(ts: np.ndarray, y: np.ndarray) -> float:
 def time_to_identification(log: TrajectoryLog, agent: int) -> int | None:
     """Smallest round t such that the true class holds the strict argmax of
     the agent's global belief at every round from t through the horizon."""
-    ok = log.identified[:, agent]
-    if not ok[-1]:
-        return None
-    bad = np.nonzero(~ok)[0]
-    return int(bad[-1]) + 1 if bad.size else 0
+    return log.identification[0][agent]
 
 
 def first_identification(log: TrajectoryLog, agent: int) -> int | None:
     """First round where the true class holds the strict argmax (may flicker)."""
-    ok = log.identified[:, agent]
-    hits = np.nonzero(ok)[0]
-    return int(hits[0]) if hits.size else None
+    return log.identification[1][agent]
 
 
 def theory(config: ExperimentConfig) -> tuple[ScoreReport | None, str | None]:

@@ -22,6 +22,7 @@ from myopic_crowd.dynamics import (
     global_trajectory,
     local_trajectories,
     neighborhood_csr,
+    norm_plan,
     norm_rows,
     reduce_rows,
 )
@@ -414,6 +415,45 @@ def test_row_reductions_of_views_match_numpy_bitwise(x):
     _same_bytes(got_clamped, want_clamped)
 
 
+@st.composite
+def _refills(draw):
+    """Up to five refills of a 1- to 3-D buffer 1 to 12 entries wide, on
+    both sides of SHORT_ROW, stacked on a leading axis: entries at and just
+    above the floor plus its tolerance, and entries that tie within a row."""
+    shape = (*draw(st.lists(st.integers(1, 6), max_size=2)), draw(st.integers(1, 12)))
+    entries = st.one_of(
+        st.sampled_from([
+            LOG_FLOOR,
+            LOG_FLOOR + CLAMP_TOL,
+            np.nextafter(LOG_FLOOR + CLAMP_TOL, 0.0),
+            LOG_FLOOR + 2 * CLAMP_TOL,
+            -1.0,
+            0.0,
+        ]),
+        st.floats(LOG_FLOOR - 50.0, 20.0),
+    )
+    return draw(arrays(float, (draw(st.integers(1, 5)), *shape), elements=entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_refills())
+def test_one_plan_normalizes_every_refill_of_its_buffer(x):
+    # As in a pooling loop: one plan for one buffer, refilled each round and
+    # normalized into round views of a (T+1, r, m) array.  Every round must
+    # equal the fresh-array floor rule, so no state leaks between calls.
+    buffer = np.empty(x.shape[1:])
+    norm = norm_plan(buffer)
+    out = np.full((len(x) + 1, *x.shape[1:]), np.nan)
+    clamped = np.zeros(out.shape, dtype=bool)
+    for values, mu, flags in zip(x, out[1:], clamped[1:]):
+        buffer[...] = values
+        norm(mu, flags)
+    for values, mu, flags in zip(x, out[1:], clamped[1:]):
+        want, want_clamped = oracles.norm_rows(values)
+        _same_bytes(mu, want)
+        _same_bytes(flags, want_clamped)
+
+
 def test_numpy_sums_rows_shorter_than_short_row_left_to_right():
     # The short-row rule relies on it; if numpy changes its summation order,
     # this test fails rather than an artifact changing.
@@ -465,13 +505,13 @@ def _floor_crossing_inputs(draw):
 
 
 @st.composite
-def _arbitrary_inputs(draw):
+def _arbitrary_inputs(draw, graphs=_connected_graphs(), widths=st.integers(2, 4)):
     """(log_pi, clamped_pi, hood) of a few rounds of arbitrary log-beliefs:
     entries pinned at the floor tie with free ones, and local flags start
     after round 1 and then come and go, so a round may carry only global
     flags, which normalization can lift above the floor."""
-    graph = draw(_connected_graphs())
-    m = draw(st.integers(2, 4))
+    graph = draw(graphs)
+    m = draw(widths)
     rounds = draw(st.integers(2, 8))
     shape = (rounds + 1, graph.n, m)
     entries = st.one_of(st.just(LOG_FLOOR), st.floats(LOG_FLOOR, 0.0))
@@ -560,6 +600,28 @@ def test_fused_rules_on_a_hub_match_reference_loop_per_rule():
     first = [np.flatnonzero(flags.any(axis=(1, 2)))[:1].tolist() for _, flags in got]
     assert first == [[], [2], [6]]
     assert global_trajectory((), log_pi, clamped_pi, hood) == []
+
+
+_STAR = AgentGraph.from_edges(13, [[0, leaf] for leaf in range(1, 13)])
+
+
+@pytest.mark.parametrize("graph", [path_graph(5), _STAR], ids=["padded", "csr"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_fused_rules_on_wide_rows_match_reference_loop_per_rule(graph, data):
+    # At m >= SHORT_ROW the fused loop normalizes with numpy's row
+    # reductions; on a path every rule pools from the padded layout, on a
+    # star from CSR.
+    graphs, widths = st.just(graph), st.sampled_from([SHORT_ROW, 9, 20])
+    log_pi, clamped_pi, hood = data.draw(_arbitrary_inputs(graphs, widths))
+    assert (hood.padded is None) == (graph is _STAR)
+    got = global_trajectory(RULES, log_pi, clamped_pi, hood)
+    for rule, (got_mu, got_flags) in zip(RULES, got):
+        want_mu, want_flags = oracles.global_trajectory(
+            rule, log_pi, clamped_pi, hood
+        )
+        _same_bytes(got_mu, want_mu)
+        _same_bytes(got_flags, want_flags)
 
 
 def test_avg_propagates_flags_through_the_padding():

@@ -27,7 +27,7 @@ def test_one_tree_against_itself_is_the_same():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 36
+    assert len(lines) == 37
     assert all(": same (exit " in line for line in lines)
 
 

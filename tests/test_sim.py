@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -40,6 +40,7 @@ from myopic_crowd.errors import (
     DisconnectedGraph,
     IdentifiabilityViolated,
     InsufficientSamples,
+    ParseError,
     ReplayExhausted,
 )
 from myopic_crowd.sim import (
@@ -338,28 +339,54 @@ def test_horizon_zero_is_init_only():
     np.testing.assert_allclose(np.exp(log.log_mu), 1 / 3, atol=1e-12)
 
 
+def _replay_w3(tmp_path, rows: np.ndarray, horizon: int):
+    """w3 at ``horizon`` with agent 0 replaying ``rows`` from a file."""
+    doc = w3_doc(horizon=horizon)
+    world = config_from_dict(doc).world
+    scope = make_scope(world, 0, W3_SCOPE_CLASSES[0])
+    path = tmp_path / "agent0.csv"
+    write_replay_csv(path, world, [scope], [(rows, np.arange(len(rows)))])
+    doc["agents"][0]["prior"] = [0.5, 0.5]
+    doc["agents"][0]["source"] = {"kind": "replay", "path": str(path)}
+    return config_from_dict(doc, base_dir=tmp_path)
+
+
 @pytest.mark.parametrize("mode", ["independent", "shared", "replay"])
 def test_run_bytes_counts_what_a_run_holds(mode, tmp_path):
     """The estimate is the bytes a run's log holds: the observation columns
     it drew (not their broadcast view), each stream's rows and each replay
     index, and its belief arrays."""
-    drawn = "shared" if mode == "shared" else "independent"
-    doc = w3_doc(horizon=50, observation_mode=drawn)
     if mode == "replay":
-        world = config_from_dict(doc).world
-        scope = make_scope(world, 0, W3_SCOPE_CLASSES[0])
-        path = tmp_path / "agent0.csv"
-        rows = np.tile([0.8, 0.2], (50, 1))
-        write_replay_csv(path, world, [scope], [(rows, np.arange(50))])
-        doc["agents"][0]["prior"] = [0.5, 0.5]
-        doc["agents"][0]["source"] = {"kind": "replay", "path": str(path)}
-    config = config_from_dict(doc, base_dir=tmp_path)
+        config = _replay_w3(tmp_path, np.tile([0.8, 0.2], (50, 1)), horizon=50)
+    else:
+        config = config_from_dict(w3_doc(horizon=50, observation_mode=mode))
     log = run_experiment(config)
     arrays = [log.observations.base, log.log_pi, log.log_mu]
     arrays += [log.clamped_pi, log.clamped_mu]
     for (rows, index), spec in zip(log.streams, config.sources):
         arrays += [rows, index] if spec.kind == "replay" else [rows]
     assert sim.run_bytes(config) == sum(a.nbytes for a in arrays)
+
+
+def test_replay_source_holds_only_the_rounds_a_run_reads(tmp_path):
+    config = _replay_w3(tmp_path, np.tile([0.8, 0.2], (100_000, 1)), horizon=50)
+    source = sim.build_sources(config)[0]
+    assert source.length == 100_000
+    assert source.vectors.nbytes == 8 * 50 * 2
+    assert source.vectors.base is None
+    np.testing.assert_array_equal(run_experiment(config).streams[0][0], source.vectors)
+
+
+def test_replay_checks_still_read_the_whole_file(tmp_path):
+    # An empty in-scope cell past the horizon is still refused, and a file
+    # shorter than the horizon still exhausts.
+    rows = np.tile([0.8, 0.2], (60, 1))
+    rows[55, 1] = np.nan
+    with pytest.raises(ParseError, match="empty cells"):
+        sim.build_sources(_replay_w3(tmp_path, rows, horizon=50))
+    config = _replay_w3(tmp_path, np.tile([0.8, 0.2], (40, 1)), horizon=50)
+    with pytest.raises(ReplayExhausted):
+        run_experiment(config)
 
 
 def test_beliefs_stay_normalized():
@@ -640,6 +667,31 @@ def test_identification_flicker_reported_separately():
 def test_identification_from_round_zero():
     log = _log_with_true_series([True, True, True])
     assert time_to_identification(log, 0) == 0
+
+
+def _identification_per_agent(ok: np.ndarray) -> tuple[int | None, int | None]:
+    """(sustained, first) identification rounds of one agent's (T+1,)
+    flags, as ``time_to_identification`` and ``first_identification``
+    computed them one agent at a time."""
+    bad, hits = np.nonzero(~ok)[0], np.nonzero(ok)[0]
+    sustained = (int(bad[-1]) + 1 if bad.size else 0) if ok[-1] else None
+    return sustained, int(hits[0]) if hits.size else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(ok=arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 4))))
+@example(ok=np.zeros((5, 3), dtype=bool))
+@example(ok=np.ones((5, 3), dtype=bool))
+@example(ok=np.array([[True, True]] * 4 + [[False, False]]))
+@example(ok=np.array([[False], [True], [False], [True], [True]]))
+def test_identification_rounds_match_the_per_agent_definition(ok):
+    log = TrajectoryLog(make_w3_config(horizon=len(ok) - 1), *[None] * 5, ())
+    log.identified = ok
+    for agent in range(ok.shape[1]):
+        got = time_to_identification(log, agent), first_identification(log, agent)
+        assert got == _identification_per_agent(ok[:, agent])
+    sustained, first = log.identification
+    assert all(t is None or type(t) is int for t in sustained + first)
 
 
 def _full_scope_config(m: int, n: int = 2, star: int | None = None):

@@ -151,6 +151,11 @@ def commands(bench: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("compare-er", ["compare", "--config", ER_NOISY, "--seeds", "4"]),
         ("compare-n120-1", ["compare", "--config", compare_n120, "--seeds", "1"]),
         ("compare-n120-3", ["compare", "--config", compare_n120, "--seeds", "3"]),
+        # Short enough that all three rules pool in one loop at m = 20.
+        (
+            "compare-n120-fused",
+            ["compare", "--config", compare_n120, "--seeds", "2", "--horizon", "40"],
+        ),
         ("rates-w3", ["rates", "--config", W3, "--seeds", "20", "--horizon", "3000"]),
         ("rates-er", ["rates", "--config", ER_NOISY, "--seeds", "3"]),
         ("compare-hub", ["compare", "--config", hub, "--seeds", "3", "--horizon", "3000"]),
