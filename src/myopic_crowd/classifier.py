@@ -1,11 +1,12 @@
 """Agent classifiers and the posterior sources built from them.
 
 An agent's classifier (:class:`AgentScope`) is its scope Θ_i ⊆ Θ, a prior
-over it, an optional private likelihood table and a noise level γ.
-:func:`posterior_tables` turns classifiers, a group at a time, into each
-agent's one posterior table, a row per input symbol: the Bayes posterior,
-mixed with uniform when γ > 0.  The dynamics read its rows by the drawn
-symbols (``per_symbol``) and the score engine its log-ratios.  A replay
+over it, an optional private likelihood table, a noise level γ and its
+source: its posterior table (``bayes`` or ``noisy``) or a recorded stream
+(``replay``).  :func:`posterior_tables` turns classifiers, a group at a time,
+into each agent's one posterior table, a row per input symbol: the Bayes
+posterior, mixed with uniform when γ > 0.  The dynamics read its rows by the
+drawn symbols (``per_symbol``) and the score engine its log-ratios.  A replay
 source instead holds recorded posterior vectors, one per round (``vectors``).
 """
 
@@ -34,13 +35,17 @@ from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly
 class AgentScope:
     """An agent's classifier: its identifiable class subset Θ_i, its prior
     (every entry at least :data:`EPS`), an optional private likelihood table
-    overriding the shared world's, and its noise level γ ∈ [0, 1)."""
+    overriding the shared world's, its noise level γ ∈ [0, 1), its source
+    kind as declared (``bayes``, ``noisy`` or ``replay``) and, for a replay
+    agent only, the path of its recorded stream."""
 
     agent_id: int
     theta_i: tuple[int, ...]
     prior: np.ndarray
     likelihoods: LikelihoodTable | None = None
     gamma: float = 0.0
+    source: str = "bayes"
+    replay_path: str | None = None
 
     def __post_init__(self) -> None:
         theta = tuple(map(int, self.theta_i))
@@ -70,6 +75,11 @@ class AgentScope:
                 f"agent {self.agent_id}: noise level gamma must be in [0, 1), "
                 f"got {gamma}"
             )
+        if (self.source == "replay") != (self.replay_path is not None):
+            raise ConfigError(
+                f"agent {self.agent_id}: a replay source needs a path and no other "
+                f"source takes one (source {self.source!r}, path {self.replay_path!r})"
+            )
         prior.flags.writeable = False
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "gamma", gamma)
@@ -89,12 +99,15 @@ def make_scope(
     prior=None,
     likelihoods=None,
     gamma=0.0,
+    source="bayes",
+    replay_path=None,
 ) -> AgentScope:
     """Build a validated scope against a world.
 
     ``classes`` may contain labels or indices; ``prior`` defaults to uniform
     over the scope; ``likelihoods`` optionally overrides the world table and
-    must have the world's full dimensions; ``gamma`` is the noise level.
+    must have the world's full dimensions; ``gamma``, ``source`` and
+    ``replay_path`` are as in :class:`AgentScope`.
     """
     index, m = world.classes.index, world.m
     theta = tuple([index(c) if isinstance(c, str) else int(c) for c in classes])
@@ -114,7 +127,9 @@ def make_scope(
             f"agent {agent_id} likelihood override must match the world's "
             f"{m} x {world.inputs.size} table"
         )
-    return AgentScope(int(agent_id), theta, prior, likelihoods, gamma)
+    return AgentScope(
+        int(agent_id), theta, prior, likelihoods, gamma, source, replay_path
+    )
 
 
 def posterior_tables(world: World, scopes) -> Iterator[tuple[list[int], np.ndarray]]:

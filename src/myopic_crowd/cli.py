@@ -362,9 +362,9 @@ def cmd_validate(args) -> int:
         f"true class {world.classes.labels[world.true_class]}"
     )
     labels = world.classes.labels
-    for scope, source in zip(config.scopes, config.sources):
+    for scope in config.scopes:
         names = ", ".join(labels[t] for t in scope.theta_i)
-        print(f"agent {scope.agent_id}: scope [{names}], source {source.kind}")
+        print(f"agent {scope.agent_id}: scope [{names}], source {scope.source}")
     print(
         f"graph: {config.graph.n} vertices, {len(config.graph.edges())} edges, "
         f"{'connected' if config.roster.connected else 'DISCONNECTED'}"

@@ -1,13 +1,13 @@
 """Experiment configuration: one JSON document resolving to a runnable setup.
 
-The document inlines or references the world and graph, lists the agents with
-their scopes and posterior sources, and sets the run settings (rule, horizon,
-seed and the rest).  Each setting is declared once, as a field of
-:class:`ExperimentConfig` with its default; document keys, overrides,
-:meth:`ExperimentConfig.derived` and the manifest all read that table.  Every
-object in the document refuses keys it does not know.  Resolution is
-deterministic: the same document and seed always produce the same world,
-graph, and random streams.
+The document inlines or references the world and graph, lists the agents,
+each resolved to one scope that also says where its posteriors come from,
+and sets the run settings (rule, horizon, seed and the rest).  Each setting
+is declared once, as a field of :class:`ExperimentConfig` with its default;
+document keys, overrides, :meth:`ExperimentConfig.derived` and the manifest
+all read that table.  Every object in the document refuses keys it does not
+know.  Resolution is deterministic: the same document and seed always
+produce the same world, graph, and random streams.
 
 What no setting changes, the :class:`Roster`, is resolved once per document
 and shared by every config derived from it, score report included.
@@ -44,27 +44,6 @@ RATE_SLACK = 0.2
 MAX_HORIZON = int(np.iinfo(np.intp).max) - 1
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Which posterior source an agent uses: its posterior table (``bayes``,
-    or ``noisy`` with the scope's γ) or a recorded stream (``replay``)."""
-
-    kind: str = "bayes"
-    replay_path: str | None = None
-
-    def to_dict(self, scope: AgentScope) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "noisy":
-            out["gamma"] = scope.gamma
-        if self.kind == "replay":
-            out["path"] = self.replay_path
-        return out
-
-
-#: The default source spec: one frozen object, shared by the agents using it.
-_BAYES = SourceSpec()
-
-
 def stream(seed: int, key: int) -> np.random.Generator:
     """Random stream ``key`` of ``seed``: 0 draws the ER graph, 1 the shared
     observations and 2 + i agent i's.  It is child ``key`` of
@@ -76,12 +55,11 @@ def stream(seed: int, key: int) -> np.random.Generator:
 @dataclass(frozen=True, eq=False)
 class Roster:
     """What every run of a document shares: the world, the agents' scopes
-    and source specs in id order, the graph entry and its graph unless a
-    seed draws it (None for ER), and the score report and graph check."""
+    (each with its source) in id order, the graph entry and its graph unless
+    a seed draws it (None for ER), and the score report and graph check."""
 
     world: World
     scopes: list[AgentScope]
-    sources: list[SourceSpec]
     graph_doc: object
     graph: AgentGraph | None
 
@@ -116,7 +94,6 @@ class ExperimentConfig:
 
     world = property(lambda self: self.roster.world)
     scopes = property(lambda self: self.roster.scopes)
-    sources = property(lambda self: self.roster.sources)
 
     @property
     def n_agents(self) -> int:
@@ -142,8 +119,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"rate_window must be in (0, 1], got {self.rate_window}"
             )
-        if len(self.scopes) != len(self.sources):
-            raise ConfigError("each agent needs exactly one posterior source")
         if self.graph.n != len(self.scopes):
             raise ConfigError(
                 f"graph has {self.graph.n} vertices for {len(self.scopes)} agents"
@@ -168,12 +143,17 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         labels = self.world.classes.labels
         agents = []
-        for scope, source in zip(self.scopes, self.sources):
+        for scope in self.scopes:
+            source: dict = {"kind": scope.source}
+            if scope.source == "noisy":
+                source["gamma"] = scope.gamma
+            if scope.source == "replay":
+                source["path"] = scope.replay_path
             entry: dict = {
                 "id": scope.agent_id,
                 "classes": [labels[t] for t in scope.theta_i],
                 "prior": [float(p) for p in scope.prior],
-                "source": source.to_dict(scope),
+                "source": source,
             }
             if scope.likelihoods is not None:
                 entry["likelihoods"] = [
@@ -225,10 +205,10 @@ def _resolve_world(doc, base_dir: Path) -> World:
     return world_from_dict(doc)
 
 
-def _resolve_source(entry, agent_id: int, base_dir: Path):
-    """The agent's source spec and its noise level γ (0 unless noisy)."""
+def _resolve_source(entry, agent_id: int, base_dir: Path) -> dict:
+    """The agent's source kind, γ and replay path as :func:`make_scope` keywords."""
     if entry is None:
-        return _BAYES, 0.0
+        return {}
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError(f"agent {agent_id}: source must be an object with a 'kind'")
     kind = entry["kind"]
@@ -240,13 +220,13 @@ def _resolve_source(entry, agent_id: int, base_dir: Path):
     check_keys(f"agent {agent_id}: {kind} source", entry, _SOURCE_KEYS[kind])
     if kind == "noisy":
         gamma = _number(f"agent {agent_id}: gamma", entry.get("gamma", 0.0))
-        return SourceSpec(kind="noisy"), gamma
+        return {"source": kind, "gamma": gamma}
     if kind == "replay":
         if "path" not in entry:
             raise ConfigError(f"agent {agent_id}: replay source needs a 'path'")
         path = _path(f"agent {agent_id}: replay path", entry["path"], base_dir)
-        return SourceSpec(kind="replay", replay_path=str(path)), 0.0
-    return _BAYES, 0.0
+        return {"source": kind, "replay_path": str(path)}
+    return {}
 
 
 def _resolve_graph(doc, n_agents: int, seed: int, base_dir: Path) -> AgentGraph:
@@ -350,7 +330,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     agents_doc = doc.get("agents")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ConfigError("config needs a nonempty 'agents' list")
-    entries = []
+    scopes = []
     for position, entry in enumerate(agents_doc):
         if not isinstance(entry, dict):
             raise ConfigError(f"agent entry {position} must be an object")
@@ -361,8 +341,8 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
             raise ConfigError(
                 f"agent {agent_id} needs a 'classes' list of labels or indices"
             )
-        source, gamma = _resolve_source(entry.get("source"), agent_id, base_dir)
-        if source.kind == "replay" and "prior" not in entry:
+        source = _resolve_source(entry.get("source"), agent_id, base_dir)
+        if source.get("source") == "replay" and "prior" not in entry:
             raise ConfigError(
                 f"agent {agent_id}: replay sources require an explicit 'prior' "
                 "(it cannot be inferred from a recorded stream)"
@@ -372,11 +352,8 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
             for key, ndim in (("prior", 1), ("likelihoods", 2))
             if entry.get(key) is not None
         }
-        scope = make_scope(world, agent_id, classes, gamma=gamma, **numbers)
-        entries.append((scope, source))
-    entries.sort(key=lambda pair: pair[0].agent_id)
-    scopes = [scope for scope, _ in entries]
-    sources = [source for _, source in entries]
+        scopes.append(make_scope(world, agent_id, classes, **source, **numbers))
+    scopes.sort(key=lambda scope: scope.agent_id)
 
     # The seed draws an ER graph before the config can check itself.
     settings["seed"] = seed = _integer("seed", settings["seed"])
@@ -386,7 +363,7 @@ def config_from_dict(doc: dict, base_dir=".", **overrides) -> ExperimentConfig:
     settings["horizon"] = _integer("horizon", settings["horizon"])
     settings["rate_window"] = _number("rate_window", settings["rate_window"])
     drawn = isinstance(graph_doc, dict) and graph_doc["type"] == "erdos_renyi"
-    roster = Roster(world, scopes, sources, graph_doc, None if drawn else graph)
+    roster = Roster(world, scopes, graph_doc, None if drawn else graph)
     return ExperimentConfig(roster, graph, **settings)
 
 

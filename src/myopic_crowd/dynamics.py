@@ -64,16 +64,14 @@ def _fold(ufunc, cols, acc: np.ndarray) -> None:
         ufunc(acc, col, out=acc)
 
 
-def reduce_rows(ufunc, x: np.ndarray) -> np.ndarray:
-    """``ufunc.reduce`` (np.add or np.maximum) over x's last axis, kept; a row
-    shorter than :data:`SHORT_ROW` takes one elementwise call per 1-D column."""
+def row_max(x: np.ndarray) -> np.ndarray:
+    """The maximum over x's last axis, kept; a row shorter than
+    :data:`SHORT_ROW` takes one ``np.maximum`` call per 1-D column."""
     width = x.shape[-1]
     if not 2 <= width < SHORT_ROW:
-        return ufunc.reduce(x, axis=-1, keepdims=True)
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
     acc = np.empty(x.shape[:-1] + (1,))
-    _fold(ufunc, [x[..., j] for j in range(width)], acc[..., 0])
-    if ufunc is np.add:
-        acc += 0.0  # numpy's sum starts from +0.0: a row of -0.0 sums to +0.0
+    _fold(np.maximum, [x[..., j] for j in range(width)], acc[..., 0])
     return acc
 
 
@@ -82,7 +80,8 @@ def norm_plan(x: np.ndarray):
     clamped)`` that normalizes x's current rows into them.  It holds the row
     maxima, log-sum-exps and exp scratch, and below :data:`SHORT_ROW` their
     column views and x's, so a loop refilling ``x`` makes none per call.  Its
-    sum reads only exp output, never -0.0, so it needs no ``+= 0.0``."""
+    sum reads only exp output, never -0.0, so folding columns left to right
+    keeps the bytes of numpy's sum, which starts from +0.0."""
     (hi, lse), scratch = np.empty((2, *x.shape[:-1], 1)), np.empty(x.shape)
     if 2 <= x.shape[-1] < SHORT_ROW:
         xs, es = zip(*[(x[..., j], scratch[..., j]) for j in range(x.shape[-1])])
@@ -104,18 +103,16 @@ def norm_plan(x: np.ndarray):
     return norm
 
 
-def norm_rows(x: np.ndarray, out=None, clamped=None) -> tuple[np.ndarray, np.ndarray]:
+def norm_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row in log-domain; clamp and flag floor hits.
 
     Once a belief is pinned at the floor it keeps re-normalizing to within
     rounding of the floor round after round; those samples carry no slope
     information, so anything at or below LOG_FLOOR + CLAMP_TOL is snapped to
-    the floor and flagged.  The result goes to ``out`` and ``clamped``
-    (float and bool arrays of x's shape, neither of them ``x``) when given,
-    by :func:`norm_plan` built for ``x`` and called once.
+    the floor and flagged.  The result is new float and bool arrays of x's
+    shape, written by :func:`norm_plan` built for ``x`` and called once.
     """
-    out = np.empty(x.shape) if out is None else out
-    clamped = np.empty(x.shape, dtype=bool) if clamped is None else clamped
+    out, clamped = np.empty(x.shape), np.empty(x.shape, dtype=bool)
     norm_plan(x)(out, clamped)
     return out, clamped
 
@@ -155,7 +152,7 @@ def local_trajectories(
             v = np.empty((rounds, len(cols), m))
             v[0] = start
             if k < m:
-                v[1:] = reduce_rows(np.maximum, in_part)
+                v[1:] = row_max(in_part)
             v[1:, np.arange(len(cols))[:, None], [s.theta_i for s in group]] = in_part
             out[:, cols], clamped[:, cols] = norm_rows(v)
 

@@ -154,22 +154,21 @@ class TrajectoryLog:
 
 
 def build_sources(config: ExperimentConfig) -> list:
-    """Each agent's posterior source, in agent order: its posterior table
-    (built a group at a time), or its replay stream's first T rows; a replay
-    file is read once per call, and the agents sharing it share that parse."""
-    agents = [i for i, spec in enumerate(config.sources) if spec.kind != "replay"]
+    """Each agent's posterior source, in id order, as its scope says: its
+    posterior table (built a group at a time) or its replay stream's first T
+    rows.  A replay file is read once per call, and its agents share that parse."""
+    tabled = [s for s in config.scopes if s.source != "replay"]
     sources = [None] * config.n_agents
-    scopes = [config.scopes[i] for i in agents]
-    for members, tables in posterior_tables(config.world, scopes):
+    for members, tables in posterior_tables(config.world, tabled):
         for j, table in zip(members, tables):
-            sources[agents[j]] = BayesOracle(table)
+            sources[tabled[j].agent_id] = BayesOracle(table)
     parsed: dict[str, tuple] = {}
-    for i, (scope, spec) in enumerate(zip(config.scopes, config.sources)):
-        if spec.kind == "replay":
-            path = spec.replay_path
+    for scope in config.scopes:
+        if scope.source == "replay":
+            path = scope.replay_path
             if path not in parsed:
                 parsed[path] = load_replay_csv(path, config.world)
-            sources[i] = replay_source(
+            sources[scope.agent_id] = replay_source(
                 path, *parsed[path], config.world, scope, config.horizon
             )
     return sources
@@ -194,8 +193,8 @@ def run_bytes(config: ExperimentConfig) -> int:
     t_max, symbols = config.horizon, config.world.inputs.size
     columns = 1 if config.observation_mode == "shared" else config.n_agents
     streams = sum(
-        t_max * (scope.size + 1) if spec.kind == "replay" else symbols * scope.size
-        for scope, spec in zip(config.scopes, config.sources)
+        t_max * (scope.size + 1) if scope.source == "replay" else symbols * scope.size
+        for scope in config.scopes
     )
     return 8 * (t_max * columns + streams) + batch_bytes(config, (config.rule,))
 
@@ -444,7 +443,7 @@ def theory(config: ExperimentConfig) -> tuple[ScoreReport | None, str | None]:
     """The roster's score report (None if an agent replays a stream: it has
     no posterior table) and why ``rates`` has no bound to check slopes
     against (None if it has one): no report, a gap, or an unrejected class."""
-    if any(spec.kind == "replay" for spec in config.sources):
+    if any(scope.source == "replay" for scope in config.scopes):
         return None, "replay sources have no analytical scores"
     report = config.roster.report
     if not report.identifiable:

@@ -22,7 +22,7 @@ builders after them are the package's former numpy builders, and the
 per-agent passes after those (posterior table, evidence vector, witness,
 local trajectory, identification flags) the package's former one-agent
 code, the references for its grouped passes.  ``dense_erdos_renyi`` is the
-package's former n×n random-graph builder, the reference for its edge-list
+package's former n×n random-graph draw, the reference for its edge-list
 one.  ``spawned_streams`` is the package's former stream spawner, the reference
 for ``config.stream``.  The other
 helpers at the end (``position``, ``empirical_score``, small graph builders,
@@ -818,7 +818,7 @@ def witness_reference(table) -> list[tuple[int, int]]:
 def local_trajectory_reference(scope, m: int, posts):
     """One agent's (T+1, m) local log-beliefs and clamp flags (the former
     ``dynamics.local_trajectory``)."""
-    from myopic_crowd.dynamics import norm_rows, reduce_rows
+    from myopic_crowd.dynamics import norm_rows, row_max
 
     t_max = posts.shape[0]
     idx = np.fromiter(scope.theta_i, dtype=int)
@@ -828,7 +828,7 @@ def local_trajectory_reference(scope, m: int, posts):
     cum = np.cumsum(np.log(posts) - np.log(scope.prior)[None, :], axis=0)
     in_part = start + cum
     if idx.size < m:
-        v[1:] = reduce_rows(np.maximum, in_part)
+        v[1:] = row_max(in_part)
     v[1:, idx] = in_part
     return norm_rows(v)
 
@@ -837,11 +837,11 @@ def argmax_flags_reference(log, agent: int) -> np.ndarray:
     """Per-round flags of one agent: the true class holds the strict argmax
     of μ, over a copy without the true class (the former
     ``sim._argmax_flags``)."""
-    from myopic_crowd.dynamics import reduce_rows
+    from myopic_crowd.dynamics import row_max
 
     star = log.world.true_class
     mu = log.log_mu[:, agent, :]
-    return mu[:, star] > reduce_rows(np.maximum, np.delete(mu, star, axis=1))[:, 0]
+    return mu[:, star] > row_max(np.delete(mu, star, axis=1))[:, 0]
 
 
 def position(scope, theta: int) -> int:
@@ -890,8 +890,9 @@ def complete_graph(n: int):
 def dense_erdos_renyi(n: int, p: float, rng, max_retries: int = 1000):
     """Erdős–Rényi G(n, p) conditioned on connectivity, built the dense way:
     one ``rng.random`` over the upper-triangle pairs per draw, filled into an
-    n×n matrix and handed to ``AgentGraph.from_adjacency``, with connectivity
-    read off the matrix.  ``RetriesExhausted`` when no draw connects."""
+    n×n matrix whose connectivity is read off it; the graph is the drawn
+    pairs handed to ``AgentGraph.from_edges``.  ``RetriesExhausted`` when no
+    draw connects."""
     from myopic_crowd.errors import RetriesExhausted
     from myopic_crowd.network import AgentGraph
 
@@ -905,7 +906,7 @@ def dense_erdos_renyi(n: int, p: float, rng, max_retries: int = 1000):
         while (grown != reach).any():
             reach, grown = grown, grown | adj[grown].any(axis=0)
         if reach.all():
-            return AgentGraph.from_adjacency(adj)
+            return AgentGraph.from_edges(n, np.column_stack(iu)[adj[iu]])
     raise RetriesExhausted(f"no connected graph after {max_retries} draws")
 
 

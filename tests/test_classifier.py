@@ -8,12 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from myopic_crowd.classifier import (
+    AgentScope,
     BayesOracle,
     NoisySource,
     ReplaySource,
     load_replay_csv,
     make_scope,
-    replay_source_from_csv,
+    replay_source,
     write_replay_csv,
 )
 from myopic_crowd.errors import (
@@ -52,6 +53,19 @@ def test_scope_rejects_unknown_class(w3_world):
 def test_scope_rejects_bad_prior(w3_world):
     with pytest.raises(RowNotStochastic):
         make_scope(w3_world, 0, ["theta0", "theta1"], prior=[0.9, 0.5])
+
+
+@pytest.mark.parametrize(
+    "source, replay_path", [("replay", None), ("bayes", "s.csv"), ("noisy", "s.csv")]
+)
+def test_only_a_replay_scope_has_a_path_and_it_needs_one(w3_world, source, replay_path):
+    where = {"source": source, "replay_path": replay_path}
+    with pytest.raises(ConfigError, match="replay source needs a path"):
+        make_scope(w3_world, 0, ["theta0", "theta1"], **where)
+    with pytest.raises(ConfigError, match="replay source needs a path"):
+        AgentScope(0, (0, 1), [0.5, 0.5], **where)
+    scope = make_scope(w3_world, 0, [0, 1], source="replay", replay_path="s.csv")
+    assert (scope.source, scope.replay_path) == ("replay", "s.csv")
 
 
 def test_likelihood_override_must_match_world(w3_world):
@@ -253,7 +267,7 @@ def test_replay_csv_round_trip(w3_world, tmp_path):
         "2,1,,0.5,0.5",
     ]
 
-    source = replay_source_from_csv(path, w3_world, scope0)
+    source = replay_source(path, *load_replay_csv(path, w3_world), w3_world, scope0)
     assert source.length == 2
     np.testing.assert_allclose(source.vectors, [[0.8, 0.2], [0.3, 0.7]])
 
@@ -287,7 +301,7 @@ def test_replay_csv_missing_scope_column(w3_world, tmp_path):
     write_replay_csv(path, w3_world, [scope], [(np.array([[0.8, 0.2]]), np.arange(1))])
     scope_c = make_scope(w3_world, 0, ["theta0", "theta2"])
     with pytest.raises(ParseError):
-        replay_source_from_csv(path, w3_world, scope_c)
+        replay_source(path, *load_replay_csv(path, w3_world), w3_world, scope_c)
 
 
 # -- properties -----------------------------------------------------------

@@ -35,7 +35,7 @@ def test_w3_config_resolves(w3_config):
     assert w3_config.seed == 7
     assert w3_config.world.m == 3
     assert w3_config.graph.edges() == [(0, 1), (1, 2)]
-    assert [s.kind for s in w3_config.sources] == ["bayes"] * 3
+    assert [s.source for s in w3_config.scopes] == ["bayes"] * 3
     w3_config.validate()
 
 
@@ -231,7 +231,7 @@ def test_replay_requires_explicit_prior(tmp_path):
     # With the prior pinned the same document resolves.
     doc["agents"][0]["prior"] = [0.5, 0.5]
     config = config_from_dict(doc, base_dir=tmp_path)
-    assert config.sources[0].kind == "replay"
+    assert config.scopes[0].source == "replay"
 
 
 def test_noisy_source_gamma_checked():
@@ -474,6 +474,33 @@ def test_manifest_dict_round_trips(w3_config):
     assert doc["graph"]["edges"] == [[0, 1], [1, 2]]
 
 
+def test_each_source_kind_round_trips_through_the_manifest(tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("round,agent_id,theta0,theta1,theta2\n1,2,0.8,,0.2\n")
+    doc = w3_doc(horizon=1)
+    doc["agents"][0]["source"] = {"kind": "bayes"}
+    # A noisy source without a gamma is noisy at gamma 0.
+    doc["agents"][1]["source"] = {"kind": "noisy"}
+    doc["agents"][2]["source"] = {"kind": "replay", "path": "stream.csv"}
+    doc["agents"][2]["prior"] = [0.5, 0.5]
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    config = load_config(tmp_path / "config.json")
+    agents = config.to_dict()["agents"]
+    assert [a["source"] for a in agents] == [
+        {"kind": "bayes"},
+        {"kind": "noisy", "gamma": 0.0},
+        {"kind": "replay", "path": str(stream)},
+    ]
+    # The manifest's agents resolve to the same agents, from any directory.
+    again = config_from_dict(w3_doc(horizon=1, agents=agents))
+    assert again.to_dict()["agents"] == agents
+    main(["validate", "--config", str(tmp_path / "config.json")])
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("agent")]
+    assert [ln.rsplit(", ", 1)[1] for ln in lines] == [
+        "source bayes", "source noisy", "source replay"
+    ]
+
+
 def test_spawn_streams_deterministic_and_distinct():
     draws = [stream(7, key).integers(0, 2**31) for key in range(5)]
     assert draws == [stream(7, key).integers(0, 2**31) for key in range(5)]
@@ -564,6 +591,8 @@ def _agent_lists(draw):
             gamma = 1.0
         if gamma is not None:
             entry["source"] = {"kind": "noisy", "gamma": gamma}
+        elif draw(st.booleans()):
+            entry["source"] = {"kind": "bayes"}
         if fault == "override":
             entry["likelihoods"] = [[0.7, 0.3], [0.4, 0.6]]
         elif draw(st.booleans()):
@@ -589,6 +618,7 @@ def test_roster_matches_make_scope_agent_by_agent(agents):
                 raise ConfigError(
                     f"agent {entry['id']} needs a 'classes' list of labels or indices"
                 )
+            source = entry.get("source", {})
             scopes.append(
                 make_scope(
                     world,
@@ -596,7 +626,8 @@ def test_roster_matches_make_scope_agent_by_agent(agents):
                     classes,
                     prior=entry.get("prior"),
                     likelihoods=entry.get("likelihoods"),
-                    gamma=entry.get("source", {}).get("gamma", 0.0),
+                    gamma=source.get("gamma", 0.0),
+                    source=source.get("kind", "bayes"),
                 )
             )
         return sorted(scopes, key=lambda s: s.agent_id)
@@ -609,6 +640,7 @@ def test_roster_matches_make_scope_agent_by_agent(agents):
     assert [s.agent_id for s in got] == list(range(n))
     for a, b in zip(got, want):
         assert (a.theta_i, a.gamma) == (b.theta_i, b.gamma)
+        assert (a.source, a.replay_path) == (b.source, b.replay_path)
         assert a.prior.tobytes() == b.prior.tobytes() and not a.prior.flags.writeable
         tables = [s.likelihoods and s.likelihoods.rows.tobytes() for s in (a, b)]
         assert tables[0] == tables[1]

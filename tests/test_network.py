@@ -20,7 +20,6 @@ from myopic_crowd.network import (
     AgentGraph,
     erdos_renyi_connected,
     is_connected,
-    load_graph,
     read_edge_list,
 )
 from oracles import (
@@ -238,27 +237,27 @@ def test_graph_file_round_trip(tmp_path):
     g = path_graph(3)
     path = tmp_path / "graph.txt"
     save_graph(g, path)
-    _assert_same_graph(load_graph(path), g)
+    _assert_same_graph(AgentGraph.from_edges(*read_edge_list(path)), g)
 
 
 def test_load_graph_parses_expected_format(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3\n0 1\n1 2\n")
-    g = load_graph(path)
+    g = AgentGraph.from_edges(*read_edge_list(path))
     assert g.edges() == [(0, 1), (1, 2)]
 
 
 def test_load_graph_allows_comments_and_dedupes(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3\n# path\n0 1\n1 0\n1 2\n")
-    g = load_graph(path)
+    g = AgentGraph.from_edges(*read_edge_list(path))
     assert g.edges() == [(0, 1), (1, 2)]
 
 
 def test_load_graph_disconnected_is_loadable(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2\n")
-    g = load_graph(path)
+    g = AgentGraph.from_edges(*read_edge_list(path))
     assert g.n == 2
     assert not is_connected(g)
 
@@ -271,7 +270,7 @@ def test_load_graph_rejects_malformed(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ParseError):
-        load_graph(path)
+        AgentGraph.from_edges(*read_edge_list(path))
 
 
 @pytest.mark.parametrize(

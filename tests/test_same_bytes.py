@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +49,17 @@ def test_every_difference_is_named():
     assert same_bytes.with_horizon(["run", "--horizon", "9", "--seeds", "2"], 30) == [
         "run", "--seeds", "2", "--horizon", "30"
     ]
+
+
+def test_a_quick_horizon_keeps_the_fused_loop_command_at_its_own():
+    # At --horizon 200 one n120 run under three rules would exceed the batch
+    # cap alone, and the fused m >= 8 loop would go unchecked.
+    same_bytes = _module()
+    listed = dict(same_bytes.commands(defaultdict(str)))
+    quick = dict(same_bytes.commands(defaultdict(str), horizon=200))
+    fused = quick["compare-n120-fused"]
+    assert fused == listed["compare-n120-fused"]
+    assert fused.count("--horizon") == 1
+    assert fused[fused.index("--horizon") + 1] == "40"
+    assert quick["run-w3-min"][-2:] == ["--horizon", "200"]
+    assert quick["scores-w3"][-2:] == ["--horizon", "200"]

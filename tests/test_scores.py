@@ -107,20 +107,20 @@ def test_support_needs_other_class():
 
 
 def test_w3_identifiability(w3_world, w3_scopes):
-    ok, witness = check_global_identifiability(w3_world, w3_scopes)
-    assert ok and witness == []
+    report = score_report(w3_world, w3_scopes)
+    assert report.identifiable and report.witness == []
 
 
 def test_identifiability_witness_without_third_agent(w3_world, w3_scopes):
-    ok, witness = check_global_identifiability(w3_world, w3_scopes[:2])
-    assert not ok
-    assert witness == [(0, 2)]
+    report = score_report(w3_world, w3_scopes[:2])
+    assert not report.identifiable
+    assert report.witness == [(0, 2)]
 
 
 def test_fully_informed_single_agent_identifiable(w3_world):
     scope = make_scope(w3_world, 0, ["theta0", "theta1", "theta2"])
-    ok, witness = check_global_identifiability(w3_world, [scope])
-    assert ok and witness == []
+    report = score_report(w3_world, [scope])
+    assert report.identifiable and report.witness == []
 
 
 def test_w3_best_rates(w3_world, w3_scopes):

@@ -25,7 +25,7 @@ from myopic_crowd.classifier import (
     load_replay_csv,
     make_scope,
     posterior_tables,
-    replay_source_from_csv,
+    replay_source,
     write_replay_csv,
 )
 from myopic_crowd.config import (
@@ -363,8 +363,8 @@ def test_run_bytes_counts_what_a_run_holds(mode, tmp_path):
     log = run_experiment(config)
     arrays = [log.observations.base, log.log_pi, log.log_mu]
     arrays += [log.clamped_pi, log.clamped_mu]
-    for (rows, index), spec in zip(log.streams, config.sources):
-        arrays += [rows, index] if spec.kind == "replay" else [rows]
+    for (rows, index), scope in zip(log.streams, config.scopes):
+        arrays += [rows, index] if scope.source == "replay" else [rows]
     assert sim.run_bytes(config) == sum(a.nbytes for a in arrays)
 
 
@@ -535,8 +535,9 @@ def test_build_sources_reads_a_shared_replay_file_once(tmp_path, monkeypatch):
     sources = sim.build_sources(config)
     assert len(calls) == 1
     assert sim.theory(config)[0] is None
+    parsed = load_replay_csv(out["posteriors"], config.world)
     for source, scope, posts in zip(sources, config.scopes, recorded.posteriors):
-        want = replay_source_from_csv(out["posteriors"], config.world, scope)
+        want = replay_source(out["posteriors"], *parsed, config.world, scope)
         np.testing.assert_array_equal(source.vectors, want.vectors)
         np.testing.assert_array_equal(source.vectors, posts)
 
@@ -817,7 +818,7 @@ def _bits_equal(got, want) -> bool:
 def _mixed_rosters(draw):
     """A config document, without the graph, and the replay streams its
     replaying agents read.  Scope sizes mix 1, 2, 3, 8 and m (m ≥ 8 runs both
-    branches of ``reduce_rows``); classes come unsorted; agents may override
+    branches of ``row_max``); classes come unsorted; agents may override
     the likelihoods, be noisy (γ > 0) or replay a stream."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.sampled_from([3, 8, 9]))
@@ -887,7 +888,7 @@ def test_grouped_passes_match_per_agent_references(roster, cells):
             )
         sources = sim.build_sources(config)
         log = run_experiment(config)
-    tabled = [s for s, spec in zip(scopes, config.sources) if spec.kind != "replay"]
+    tabled = [s for s in scopes if s.source != "replay"]
     for scope, source in zip(scopes, sources):
         if scope in tabled:
             want = oracles.posterior_table_reference(world, scope)
