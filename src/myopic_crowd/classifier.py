@@ -35,9 +35,9 @@ from .world import EPS, ROW_TOL, LikelihoodTable, World, _readonly
 class AgentScope:
     """An agent's classifier: its identifiable class subset Θ_i, its prior
     (every entry at least :data:`EPS`), an optional private likelihood table
-    overriding the shared world's, its noise level γ ∈ [0, 1), its source
-    kind as declared (``bayes``, ``noisy`` or ``replay``) and, for a replay
-    agent only, the path of its recorded stream."""
+    overriding the shared world's, its noise level γ ∈ [0, 1), above 0 only
+    for a noisy source, its source kind as declared (``bayes``, ``noisy`` or
+    ``replay``) and, for a replay agent only, the path of its recorded stream."""
 
     agent_id: int
     theta_i: tuple[int, ...]
@@ -74,6 +74,11 @@ class AgentScope:
             raise ConfigError(
                 f"agent {self.agent_id}: noise level gamma must be in [0, 1), "
                 f"got {gamma}"
+            )
+        if self.source not in (("noisy",) if gamma else ("bayes", "noisy", "replay")):
+            raise ConfigError(
+                f"agent {self.agent_id}: source {self.source!r} with gamma {gamma}; "
+                "the source is bayes, noisy or replay, and only noisy takes gamma > 0"
             )
         if (self.source == "replay") != (self.replay_path is not None):
             raise ConfigError(

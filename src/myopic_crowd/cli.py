@@ -300,10 +300,10 @@ def cmd_compare(args) -> int:
     star = config.world.true_class
     label = config.world.classes.labels[star]
     # Per rule, one row per run: identification times (inf where an agent
-    # never identifies) and final beliefs in the true class.
+    # never identifies) and final beliefs in the true class; no slope, no flags.
     times: dict[str, list] = {rule: [] for rule in RULES}
     finals: dict[str, list] = {rule: [] for rule in RULES}
-    for trajectory in run_batch(_seed_configs(config, args.seeds), RULES):
+    for trajectory in run_batch(_seed_configs(config, args.seeds), RULES, flags=False):
         rule = trajectory.config.rule
         agents = range(trajectory.n_agents)
         run_times = [time_to_identification(trajectory, i) for i in agents]

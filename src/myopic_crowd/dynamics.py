@@ -12,8 +12,8 @@ cancels between rounds, so the unnormalized log-belief after t rounds is the
 uniform start plus the cumulative log posterior/prior ratio.  The global
 recursion reads the previous round, so :func:`global_trajectory` loops over
 rounds, pooling every agent under every rule at once from one gather per
-round on the layouts of :func:`neighborhood_csr`; flags are read off the
-gathered entries.
+round on the layouts of :func:`neighborhood_csr` and a small ring of stacked
+rounds; flags are read off the gathered entries, if the caller has any.
 
 All beliefs are log-probabilities.  Beliefs on rejected classes decay
 exponentially and would underflow linear 64-bit floats near round 700 for
@@ -214,8 +214,8 @@ _BLOCKS = ("min", "max", "avg")
 
 
 def global_trajectory(
-    rules: Sequence[str], log_pi: np.ndarray, clamped_pi: np.ndarray, hood: Hood
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    rules: Sequence[str], log_pi: np.ndarray, clamped_pi: np.ndarray | None, hood: Hood
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Global log-beliefs and clamp flags for rounds 0..T, one pair per rule.
 
     ``log_pi``/``clamped_pi`` are the (T+1, n, m) local trajectories of the
@@ -224,13 +224,16 @@ def global_trajectory(
     with its current local belief, then normalizes.  The min rule keeps a
     class only as far as nobody has rejected it; avg (mean of linear
     probabilities) and max are baselines.  At a few agents per run a round
-    costs numpy call overhead, so rounds are zipped round views, write into
-    buffers, row views and a :func:`norm_plan` made once, and the R
-    ``rules`` share one loop in blocks of n rows ordered min, max, avg: one
-    gather fills every block's entries, one min and one max reduction pool
-    them, one plan normalizes all R·n rows of a (T+1, R·n, m) array.  Flags
-    are read off one gather: a min or max output is flagged where a flagged
-    entry equals it, avg's where every entry is flagged.
+    costs numpy call overhead, so a round makes no copy: it reads its stacked
+    input from a ring of at most :data:`GROUP_CELLS` cells and normalizes
+    into the next ring row, and local beliefs go in and global beliefs come
+    out a ring of rounds at a time.  The R ``rules`` share one loop in
+    blocks of n rows ordered min, max, avg: one gather fills every block's
+    entries, one min and one max reduction pool them, one :func:`norm_plan`
+    normalizes all R·n rows.  Flags are read off one gather: a min or max
+    output is flagged where a flagged entry equals it, avg's where every
+    entry is flagged.  Without ``clamped_pi`` the loop does no flag work and
+    every rule's flags are None.
     """
     rounds, n, m = log_pi.shape
     for rule in rules:
@@ -241,16 +244,19 @@ def global_trajectory(
     k, e, r_n = len(order), hood.index.size, len(order) * n
     lo, mm = int("min" in order), k - ("avg" in order)
     log_mu = np.empty((rounds, r_n, m))
-    clamped_mu = np.zeros(log_mu.shape, dtype=bool)
     log_mu[0] = -math.log(m)
-    # Rows: each block's previous global beliefs, the local beliefs, then
-    # the identities of min, max and avg.  Avg's is flagged: a floored input
-    # is negligible inside a mean, an artifact only if every input is one.
-    stack = np.empty((r_n + n + 3, m))
-    stack[-3:] = [[np.inf], [-np.inf], [-np.inf]]
-    flags = np.zeros(stack.shape, dtype=bool)
-    flags[-1] = True
-    # Each block's map from the rows ``hood`` indexes to rows of the stack.
+    clamped_mu = None if clamped_pi is None else np.zeros(log_mu.shape, dtype=bool)
+    # Ring row s: each block's previous global beliefs, the local beliefs,
+    # then the identities of min, max and avg.  Avg's is flagged: a floored
+    # input is negligible inside a mean, an artifact only if every input is one.
+    width = r_n + n + 3
+    size = max(1, min(rounds - 1, GROUP_CELLS // (width * m)))
+    ring = np.empty((size, width, m))
+    ring[:, -3:] = [[np.inf], [-np.inf], [-np.inf]]
+    ring[0, :r_n] = log_mu[0]
+    flags = np.zeros(ring.shape, dtype=bool)
+    flags[:, -1] = True
+    # Each block's map from the rows ``hood`` indexes to rows of a ring row.
     ids = [r_n + n + _BLOCKS.index(rule) for rule in order]
     rows = [np.r_[b * n : b * n + n, r_n : r_n + n, i] for b, i in enumerate(ids)]
     layout = hood.index if hood.padded is None else hood.padded
@@ -276,44 +282,51 @@ def global_trajectory(
     # Each entry's pooled value: broadcast on the padded layout, else gathered.
     attained = pooled if layout.ndim == 2 else np.empty(entries.shape)
     owners = (hood.owner + n * np.arange(k)[:, None]).ravel()
-    prev_rows, own_rows = stack[:r_n], stack[r_n : r_n + n]
-    prev_flags, own_flags = flags[:r_n], flags[r_n : r_n + n]
     hi, norm = pooled[mm * n :], norm_plan(pooled)
+    # A round reads ring row s and its flags, and normalizes into the next.
+    views = [
+        (ring[s], flags[s], ring[(s + 1) % size, :r_n], flags[(s + 1) % size, :r_n])
+        for s in range(size)
+    ]
     # Flag work is skipped while no input is flagged, as it would flag
     # nothing; after the first global flag it runs every round.
-    pi_flagged, mu_flagged = clamped_pi.any(axis=(1, 2)).tolist(), False
-    walk = zip(
-        log_mu, clamped_mu, log_pi[1:], clamped_pi[1:], pi_flagged[1:],
-        log_mu[1:], clamped_mu[1:],
-    )
-    for mu_prev, mu_prev_flags, pi, pi_flags, pi_any, mu, mu_flags in walk:
-        prev_rows[...] = mu_prev
-        own_rows[...] = pi
-        stack.take(flat, 0, gathered, "clip")
-        for pool in pools:
-            pool()
-        any_flag = mu_flagged or pi_any
-        if any_flag:
-            prev_flags[...] = mu_prev_flags
-            own_flags[...] = pi_flags
-            flags.take(grid, 0, marks, "clip")
-            # A pooled value a flagged input attains is a floor artifact,
-            # even where normalization lifts it above LOG_FLOOR.
-            if layout.ndim == 1:
-                pooled.take(owners, 0, attained, "clip")
-            np.logical_and(np.equal(entries, attained, out=equal), marks, out=equal)
-            for test in tests:
-                test()
-        if mm < k:
-            hi.take(hood.owner, 0, spread, "clip")
-            np.exp(np.subtract(csr, spread, out=spread), out=spread)
-            np.add.reduceat(spread, hood.starts, axis=0, out=total)
-            np.add(hi, np.log(total, out=total), out=hi)
-            np.subtract(hi, hood.log_size, out=hi)
-        norm(mu, mu_flags)
-        if any_flag:
-            mu_flags |= propagated
-        if not mu_flagged:
-            mu_flagged = np.count_nonzero(mu_flags) > 0
-    spans = {rule: slice(b * n, b * n + n) for b, rule in enumerate(order)}
-    return [(log_mu[:, spans[rule]], clamped_mu[:, spans[rule]]) for rule in rules]
+    flagless, mu_flagged = clamped_pi is None, False
+    pi_flagged = [False] * rounds if flagless else clamped_pi.any(axis=(1, 2)).tolist()
+    for t in range(1, rounds, size):
+        c = min(size, rounds - t)
+        ring[:c, r_n : r_n + n] = log_pi[t : t + c]
+        if not flagless:
+            flags[:c, r_n : r_n + n] = clamped_pi[t : t + c]
+        for (stack, marked, mu, mu_flags), pi_any in zip(views, pi_flagged[t : t + c]):
+            stack.take(flat, 0, gathered, "clip")
+            for pool in pools:
+                pool()
+            any_flag = mu_flagged or pi_any
+            if any_flag:
+                marked.take(grid, 0, marks, "clip")
+                # A pooled value a flagged input attains is a floor artifact,
+                # even where normalization lifts it above LOG_FLOOR.
+                if layout.ndim == 1:
+                    pooled.take(owners, 0, attained, "clip")
+                np.logical_and(np.equal(entries, attained, out=equal), marks, out=equal)
+                for test in tests:
+                    test()
+            if mm < k:
+                hi.take(hood.owner, 0, spread, "clip")
+                np.exp(np.subtract(csr, spread, out=spread), out=spread)
+                np.add.reduceat(spread, hood.starts, axis=0, out=total)
+                np.add(hi, np.log(total, out=total), out=hi)
+                np.subtract(hi, hood.log_size, out=hi)
+            norm(mu, mu_flags)
+            if any_flag:
+                mu_flags |= propagated
+            if not (mu_flagged or flagless):
+                mu_flagged = np.count_nonzero(mu_flags) > 0
+        # Round t + j wrote ring row j + 1, the chunk's last round wrapping;
+        # flags before the first global flag stay clamped_mu's zeros.
+        for out, src in [(log_mu, ring), (clamped_mu, flags)][: 1 + mu_flagged]:
+            if c > 1:
+                out[t : t + c - 1] = src[1:c, :r_n]
+            out[t + c - 1] = src[c % size, :r_n]
+    spans = [slice(b * n, b * n + n) for b in map(order.index, rules)]
+    return [(log_mu[:, s], None if flagless else clamped_mu[:, s]) for s in spans]

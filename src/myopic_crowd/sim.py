@@ -19,7 +19,8 @@ Everything before the pooling loop (sources, checks, observation draws,
 posteriors, local trajectories) does not depend on the rule, so
 :func:`run_batch` prepares it once and pools it under several rules in one
 loop over rounds; that is how ``compare`` evaluates min, avg and max on the
-same draws (common random numbers).
+same draws (common random numbers).  Only slope fits read the global floor
+flags, so ``compare`` pools without them.
 
 A seed sweep is many small runs, and at n = 3 a round's numpy call overhead
 dwarfs its arithmetic.  :func:`run_batch` therefore pools a batch of runs as
@@ -98,7 +99,8 @@ class TrajectoryLog:
     Belief arrays are (T+1, n_agents, m) log-probabilities for rounds 0..T,
     maybe views into a larger batch (logs of one run under several rules
     share ``log_pi``/``clamped_pi``); the clamp masks mark entries pinned at
-    the numerical floor.  A log of :func:`run_experiment` keeps its draws:
+    the numerical floor, and ``clamped_mu`` is None if pooled without flags
+    (:func:`run_batch`).  A log of :func:`run_experiment` keeps its draws:
     ``observations``, the symbol drawn per (round 1..T, agent), and
     ``streams``, each agent's ``(rows, index)`` with row ``index[t-1]`` fed
     in round t: its table and its observation column, or its replay vectors
@@ -109,7 +111,7 @@ class TrajectoryLog:
     log_pi: np.ndarray
     log_mu: np.ndarray
     clamped_pi: np.ndarray
-    clamped_mu: np.ndarray
+    clamped_mu: np.ndarray | None
     observations: np.ndarray | None
     streams: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -287,7 +289,7 @@ def _batches(configs: Iterable[ExperimentConfig], rules: tuple) -> Iterator[tupl
 
 
 def run_batch(
-    configs: Iterable[ExperimentConfig], rules: Iterable[str]
+    configs: Iterable[ExperimentConfig], rules: Iterable[str], *, flags: bool = True
 ) -> Iterator[TrajectoryLog]:
     """Run every config once per rule, pooling a batch of runs at a time.
 
@@ -308,12 +310,13 @@ def run_batch(
     and it carries no draws.  A caller that drops each log before asking
     for the next holds one batch at a time.  One ``info`` line is logged per
     batch once its last log has been consumed; it joins rules pooled
-    together by ``+``.
+    together by ``+``.  With ``flags=False``, for a caller that fits no
+    slope, nothing propagates floor flags and each log's ``clamped_mu`` is None.
     """
-    return _logs(configs, tuple(rules), keep_draws=False)
+    return _logs(configs, tuple(rules), keep_draws=False, flags=flags)
 
 
-def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
+def _logs(configs, rules: tuple, keep_draws: bool, flags=True) -> Iterator:
     """:func:`run_batch`'s logs, carrying each run's draws if ``keep_draws``."""
     for batch, fused in _batches(configs, rules):
         started = time.perf_counter()
@@ -337,6 +340,7 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
             )
             for config, span in zip(batch, spans)
         ]
+        flagged = clamped_pi if flags else None
         hood = neighborhood_csr(
             [
                 [j + span.start for j in nbrs]
@@ -346,9 +350,10 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
         )
         for group in groups:
             if batch[0].local_only:
-                pooled = [(log_pi.copy(), clamped_pi.copy())] * len(group)
+                copies = log_pi.copy(), None if flagged is None else flagged.copy()
+                pooled = [copies] * len(group)
             else:
-                pooled = global_trajectory(group, log_pi, clamped_pi, hood)
+                pooled = global_trajectory(group, log_pi, flagged, hood)
             for rule, (log_mu, clamped_mu) in zip(group, pooled):
                 for config, span, (obs, streams) in zip(variants[rule], spans, draws):
                     yield TrajectoryLog(
@@ -356,7 +361,7 @@ def _logs(configs, rules: tuple, keep_draws: bool) -> Iterator[TrajectoryLog]:
                         log_pi=log_pi[:, span],
                         log_mu=log_mu[:, span],
                         clamped_pi=clamped_pi[:, span],
-                        clamped_mu=clamped_mu[:, span],
+                        clamped_mu=flagged if flagged is None else clamped_mu[:, span],
                         observations=obs,
                         streams=streams,
                     )
@@ -391,6 +396,8 @@ def estimate_rejection_rate(log: TrajectoryLog, agent: int, theta: int) -> float
     star = log.world.true_class
     if theta == star:
         raise ValueError("rejection rate is defined for false classes only")
+    if log.clamped_mu is None:
+        raise ValueError("a log pooled with flags=False has no floor flags to fit by")
     series = log.log_mu[:, agent, theta]
     flags = log.clamped_mu[:, agent, theta]
     t_eff = int(np.argmax(flags)) - 1 if flags.any() else log.horizon

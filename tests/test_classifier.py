@@ -68,6 +68,27 @@ def test_only_a_replay_scope_has_a_path_and_it_needs_one(w3_world, source, repla
     assert (scope.source, scope.replay_path) == ("replay", "s.csv")
 
 
+@pytest.mark.parametrize("source", ["replya", "Bayes", "", None])
+def test_a_scope_refuses_an_unknown_source(w3_world, source):
+    with pytest.raises(ConfigError, match="bayes, noisy or replay"):
+        make_scope(w3_world, 0, ["theta0", "theta1"], source=source)
+    with pytest.raises(ConfigError, match="bayes, noisy or replay"):
+        AgentScope(0, (0, 1), [0.5, 0.5], source=source)
+
+
+@pytest.mark.parametrize("source", ["bayes", "replay"])
+def test_only_a_noisy_scope_takes_gamma_above_zero(w3_world, source):
+    # Its manifest would declare the source without the γ its table uses.
+    path = "s.csv" if source == "replay" else None
+    with pytest.raises(ConfigError, match="only noisy takes gamma > 0"):
+        make_scope(w3_world, 0, [0, 1], gamma=0.5, source=source, replay_path=path)
+    with pytest.raises(ConfigError, match="only noisy takes gamma > 0"):
+        AgentScope(0, (0, 1), [0.5, 0.5], gamma=0.5, source=source, replay_path=path)
+    scope = make_scope(w3_world, 0, [0, 1], gamma=0.0, source=source, replay_path=path)
+    assert (scope.source, scope.gamma) == (source, 0.0)
+    assert make_scope(w3_world, 0, [0, 1], gamma=0.5, source="noisy").gamma == 0.5
+
+
 def test_likelihood_override_must_match_world(w3_world):
     with pytest.raises(DimensionMismatch):
         make_scope(w3_world, 0, ["theta0", "theta1"], likelihoods=[[0.5, 0.5]])
@@ -111,7 +132,7 @@ def test_bayes_ratio_consistency(w3_world):
 
 def test_noisy_gamma_zero_equals_oracle(w3_world):
     bayes = make_scope(w3_world, 0, ["theta0", "theta1"])
-    noisy = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.0)
+    noisy = make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.0, source="noisy")
     np.testing.assert_array_equal(
         posterior_table(w3_world, noisy), posterior_table(w3_world, bayes)
     )
@@ -120,7 +141,7 @@ def test_noisy_gamma_zero_equals_oracle(w3_world):
 def test_noisy_gamma_one_rejected(w3_world):
     for gamma in (1.0, -0.1, float("nan")):
         with pytest.raises(ConfigError):
-            make_scope(w3_world, 0, ["theta0", "theta1"], gamma=gamma)
+            make_scope(w3_world, 0, ["theta0", "theta1"], gamma=gamma, source="noisy")
 
 
 @given(gamma=st.floats(0.0, 0.99))
@@ -132,7 +153,8 @@ def test_noisy_within_gamma_of_oracle(gamma):
         "t0",
     )
     bayes = posterior_table(world, make_scope(world, 0, ["t0", "t1"]))
-    noisy = posterior_table(world, make_scope(world, 0, ["t0", "t1"], gamma=gamma))
+    scope = make_scope(world, 0, ["t0", "t1"], gamma=gamma, source="noisy")
+    noisy = posterior_table(world, scope)
     assert np.abs(noisy - bayes).max() <= gamma + 1e-12
 
 
@@ -144,7 +166,8 @@ def test_noisy_rows_normalized(gamma, col):
         [[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]],
         "t0",
     )
-    table = posterior_table(world, make_scope(world, 0, ["t0", "t1"], gamma=gamma))
+    scope = make_scope(world, 0, ["t0", "t1"], gamma=gamma, source="noisy")
+    table = posterior_table(world, scope)
     assert table[col].sum() == pytest.approx(1.0, abs=1e-9)
     assert table.min() >= EPS
 
@@ -197,7 +220,8 @@ def _classifiers(draw):
     override = draw(st.none() | st.just(m).map(table))
     gamma = draw(st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True))
     scope = make_scope(
-        world, 0, theta, prior=prior / prior.sum(), likelihoods=override, gamma=gamma
+        world, 0, theta, prior=prior / prior.sum(), likelihoods=override, gamma=gamma,
+        source="noisy",
     )
     return world, scope
 

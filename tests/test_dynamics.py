@@ -615,6 +615,43 @@ def test_fused_rules_on_wide_rows_match_reference_loop_per_rule(graph, data):
         _same_bytes(got_flags, want_flags)
 
 
+@pytest.mark.parametrize("graph", [path_graph(5), _STAR], ids=["padded", "csr"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_ring_size_matches_reference_loop_per_rule(graph, data):
+    # The ring holds 1, 2, 3, 7 or all T rounds, set through GROUP_CELLS.
+    # Local flags start on the first, the last or any round of a chunk; min
+    # flags its first global belief in that round.  Pooled without flags,
+    # the values keep their bytes.
+    rules = tuple(data.draw(st.permutations(RULES))[: data.draw(st.integers(1, 3))])
+    m, t_max = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 16))
+    size = data.draw(st.sampled_from([1, 2, 3, 7, t_max]))
+    offset = data.draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
+    chunk = data.draw(st.integers(0, (t_max - 1) // size))
+    first = min(t_max, 1 + chunk * size + offset)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    log_pi = rng.uniform(-40.0, 0.0, (t_max + 1, graph.n, m))
+    clamped_pi = rng.random(log_pi.shape) < 0.2
+    clamped_pi[:first] = False
+    clamped_pi[first, rng.integers(graph.n), rng.integers(m)] = True
+    log_pi[clamped_pi] = LOG_FLOOR
+    hood = neighborhood_csr(graph.neighborhoods)
+    rows = (len(rules) + 1) * graph.n + 3
+    with mock.patch.object(dynamics, "GROUP_CELLS", size * rows * m):
+        got = global_trajectory(rules, log_pi, clamped_pi, hood)
+        flagless = global_trajectory(rules, log_pi, None, hood)
+    for rule, (got_mu, got_flags), (bare_mu, none) in zip(rules, got, flagless):
+        want_mu, want_flags = oracles.global_trajectory(
+            rule, log_pi, clamped_pi, hood
+        )
+        _same_bytes(got_mu, want_mu)
+        _same_bytes(got_flags, want_flags)
+        _same_bytes(bare_mu, want_mu)
+        assert none is None
+        if rule == "min":
+            assert np.flatnonzero(got_flags.any(axis=(1, 2)))[0] == first
+
+
 def test_avg_propagates_flags_through_the_padding():
     # On the path 0-1-2 the end agents' padded columns read avg's identity
     # row, which must count as flagged.  Class 1 sits at the floor, flagged,

@@ -198,7 +198,7 @@ def test_score_report_witness(w3_world, w3_scopes):
 
 def test_noisy_agent_scored_on_its_noisy_table(w3_world):
     scopes = [
-        make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.6),
+        make_scope(w3_world, 0, ["theta0", "theta1"], gamma=0.6, source="noisy"),
         make_scope(w3_world, 1, ["theta1", "theta2"]),
         make_scope(w3_world, 2, ["theta0", "theta2"]),
     ]
@@ -474,6 +474,7 @@ def test_score_report_document_matches_dict_reference(seed, gammas, overridden, 
                 prior=[prior[j] for j in perm],
                 likelihoods=likelihoods,
                 gamma=gamma,
+                source="noisy",
             )
         )
     order.shuffle(roster)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from myopic_crowd import classifier, dynamics, scores, sim
+from myopic_crowd import classifier, cli, dynamics, scores, sim
 
 from myopic_crowd.classifier import (
     load_replay_csv,
@@ -86,6 +86,51 @@ def test_run_batch_rules_match_independent_runs():
         else:
             np.testing.assert_array_equal(log.log_mu, alone.log_mu)
         assert log.config.to_dict() == alone.config.to_dict()
+
+
+def _hub_config(horizon: int):
+    """w3's scopes cycled over 12 agents on a star: the hub's neighborhood
+    makes the pooling loop read the compact layout."""
+    doc = w3_doc(horizon=horizon)
+    doc["agents"] = [{**doc["agents"][i % 3], "id": i} for i in range(12)]
+    doc["graph"] = {"type": "edges", "n": 12, "edges": [[0, i] for i in range(1, 12)]}
+    return config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: load_config(W3_JSON, horizon=1500),
+        lambda: load_config(W3_JSON.with_name("er_noisy.json")),
+        lambda: _hub_config(1500),
+    ],
+    ids=["w3", "er_noisy", "hub"],
+)
+def test_run_batch_without_flags_keeps_every_rules_beliefs(make):
+    configs = [make().derived(seed=s) for s in range(3)]
+    flagged = list(run_batch(configs, RULES))
+    bare = list(run_batch(configs, RULES, flags=False))
+    runs = [[(log.config.rule, log.config.seed) for log in logs] for logs in (flagged, bare)]
+    assert runs[0] == runs[1]
+    for with_flags, without in zip(flagged, bare):
+        assert without.log_mu.tobytes() == with_flags.log_mu.tobytes()
+        assert without.clamped_pi.tobytes() == with_flags.clamped_pi.tobytes()
+        assert without.clamped_mu is None
+    with pytest.raises(ValueError, match="pooled with flags=False"):
+        sim.rate_checks(bare[0], {})
+
+
+def test_compare_pools_without_flags(monkeypatch, capsys):
+    # compare fits no slope, so it asks for no floor flags.
+    asked = []
+
+    def recorded(configs, rules, **keywords):
+        asked.append(keywords)
+        return run_batch(configs, rules, **keywords)
+
+    monkeypatch.setattr(cli, "run_batch", recorded)
+    assert cli.main(["compare", "--config", str(W3_JSON), "--seeds", "2"]) == 0
+    assert asked == [{"flags": False}]
 
 
 def _assert_draws_only_alone(log, alone):
